@@ -13,7 +13,9 @@ Configs are strict JSON ("axisym-run/1"): unknown keys are rejected with
 their location.  All artifacts are deterministic (sorted keys, 17
 significant digits, LF endings) and carry the config hash and seed.
 Exit codes: 0 ok/converged, 1 failed certificate, 2 not converged or
-singular system, 3 input error.  AXISYM_THREADS caps restart parallelism.
+singular system, 3 input error (including grids outside [8, 4096] or with
+odd n_phi, and kinked potential tables where a gradient is needed).
+AXISYM_THREADS caps restart parallelism.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import numpy as np
 from . import ioutil
 from .energy import (
     BoundaryCondition,
+    NonDifferentiableError,
     aniso_constant_e3,
     aniso_profile,
     aniso_surface_normal,
@@ -54,7 +57,7 @@ from .solvers import (
     solve_annulus_example,
     symmetrize_and_certify,
 )
-from .verify import run_suite
+from .verify import DEFAULT_SUITE_CONFIG, run_suite
 
 RUN_SCHEMA = "axisym-run/1"
 
@@ -154,16 +157,22 @@ def _build_surface(section, role, where):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _build_grid(cfg):
-    grid = cfg.get("grid", {})
-    n_phi = int(grid.get("n_phi", 64))
-    n_t = int(grid.get("n_t", 64))
+def _check_grid(n_phi, n_t, where):
+    """(n_phi, n_t) as integers in [8, 4096] with n_phi even, or ConfigError
+    naming `where` (the config section or the flag they came from)."""
+    out = []
     for key, n in (("n_phi", n_phi), ("n_t", n_t)):
+        try:
+            n = int(n)
+        except (TypeError, ValueError):
+            raise ConfigError(f"{where}.{key}: expected an integer, "
+                              f"got {n!r}") from None
         if not (8 <= n <= 4096):
-            raise ConfigError(f"config.grid.{key}: must lie in [8, 4096]")
-    if n_phi % 2 != 0:
-        raise ConfigError("config.grid.n_phi: must be even")
-    return n_phi, n_t
+            raise ConfigError(f"{where}.{key}: must lie in [8, 4096]")
+        out.append(n)
+    if out[0] % 2 != 0:
+        raise ConfigError(f"{where}.n_phi: must be even")
+    return tuple(out)
 
 
 def _build_potential(section):
@@ -248,10 +257,13 @@ def _build_boundary(section, mesh):
 
 
 def build_run(cfg, seed_override=None, grid_override=None):
-    """Instantiate (mesh, target, params, solve_config, out_dir) from config."""
-    n_phi, n_t = _build_grid(cfg)
+    """Instantiate (mesh, target, params, solve_config) from config."""
     if grid_override:
-        n_phi, n_t = grid_override
+        n_phi, n_t = _check_grid(*grid_override, "--grid")
+    else:
+        grid = cfg.get("grid", {})
+        n_phi, n_t = _check_grid(grid.get("n_phi", 64), grid.get("n_t", 64),
+                                 "config.grid")
     base = _build_surface(cfg.get("base_surface", {"preset": "sphere"}),
                           "base", "config.base_surface")
     target = _build_surface(cfg.get("target_surface", {"preset": "sphere"}),
@@ -378,11 +390,19 @@ def cmd_reduce(args):
 def cmd_verify(args):
     cfg = load_config(args.config) if args.config else {"schema": RUN_SCHEMA}
     suite_cfg = dict(cfg.get("suite", {}))
+    grid, where = suite_cfg.get("grid"), "config.suite.grid"
     if args.grid:
         n_phi, n_t = _parse_grid(args.grid)
+        grid, where = {"n_phi": n_phi, "n_t": n_t}, "--grid"
+    if grid is not None:
+        _check_keys(grid, _GRID_KEYS, where)
+        grid = dict(DEFAULT_SUITE_CONFIG["grid"], **grid)
+        n_phi, n_t = _check_grid(grid["n_phi"], grid["n_t"], where)
         suite_cfg["grid"] = {"n_phi": n_phi, "n_t": n_t}
     if args.seed is not None:
         suite_cfg["seeds"] = [int(args.seed)]
+    if "seeds" in suite_cfg and not suite_cfg["seeds"]:
+        raise ConfigError("config.suite.seeds: needs at least one seed")
     out = args.out or cfg.get("outputs")
     certs, summary = run_suite(suite_cfg or None, out_dir=out)
     applicable = [c for c in certs if c.applicable]
@@ -410,6 +430,9 @@ def cmd_annulus(args):
     except SingularSystemError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     out = Path(args.out or "out")
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "radial_mean.csv", "w", encoding="utf-8", newline="") as f:
@@ -509,6 +532,9 @@ def main(argv=None):
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except NonDifferentiableError as exc:
+        print(f"config error: config.potential.table: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

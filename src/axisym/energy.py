@@ -327,6 +327,22 @@ def lphi(values):
     return np.fft.irfft(coeff, n=n, axis=0)
 
 
+def _meridian_edge_weights(mesh):
+    """Edge weights sqrt(g)/h2^2 of one meridian and whether it closes.
+
+    Edges sit at t_0 + (j+1) dt between adjacent t nodes; a closed curve
+    adds the seam edge at t_0 as the last one.
+    """
+    surf = mesh.surface
+    t0 = surf.curve.interval[0]
+    periodic = mesh.t_ends[0] == "periodic"
+    t_interior = t0 + mesh.dt * np.arange(1, mesh.n_t)
+    w = surf.sqrtg(t_interior) / surf.h2(t_interior) ** 2
+    if periodic:
+        w = np.append(w, surf.sqrtg(t0) / surf.h2(t0) ** 2)
+    return w, periodic
+
+
 def t_edge_operator(mesh):
     """Flux-form t-derivative: differences between adjacent t nodes.
 
@@ -341,15 +357,8 @@ def t_edge_operator(mesh):
     if cached is not None:
         return cached
     n_phi, n_t = mesh.shape
-    surf = mesh.surface
-    t0, t1 = surf.curve.interval
-    periodic = mesh.t_ends[0] == "periodic"
-    n_edges = (n_t - 1) + (1 if periodic else 0)
-
-    t_interior = t0 + mesh.dt * np.arange(1, n_t)
-    w_per = surf.sqrtg(t_interior) / surf.h2(t_interior) ** 2
-    if periodic:
-        w_per = np.append(w_per, surf.sqrtg(t0) / surf.h2(t0) ** 2)
+    w_per, periodic = _meridian_edge_weights(mesh)
+    n_edges = len(w_per)
     w_edges = np.tile(w_per, n_phi)
 
     c = 1.0 / mesh.dt
@@ -491,6 +500,83 @@ def riemannian_gradient(field, params):
             "custom potential table has kinks; gradient refused")
     g = euclidean_gradient(field, params)
     return tangent_project_points(field.target, field.values, g)
+
+
+# ---------------------------------------------------------------------------
+# reduced profile functional
+# ---------------------------------------------------------------------------
+
+class ProfileFunctional:
+    """Energy of a swept field as a function of its t-profile gamma alone.
+
+    The swept field is m_i = R(phi_i) gamma with R = rotate for the
+    symmetric variant and R = rotate_inverse for the antisymmetric one.
+    Value and Euclidean gradient are closed forms in gamma that equal
+    total_energy of the swept field and the phi-summed pullback
+    sum_i R(phi_i)^T euclidean_gradient[i] (up to rounding):
+
+    - phi-term: the horizontal part of a swept field is a pure k = 1 mode,
+      on which lphi is the identity, and its vertical part is constant in
+      phi, where lphi vanishes;
+    - t-term: rotations preserve edge differences, so every meridian
+      carries the t-energy of gamma (edge weights and periodic seam as in
+      t_edge_operator);
+    - anisotropy: m_ij . a_ij = gamma_j . b_ij with b_ij = R(phi_i)^T a_ij,
+      exact also when the anisotropy variant differs from the profile's;
+    - penalty: the circular mean of a swept horizontal part vanishes.
+    """
+
+    def __init__(self, mesh, params, variant):
+        if variant not in ("symmetric", "antisymmetric"):
+            raise ValueError("variant must be 'symmetric' or 'antisymmetric'")
+        self.potential = params.potential
+        rot_back = rotate_inverse if variant == "symmetric" else rotate
+        # component-major (3, n_phi, n_t): the dot products stay contiguous
+        self.b = np.moveaxis(
+            rot_back(mesh.phi[:, None], params.aniso.node_values), -1, 0).copy()
+        ring = 2 * np.pi * mesh.dt          # dphi * n_phi * dt
+        self.w_phi = ring * mesh.sqrtg / mesh.h1 ** 2
+        w_edges, periodic = _meridian_edge_weights(mesh)
+        self.w_edges = ring * w_edges
+        self.hi = np.arange(1, mesh.n_t)
+        self.lo = np.arange(mesh.n_t - 1)
+        if periodic:
+            self.hi = np.append(self.hi, 0)
+            self.lo = np.append(self.lo, mesh.n_t - 1)
+        self.c = 1.0 / mesh.dt
+        self.w_aniso = mesh.dphi * mesh.dt * mesh.sqrtg
+
+    def _edge_differences(self, gamma):
+        return self.c * gamma[self.hi] - self.c * gamma[self.lo]
+
+    def _dots(self, gamma):
+        b = self.b
+        return b[0] * gamma[:, 0] + b[1] * gamma[:, 1] + b[2] * gamma[:, 2]
+
+    def value(self, gamma):
+        """Energy of the swept field of the (n_t, 3) profile gamma."""
+        diffs = self._edge_differences(gamma)
+        dots = self._dots(gamma)
+        return float(np.sum(self.w_phi * np.sum(gamma[:, :2] ** 2, axis=-1))
+                     + np.sum(self.w_edges * np.sum(diffs ** 2, axis=-1))
+                     + np.sum(self.w_aniso * self.potential.g(dots).sum(axis=0)))
+
+    def gradient(self, gamma):
+        """Euclidean gradient of value() with respect to gamma, (n_t, 3)."""
+        if self.potential.non_differentiable:
+            raise NonDifferentiableError(
+                "custom potential table has kinks; gradient refused")
+        # Any order of the three terms is exact, but the BB descent turns
+        # last-bit differences between orders into different iteration
+        # counts; reordering them moves reduce artifacts at rounding level.
+        flux = 2 * self.c * self.w_edges[:, None] * self._edge_differences(gamma)
+        grad = np.zeros_like(gamma)
+        grad[self.hi] += flux
+        grad[self.lo] -= flux
+        dg = np.asarray(self.potential.dg(self._dots(gamma)))
+        grad += self.w_aniso[:, None] * np.einsum("ij,kij->jk", dg, self.b)
+        grad[:, :2] += 2 * self.w_phi[:, None] * gamma[:, :2]
+        return grad
 
 
 # ---------------------------------------------------------------------------

@@ -3,20 +3,32 @@
 Artifacts are compared byte for byte across reruns and thread counts, so
 serialization must be fully deterministic: keys sorted, floats rendered
 with %.17g (which round-trips IEEE doubles exactly), LF line endings.
+Every artifact is strict JSON: non-finite floats are refused, never
+written as bare inf/nan.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+
+import numpy as np
 
 
 def float17(x):
-    return "%.17g" % float(x)
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite float {x!r} has no JSON rendering")
+    return "%.17g" % x
 
 
 def dumps(obj, indent=0):
-    """Serialize dict/list/str/int/float/bool/None deterministically."""
+    """Serialize dict/list/str/int/float/bool/None deterministically.
+
+    numpy scalars render like their Python counterparts; a non-finite float
+    raises ValueError.
+    """
     out = []
     _render(obj, out, indent, 0)
     return "".join(out) + "\n"
@@ -46,20 +58,22 @@ def _render(obj, out, indent, level):
             _render(v, out, indent, level + 1)
             out.append(sep if n < len(seq) - 1 else nl)
         out.append(closepad + "]")
-    elif isinstance(obj, bool) or obj is None:
-        out.append(json.dumps(obj))
-    elif isinstance(obj, (int,)):
-        out.append(str(obj))
+    elif isinstance(obj, (bool, np.bool_)) or obj is None:
+        out.append(json.dumps(obj if obj is None else bool(obj)))
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
     elif isinstance(obj, float):
         out.append(float17(obj))
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     else:
-        # numpy scalars and the like
+        # other numpy scalars and the like
         try:
-            out.append(float17(float(obj)))
+            value = float(obj)
         except (TypeError, ValueError):
             out.append(json.dumps(str(obj)))
+        else:
+            out.append(float17(value))
 
 
 def loads(text):

@@ -8,10 +8,12 @@ normal profile, both symmetry variants) mitigate non-convexity; only the
 best found field is reported, with symmetry diagnostics attached.
 
 1D solver: minimizes over t-profiles gamma the energy of the swept field
-A(phi)^T gamma(t) (or A(phi) gamma(t)); the value is computed literally as
-the 2D energy of the built field, so the reduced and full functionals agree
-to machine precision at matched discretization, and the profile gradient
-is the exact pullback sum of the 2D gradient over slices.
+A(phi)^T gamma(t) (or A(phi) gamma(t)).  The descent only handles (n_t, 3)
+arrays: energy.ProfileFunctional gives the 2D energy of the swept field and
+the pullback sum over slices of its 2D gradient in closed form, exact for
+the discrete scheme.  Restarts are ranked and reported by the 2D energy of
+the built field, so the reduced and full functionals agree to rounding at
+matched discretization.
 
 Annulus solver: the linear equations -Lap m + kappa (m.e3) e3 = 0 on the
 flat annulus in polar coordinates with Dirichlet ring data, discretized
@@ -31,9 +33,9 @@ import scipy.sparse.linalg as spla
 
 from .energy import (
     EnergyBreakdown,
+    ProfileFunctional,
     argmin_phi_slice,
     chain_terms,
-    euclidean_gradient,
     hypothesis_margin,
     riemannian_gradient,
     total_energy,
@@ -89,7 +91,7 @@ def _thread_count():
 def _descend(x0, value_fn, grad_fn, retract_fn, config):
     """Projected gradient descent with BB trial steps and Armijo backtracking.
 
-    The energy sequence is non-increasing by construction and asserted so;
+    The energy sequence is non-increasing by construction and checked so;
     returns (x, energy, iterations, converged).
     """
     x = retract_fn(x0)
@@ -122,7 +124,8 @@ def _descend(x0, value_fn, grad_fn, retract_fn, config):
             alpha *= config.armijo_shrink
         if not accepted:
             break  # step collapsed to rounding level; treat as stationary
-        assert et <= e + 1e-12 * (1 + abs(e)), "descent must be monotone"
+        if et > e + 1e-12 * (1 + abs(e)):
+            raise RuntimeError("descent must be monotone")
         prev_x, prev_g = x, g
         x, e = xt, et
         g = grad_fn(x)
@@ -328,29 +331,19 @@ def profile_energy(mesh, target, params, profile):
 def minimize_1d_profile(mesh, target, params, variant, config=SolveConfig()):
     """Minimize the reduced functional over target-valued t-profiles.
 
-    The value is the 2D energy of the swept field, and the profile gradient
-    is its exact pullback: with m_i = R(phi_i) gamma,
-    dF/dgamma = sum_i R(phi_i)^T grad2d[i].  A warning is recorded when the
-    anisotropy variant differs from the requested profile variant (the
-    symmetry pairing is then broken).
+    The descent evaluates ProfileFunctional: the 2D energy of the swept
+    field m_i = R(phi_i) gamma and its exact pullback gradient
+    dF/dgamma = sum_i R(phi_i)^T grad2d[i], in closed form on the profile.
+    Restart energies, the choice of the best restart and every reported
+    energy come from total_energy of the built 2D field.  A warning is
+    recorded when the anisotropy variant differs from the requested profile
+    variant (the symmetry pairing is then broken).
     """
-    if variant not in ("symmetric", "antisymmetric"):
-        raise ValueError("variant must be 'symmetric' or 'antisymmetric'")
+    reduced = ProfileFunctional(mesh, params, variant)
     variant_mismatch = params.aniso.variant != variant
-    rot_fwd = rotate if variant == "symmetric" else rotate_inverse
-    rot_back = rotate_inverse if variant == "symmetric" else rotate
-
-    def to_field_values(gamma):
-        return rot_fwd(mesh.phi[:, None], gamma[None, :, :])
-
-    def value_fn(gamma):
-        return total_energy(DiscreteField(mesh, target, to_field_values(gamma)),
-                            params).total
 
     def grad_fn(gamma):
-        f = DiscreteField(mesh, target, to_field_values(gamma))
-        pulled = rot_back(mesh.phi[:, None], euclidean_gradient(f, params)).sum(axis=0)
-        return tangent_project_points(target, gamma, pulled)
+        return tangent_project_points(target, gamma, reduced.gradient(gamma))
 
     def retract_fn(gamma):
         out, _ = project_points(target, gamma)
@@ -363,7 +356,10 @@ def minimize_1d_profile(mesh, target, params, variant, config=SolveConfig()):
 
     results = []
     for idx, g0 in enumerate(inits):
-        gamma, e, iters, conv = _descend(g0, value_fn, grad_fn, retract_fn, config)
+        gamma, _, iters, conv = _descend(g0, reduced.value, grad_fn, retract_fn,
+                                         config)
+        e = profile_energy(mesh, target, params,
+                           ProfileField(mesh.t, gamma, variant)).total
         results.append((idx, gamma, e, iters, conv))
     by_energy = sorted(results, key=lambda r: (r[2], r[0]))
     _, gamma, _, _, conv = by_energy[0]

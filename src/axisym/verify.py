@@ -357,6 +357,10 @@ def verify_chain(spec, n_phi, n_t, seeds, n_fields, tols=DEFAULT_TOLERANCES):
             for key in worst:
                 worst[key] = min(worst[key], rep.residuals[key] / scale)
             count += 1
+    if count == 0:
+        return TheoremCertificate("chain_monotonicity", desc, False, True,
+                                  {"fields_checked": 0.0}, tolerances,
+                                  "inapplicable: empty corpus, no field checked")
     residuals = {f"min_{k}": v for k, v in worst.items()}
     residuals["fields_checked"] = float(count)
     ok = all(v >= -tols["chain_slack"] for v in worst.values())
@@ -399,6 +403,10 @@ def verify_pw(spec, n_phi, n_t, seeds, n_fields, tols=DEFAULT_TOLERANCES):
             pure = high_mass <= 1e-9 * (1 + np.sum(np.abs(coeff) ** 2, axis=(0, 2)))
             mismatches += int(np.sum(tight != pure))
             rows += lhs.size
+    if rows == 0:
+        return TheoremCertificate("pw_inequality", desc, False, True,
+                                  {"rows_checked": 0.0}, tolerances,
+                                  "inapplicable: empty corpus, no row checked")
     residuals = {"max_violation": worst_violation,
                  "equality_detector_mismatches": float(mismatches),
                  "rows_checked": float(rows)}
@@ -419,6 +427,10 @@ def verify_annulus(kappas, n_t, n_phi, seed, tols=DEFAULT_TOLERANCES):
     desc = {"name": "annulus_pde", "kappas": [float(k) for k in kappas],
             "grid": [int(n_phi), int(n_t)], "seed": int(seed)}
     tolerances = {"annulus_mean": tols["annulus_mean"]}
+    if not kappas:
+        return TheoremCertificate("annulus_null_average", desc, False, True,
+                                  {}, tolerances,
+                                  "inapplicable: no kappa, nothing solved")
     return TheoremCertificate("annulus_null_average", desc, True,
                               bool(worst <= tols["annulus_mean"]),
                               {"max_mean_perp": worst}, tolerances)

@@ -216,3 +216,59 @@ def test_symmetrize_command(tmp_path):
     rep = ioutil.loads((out / "chain_report.json").read_text())
     assert rep["certified"] and not rep["hypothesis_violation"]
     assert (out / "symmetrized.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["minimize", "reduce"])
+def test_kinked_table_potential_exits_3(tmp_path, capsys, command):
+    s = np.linspace(-1.2, 1.2, 41)
+    table = tmp_path / "kinked.csv"
+    table.write_text("s,g\n" + "".join("%.17g,%.17g\n" % (v, abs(v)) for v in s),
+                     encoding="utf-8")
+    cfg_path = tmp_path / "run.json"
+    write_config(cfg_path, potential={"kind": "table", "table": str(table)},
+                 solver={"restarts": 0, "max_iters": 20, "seed": 0})
+    rc = main([command, "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert "config.potential" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", ["4x4", "16x4", "9x12", "8192x16"])
+@pytest.mark.parametrize("command", ["minimize", "reduce", "verify", "symmetrize"])
+def test_grid_override_validated(tmp_path, capsys, command, grid):
+    cfg_path = tmp_path / "run.json"
+    write_config(cfg_path)
+    rc = main([command, "--config", str(cfg_path), "--grid", grid,
+               "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert "--grid" in capsys.readouterr().err
+
+
+def test_non_integer_grid_exits_3(tmp_path, capsys):
+    cfg_path = tmp_path / "run.json"
+    write_config(cfg_path, grid={"n_phi": "abc", "n_t": 12})
+    assert main(["minimize", "--config", str(cfg_path)]) == 3
+    assert "config.grid.n_phi" in capsys.readouterr().err
+    write_config(cfg_path, suite={"grid": {"n_phi": "abc"}})
+    assert main(["verify", "--config", str(cfg_path)]) == 3
+    assert "config.suite.grid.n_phi" in capsys.readouterr().err
+
+
+def test_verify_empty_seeds_exits_3(tmp_path, capsys):
+    cfg_path = tmp_path / "verify.json"
+    cfg_path.write_text(json.dumps({"schema": "axisym-run/1",
+                                    "suite": {"seeds": []}}), encoding="utf-8")
+    assert main(["verify", "--config", str(cfg_path)]) == 3
+    assert "config.suite.seeds" in capsys.readouterr().err
+
+
+def test_annulus_bad_grid_exits_3(tmp_path):
+    assert main(["annulus", "--n-t", "2", "--n-phi", "8",
+                 "--out", str(tmp_path / "ann")]) == 3
+
+
+def test_module_entry_point_has_no_runpy_warning():
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "axisym.cli",
+         "annulus", "--help"], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr

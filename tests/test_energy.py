@@ -3,6 +3,7 @@ import pytest
 
 from axisym.energy import (
     NonDifferentiableError,
+    ProfileFunctional,
     aniso_constant_e3,
     aniso_surface_normal,
     anisotropy_energy,
@@ -25,7 +26,14 @@ from axisym.energy import (
     weight_zero,
 )
 from axisym.fields import DiscreteField, ProfileField, build_from_profile, random_field
-from axisym.geometry import build_mesh, rotate, surface, surface_normal
+from axisym.geometry import (
+    build_mesh,
+    project_points,
+    rotate,
+    rotate_inverse,
+    surface,
+    surface_normal,
+)
 from conftest import make_instance
 
 
@@ -282,6 +290,70 @@ def test_table_potential_gradient_and_kink_refusal():
     f = random_field(mesh, tgt, seed=13)
     with pytest.raises(NonDifferentiableError):
         riemannian_gradient(f, params_k)
+    with pytest.raises(NonDifferentiableError):
+        ProfileFunctional(mesh, params_k, "symmetric").gradient(f.values[0])
+
+
+# ---------------------------------------------------------------------------
+# reduced profile functional
+# ---------------------------------------------------------------------------
+
+REDUCED_INSTANCES = {
+    # axis-touching sphere base, matched (symmetric) anisotropy
+    "sphere": dict(weight=("margin", 1.3)),
+    # anisotropy variant differs from one of the two profile variants
+    "sphere_antisym_aniso": dict(aniso="antisymmetric_profile",
+                                 weight=("margin", 1.3)),
+    # closed generating curve: periodic seam edge
+    "torus_band": dict(base="torus_band", target="torus_band",
+                       potential=("quadratic", 0.5), weight=("margin", 1.2)),
+    # free ends, constant weight
+    "cylinder": dict(base="cylinder", base_kw={"radius": 2.0},
+                     potential=("easy_normal", 2.0), aniso="constant_e3",
+                     weight=("constant", 1.0)),
+}
+
+
+def random_profile(mesh, tgt, seed):
+    raw = np.random.default_rng(seed).normal(size=(mesh.n_t, 3)) + [1.2, 0, 0]
+    return project_points(tgt, raw)[0]
+
+
+@pytest.mark.parametrize("variant", ["symmetric", "antisymmetric"])
+@pytest.mark.parametrize("name", sorted(REDUCED_INSTANCES))
+def test_profile_functional_equals_swept_2d(name, variant):
+    mesh, tgt, params = make_instance(n_phi=16, n_t=12,
+                                      **REDUCED_INSTANCES[name])
+    reduced = ProfileFunctional(mesh, params, variant)
+    sweep, pull = ((rotate, rotate_inverse) if variant == "symmetric"
+                   else (rotate_inverse, rotate))
+    for seed in range(3):
+        gamma = random_profile(mesh, tgt, seed)
+        f = DiscreteField(mesh, tgt, sweep(mesh.phi[:, None], gamma[None]))
+        e2d = total_energy(f, params).total
+        assert abs(reduced.value(gamma) - e2d) <= 1e-12 * abs(e2d)
+        g2d = pull(mesh.phi[:, None], euclidean_gradient(f, params)).sum(axis=0)
+        err = np.max(np.abs(reduced.gradient(gamma) - g2d))
+        assert err <= 1e-12 * np.max(np.abs(g2d))
+
+
+@pytest.mark.parametrize("variant", ["symmetric", "antisymmetric"])
+@pytest.mark.parametrize("name", ["sphere_antisym_aniso", "torus_band"])
+def test_profile_functional_gradient_central_differences(name, variant):
+    mesh, tgt, params = make_instance(n_phi=16, n_t=12,
+                                      **REDUCED_INSTANCES[name])
+    reduced = ProfileFunctional(mesh, params, variant)
+    gamma = random_profile(mesh, tgt, 4)
+    grad = reduced.gradient(gamma)
+    h = 1e-6
+    worst = 0.0
+    for j in range(mesh.n_t):
+        for c in range(3):
+            step = np.zeros_like(gamma)
+            step[j, c] = h
+            fd = (reduced.value(gamma + step) - reduced.value(gamma - step)) / (2 * h)
+            worst = max(worst, abs(fd - grad[j, c]))
+    assert worst <= 1e-6 * max(1.0, float(np.max(np.abs(grad))))
 
 
 # ---------------------------------------------------------------------------

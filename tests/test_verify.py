@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,25 @@ def test_annulus_certificate():
     cert = verify_annulus([0.0, 1.0], 32, 16, seed=3)
     assert cert.passed
     assert cert.residuals["max_mean_perp"] <= 1e-8
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+@pytest.mark.parametrize("seeds, n_fields", [([0], 0), ([], 3)])
+def test_empty_corpus_certificates_inapplicable(seeds, n_fields):
+    spec = spec_by_name("sphere_quartic_margin")
+    certs = [verify_chain(spec, 16, 12, seeds, n_fields),
+             verify_pw(spec, 16, 12, seeds, n_fields)]
+    if not seeds:
+        certs.append(verify_annulus([], 32, 16, seed=0))
+    for cert in certs:
+        assert not cert.applicable, cert.theorem
+        assert "inapplicable" in cert.note
+        text = ioutil.dumps(cert.to_dict(), indent=2)
+        json.loads(text, parse_constant=_reject_constant)
+    assert certs[0].residuals["fields_checked"] == 0.0
 
 
 def test_default_suite_all_pass(tmp_path):
