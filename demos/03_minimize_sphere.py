@@ -5,7 +5,7 @@ With a = surface normal and a potential rewarding |m . a| = 1, the ground
 state is +-n with Dirichlet energy 8 pi, and the best found field collapses
 onto the first-harmonic mode structure.
 
-Run:  python3 demos/03_minimize_sphere.py        (about half a minute)
+Run:  python3 demos/03_minimize_sphere.py        (about a second)
 """
 import numpy as np
 
@@ -25,6 +25,7 @@ report = minimize_2d(mesh, target, params,
 print(f"best energy  : {report.best_energy.total:.6f}   (8 pi = {8*np.pi:.6f})")
 print(f"restarts     : {[f'{e:.4f}' for e in report.restart_energies]}")
 print(f"converged    : {report.converged}")
+print(f"stop reasons : {report.stop_reasons}   iterations {report.iterations}")
 
 nu = surface_normal(mesh)
 dists = [float(np.sqrt(np.sum(mesh.quad_weights

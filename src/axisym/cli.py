@@ -57,7 +57,7 @@ from .solvers import (
     solve_annulus_example,
     symmetrize_and_certify,
 )
-from .verify import DEFAULT_SUITE_CONFIG, run_suite
+from .verify import DEFAULT_SUITE_CONFIG, SUITE_NAMES, run_suite
 
 RUN_SCHEMA = "axisym-run/1"
 
@@ -403,6 +403,10 @@ def cmd_verify(args):
         suite_cfg["seeds"] = [int(args.seed)]
     if "seeds" in suite_cfg and not suite_cfg["seeds"]:
         raise ConfigError("config.suite.seeds: needs at least one seed")
+    names = suite_cfg.get("instances")
+    if names is not None and not (isinstance(names, list)
+                                  and any(n in names for n in SUITE_NAMES)):
+        raise ConfigError("config.suite.instances: selects no instance")
     out = args.out or cfg.get("outputs")
     certs, summary = run_suite(suite_cfg or None, out_dir=out)
     applicable = [c for c in certs if c.applicable]

@@ -35,6 +35,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.sparse as sp
 from scipy.interpolate import CubicSpline
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .geometry import rotate, rotate_inverse, tangent_project_points
 from .fields import circular_average_perp
@@ -473,6 +474,9 @@ def total_energy(field, params):
 
 def euclidean_gradient(field, params):
     """Exact gradient of the discrete total energy wrt every node value."""
+    if params.potential.non_differentiable:
+        raise NonDifferentiableError(
+            "custom potential table has kinks; gradient refused")
     mesh = field.mesh
     vals = field.values
     scale = mesh.dphi * mesh.dt
@@ -495,9 +499,6 @@ def euclidean_gradient(field, params):
 
 def riemannian_gradient(field, params):
     """Euclidean gradient followed by tangent projection at each node."""
-    if params.potential.non_differentiable:
-        raise NonDifferentiableError(
-            "custom potential table has kinks; gradient refused")
     g = euclidean_gradient(field, params)
     return tangent_project_points(field.target, field.values, g)
 
@@ -566,9 +567,6 @@ class ProfileFunctional:
         if self.potential.non_differentiable:
             raise NonDifferentiableError(
                 "custom potential table has kinks; gradient refused")
-        # Any order of the three terms is exact, but the BB descent turns
-        # last-bit differences between orders into different iteration
-        # counts; reordering them moves reduce artifacts at rounding level.
         flux = 2 * self.c * self.w_edges[:, None] * self._edge_differences(gamma)
         grad = np.zeros_like(gamma)
         grad[self.hi] += flux
@@ -577,6 +575,75 @@ class ProfileFunctional:
         grad += self.w_aniso[:, None] * np.einsum("ij,kij->jk", dg, self.b)
         grad[:, :2] += 2 * self.w_phi[:, None] * gamma[:, :2]
         return grad
+
+
+# ---------------------------------------------------------------------------
+# H^1 preconditioner
+# ---------------------------------------------------------------------------
+
+class SobolevPreconditioner:
+    """Discrete Dirichlet operator plus mass, inverted by one banded solve.
+
+    On the phi Fourier mode k of a field the operator acts along each
+    meridian as
+
+        H_k = scale (2 T + diag(sqrtg) + 2 k^2 diag(sqrtg / h1^2)),
+
+    where T is the flux-form t-stiffness (edge weights sqrt(g)/h2^2 / dt^2
+    as in t_edge_operator) and scale = dphi dt, so H is the Hessian of the
+    Dirichlet energy plus the quadrature mass.  The seam edge of closed
+    curves is left out: every block is then tridiagonal and still symmetric
+    positive definite, which is all a preconditioner needs.  Rows listed in
+    frozen_rows are decoupled from their neighbours, so on the other rows
+    the solve inverts the operator with those rows eliminated, and a
+    right-hand side that vanishes on them gives a solution that vanishes
+    there too.
+
+    A field preconditioner (profile=False) covers k = 0..n_phi/2 and maps
+    (n_phi, n_t, 3) arrays through an rfft along phi.  A profile
+    preconditioner (profile=True) serves the reduced functional of swept
+    fields, scale 2 pi dt: the vertical component is the k = 0 block, the
+    horizontal ones the k = 1 block.  All blocks sit in one banded matrix
+    with zero coupling between them, Cholesky-factored once here.
+    """
+
+    def __init__(self, mesh, profile=False, frozen_rows=()):
+        n_t = mesh.n_t
+        self.n_phi = mesh.n_phi
+        self.profile = profile
+        n_modes = 2 if profile else mesh.n_phi // 2 + 1
+        scale = (2 * np.pi if profile else mesh.dphi) * mesh.dt
+        w_edges, _ = _meridian_edge_weights(mesh)
+        w = w_edges[:n_t - 1] / mesh.dt ** 2
+        stiff = np.zeros(n_t)
+        stiff[:-1] += w
+        stiff[1:] += w
+        k2 = np.arange(n_modes, dtype=float)[:, None] ** 2
+        band = np.zeros((2, n_modes, n_t))      # upper banded storage
+        band[0, :, 1:] = -2 * scale * w
+        band[1] = scale * (2 * stiff + mesh.sqrtg
+                           + 2 * k2 * mesh.sqrtg / mesh.h1 ** 2)
+        for r in frozen_rows:
+            band[0, :, r] = 0.0                 # edge r-1 -> r
+            if r + 1 < n_t:
+                band[0, :, r + 1] = 0.0         # edge r -> r+1
+        self._factor = cholesky_banded(band.reshape(2, -1))
+
+    def _solve_blocks(self, rhs):
+        flat = rhs.reshape(-1, rhs.shape[-1])
+        return cho_solve_banded((self._factor, False), flat,
+                                check_finite=False).reshape(rhs.shape)
+
+    def solve(self, g):
+        """H^-1 g for a field (n_phi, n_t, 3) or a profile (n_t, 3)."""
+        if self.profile:
+            sol = self._solve_blocks(np.stack([g, g]))
+            return np.concatenate([sol[1, :, :2], sol[0, :, 2:]], axis=-1)
+        coeff = np.fft.rfft(g, axis=0)
+        sol = self._solve_blocks(np.concatenate([coeff.real, coeff.imag],
+                                                axis=-1))
+        return np.fft.irfft(sol[..., :3] + 1j * sol[..., 3:], n=self.n_phi,
+                            axis=0)
 
 
 # ---------------------------------------------------------------------------

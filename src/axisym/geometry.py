@@ -529,13 +529,19 @@ def tangent_frame(target, pts, params=None):
     return u1.reshape(pts.shape), u2.reshape(pts.shape)
 
 
-def tangent_project_points(target, pts, w, params=None):
-    """Project vectors w onto the tangent planes of T at the points pts."""
-    u1, u2 = tangent_frame(target, pts, params)
+def project_to_frame(frame, w):
+    """Component of the vectors w in the span of an orthonormal frame
+    (u1, u2), as returned by tangent_frame."""
+    u1, u2 = frame
     w = np.asarray(w, dtype=float)
     c1 = np.sum(w * u1, axis=-1, keepdims=True)
     c2 = np.sum(w * u2, axis=-1, keepdims=True)
     return c1 * u1 + c2 * u2
+
+
+def tangent_project_points(target, pts, w, params=None):
+    """Project vectors w onto the tangent planes of T at the points pts."""
+    return project_to_frame(tangent_frame(target, pts, params), w)
 
 
 def tangent_project(target, p, w):

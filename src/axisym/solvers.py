@@ -1,19 +1,27 @@
 """Minimization of the discrete energy and the linear annulus problem.
 
-2D solver: projected gradient descent on target-valued fields with
-Barzilai-Borwein trial steps, Armijo backtracking (monotone), and
-closest-point retraction after every step.  Several restarts from seeded
-random fields plus two structured initializations (the rotation-swept
-normal profile, both symmetry variants) mitigate non-convexity; only the
-best found field is reported, with symmetry diagnostics attached.
+2D solver: projected descent on target-valued fields along a Sobolev (H^1)
+direction: the tangent-projected gradient is preconditioned with the
+discrete Dirichlet operator plus mass (energy.SobolevPreconditioner, one
+banded solve per iteration) and tangent-projected again, so iteration
+counts do not grow with the grid.  Limited-memory BFGS on top of that
+preconditioner takes up the soft modes it leaves (unit trial steps),
+with Armijo backtracking (monotone) and closest-point retraction after
+every step.  The stop test bounds the sup of the tangent-projected
+Euclidean gradient.  Several restarts from seeded random fields plus two
+structured initializations (the rotation-swept normal profile, both
+symmetry variants) mitigate non-convexity; only the best found field is
+reported, with symmetry diagnostics and every restart's stop reason
+attached.
 
 1D solver: minimizes over t-profiles gamma the energy of the swept field
 A(phi)^T gamma(t) (or A(phi) gamma(t)).  The descent only handles (n_t, 3)
 arrays: energy.ProfileFunctional gives the 2D energy of the swept field and
 the pullback sum over slices of its 2D gradient in closed form, exact for
-the discrete scheme.  Restarts are ranked and reported by the 2D energy of
-the built field, so the reduced and full functionals agree to rounding at
-matched discretization.
+the discrete scheme, and the same H^1 descent uses the k = 0 (vertical) and
+k = 1 (horizontal) blocks of the preconditioner.  Restarts are ranked and
+reported by the 2D energy of the built field, so the reduced and full
+functionals agree to rounding at matched discretization.
 
 Annulus solver: the linear equations -Lap m + kappa (m.e3) e3 = 0 on the
 flat annulus in polar coordinates with Dirichlet ring data, discretized
@@ -34,10 +42,11 @@ import scipy.sparse.linalg as spla
 from .energy import (
     EnergyBreakdown,
     ProfileFunctional,
+    SobolevPreconditioner,
     argmin_phi_slice,
     chain_terms,
+    euclidean_gradient,
     hypothesis_margin,
-    riemannian_gradient,
     total_energy,
 )
 from .fields import (
@@ -51,7 +60,13 @@ from .fields import (
     symmetrize,
     symmetry_defect,
 )
-from .geometry import project_points, rotate, rotate_inverse, tangent_project_points
+from .geometry import (
+    project_points,
+    project_to_frame,
+    rotate,
+    rotate_inverse,
+    tangent_frame,
+)
 
 SQRT_2PI = float(np.sqrt(2 * np.pi))
 
@@ -88,48 +103,147 @@ def _thread_count():
 # generic monotone descent
 # ---------------------------------------------------------------------------
 
-def _descend(x0, value_fn, grad_fn, retract_fn, config):
-    """Projected gradient descent with BB trial steps and Armijo backtracking.
+# curvature pairs kept by the limited-memory descent
+_MEMORY = 20
 
-    The energy sequence is non-increasing by construction and checked so;
-    returns (x, energy, iterations, converged).
+
+def _identity_direction(x, g):
+    return g
+
+
+def _lbfgs_direction(x, g, pairs, direction_fn):
+    """Two-loop recursion over the stored pairs (s, y, 1 / s.y).
+
+    The initial inverse-Hessian approximation is direction_fn scaled by
+    s.y / (y . direction_fn(x, y)) of the newest pair.  Returns None when
+    that scale is not positive.
+    """
+    q = g.copy()
+    coeffs = []
+    for s, y, rho in reversed(pairs):
+        a = rho * float(np.sum(s * q))
+        q -= a * y
+        coeffs.append(a)
+    _, y, rho = pairs[-1]
+    yhy = float(np.sum(y * direction_fn(x, y)))
+    if not yhy > 0:
+        return None
+    d = direction_fn(x, q) / (rho * yhy)
+    for (s, y, rho), a in zip(pairs, reversed(coeffs)):
+        d += (a - rho * float(np.sum(y * d))) * s
+    return d
+
+
+def _descend(x0, value_fn, grad_fn, retract_fn, config,
+             direction_fn=_identity_direction):
+    """Projected limited-memory BFGS descent with Armijo backtracking.
+
+    grad_fn(x) is the tangent-projected Euclidean gradient g; the descent
+    stops when sup|g| <= grad_tol (1 + |E|).  direction_fn(x, v) is the
+    preconditioner, a positive definite map from gradients to directions
+    (the identity by default; the solvers pass the tangent-projected H^1
+    solve).  The direction d applies the L-BFGS inverse-Hessian
+    approximation of the last _MEMORY pairs (s, y) = (x_k+1 - x_k,
+    g_k+1 - g_k) to g, with direction_fn as its initial approximation;
+    pairs with s . y not positive are skipped.  Trial points are
+    retract(x - alpha d), accepted by the Armijo test against g . d, from
+    alpha = 1.  The first step, and any step whose d fails g . d > 0
+    (the memory is then dropped), goes along direction_fn(x, g) from
+    alpha = step_init.  The energy sequence is non-increasing by
+    construction and checked so.
+
+    Returns (x, energy, iterations, stop_reason), where stop_reason is
+    "grad_tol" (converged), "max_iters" or "step_collapse" (no trial step
+    above rounding level decreased the energy).
     """
     x = retract_fn(x0)
     e = value_fn(x)
     g = grad_fn(x)
-    prev_x = prev_g = None
+    pairs = []
     iters = 0
-    converged = False
-    for it in range(1, config.max_iters + 1):
+    while True:
         if float(np.max(np.abs(g))) <= config.grad_tol * (1 + abs(e)):
-            converged = True
+            reason = "grad_tol"
             break
-        iters = it
-        if prev_x is not None:
-            s = x - prev_x
-            y = g - prev_g
-            sy = float(np.sum(s * y))
-            alpha = float(np.sum(s * s)) / sy if sy > 1e-300 else config.step_init
-            alpha = float(np.clip(alpha, 1e-12, 1e4))
-        else:
+        if iters == config.max_iters:
+            reason = "max_iters"
+            break
+        iters += 1
+        d = _lbfgs_direction(x, g, pairs, direction_fn) if pairs else None
+        gd = float(np.sum(g * d)) if d is not None else 0.0
+        alpha = 1.0
+        if not gd > 0:
+            pairs.clear()
+            d = direction_fn(x, g)
+            gd = float(np.sum(g * d))
             alpha = config.step_init
-        gg = float(np.sum(g * g))
         accepted = False
         for _ in range(60):
-            xt = retract_fn(x - alpha * g)
+            xt = retract_fn(x - alpha * d)
             et = value_fn(xt)
-            if et <= e - config.armijo_c * alpha * gg + 1e-15 * (1 + abs(e)):
+            if et <= e - config.armijo_c * alpha * gd + 1e-15 * (1 + abs(e)):
                 accepted = True
                 break
             alpha *= config.armijo_shrink
         if not accepted:
-            break  # step collapsed to rounding level; treat as stationary
+            reason = "step_collapse"
+            break
         if et > e + 1e-12 * (1 + abs(e)):
             raise RuntimeError("descent must be monotone")
-        prev_x, prev_g = x, g
-        x, e = xt, et
-        g = grad_fn(x)
-    return x, e, iters, converged
+        gt = grad_fn(xt)
+        s, y = xt - x, gt - g
+        sy = float(np.sum(s * y))
+        if sy > 1e-12 * float(np.sqrt(np.sum(s * s) * np.sum(y * y))):
+            pairs.append((s, y, 1.0 / sy))
+            del pairs[:-_MEMORY]
+        x, e, g = xt, et, gt
+    return x, e, iters, reason
+
+
+class _FeasibleSet:
+    """Values on the target surface with optional pinned Dirichlet rows.
+
+    retract is the closest-point projection followed by resetting the
+    pinned rows.  project maps vectors to the tangent space at the last
+    retracted point: the target's tangent planes on free rows, zero on
+    pinned rows.  It reuses one tangent frame per point, built from the
+    profile parameters the retraction computed, so the gradient and the
+    descent direction of an iterate cost one frame and no re-projection.
+    One instance serves one descent (it holds the last retracted point).
+    """
+
+    def __init__(self, target, boundary=None):
+        self.target = target
+        self.boundary = boundary
+        self._x = self._params = self._frame = None
+
+    def retract(self, y):
+        x, params = project_points(self.target, y)
+        if self.boundary is not None:
+            x = _apply_boundary(x, self.boundary)
+        self._x, self._params, self._frame = x, params, None
+        return x
+
+    def project(self, x, w):
+        if x is not self._x:
+            raise RuntimeError("project() needs the last retracted point")
+        if self._frame is None:
+            self._frame = tangent_frame(self.target, x, self._params)
+        out = project_to_frame(self._frame, w)
+        if self.boundary is not None:
+            rows = self.boundary.frozen_rows(x.shape[1])
+            out[:, rows, :] = 0.0
+        return out
+
+
+def _h1_descent(x0, value_fn, egrad_fn, precond, feasible, config):
+    """_descend on a feasible set for the tangent-projected gradient
+    g = P_T(egrad), preconditioned with the tangent-projected H^1 solve
+    v -> P_T(H^-1 v)."""
+    return _descend(x0, value_fn,
+                    lambda x: feasible.project(x, egrad_fn(x)),
+                    feasible.retract, config,
+                    lambda x, g: feasible.project(x, precond.solve(g)))
 
 
 # ---------------------------------------------------------------------------
@@ -149,12 +263,14 @@ class SolveReport:
     restart_energies: list = dc_field(default_factory=list)
     restart_fields: Optional[list] = None
     seed: int = 0
+    stop_reasons: list = dc_field(default_factory=list)
 
     def to_dict(self):
         return {
             "best_energy": self.best_energy.to_dict(),
             "iterations": list(self.iterations),
             "restart_energies": [float(v) for v in self.restart_energies],
+            "stop_reasons": list(self.stop_reasons),
             "converged": bool(self.converged),
             "seed": int(self.seed),
             "hypothesis_margin": {
@@ -256,27 +372,22 @@ def minimize_2d(mesh, target, params, config=SolveConfig(), keep_fields=False):
     """Best-of-restarts projected descent on the full 2D field.
 
     Runs `restarts` seeded random initializations plus the two swept
-    normal-profile fields, descends each monotonically, and reports the
-    lowest-energy result with symmetry diagnostics.  A NotConverged state
-    (converged=False) is reported when the gradient tolerance was not met
-    within max_iters; it is not an exception.  keep_fields retains every
-    restart's final field in the report.
+    normal-profile fields, descends each monotonically with the H^1
+    preconditioner, and reports the lowest-energy result with symmetry
+    diagnostics.  A NotConverged state (converged=False) is reported when
+    the winning restart did not meet the gradient tolerance; it is not an
+    exception.  stop_reasons records, per restart, why its descent stopped.
+    keep_fields retains every restart's final field in the report.
     """
     boundary = params.boundary
-    frozen = boundary.frozen_rows(mesh.n_t)
+    precond = SobolevPreconditioner(mesh,
+                                    frozen_rows=boundary.frozen_rows(mesh.n_t))
 
     def value_fn(vals):
         return total_energy(DiscreteField(mesh, target, vals), params).total
 
-    def grad_fn(vals):
-        g = riemannian_gradient(DiscreteField(mesh, target, vals), params)
-        for r in frozen:
-            g[:, r, :] = 0.0
-        return g
-
-    def retract_fn(vals):
-        out, _ = project_points(target, vals)
-        return _apply_boundary(out, boundary)
+    def egrad_fn(vals):
+        return euclidean_gradient(DiscreteField(mesh, target, vals), params)
 
     inits = [random_field(mesh, target, seed=config.seed + r).values
              for r in range(config.restarts)]
@@ -285,8 +396,8 @@ def minimize_2d(mesh, target, params, config=SolveConfig(), keep_fields=False):
 
     def run(task):
         idx, v0 = task
-        vals, e, iters, conv = _descend(v0, value_fn, grad_fn, retract_fn, config)
-        return idx, vals, e, iters, conv
+        return (idx,) + _h1_descent(v0, value_fn, egrad_fn, precond,
+                                    _FeasibleSet(target, boundary), config)
 
     tasks = list(enumerate(inits))
     workers = _thread_count()
@@ -296,7 +407,7 @@ def minimize_2d(mesh, target, params, config=SolveConfig(), keep_fields=False):
     else:
         results = [run(t) for t in tasks]
     by_energy = sorted(results, key=lambda r: (r[2], r[0]))
-    _, vals, _, _, conv = by_energy[0]
+    _, vals, _, _, reason = by_energy[0]
 
     best = DiscreteField(mesh, target, vals)
     breakdown = total_energy(best, params)
@@ -305,7 +416,8 @@ def minimize_2d(mesh, target, params, config=SolveConfig(), keep_fields=False):
         best_field=best,
         best_energy=breakdown,
         iterations=[r[3] for r in by_index],
-        converged=bool(conv),
+        converged=reason == "grad_tol",
+        stop_reasons=[r[4] for r in by_index],
         mode=mode_decompose(best),
         margin=hypothesis_margin(mesh, params.weight),
         diagnostics=field_diagnostics(best, params),
@@ -333,21 +445,16 @@ def minimize_1d_profile(mesh, target, params, variant, config=SolveConfig()):
 
     The descent evaluates ProfileFunctional: the 2D energy of the swept
     field m_i = R(phi_i) gamma and its exact pullback gradient
-    dF/dgamma = sum_i R(phi_i)^T grad2d[i], in closed form on the profile.
-    Restart energies, the choice of the best restart and every reported
-    energy come from total_energy of the built 2D field.  A warning is
-    recorded when the anisotropy variant differs from the requested profile
-    variant (the symmetry pairing is then broken).
+    dF/dgamma = sum_i R(phi_i)^T grad2d[i], in closed form on the profile,
+    and descends with the profile H^1 preconditioner.  Restart energies, the
+    choice of the best restart and every reported energy come from
+    total_energy of the built 2D field.  A warning is recorded when the
+    anisotropy variant differs from the requested profile variant (the
+    symmetry pairing is then broken).
     """
     reduced = ProfileFunctional(mesh, params, variant)
+    precond = SobolevPreconditioner(mesh, profile=True)
     variant_mismatch = params.aniso.variant != variant
-
-    def grad_fn(gamma):
-        return tangent_project_points(target, gamma, reduced.gradient(gamma))
-
-    def retract_fn(gamma):
-        out, _ = project_points(target, gamma)
-        return out
 
     prof0, _ = project_points(target, mesh.surface.normal_profile(mesh.t))
     inits = [prof0]
@@ -356,13 +463,14 @@ def minimize_1d_profile(mesh, target, params, variant, config=SolveConfig()):
 
     results = []
     for idx, g0 in enumerate(inits):
-        gamma, _, iters, conv = _descend(g0, reduced.value, grad_fn, retract_fn,
-                                         config)
+        gamma, _, iters, reason = _h1_descent(g0, reduced.value,
+                                              reduced.gradient, precond,
+                                              _FeasibleSet(target), config)
         e = profile_energy(mesh, target, params,
                            ProfileField(mesh.t, gamma, variant)).total
-        results.append((idx, gamma, e, iters, conv))
+        results.append((idx, gamma, e, iters, reason))
     by_energy = sorted(results, key=lambda r: (r[2], r[0]))
-    _, gamma, _, _, conv = by_energy[0]
+    _, gamma, _, _, reason = by_energy[0]
 
     profile = ProfileField(mesh.t, gamma, variant)
     best = build_from_profile(mesh, profile, target)
@@ -373,7 +481,8 @@ def minimize_1d_profile(mesh, target, params, variant, config=SolveConfig()):
         best_field=best,
         best_energy=total_energy(best, params),
         iterations=[r[3] for r in by_index],
-        converged=bool(conv),
+        converged=reason == "grad_tol",
+        stop_reasons=[r[4] for r in by_index],
         mode=mode_decompose(best),
         margin=hypothesis_margin(mesh, params.weight),
         diagnostics=diags,

@@ -212,6 +212,9 @@ DEFAULT_INSTANCES = (
                  base_kw={"radius": 2.0}, boundary="dirichlet:0,0,1"),
 )
 
+# every name a suite's "instances" filter can select
+SUITE_NAMES = tuple(s.name for s in DEFAULT_INSTANCES) + ("annulus_pde",)
+
 CHAIN_INSTANCES = ("sphere_quartic_margin", "cylinder2_quadratic_const1",
                    "annulus_quartic_const")
 
@@ -457,10 +460,11 @@ DEFAULT_SUITE_CONFIG = {
 def run_suite(config=None, out_dir=None, tols=DEFAULT_TOLERANCES):
     """Run the registered instance matrix and emit certificates.
 
-    Returns (certificates, summary).  With out_dir set, writes one JSON
-    file per instance (its certificate list) plus summary.json.  The run is
-    deterministic under fixed seeds: certificates carry no timestamps and
-    reruns are byte-identical.
+    Returns (certificates, summary); summary["all_pass"] needs at least
+    one certificate and no failed applicable one.  With out_dir set, writes
+    one JSON file per instance (its certificate list) plus summary.json.
+    The run is deterministic under fixed seeds: certificates carry no
+    timestamps and reruns are byte-identical.
     """
     cfg = dict(DEFAULT_SUITE_CONFIG)
     cfg.update(config or {})
@@ -521,7 +525,8 @@ def run_suite(config=None, out_dir=None, tols=DEFAULT_TOLERANCES):
         "n_failed": sum(1 for c in applicable if not c.passed),
         "failed": sorted(f"{c.theorem}:{c.instance.get('name', '?')}"
                          for c in applicable if not c.passed),
-        "all_pass": all(c.passed for c in applicable),
+        # a suite that emitted no certificate checked nothing: no pass
+        "all_pass": bool(certs) and all(c.passed for c in applicable),
         "by_theorem": _theorem_counts(certs),
     }
     if out_dir is not None:

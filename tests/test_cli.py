@@ -117,6 +117,27 @@ def test_reduce_with_and_without_prior(tmp_path):
     assert rep["comparison"]["relative_gap"] <= 0.02
 
 
+def test_stop_reasons_reported_per_restart(tmp_path):
+    cfg_path = tmp_path / "run.json"
+    write_config(cfg_path, base_surface={"preset": "sphere"},
+                 potential={"kind": "quartic", "lam": 5.0},
+                 aniso_field={"kind": "surface_normal"},
+                 weight={"kind": "margin", "margin": 1.5},
+                 solver={"restarts": 2, "max_iters": 1, "grad_tol": 1e-8,
+                         "seed": 0})
+    assert main(["minimize", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "min")]) == 2
+    report = ioutil.loads((tmp_path / "min" / "report.json").read_text())
+    assert report["stop_reasons"] == ["max_iters"] * 4
+    assert report["iterations"] == [1] * 4
+    assert main(["reduce", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "red")]) == 2
+    reduced = ioutil.loads(
+        (tmp_path / "red" / "reduce_report.json").read_text())
+    for variant in ("symmetric", "antisymmetric"):
+        assert reduced[variant]["stop_reasons"] == ["max_iters"] * 3
+
+
 def test_reduce_variant_mismatch_warning(tmp_path):
     cfg_path = tmp_path / "run.json"
     write_config(cfg_path,
@@ -259,6 +280,17 @@ def test_verify_empty_seeds_exits_3(tmp_path, capsys):
                                     "suite": {"seeds": []}}), encoding="utf-8")
     assert main(["verify", "--config", str(cfg_path)]) == 3
     assert "config.suite.seeds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("instances", [[], ["no_such_instance"]])
+def test_verify_selecting_no_instance_exits_3(tmp_path, capsys, instances):
+    cfg_path = tmp_path / "verify.json"
+    cfg_path.write_text(json.dumps({"schema": "axisym-run/1",
+                                    "suite": {"instances": instances}}),
+                        encoding="utf-8")
+    assert main(["verify", "--config", str(cfg_path)]) == 3
+    assert ("config.suite.instances: selects no instance"
+            in capsys.readouterr().err)
 
 
 def test_annulus_bad_grid_exits_3(tmp_path):

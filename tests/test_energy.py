@@ -4,6 +4,7 @@ import pytest
 from axisym.energy import (
     NonDifferentiableError,
     ProfileFunctional,
+    SobolevPreconditioner,
     aniso_constant_e3,
     aniso_surface_normal,
     anisotropy_energy,
@@ -13,6 +14,7 @@ from axisym.energy import (
     easy_normal_potential,
     euclidean_gradient,
     hypothesis_margin,
+    lphi,
     make_params,
     penalty_energy,
     penalty_energy_raw,
@@ -20,6 +22,7 @@ from axisym.energy import (
     quadratic_potential,
     quartic_potential,
     riemannian_gradient,
+    t_edge_operator,
     table_potential,
     total_energy,
     weight_constant,
@@ -354,6 +357,67 @@ def test_profile_functional_gradient_central_differences(name, variant):
             fd = (reduced.value(gamma + step) - reduced.value(gamma - step)) / (2 * h)
             worst = max(worst, abs(fd - grad[j, c]))
     assert worst <= 1e-6 * max(1.0, float(np.max(np.abs(grad))))
+
+
+# ---------------------------------------------------------------------------
+# H^1 preconditioner
+# ---------------------------------------------------------------------------
+
+def dirichlet_plus_mass(mesh, v):
+    """H v from lphi, t_edge_operator and the quadrature mass."""
+    scale = mesh.dphi * mesh.dt
+    D, DT, w_edges, _ = t_edge_operator(mesh)
+    t_part = DT @ (w_edges[:, None] * (D @ v.reshape(-1, 3)))
+    return scale * (2 * (mesh.sqrtg / mesh.h1 ** 2)[None, :, None] * lphi(v)
+                    + 2 * t_part.reshape(v.shape)
+                    + mesh.sqrtg[None, :, None] * v)
+
+
+@pytest.mark.parametrize("base, dirichlet", [("cylinder", False),
+                                             ("sphere", False),
+                                             ("cylinder", True)])
+def test_preconditioner_inverts_dirichlet_plus_mass(base, dirichlet):
+    mesh, tgt, params = make_instance(base=base, n_phi=16, n_t=12,
+                                      potential=("quadratic", 0.0),
+                                      base_kw={"radius": 2.0}
+                                      if base == "cylinder" else None)
+    frozen = [0, mesh.n_t - 1] if dirichlet else []
+    precond = SobolevPreconditioner(mesh, frozen_rows=frozen)
+    v = np.random.default_rng(3).normal(size=mesh.shape + (3,))
+    v[:, frozen, :] = 0.0
+    hv = dirichlet_plus_mass(mesh, v)
+    hv[:, frozen, :] = 0.0           # pinned rows are eliminated
+    assert np.max(np.abs(precond.solve(hv) - v)) <= 1e-10 * np.max(np.abs(v))
+    if dirichlet:
+        return
+    # the profile solve inverts the reduced Dirichlet Hessian plus mass:
+    # with g = 0 the reduced gradient is that Hessian applied to gamma
+    reduced = ProfileFunctional(mesh, params, "symmetric")
+    profile = SobolevPreconditioner(mesh, profile=True)
+    gamma = v[0]
+    mass = 2 * np.pi * mesh.dt * mesh.sqrtg[:, None]
+    hg = reduced.gradient(gamma) + mass * gamma
+    err = np.max(np.abs(profile.solve(hg) - gamma))
+    assert err <= 1e-10 * np.max(np.abs(gamma))
+
+
+def test_preconditioner_symmetric_positive_definite_on_closed_curve():
+    # the seam edge is left out, so H differs from the energy's operator on
+    # closed curves; the solve must still be symmetric positive definite
+    mesh, _, _ = make_instance(base="torus_band", target="torus_band",
+                               n_phi=8, n_t=8, potential=("quadratic", 0.5),
+                               weight=("margin", 1.2))
+    precond = SobolevPreconditioner(mesh)
+    n = mesh.n_phi * mesh.n_t
+    cols = []
+    for k in range(n):
+        e = np.zeros(n)
+        e[k] = 1.0
+        cols.append(precond.solve(np.repeat(e.reshape(mesh.shape)[..., None],
+                                            3, axis=-1))[..., 0].reshape(-1))
+    inv = np.array(cols).T
+    assert np.max(np.abs(inv - inv.T)) <= 1e-12 * np.max(np.abs(inv))
+    assert np.min(np.linalg.eigvalsh(0.5 * (inv + inv.T))) > 0
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,33 @@ def test_dirichlet_boundary_rows_frozen():
     assert np.max(np.abs(rep.best_field.values[:, -1, :] - top)) < 1e-14
 
 
+@pytest.mark.parametrize("n", [16, 32, 48])
+def test_random_restart_iterations_do_not_grow_with_grid(n):
+    # plain-gradient BB needed 673 / 1217 / 2423 iterations here
+    mesh, tgt, params = make_instance(base="cylinder", base_kw={"radius": 2.0},
+                                      target="sphere", n_phi=n, n_t=n,
+                                      potential=("quadratic", 1.0),
+                                      aniso="constant_e3",
+                                      weight=("constant", 1.0))
+    rep = minimize_2d(mesh, tgt, params,
+                      SolveConfig(restarts=1, seed=0, max_iters=3000,
+                                  grad_tol=1e-6))
+    assert rep.stop_reasons[0] == "grad_tol"
+    assert rep.iterations[0] <= 100
+
+
+def test_sphere_random_restarts_clear_soft_mode():
+    # random fields 13 and 14 on the strict-margin 64x64 sphere: BB steps in
+    # the H^1 metric crawled through a soft mode near E = 26.115 and needed
+    # 216 and 156 iterations; the limited-memory steps take 55 and 76
+    mesh, tgt, params = make_instance(n_phi=64, n_t=64)
+    rep = minimize_2d(mesh, tgt, params,
+                      SolveConfig(restarts=2, seed=13, max_iters=150,
+                                  grad_tol=1e-6))
+    assert rep.stop_reasons[:2] == ["grad_tol", "grad_tol"]
+    assert max(rep.iterations[:2]) <= 100
+
+
 # ---------------------------------------------------------------------------
 # 1D profile reduction
 # ---------------------------------------------------------------------------
@@ -189,6 +216,31 @@ def test_minimize_1d_variant_mismatch_warning():
     cfg = SolveConfig(restarts=1, seed=0, max_iters=200)
     rep = minimize_1d_profile(mesh, tgt, params, "symmetric", cfg)
     assert rep.diagnostics["variant_mismatch_warning"]
+
+
+def test_profile_restart_iterations_insensitive_to_rounding(monkeypatch):
+    # the antisymmetric structured restart of the 64x64 sphere reduction:
+    # plain-gradient BB needed 111-269 iterations under 1e-15 relative
+    # perturbations of the gradient, so reaching a 150-iteration cap was a
+    # matter of rounding
+    from axisym import energy
+    mesh, tgt, params = make_instance(n_phi=64, n_t=64)
+    cfg = SolveConfig(restarts=0, seed=0, max_iters=150, grad_tol=1e-6)
+    exact = minimize_1d_profile(mesh, tgt, params, "antisymmetric", cfg)
+    assert exact.stop_reasons == ["grad_tol"]
+    gradient = energy.ProfileFunctional.gradient
+    counts = set()
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+
+        def perturbed(self, gamma, rng=rng):
+            g = gradient(self, gamma)
+            return g * (1 + 1e-15 * rng.standard_normal(g.shape))
+
+        monkeypatch.setattr(energy.ProfileFunctional, "gradient", perturbed)
+        counts.add(minimize_1d_profile(mesh, tgt, params, "antisymmetric",
+                                       cfg).iterations[0])
+    assert counts == {exact.iterations[0]}
 
 
 # ---------------------------------------------------------------------------

@@ -84,8 +84,9 @@ def test_suite_reruns_byte_identical(tmp_path):
 
 
 def test_empty_matrix():
+    # a suite that checks nothing must not pass
     certs, summary = run_suite({"instances": []})
-    assert certs == [] and summary["all_pass"]
+    assert certs == [] and not summary["all_pass"]
     assert summary["n_certificates"] == 0
 
 
@@ -110,10 +111,26 @@ def test_main3_pass_on_sphere_free():
     # width and the discrete minimizer picks up a grid-scale ring mean
     spec = spec_by_name("sphere_easy_normal_free")
     mesh, tgt, params = build_instance(spec, 32, 24)
-    rep = minimize_2d(mesh, tgt, params,
-                      SolveConfig(restarts=1, max_iters=4000, grad_tol=1e-9, seed=0))
-    cert = verify_main3(spec.describe(32, 24, 0), rep, params, tgt)
+    desc = spec.describe(32, 24, 0)
+    axial = minimize_2d(mesh, tgt, params,
+                        SolveConfig(restarts=0, max_iters=4000, grad_tol=1e-9,
+                                    seed=0))
+    cert = verify_main3(desc, axial, params, tgt)
     assert cert.applicable and cert.passed
+    # A converged random start finds a field below the axial one (by about
+    # 1e-7 relative at this grid) with a ring mean far above the strict
+    # null-average threshold, so main3's hypothesis is then unmet.
+    rep = minimize_2d(mesh, tgt, params,
+                      SolveConfig(restarts=1, max_iters=4000, grad_tol=1e-9,
+                                  seed=0))
+    assert rep.stop_reasons[0] == "grad_tol"
+    assert rep.restart_energies[0] == min(rep.restart_energies)
+    assert rep.best_energy.total < axial.best_energy.total
+    diag = rep.diagnostics
+    assert diag["null_average_norm"] / diag["field_scale"] > 1e-4
+    cert = verify_main3(desc, rep, params, tgt)
+    assert not cert.applicable and cert.passed
+    assert "hypothesis unmet" in cert.note
 
 
 def test_main3_hypothesis_unmet_on_inplane():
