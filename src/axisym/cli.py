@@ -10,8 +10,12 @@ Subcommands:
     symmetrize  field CSV in -> symmetrized field CSV + chain report
 
 Configs are strict JSON ("axisym-run/1"): unknown keys are rejected with
-their location.  All artifacts are deterministic (sorted keys, 17
-significant digits, LF endings) and carry the config hash and seed.
+their location.  axisym.runconfig loads and builds them (load_config,
+build_run, ConfigError and RUN_SCHEMA are re-exported here).  Each verify
+certificate names its instance as {"name", "config"}: the run config it
+was built from, which `minimize --config` reruns.  All artifacts are
+deterministic (sorted keys, 17 significant digits, LF endings) and carry
+the config hash and seed.
 Exit codes: 0 ok/converged, 1 failed certificate, 2 not converged or
 singular system, 3 input error (including grids outside [8, 4096] or with
 odd n_phi, and kinked potential tables where a gradient is needed).
@@ -28,29 +32,19 @@ from pathlib import Path
 import numpy as np
 
 from . import ioutil
-from .energy import (
-    BoundaryCondition,
-    NonDifferentiableError,
-    aniso_constant_e3,
-    aniso_profile,
-    aniso_surface_normal,
-    dirichlet_rows_from_vector,
-    easy_normal_potential,
-    make_params,
-    quadratic_potential,
-    quartic_potential,
-    table_potential,
-    weight_constant,
-    weight_general,
-    weight_margin_profile,
-    weight_t_profile,
-    weight_zero,
-)
+from .energy import NonDifferentiableError
 from .fields import field_from_csv, field_to_csv, mode_decompose, profile_to_csv
-from .geometry import GeometryError, build_mesh, spline_curve, surface
+from .runconfig import (
+    _GRID_KEYS,
+    RUN_SCHEMA,
+    ConfigError,
+    _check_grid,
+    _check_keys,
+    build_run,
+    load_config,
+)
 from .solvers import (
     SingularSystemError,
-    SolveConfig,
     annulus_boundary_from_vector,
     minimize_1d_profile,
     minimize_2d,
@@ -59,236 +53,10 @@ from .solvers import (
 )
 from .verify import DEFAULT_SUITE_CONFIG, SUITE_NAMES, run_suite
 
-RUN_SCHEMA = "axisym-run/1"
-
 EXIT_OK = 0
 EXIT_CERT_FAILED = 1
 EXIT_NOT_CONVERGED = 2
 EXIT_CONFIG = 3
-
-
-class ConfigError(ValueError):
-    pass
-
-
-# ---------------------------------------------------------------------------
-# strict config parsing
-# ---------------------------------------------------------------------------
-
-_TOP_KEYS = {"schema", "base_surface", "target_surface", "grid", "potential",
-             "aniso_field", "weight", "boundary", "solver", "outputs",
-             "variant", "prior_2d", "input_field", "suite"}
-_SURface_KEYS = {"preset", "params", "spline_table", "closed"}
-_GRID_KEYS = {"n_phi", "n_t"}
-_POTENTIAL_KEYS = {"kind", "kappa", "lam", "table"}
-_ANISO_KEYS = {"kind", "vector", "table"}
-_WEIGHT_KEYS = {"kind", "lam", "margin", "table"}
-_BOUNDARY_KEYS = {"kind", "bottom", "top", "variant"}
-_BOUNDARY_SIDE_KEYS = {"variant", "vector"}
-_SOLVER_KEYS = {"max_iters", "grad_tol", "step_init", "armijo_c",
-                "armijo_shrink", "restarts", "seed"}
-_SUITE_KEYS = {"grid", "solver", "seeds", "chain_fields", "pw_fields",
-               "annulus", "instances", "plant_failure"}
-
-
-def _check_keys(section, allowed, where):
-    if not isinstance(section, dict):
-        raise ConfigError(f"{where}: expected an object")
-    for key in section:
-        if key not in allowed:
-            raise ConfigError(f"{where}.{key}: unknown key")
-
-
-def load_config(path):
-    try:
-        raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
-    try:
-        cfg = ioutil.loads(raw)
-    except ValueError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    _check_keys(cfg, _TOP_KEYS, "config")
-    if cfg.get("schema") != RUN_SCHEMA:
-        raise ConfigError(f"config.schema: expected {RUN_SCHEMA!r}")
-    for name, allowed in (("base_surface", _SURface_KEYS),
-                          ("target_surface", _SURface_KEYS),
-                          ("grid", _GRID_KEYS), ("potential", _POTENTIAL_KEYS),
-                          ("aniso_field", _ANISO_KEYS), ("weight", _WEIGHT_KEYS),
-                          ("boundary", _BOUNDARY_KEYS), ("solver", _SOLVER_KEYS),
-                          ("suite", _SUITE_KEYS)):
-        if name in cfg:
-            _check_keys(cfg[name], allowed, f"config.{name}")
-    if "boundary" in cfg:
-        for side in ("bottom", "top"):
-            if cfg["boundary"].get(side) is not None:
-                _check_keys(cfg["boundary"][side], _BOUNDARY_SIDE_KEYS,
-                            f"config.boundary.{side}")
-    return cfg
-
-
-def _read_table(path, columns):
-    rows = []
-    try:
-        with open(path, newline="", encoding="utf-8") as f:
-            reader = csv.DictReader(ln for ln in f if not ln.startswith("#"))
-            for row in reader:
-                rows.append([float(row[c]) for c in columns])
-    except (OSError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"cannot read table {path}: {exc}") from exc
-    if not rows:
-        raise ConfigError(f"table {path} is empty")
-    return np.array(rows)
-
-
-def _build_surface(section, role, where):
-    if "spline_table" in section:
-        tab = _read_table(section["spline_table"], ["t", "x", "z"])
-        curve = spline_curve(tab[:, 0], tab[:, 1], tab[:, 2],
-                             name=Path(section["spline_table"]).stem,
-                             closed=bool(section.get("closed", False)))
-        return surface(curve, role)
-    preset = section.get("preset")
-    if not preset:
-        raise ConfigError(f"{where}: needs 'preset' or 'spline_table'")
-    try:
-        return surface(preset, role, **section.get("params", {}))
-    except (GeometryError, TypeError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-def _check_grid(n_phi, n_t, where):
-    """(n_phi, n_t) as integers in [8, 4096] with n_phi even, or ConfigError
-    naming `where` (the config section or the flag they came from)."""
-    out = []
-    for key, n in (("n_phi", n_phi), ("n_t", n_t)):
-        try:
-            n = int(n)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{where}.{key}: expected an integer, "
-                              f"got {n!r}") from None
-        if not (8 <= n <= 4096):
-            raise ConfigError(f"{where}.{key}: must lie in [8, 4096]")
-        out.append(n)
-    if out[0] % 2 != 0:
-        raise ConfigError(f"{where}.n_phi: must be even")
-    return tuple(out)
-
-
-def _build_potential(section):
-    kind = section.get("kind", "quartic")
-    try:
-        if kind == "quartic":
-            return quartic_potential(float(section.get("lam", 1.0)))
-        if kind == "quadratic":
-            return quadratic_potential(float(section.get("kappa", 1.0)))
-        if kind == "easy_normal":
-            return easy_normal_potential(float(section.get("kappa", -1.0)))
-        if kind == "table":
-            tab = _read_table(section["table"], ["s", "g"])
-            return table_potential(tab[:, 0], tab[:, 1])
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"config.potential: {exc}") from exc
-    raise ConfigError(f"config.potential.kind: unknown kind {kind!r}")
-
-
-def _build_aniso(section, mesh):
-    kind = section.get("kind", "surface_normal")
-    if kind == "surface_normal":
-        return aniso_surface_normal(mesh)
-    if kind == "constant_e3":
-        return aniso_constant_e3(mesh)
-    if kind in ("symmetric_profile", "antisymmetric_profile"):
-        variant = kind.split("_")[0]
-        if "vector" in section:
-            prof = np.broadcast_to(np.asarray(section["vector"], dtype=float),
-                                   (mesh.n_t, 3)).copy()
-        elif "table" in section:
-            tab = _read_table(section["table"], ["t", "ax", "ay", "az"])
-            prof = np.stack([np.interp(mesh.t, tab[:, 0], tab[:, c])
-                             for c in (1, 2, 3)], axis=-1)
-        else:
-            raise ConfigError("config.aniso_field: profile kinds need "
-                              "'vector' or 'table'")
-        return aniso_profile(mesh, prof, variant)
-    raise ConfigError(f"config.aniso_field.kind: unknown kind {kind!r}")
-
-
-def _build_weight(section, mesh):
-    kind = section.get("kind", "zero")
-    try:
-        if kind == "zero":
-            return weight_zero(mesh)
-        if kind == "constant":
-            return weight_constant(mesh, float(section.get("lam", 1.0)))
-        if kind == "margin":
-            return weight_margin_profile(mesh, float(section.get("margin", 1.5)))
-        if kind == "t_profile":
-            tab = _read_table(section["table"], ["t", "omega"])
-            return weight_t_profile(mesh, np.interp(mesh.t, tab[:, 0], tab[:, 1]))
-        if kind == "general":
-            tab = _read_table(section["table"], ["t", "omega"])
-            return weight_general(
-                mesh, lambda phi, t: np.broadcast_to(
-                    np.interp(t, tab[:, 0], tab[:, 1]), (mesh.n_phi, mesh.n_t)))
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"config.weight: {exc}") from exc
-    raise ConfigError(f"config.weight.kind: unknown kind {kind!r}")
-
-
-def _build_boundary(section, mesh):
-    if not section or section.get("kind", "free") == "free":
-        return None
-    if section.get("kind") != "dirichlet":
-        raise ConfigError("config.boundary.kind: must be 'free' or 'dirichlet'")
-    sides = {}
-    variant = section.get("variant", "symmetric")
-    for side in ("bottom", "top"):
-        spec = section.get(side)
-        if spec is None:
-            sides[side] = None
-            continue
-        v = spec.get("vector")
-        if v is None:
-            raise ConfigError(f"config.boundary.{side}.vector: required")
-        sides[side] = dirichlet_rows_from_vector(
-            mesh, v, spec.get("variant", variant))
-    return BoundaryCondition("dirichlet", sides["bottom"], sides["top"], variant)
-
-
-def build_run(cfg, seed_override=None, grid_override=None):
-    """Instantiate (mesh, target, params, solve_config) from config."""
-    if grid_override:
-        n_phi, n_t = _check_grid(*grid_override, "--grid")
-    else:
-        grid = cfg.get("grid", {})
-        n_phi, n_t = _check_grid(grid.get("n_phi", 64), grid.get("n_t", 64),
-                                 "config.grid")
-    base = _build_surface(cfg.get("base_surface", {"preset": "sphere"}),
-                          "base", "config.base_surface")
-    target = _build_surface(cfg.get("target_surface", {"preset": "sphere"}),
-                            "target", "config.target_surface")
-    try:
-        mesh = build_mesh(base, n_phi, n_t)
-    except (GeometryError, ValueError) as exc:
-        raise ConfigError(f"config.grid: {exc}") from exc
-    pot = _build_potential(cfg.get("potential", {}))
-    an = _build_aniso(cfg.get("aniso_field", {}), mesh)
-    w = _build_weight(cfg.get("weight", {}), mesh)
-    bc = _build_boundary(cfg.get("boundary"), mesh)
-    try:
-        params = make_params(mesh, target, pot, an, w, bc)
-    except ValueError as exc:
-        raise ConfigError(f"config: {exc}") from exc
-    solver_cfg = dict(cfg.get("solver", {}))
-    if seed_override is not None:
-        solver_cfg["seed"] = int(seed_override)
-    try:
-        sc = SolveConfig(**{k: (int(v) if k in ("max_iters", "restarts", "seed")
-                                else float(v)) for k, v in solver_cfg.items()})
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config.solver: {exc}") from exc
-    return mesh, target, params, sc
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ import scipy.sparse as sp
 from scipy.interpolate import CubicSpline
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
-from .geometry import rotate, rotate_inverse, tangent_project_points
+from .geometry import ring_defect, sweep, tangent_project_points
 from .fields import circular_average_perp
 
 SQRT_2PI = float(np.sqrt(2 * np.pi))
@@ -131,8 +131,7 @@ class AnisotropyField:
 
 
 def _sweep_aniso(mesh, kind, profile0, variant):
-    rot = rotate if variant == "symmetric" else rotate_inverse
-    vals = rot(mesh.phi[:, None], profile0[None, :, :])
+    vals = sweep(mesh.phi[:, None], profile0[None, :, :], variant)
     return AnisotropyField(kind, variant, vals, profile0)
 
 
@@ -267,14 +266,7 @@ class BoundaryCondition:
 def dirichlet_rows_from_vector(mesh, vector, variant="symmetric"):
     """Boundary ring data b(phi) = A(phi)^T e (or A(phi) e), exactly
     (anti)symmetric by construction."""
-    rot = rotate if variant == "symmetric" else rotate_inverse
-    return rot(mesh.phi, np.asarray(vector, dtype=float)[None, :])
-
-
-def _row_variant_defect(mesh, row, variant):
-    rot = rotate if variant == "symmetric" else rotate_inverse
-    ref = rot(mesh.phi, row[0][None, :])
-    return float(np.sqrt(np.mean(np.sum((row - ref) ** 2, axis=-1))))
+    return sweep(mesh.phi, np.asarray(vector, dtype=float)[None, :], variant)
 
 
 @dataclass(frozen=True)
@@ -302,7 +294,7 @@ def make_params(mesh, target, potential, aniso, weight, boundary=None):
     lip = potential.check_range(max(smax, 1e-9))
     if boundary.kind == "dirichlet":
         for row in (boundary.bottom, boundary.top):
-            if row is not None and _row_variant_defect(mesh, row, boundary.variant) > 1e-10:
+            if row is not None and ring_defect(mesh.phi, row, boundary.variant) > 1e-10:
                 raise ValueError("Dirichlet data does not match its declared variant")
     return EnergyParams(potential, aniso, weight, boundary, lip)
 
@@ -531,10 +523,11 @@ class ProfileFunctional:
         if variant not in ("symmetric", "antisymmetric"):
             raise ValueError("variant must be 'symmetric' or 'antisymmetric'")
         self.potential = params.potential
-        rot_back = rotate_inverse if variant == "symmetric" else rotate
-        # component-major (3, n_phi, n_t): the dot products stay contiguous
+        # b = R(phi)^T a, the sweep by -phi; component-major (3, n_phi,
+        # n_t): the dot products stay contiguous
         self.b = np.moveaxis(
-            rot_back(mesh.phi[:, None], params.aniso.node_values), -1, 0).copy()
+            sweep(-mesh.phi[:, None], params.aniso.node_values, variant),
+            -1, 0).copy()
         ring = 2 * np.pi * mesh.dt          # dphi * n_phi * dt
         self.w_phi = ring * mesh.sqrtg / mesh.h1 ** 2
         w_edges, periodic = _meridian_edge_weights(mesh)

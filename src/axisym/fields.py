@@ -20,7 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SurfaceMesh, SurfaceOfRevolution, project_points, rotate, rotate_inverse
+from .geometry import (
+    SurfaceMesh,
+    SurfaceOfRevolution,
+    project_points,
+    rotate,
+    rotate_inverse,
+    sweep,
+)
 
 CONSTRAINT_TOL = 1e-8
 
@@ -94,6 +101,18 @@ def circular_average_perp(field):
     return field.perp().mean(axis=0)
 
 
+def parseval_weights(n):
+    """Weights w_k of the one-sided DFT coefficients c_k = rfft(f)/n of n
+    real samples: sum_i |f_i|^2 dphi = 2 pi sum_k w_k |c_k|^2, with w_k = 2
+    for the interior modes that stand for the pair +-k, and 1 for k = 0
+    and the Nyquist mode of even n."""
+    w = np.full(n // 2 + 1, 2.0)
+    w[0] = 1.0
+    if n % 2 == 0:
+        w[-1] = 1.0
+    return w
+
+
 def mode_decompose(field):
     """DFT along phi; extract k in {0, +-1} of m_perp and k = 0 of m.e3.
 
@@ -111,13 +130,7 @@ def mode_decompose(field):
     beta_perp = -2 * coeff[1, :, :2].imag
     eta = coeff[0, :, 2].real
 
-    # Parseval: sum_i |f_i|^2 dphi = 2 pi sum_k w_k |c_k|^2, w_k doubling
-    # interior one-sided modes
-    w = np.full(n // 2 + 1, 2.0)
-    w[0] = 1.0
-    if n % 2 == 0:
-        w[-1] = 1.0
-    mass = w[:, None, None] * np.abs(coeff) ** 2          # (n//2+1, n_t, 3)
+    mass = parseval_weights(n)[:, None, None] * np.abs(coeff) ** 2
     resid_perp = mass[2:, :, :2].sum(axis=(0, 2))
     resid_vert = mass[1:, :, 2].sum(axis=0)
     residual = 2 * np.pi * float(
@@ -149,8 +162,7 @@ def symmetry_defect(field, variant):
     """Quadrature-weighted L2 distance from the rotation-(contra)variant
     field generated by the phi = 0 meridian; zero iff the sampled field is
     exactly symmetric (variant='symmetric') or antisymmetric."""
-    rot = rotate if variant == "symmetric" else rotate_inverse
-    ref = rot(field.mesh.phi[:, None], field.values[0][None, :, :])
+    ref = sweep(field.mesh.phi[:, None], field.values[0][None, :, :], variant)
     diff = field.values - ref
     return float(np.sqrt(np.sum(field.mesh.quad_weights * np.sum(diff ** 2, axis=-1))))
 
@@ -204,8 +216,7 @@ def build_from_profile(mesh, profile, target=None):
     symmetric variant, contravariant for the antisymmetric one."""
     if len(profile.t_nodes) != mesh.n_t or np.max(np.abs(profile.t_nodes - mesh.t)) > 1e-12:
         raise ValueError("profile t nodes do not match the mesh")
-    rot = rotate if profile.variant == "symmetric" else rotate_inverse
-    vals = rot(mesh.phi[:, None], profile.values[None, :, :])
+    vals = sweep(mesh.phi[:, None], profile.values[None, :, :], profile.variant)
     if target is None:
         target = mesh.surface
     return DiscreteField(mesh, target, vals)

@@ -60,6 +60,19 @@ def rotate_inverse(phi, v):
     return rotate(-np.asarray(phi, dtype=float), v)
 
 
+def sweep(phi, v, variant):
+    """Sweep v around the e3-axis by the variant's rotation law: rotate for
+    "symmetric", rotate_inverse for any other variant (antisymmetric)."""
+    return (rotate if variant == "symmetric" else rotate_inverse)(phi, v)
+
+
+def ring_defect(phi, rows, variant="symmetric"):
+    """RMS distance of ring values rows (n_phi, 3) at the angles phi from
+    the sweep of rows[0]; zero iff the ring obeys the rotation law."""
+    ref = sweep(phi, rows[0][None, :], variant)
+    return float(np.sqrt(np.mean(np.sum((rows - ref) ** 2, axis=-1))))
+
+
 # ---------------------------------------------------------------------------
 # generating curves
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .energy import (
+    SQRT_2PI,
     EnergyBreakdown,
     ProfileFunctional,
     SobolevPreconditioner,
@@ -56,6 +57,7 @@ from .fields import (
     circular_average_perp,
     line_symmetry_classify,
     mode_decompose,
+    parseval_weights,
     random_field,
     symmetrize,
     symmetry_defect,
@@ -63,12 +65,10 @@ from .fields import (
 from .geometry import (
     project_points,
     project_to_frame,
-    rotate,
-    rotate_inverse,
+    ring_defect,
+    sweep,
     tangent_frame,
 )
-
-SQRT_2PI = float(np.sqrt(2 * np.pi))
 
 
 class SingularSystemError(RuntimeError):
@@ -278,24 +278,8 @@ class SolveReport:
                 "strict": self.margin.strict,
                 "sup_h1w": self.margin.sup_h1w,
             },
-            "diagnostics": _plain(self.diagnostics),
+            "diagnostics": dict(self.diagnostics),
         }
-
-
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    return obj
 
 
 def field_diagnostics(field, params):
@@ -323,9 +307,7 @@ def field_diagnostics(field, params):
         orth_norm = orth_dot = 0.0
     n_phi = field.mesh.n_phi
     vert_coeff = np.fft.rfft(field.values[..., 2], axis=0) / n_phi
-    w = np.full(n_phi // 2 + 1, 2.0)
-    w[0] = 1.0
-    w[-1] = 1.0
+    w = parseval_weights(n_phi)
     k2 = np.arange(n_phi // 2 + 1, dtype=float) ** 2
     dphi_vert_mass = 2 * np.pi * float(
         np.sum((w * k2)[:, None] * np.abs(vert_coeff) ** 2
@@ -577,15 +559,7 @@ class AnnulusReport:
 def annulus_boundary_from_vector(n_phi, vector, variant="symmetric"):
     """Ring data b(phi) = A(phi)^T e (or A(phi) e) at uniform phi nodes."""
     phi = 2 * np.pi * np.arange(n_phi) / n_phi
-    rot = rotate if variant == "symmetric" else rotate_inverse
-    return rot(phi, np.asarray(vector, dtype=float)[None, :])
-
-
-def _ring_defect(rows):
-    n_phi = rows.shape[0]
-    phi = 2 * np.pi * np.arange(n_phi) / n_phi
-    ref = rotate(phi, rows[0][None, :])
-    return float(np.sqrt(np.mean(np.sum((rows - ref) ** 2, axis=-1))))
+    return sweep(phi, np.asarray(vector, dtype=float)[None, :], variant)
 
 
 def _annulus_matrix(n_phi, n_t, t, h, dphi, shift):
@@ -638,8 +612,9 @@ def solve_annulus_example(n_t, n_phi, kappa, b1, b2, r_inner=1.0, r_outer=2.0):
     b2 = np.asarray(b2, dtype=float)
     if b1.shape != (n_phi, 3) or b2.shape != (n_phi, 3):
         raise ValueError("boundary data must have shape (n_phi, 3)")
+    phi = 2 * np.pi * np.arange(n_phi) / n_phi
     for ring in (b1, b2):
-        if _ring_defect(ring) > 1e-8:
+        if ring_defect(phi, ring) > 1e-8:
             raise ValueError("annulus boundary data must be axially symmetric")
     if n_t < 3 or n_phi < 4:
         raise ValueError("annulus grid too small")

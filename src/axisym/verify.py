@@ -18,6 +18,9 @@ Each certificate records one conditional claim checked on one instance:
     annulus_null_average  the ring averages of the annulus boundary-value
                           problem vanish for symmetric ring data
 
+Instances are axisym-run/1 configs (DEFAULT_INSTANCES, built with
+runconfig.build_run), and each certificate records its instance as
+{"name", "config"}, so `axisym minimize --config` reruns it.
 Hypothesis gating happens before conclusions: an instance that fails a
 hypothesis yields an *inapplicable* certificate, never a failed one.
 Certificates carry no timestamps and serialize deterministically, so a
@@ -26,38 +29,23 @@ rerun with the same seeds is byte-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+import copy
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import ioutil
-from .energy import (
-    BoundaryCondition,
-    aniso_constant_e3,
-    aniso_profile,
-    aniso_surface_normal,
-    dirichlet_rows_from_vector,
-    easy_normal_potential,
-    hypothesis_margin,
-    make_params,
-    quadratic_potential,
-    quartic_potential,
-    weight_constant,
-    weight_margin_profile,
-    weight_zero,
-)
-from .fields import random_field
-from .geometry import build_mesh, never_flat_check, surface
+from .energy import hypothesis_margin
+from .fields import parseval_weights, random_field, symmetry_defect
+from .geometry import never_flat_check
+from .runconfig import RUN_SCHEMA, build_run
 from .solvers import (
-    SolveConfig,
     annulus_boundary_from_vector,
     minimize_2d,
     solve_annulus_example,
     symmetrize_and_certify,
 )
-
-SQRT_2PI = float(np.sqrt(2 * np.pi))
 
 DEFAULT_TOLERANCES = {
     "form_residual": 1e-4,        # relative first-harmonic residual
@@ -101,119 +89,93 @@ class TheoremCertificate:
 # instance registry
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class InstanceSpec:
-    """Everything needed to rebuild one energy instance deterministically."""
+_SPHERE = {"preset": "sphere"}
+_CYLINDER2 = {"preset": "cylinder", "params": {"radius": 2.0}}
+_NORMAL = {"kind": "surface_normal"}
+_E3 = {"kind": "constant_e3"}
+_NO_WEIGHT = {"kind": "zero"}
+_UNIT_WEIGHT = {"kind": "constant", "lam": 1.0}
+_QUADRATIC1 = {"kind": "quadratic", "kappa": 1.0}
 
-    name: str
-    base: str
-    target: str
-    potential: tuple            # (kind, value)
-    aniso: str
-    weight: tuple               # (kind, value)
-    base_kw: dict = dc_field(default_factory=dict)
-    target_kw: dict = dc_field(default_factory=dict)
-    boundary: str = "free"      # "free" | "dirichlet:x,y,z" (top ring)
-    solver: dict = dc_field(default_factory=dict)
+# name -> partial axisym-run/1 config (surfaces, potential, anisotropy,
+# weight, boundary); instance() adds the grid and the solver settings
+DEFAULT_INSTANCES = {
+    "sphere_quartic_margin": {
+        "base_surface": _SPHERE, "target_surface": _SPHERE,
+        "potential": {"kind": "quartic", "lam": 5.0}, "aniso_field": _NORMAL,
+        "weight": {"kind": "margin", "margin": 1.5}},
+    "sphere_quartic_margin_weak": {
+        "base_surface": _SPHERE, "target_surface": _SPHERE,
+        "potential": {"kind": "quartic", "lam": 5.0}, "aniso_field": _NORMAL,
+        "weight": {"kind": "margin", "margin": 1.1}},
+    "sphere_quadratic_margin": {
+        "base_surface": _SPHERE, "target_surface": _SPHERE,
+        "potential": _QUADRATIC1, "aniso_field": _NORMAL,
+        "weight": {"kind": "margin", "margin": 1.5}},
+    "sphere_easy_normal_free": {
+        "base_surface": _SPHERE, "target_surface": _SPHERE,
+        "potential": {"kind": "quartic", "lam": 20.0}, "aniso_field": _NORMAL,
+        "weight": _NO_WEIGHT},
+    "cylinder2_quadratic_const1": {
+        "base_surface": _CYLINDER2, "target_surface": _SPHERE,
+        "potential": _QUADRATIC1, "aniso_field": _E3, "weight": _UNIT_WEIGHT},
+    "cylinder2_quartic_const1": {
+        "base_surface": _CYLINDER2, "target_surface": _SPHERE,
+        "potential": {"kind": "quartic", "lam": 3.0}, "aniso_field": _E3,
+        "weight": _UNIT_WEIGHT},
+    "cylinder2_inplane_free": {
+        "base_surface": _CYLINDER2, "target_surface": _SPHERE,
+        "potential": _QUADRATIC1, "aniso_field": _E3, "weight": _NO_WEIGHT},
+    "cylinder1_borderline": {
+        "base_surface": {"preset": "cylinder", "params": {"radius": 1.0}},
+        "target_surface": _SPHERE,
+        "potential": _QUADRATIC1, "aniso_field": _E3, "weight": _UNIT_WEIGHT},
+    "annulus_quartic_const": {
+        "base_surface": {"preset": "annulus"}, "target_surface": _SPHERE,
+        "potential": {"kind": "quartic", "lam": 2.0}, "aniso_field": _E3,
+        "weight": {"kind": "constant", "lam": 1.3}},
+    "torus_band_self_margin": {
+        "base_surface": {"preset": "torus_band"},
+        "target_surface": {"preset": "torus_band"},
+        "potential": {"kind": "quadratic", "kappa": 0.5},
+        "aniso_field": _NORMAL, "weight": {"kind": "margin", "margin": 1.2}},
+    "ellipsoid_band_sphere": {
+        "base_surface": {"preset": "ellipsoid_band"}, "target_surface": _SPHERE,
+        "potential": {"kind": "easy_normal", "kappa": 3.0},
+        "aniso_field": _NORMAL, "weight": {"kind": "constant", "lam": 3.0}},
+    "disk_target_flat": {
+        "base_surface": _CYLINDER2, "target_surface": {"preset": "disk"},
+        "potential": _QUADRATIC1, "aniso_field": _E3, "weight": _UNIT_WEIGHT},
+    "disk_base_inplane_free": {
+        "base_surface": {"preset": "disk"}, "target_surface": _SPHERE,
+        "potential": {"kind": "quadratic", "kappa": 2.0}, "aniso_field": _E3,
+        "weight": _NO_WEIGHT},
+    "cylinder2_antisym_profile": {
+        "base_surface": _CYLINDER2, "target_surface": _SPHERE,
+        "potential": _QUADRATIC1,
+        "aniso_field": {"kind": "antisymmetric_profile",
+                        "vector": [0.6, 0.0, 0.8]},
+        "weight": _UNIT_WEIGHT},
+    "cylinder2_dirichlet_top": {
+        "base_surface": _CYLINDER2, "target_surface": _SPHERE,
+        "potential": _QUADRATIC1, "aniso_field": _E3, "weight": _UNIT_WEIGHT,
+        "boundary": {"kind": "dirichlet", "top": {"vector": [0.0, 0.0, 1.0]}}},
+}
 
-    def describe(self, n_phi, n_t, seed):
-        return {
-            "name": self.name,
-            "base": self.base, "base_kw": self.base_kw,
-            "target": self.target, "target_kw": self.target_kw,
-            "potential": list(self.potential), "aniso": self.aniso,
-            "weight": list(self.weight), "boundary": self.boundary,
-            "grid": [int(n_phi), int(n_t)], "seed": int(seed),
-        }
 
+def instance(name, n_phi, n_t, solver=None, seed=0):
+    """A certificate's instance: {"name", "config"}, with config the
+    complete axisym-run/1 config of a registered instance at this grid and
+    solver settings (runconfig.build_run builds it, `axisym minimize
+    --config` reruns it)."""
+    config = dict(copy.deepcopy(DEFAULT_INSTANCES[name]), schema=RUN_SCHEMA,
+                  grid={"n_phi": int(n_phi), "n_t": int(n_t)},
+                  solver=dict(solver or {}, seed=int(seed)))
+    return {"name": name, "config": config}
 
-def build_potential(kind, value):
-    if kind == "quartic":
-        return quartic_potential(value)
-    if kind == "quadratic":
-        return quadratic_potential(value)
-    if kind == "easy_normal":
-        return easy_normal_potential(value)
-    raise ValueError(f"unknown potential kind {kind!r}")
-
-
-def build_instance(spec, n_phi, n_t):
-    """(mesh, target, params) for an InstanceSpec at the given grid."""
-    mesh = build_mesh(surface(spec.base, **spec.base_kw), n_phi, n_t)
-    target = surface(spec.target, role="target", **spec.target_kw)
-    pot = build_potential(*spec.potential)
-    if spec.aniso == "surface_normal":
-        an = aniso_surface_normal(mesh)
-    elif spec.aniso == "constant_e3":
-        an = aniso_constant_e3(mesh)
-    elif spec.aniso == "antisymmetric_profile":
-        prof = np.broadcast_to([0.6, 0.0, 0.8], (mesh.n_t, 3)).copy()
-        an = aniso_profile(mesh, prof, "antisymmetric")
-    elif spec.aniso == "symmetric_profile":
-        prof = np.broadcast_to([0.6, 0.0, 0.8], (mesh.n_t, 3)).copy()
-        an = aniso_profile(mesh, prof, "symmetric")
-    else:
-        raise ValueError(f"unknown anisotropy kind {spec.aniso!r}")
-    wkind, wval = spec.weight
-    if wkind == "zero":
-        w = weight_zero(mesh)
-    elif wkind == "constant":
-        w = weight_constant(mesh, wval)
-    elif wkind == "margin":
-        w = weight_margin_profile(mesh, wval)
-    else:
-        raise ValueError(f"unknown weight kind {wkind!r}")
-    bc = None
-    if spec.boundary.startswith("dirichlet:"):
-        vec = [float(v) for v in spec.boundary.split(":", 1)[1].split(",")]
-        bc = BoundaryCondition("dirichlet", None,
-                               dirichlet_rows_from_vector(mesh, vec), "symmetric")
-    params = make_params(mesh, target, pot, an, w, bc)
-    return mesh, target, params
-
-
-DEFAULT_INSTANCES = (
-    InstanceSpec("sphere_quartic_margin", "sphere", "sphere",
-                 ("quartic", 5.0), "surface_normal", ("margin", 1.5)),
-    InstanceSpec("sphere_quartic_margin_weak", "sphere", "sphere",
-                 ("quartic", 5.0), "surface_normal", ("margin", 1.1)),
-    InstanceSpec("sphere_quadratic_margin", "sphere", "sphere",
-                 ("quadratic", 1.0), "surface_normal", ("margin", 1.5)),
-    InstanceSpec("sphere_easy_normal_free", "sphere", "sphere",
-                 ("quartic", 20.0), "surface_normal", ("zero", 0.0)),
-    InstanceSpec("cylinder2_quadratic_const1", "cylinder", "sphere",
-                 ("quadratic", 1.0), "constant_e3", ("constant", 1.0),
-                 base_kw={"radius": 2.0}),
-    InstanceSpec("cylinder2_quartic_const1", "cylinder", "sphere",
-                 ("quartic", 3.0), "constant_e3", ("constant", 1.0),
-                 base_kw={"radius": 2.0}),
-    InstanceSpec("cylinder2_inplane_free", "cylinder", "sphere",
-                 ("quadratic", 1.0), "constant_e3", ("zero", 0.0),
-                 base_kw={"radius": 2.0}),
-    InstanceSpec("cylinder1_borderline", "cylinder", "sphere",
-                 ("quadratic", 1.0), "constant_e3", ("constant", 1.0),
-                 base_kw={"radius": 1.0}),
-    InstanceSpec("annulus_quartic_const", "annulus", "sphere",
-                 ("quartic", 2.0), "constant_e3", ("constant", 1.3)),
-    InstanceSpec("torus_band_self_margin", "torus_band", "torus_band",
-                 ("quadratic", 0.5), "surface_normal", ("margin", 1.2)),
-    InstanceSpec("ellipsoid_band_sphere", "ellipsoid_band", "sphere",
-                 ("easy_normal", 3.0), "surface_normal", ("constant", 3.0)),
-    InstanceSpec("disk_target_flat", "cylinder", "disk",
-                 ("quadratic", 1.0), "constant_e3", ("constant", 1.0),
-                 base_kw={"radius": 2.0}),
-    InstanceSpec("disk_base_inplane_free", "disk", "sphere",
-                 ("quadratic", 2.0), "constant_e3", ("zero", 0.0)),
-    InstanceSpec("cylinder2_antisym_profile", "cylinder", "sphere",
-                 ("quadratic", 1.0), "antisymmetric_profile", ("constant", 1.0),
-                 base_kw={"radius": 2.0}),
-    InstanceSpec("cylinder2_dirichlet_top", "cylinder", "sphere",
-                 ("quadratic", 1.0), "constant_e3", ("constant", 1.0),
-                 base_kw={"radius": 2.0}, boundary="dirichlet:0,0,1"),
-)
 
 # every name a suite's "instances" filter can select
-SUITE_NAMES = tuple(s.name for s in DEFAULT_INSTANCES) + ("annulus_pde",)
+SUITE_NAMES = tuple(DEFAULT_INSTANCES) + ("annulus_pde",)
 
 CHAIN_INSTANCES = ("sphere_quartic_margin", "cylinder2_quadratic_const1",
                    "annulus_quartic_const")
@@ -247,7 +209,6 @@ def verify_main0(instance_desc, report, params, tols=DEFAULT_TOLERANCES):
             tolerances, f"inapplicable: margin {state}")
     u, chain = symmetrize_and_certify(report.best_field, params,
                                       params.aniso.variant)
-    from .fields import symmetry_defect
     gap = abs(chain.energy_u.total - chain.energy_m.total) \
         / (1 + abs(chain.energy_m.total))
     residuals = {
@@ -340,10 +301,10 @@ def verify_main3(instance_desc, report, params, target,
                               bool(all(checks)), residuals, tolerances, note)
 
 
-def verify_chain(spec, n_phi, n_t, seeds, n_fields, tols=DEFAULT_TOLERANCES):
-    """Symmetrization chain on a seeded random-field corpus of one instance."""
-    mesh, target, params = build_instance(spec, n_phi, n_t)
-    desc = spec.describe(n_phi, n_t, seeds[0] if seeds else 0)
+def verify_chain(desc, seeds, n_fields, tols=DEFAULT_TOLERANCES):
+    """Symmetrization chain on a seeded random-field corpus of one instance
+    (desc as made by instance())."""
+    mesh, target, params, _ = build_run(desc["config"])
     margin = hypothesis_margin(mesh, params.weight)
     tolerances = {"chain_slack": tols["chain_slack"]}
     if not margin.strict:
@@ -371,15 +332,14 @@ def verify_chain(spec, n_phi, n_t, seeds, n_fields, tols=DEFAULT_TOLERANCES):
                               residuals, tolerances)
 
 
-def verify_pw(spec, n_phi, n_t, seeds, n_fields, tols=DEFAULT_TOLERANCES):
+def verify_pw(desc, seeds, n_fields, tols=DEFAULT_TOLERANCES):
     """Row-wise Poincare-Wirtinger inequality with equality detection.
 
     Both sides are Parseval sums of the horizontal components; the equality
     detector (mode mass outside k in {0, +-1}) must coincide with the rows
-    where the inequality is tight.
+    where the inequality is tight.  desc as made by instance().
     """
-    mesh, target, params = build_instance(spec, n_phi, n_t)
-    desc = spec.describe(n_phi, n_t, seeds[0] if seeds else 0)
+    mesh, target, params, _ = build_run(desc["config"])
     tolerances = {"pw_slack": tols["pw_slack"]}
     worst_violation = -np.inf
     mismatches = 0
@@ -389,9 +349,7 @@ def verify_pw(spec, n_phi, n_t, seeds, n_fields, tols=DEFAULT_TOLERANCES):
             f = random_field(mesh, target, seed=seed * 10_000 + 77 * k)
             n = mesh.n_phi
             coeff = np.fft.rfft(f.values[..., :2], axis=0) / n
-            w = np.full(n // 2 + 1, 2.0)
-            w[0] = 1.0
-            w[-1] = 1.0
+            w = parseval_weights(n)
             k2 = np.arange(n // 2 + 1, dtype=float) ** 2
             lhs = 2 * np.pi * np.sum(w[1:, None, None] * np.abs(coeff[1:]) ** 2,
                                      axis=(0, 2))
@@ -468,10 +426,9 @@ def run_suite(config=None, out_dir=None, tols=DEFAULT_TOLERANCES):
     """
     cfg = dict(DEFAULT_SUITE_CONFIG)
     cfg.update(config or {})
-    n_phi = cfg["grid"]["n_phi"]
-    n_t = cfg["grid"]["n_t"]
+    grid = (cfg["grid"]["n_phi"], cfg["grid"]["n_t"])
     names = cfg["instances"]
-    selected = [s for s in DEFAULT_INSTANCES if names is None or s.name in names]
+    selected = [n for n in DEFAULT_INSTANCES if names is None or n in names]
 
     per_instance = {}
     certs = []
@@ -480,30 +437,24 @@ def run_suite(config=None, out_dir=None, tols=DEFAULT_TOLERANCES):
         per_instance.setdefault(key, []).append(cert)
         certs.append(cert)
 
-    for spec in selected:
+    for name in selected:
         for seed in cfg["seeds"]:
-            mesh, target, params = build_instance(spec, n_phi, n_t)
-            solver_kw = dict(cfg["solver"])
-            solver_kw.update(spec.solver)
-            report = minimize_2d(mesh, target, params,
-                                 SolveConfig(seed=seed, **solver_kw))
-            desc = spec.describe(n_phi, n_t, seed)
-            key = f"{spec.name}_s{seed}"
+            desc = instance(name, *grid, cfg["solver"], seed)
+            mesh, target, params, sc = build_run(desc["config"])
+            report = minimize_2d(mesh, target, params, sc)
+            key = f"{name}_s{seed}"
             emit(key, verify_main0(desc, report, params, tols))
             emit(key, verify_main1(desc, report, params, target, tols))
             emit(key, verify_main3(desc, report, params, target, tols))
 
-    by_name = {s.name: s for s in DEFAULT_INSTANCES}
-    chain_names = [n for n in CHAIN_INSTANCES if names is None or n in names]
-    for name in chain_names:
-        cert = verify_chain(by_name[name], n_phi, n_t, cfg["seeds"],
-                            cfg["chain_fields"], tols)
-        emit(f"chain_{name}", cert)
-    pw_names = [n for n in PW_INSTANCES if names is None or n in names]
-    for name in pw_names:
-        cert = verify_pw(by_name[name], n_phi, n_t, cfg["seeds"],
-                         cfg["pw_fields"], tols)
-        emit(f"pw_{name}", cert)
+    first_seed = cfg["seeds"][0] if cfg["seeds"] else 0
+    for kind, check, pool, n_fields in (
+            ("chain", verify_chain, CHAIN_INSTANCES, cfg["chain_fields"]),
+            ("pw", verify_pw, PW_INSTANCES, cfg["pw_fields"])):
+        for name in pool:
+            if names is None or name in names:
+                desc = instance(name, *grid, cfg["solver"], first_seed)
+                emit(f"{kind}_{name}", check(desc, cfg["seeds"], n_fields, tols))
     if names is None or "annulus_pde" in (names or []):
         ann = cfg["annulus"]
         emit("annulus_pde", verify_annulus(ann["kappas"], ann["n_t"],
@@ -518,7 +469,7 @@ def run_suite(config=None, out_dir=None, tols=DEFAULT_TOLERANCES):
     applicable = [c for c in certs if c.applicable]
     summary = {
         "schema": CERT_SCHEMA,
-        "config": _jsonable(cfg),
+        "config": copy.deepcopy(cfg),
         "n_certificates": len(certs),
         "n_applicable": len(applicable),
         "n_passed": sum(1 for c in applicable if c.passed),
@@ -553,15 +504,3 @@ def _theorem_counts(certs):
         else:
             d["inapplicable"] += 1
     return counts
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    return obj

@@ -1,58 +1,30 @@
-import numpy as np
 import pytest
 
-from axisym.energy import (
-    aniso_constant_e3,
-    aniso_profile,
-    aniso_surface_normal,
-    easy_normal_potential,
-    make_params,
-    quadratic_potential,
-    quartic_potential,
-    weight_constant,
-    weight_margin_profile,
-    weight_zero,
-)
-from axisym.geometry import build_mesh, surface
+from axisym.runconfig import RUN_SCHEMA, build_run
+
+# the config key that carries each potential's and weight's value
+_VALUE_KEY = {"quartic": "lam", "quadratic": "kappa", "easy_normal": "kappa",
+              "zero": "lam", "constant": "lam", "margin": "margin"}
 
 
 def make_instance(base="sphere", target="sphere", n_phi=32, n_t=24,
                   potential=("quartic", 5.0), aniso="surface_normal",
                   weight=("margin", 1.5), base_kw=None, target_kw=None):
-    """Small instance factory shared across the test suite."""
-    mesh = build_mesh(surface(base, **(base_kw or {})), n_phi, n_t)
-    tgt = surface(target, role="target", **(target_kw or {}))
-
-    kind, val = potential
-    pot = {"quartic": quartic_potential, "quadratic": quadratic_potential,
-           "easy_normal": easy_normal_potential}[kind](val)
-
-    if aniso == "surface_normal":
-        an = aniso_surface_normal(mesh)
-    elif aniso == "constant_e3":
-        an = aniso_constant_e3(mesh)
-    elif aniso == "symmetric_profile":
-        prof = np.stack([0.6 * np.ones_like(mesh.t), np.zeros_like(mesh.t),
-                         0.8 * np.ones_like(mesh.t)], axis=-1)
-        an = aniso_profile(mesh, prof, "symmetric")
-    elif aniso == "antisymmetric_profile":
-        prof = np.stack([0.6 * np.ones_like(mesh.t), np.zeros_like(mesh.t),
-                         0.8 * np.ones_like(mesh.t)], axis=-1)
-        an = aniso_profile(mesh, prof, "antisymmetric")
-    else:
-        raise ValueError(aniso)
-
-    wkind, wval = weight
-    if wkind == "zero":
-        w = weight_zero(mesh)
-    elif wkind == "constant":
-        w = weight_constant(mesh, wval)
-    elif wkind == "margin":
-        w = weight_margin_profile(mesh, wval)
-    else:
-        raise ValueError(wkind)
-
-    params = make_params(mesh, tgt, pot, an, w)
+    """Small instance factory shared across the test suite: the keyword
+    arguments name an axisym-run/1 config, which build_run builds."""
+    (pkind, pval), (wkind, wval) = potential, weight
+    aniso_field = {"kind": aniso}
+    if aniso.endswith("_profile"):
+        aniso_field["vector"] = [0.6, 0.0, 0.8]
+    mesh, tgt, params, _ = build_run({
+        "schema": RUN_SCHEMA,
+        "base_surface": {"preset": base, "params": base_kw or {}},
+        "target_surface": {"preset": target, "params": target_kw or {}},
+        "grid": {"n_phi": n_phi, "n_t": n_t},
+        "potential": {"kind": pkind, _VALUE_KEY[pkind]: pval},
+        "aniso_field": aniso_field,
+        "weight": {"kind": wkind, _VALUE_KEY[wkind]: wval},
+    })
     return mesh, tgt, params
 
 

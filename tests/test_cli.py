@@ -177,6 +177,24 @@ def test_verify_inapplicable_only_suite(tmp_path):
     assert main(["verify", "--config", str(cfg_path)]) == 0
 
 
+def test_certificate_instance_reruns_with_minimize(tmp_path):
+    # a certificate's instance carries the run config it was built from,
+    # which `axisym minimize --config` accepts as it stands
+    from axisym.verify import run_suite
+    certs, _ = run_suite({"instances": ["cylinder2_dirichlet_top"],
+                          "grid": {"n_phi": 16, "n_t": 12},
+                          "solver": {"restarts": 0, "max_iters": 300}})
+    desc = certs[0].to_dict()["instance"]
+    assert desc["name"] == "cylinder2_dirichlet_top"
+    cfg_path = tmp_path / "instance.json"
+    cfg_path.write_text(ioutil.dumps(desc["config"]), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["minimize", "--config", str(cfg_path),
+                 "--out", str(out)]) in (0, 2)
+    report = ioutil.loads((out / "report.json").read_text())
+    assert len(report["iterations"]) == 2       # restarts 0: the two inits
+
+
 def test_annulus_command(tmp_path, capsys):
     out = tmp_path / "ann"
     rc = main(["annulus", "--kappa", "1.0", "--n-t", "32", "--n-phi", "16",
@@ -272,6 +290,14 @@ def test_non_integer_grid_exits_3(tmp_path, capsys):
     write_config(cfg_path, suite={"grid": {"n_phi": "abc"}})
     assert main(["verify", "--config", str(cfg_path)]) == 3
     assert "config.suite.grid.n_phi" in capsys.readouterr().err
+
+
+def test_verify_unknown_solver_key_exits_3(tmp_path, capsys):
+    cfg_path = tmp_path / "verify.json"
+    write_config(cfg_path, suite={"instances": ["cylinder2_quadratic_const1"],
+                                  "solver": {"max_iter": 10}})
+    assert main(["verify", "--config", str(cfg_path)]) == 3
+    assert "config.suite.solver.max_iter" in capsys.readouterr().err
 
 
 def test_verify_empty_seeds_exits_3(tmp_path, capsys):

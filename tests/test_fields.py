@@ -13,6 +13,7 @@ from axisym.fields import (
     field_to_csv,
     line_symmetry_classify,
     mode_decompose,
+    parseval_weights,
     profile_from_csv,
     profile_to_csv,
     random_field,
@@ -103,6 +104,14 @@ def test_mode_decompose_parseval(sphere_mesh, sphere_target):
                               * (sphere_mesh.sqrtg * sphere_mesh.dt)[None, :, None])
     direct = np.sum(sphere_mesh.quad_weights * np.sum(f.values ** 2, axis=-1))
     assert abs(mass - direct) / direct < 1e-10
+
+
+@pytest.mark.parametrize("n", [8, 9, 32])
+def test_parseval_weights(n):
+    f = np.random.default_rng(n).normal(size=n)
+    c = np.fft.rfft(f) / n
+    assert abs(np.sum(f ** 2) * 2 * np.pi / n
+               - 2 * np.pi * np.sum(parseval_weights(n) * np.abs(c) ** 2)) < 1e-12
 
 
 def test_symmetry_defect_classes(sphere_mesh, sphere_target):

@@ -9,11 +9,13 @@ from axisym.geometry import (
     preset_curve,
     project_points,
     project_to_target,
+    ring_defect,
     rotate,
     rotate_inverse,
     spline_curve,
     surface,
     surface_normal,
+    sweep,
     tangent_project,
     target_normal,
 )
@@ -44,6 +46,19 @@ def test_rotate_group_properties():
         v = rng.normal(size=3)
         assert np.allclose(rotate(p1, rotate(p2, v)), rotate(p1 + p2, v), atol=1e-12)
         assert abs(np.linalg.norm(rotate(p1, v)) - np.linalg.norm(v)) < 1e-12
+
+
+def test_sweep_and_ring_defect():
+    phi = 2 * np.pi * np.arange(12) / 12
+    v = np.array([[0.3, -0.4, 0.5]])
+    np.testing.assert_array_equal(sweep(phi, v, "symmetric"), rotate(phi, v))
+    np.testing.assert_array_equal(sweep(phi, v, "antisymmetric"),
+                                  rotate_inverse(phi, v))
+    for variant, other in (("symmetric", "antisymmetric"),
+                           ("antisymmetric", "symmetric")):
+        ring = sweep(phi, v, variant)
+        assert ring_defect(phi, ring, variant) < 1e-15
+        assert ring_defect(phi, ring, other) > 0.1
 
 
 def test_sphere_mesh_area():

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from axisym import ioutil
+from axisym.runconfig import build_run, load_config
 from axisym.solvers import SolveConfig, minimize_2d
 from axisym.verify import (
     DEFAULT_INSTANCES,
-    build_instance,
+    instance,
     run_suite,
     verify_annulus,
     verify_chain,
@@ -24,8 +25,10 @@ FAST = {"instances": SUBSET,
         "chain_fields": 4, "pw_fields": 3}
 
 
-def spec_by_name(name):
-    return next(s for s in DEFAULT_INSTANCES if s.name == name)
+def build(name, n_phi, n_t):
+    """(desc, mesh, target, params) of a registered instance."""
+    desc = instance(name, n_phi, n_t)
+    return (desc,) + build_run(desc["config"])[:3]
 
 
 @pytest.fixture(scope="module")
@@ -97,11 +100,10 @@ def test_planted_failure_fails_suite():
 
 
 def test_main0_inapplicable_without_weight():
-    spec = spec_by_name("sphere_easy_normal_free")
-    mesh, tgt, params = build_instance(spec, 16, 12)
+    desc, mesh, tgt, params = build("sphere_easy_normal_free", 16, 12)
     rep = minimize_2d(mesh, tgt, params,
                       SolveConfig(restarts=0, max_iters=400, seed=0))
-    cert = verify_main0(spec.describe(16, 12, 0), rep, params)
+    cert = verify_main0(desc, rep, params)
     assert not cert.applicable and cert.passed
     assert "margin" in cert.note
 
@@ -109,9 +111,7 @@ def test_main0_inapplicable_without_weight():
 def test_main3_pass_on_sphere_free():
     # needs the suite grid: coarser grids under-resolve the lam = 20 wall
     # width and the discrete minimizer picks up a grid-scale ring mean
-    spec = spec_by_name("sphere_easy_normal_free")
-    mesh, tgt, params = build_instance(spec, 32, 24)
-    desc = spec.describe(32, 24, 0)
+    desc, mesh, tgt, params = build("sphere_easy_normal_free", 32, 24)
     axial = minimize_2d(mesh, tgt, params,
                         SolveConfig(restarts=0, max_iters=4000, grad_tol=1e-9,
                                     seed=0))
@@ -134,32 +134,30 @@ def test_main3_pass_on_sphere_free():
 
 
 def test_main3_hypothesis_unmet_on_inplane():
-    spec = spec_by_name("cylinder2_inplane_free")
-    mesh, tgt, params = build_instance(spec, 16, 12)
+    desc, mesh, tgt, params = build("cylinder2_inplane_free", 16, 12)
     rep = minimize_2d(mesh, tgt, params,
                       SolveConfig(restarts=2, max_iters=2500, seed=0))
-    cert = verify_main3(spec.describe(16, 12, 0), rep, params, tgt)
+    cert = verify_main3(desc, rep, params, tgt)
     assert not cert.applicable
     assert "hypothesis unmet" in cert.note
 
 
 def test_main1_applicable_on_torus_band():
-    spec = spec_by_name("torus_band_self_margin")
-    mesh, tgt, params = build_instance(spec, 16, 16)
+    desc, mesh, tgt, params = build("torus_band_self_margin", 16, 16)
     rep = minimize_2d(mesh, tgt, params,
                       SolveConfig(restarts=1, max_iters=2500, grad_tol=1e-9, seed=0))
-    cert = verify_main1(spec.describe(16, 16, 0), rep, params, tgt)
+    cert = verify_main1(desc, rep, params, tgt)
     assert cert.applicable
 
 
 def test_chain_certificate():
-    cert = verify_chain(spec_by_name("sphere_quartic_margin"), 16, 12, [0], 5)
+    cert = verify_chain(instance("sphere_quartic_margin", 16, 12), [0], 5)
     assert cert.applicable and cert.passed
     assert cert.residuals["fields_checked"] == 5.0
 
 
 def test_pw_certificate():
-    cert = verify_pw(spec_by_name("sphere_quartic_margin"), 16, 12, [0], 4)
+    cert = verify_pw(instance("sphere_quartic_margin", 16, 12), [0], 4)
     assert cert.applicable and cert.passed
     assert cert.residuals["equality_detector_mismatches"] == 0.0
 
@@ -176,9 +174,9 @@ def _reject_constant(token):
 
 @pytest.mark.parametrize("seeds, n_fields", [([0], 0), ([], 3)])
 def test_empty_corpus_certificates_inapplicable(seeds, n_fields):
-    spec = spec_by_name("sphere_quartic_margin")
-    certs = [verify_chain(spec, 16, 12, seeds, n_fields),
-             verify_pw(spec, 16, 12, seeds, n_fields)]
+    desc = instance("sphere_quartic_margin", 16, 12)
+    certs = [verify_chain(desc, seeds, n_fields),
+             verify_pw(desc, seeds, n_fields)]
     if not seeds:
         certs.append(verify_annulus([], 32, 16, seed=0))
     for cert in certs:
@@ -200,3 +198,17 @@ def test_default_suite_all_pass(tmp_path):
     assert summary["n_applicable"] >= 20
     assert elapsed <= 600
     assert (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize("name", list(DEFAULT_INSTANCES))
+def test_registered_instance_is_a_run_config(tmp_path, name):
+    # every suite instance is a plain axisym-run/1 config: it passes the
+    # strict key check from a file and builds at a small grid
+    desc = instance(name, 16, 12, {"restarts": 0}, seed=3)
+    assert desc["name"] == name
+    path = tmp_path / "run.json"
+    path.write_text(ioutil.dumps(desc["config"]), encoding="utf-8")
+    mesh, _, params, sc = build_run(load_config(path))
+    assert (mesh.n_phi, mesh.n_t) == (16, 12)
+    assert (sc.restarts, sc.seed) == (0, 3)
+    assert np.all(np.isfinite(params.weight.W2))
