@@ -16,16 +16,17 @@ certificate names its instance as {"name", "config"}: the run config it
 was built from, which `minimize --config` reruns.  All artifacts are
 deterministic (sorted keys, 17 significant digits, LF endings) and carry
 the config hash and seed.
-Exit codes: 0 ok/converged, 1 failed certificate, 2 not converged or
-singular system, 3 input error (including grids outside [8, 4096] or with
-odd n_phi, and kinked potential tables where a gradient is needed).
-AXISYM_THREADS caps restart parallelism.
+Exit codes: 0 ok/converged (of a solve: its winning restart met the
+gradient tolerance; report.json's stop_reasons gives every restart), 1
+failed certificate, 2 not converged (the winning restart did not meet the
+tolerance) or singular system, 3 input error (including grids outside
+[8, 4096] or with odd n_phi, and kinked potential tables where a gradient
+is needed).  Restarts run one after another in one thread.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
@@ -33,16 +34,15 @@ import numpy as np
 
 from . import ioutil
 from .energy import NonDifferentiableError
-from .fields import field_from_csv, field_to_csv, mode_decompose, profile_to_csv
-from .runconfig import (
-    _GRID_KEYS,
-    RUN_SCHEMA,
-    ConfigError,
-    _check_grid,
-    _check_keys,
-    build_run,
-    load_config,
+from .fields import (
+    _write_csv,
+    field_from_csv,
+    field_to_csv,
+    grid_to_csv,
+    mode_decompose,
+    profile_to_csv,
 )
+from .runconfig import RUN_SCHEMA, ConfigError, _check_grid, build_run, load_config
 from .solvers import (
     SingularSystemError,
     annulus_boundary_from_vector,
@@ -51,7 +51,7 @@ from .solvers import (
     solve_annulus_example,
     symmetrize_and_certify,
 )
-from .verify import DEFAULT_SUITE_CONFIG, SUITE_NAMES, run_suite
+from .verify import SUITE_NAMES, run_suite, suite_config
 
 EXIT_OK = 0
 EXIT_CERT_FAILED = 1
@@ -70,19 +70,15 @@ def _provenance(cfg, seed):
 
 def _write_mode_csv(path, field, comment):
     dec = mode_decompose(field)
-    mesh = field.mesh
-    with open(path, "w", encoding="utf-8", newline="") as f:
-        f.write("# " + comment + "\n")
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["t", "alpha_perp_norm", "beta_perp_norm", "alpha_dot_beta",
-                    "eta", "mean_perp_norm"])
-        for j in range(mesh.n_t):
-            w.writerow(["%.17g" % mesh.t[j],
-                        "%.17g" % np.linalg.norm(dec.alpha_perp[j]),
-                        "%.17g" % np.linalg.norm(dec.beta_perp[j]),
-                        "%.17g" % float(np.dot(dec.alpha_perp[j], dec.beta_perp[j])),
-                        "%.17g" % dec.eta[j],
-                        "%.17g" % np.linalg.norm(dec.mean_perp[j])])
+    rows = (["%.17g" % field.mesh.t[j],
+             "%.17g" % np.linalg.norm(dec.alpha_perp[j]),
+             "%.17g" % np.linalg.norm(dec.beta_perp[j]),
+             "%.17g" % float(np.dot(dec.alpha_perp[j], dec.beta_perp[j])),
+             "%.17g" % dec.eta[j],
+             "%.17g" % np.linalg.norm(dec.mean_perp[j])]
+            for j in range(field.mesh.n_t))
+    _write_csv(path, ["t", "alpha_perp_norm", "beta_perp_norm", "alpha_dot_beta",
+                      "eta", "mean_perp_norm"], rows, comment)
 
 
 def _write_json(path, payload):
@@ -157,26 +153,22 @@ def cmd_reduce(args):
 
 def cmd_verify(args):
     cfg = load_config(args.config) if args.config else {"schema": RUN_SCHEMA}
-    suite_cfg = dict(cfg.get("suite", {}))
-    grid, where = suite_cfg.get("grid"), "config.suite.grid"
+    suite_cfg = suite_config(cfg.get("suite"))
+    grid, where = suite_cfg["grid"], "config.suite.grid"
     if args.grid:
-        n_phi, n_t = _parse_grid(args.grid)
-        grid, where = {"n_phi": n_phi, "n_t": n_t}, "--grid"
-    if grid is not None:
-        _check_keys(grid, _GRID_KEYS, where)
-        grid = dict(DEFAULT_SUITE_CONFIG["grid"], **grid)
-        n_phi, n_t = _check_grid(grid["n_phi"], grid["n_t"], where)
-        suite_cfg["grid"] = {"n_phi": n_phi, "n_t": n_t}
+        grid, where = dict(zip(("n_phi", "n_t"), _parse_grid(args.grid))), "--grid"
+    n_phi, n_t = _check_grid(grid["n_phi"], grid["n_t"], where)
+    suite_cfg["grid"] = {"n_phi": n_phi, "n_t": n_t}
     if args.seed is not None:
         suite_cfg["seeds"] = [int(args.seed)]
-    if "seeds" in suite_cfg and not suite_cfg["seeds"]:
+    if not suite_cfg["seeds"]:
         raise ConfigError("config.suite.seeds: needs at least one seed")
-    names = suite_cfg.get("instances")
+    names = suite_cfg["instances"]
     if names is not None and not (isinstance(names, list)
                                   and any(n in names for n in SUITE_NAMES)):
         raise ConfigError("config.suite.instances: selects no instance")
     out = args.out or cfg.get("outputs")
-    certs, summary = run_suite(suite_cfg or None, out_dir=out)
+    certs, summary = run_suite(suite_cfg, out_dir=out)
     applicable = [c for c in certs if c.applicable]
     print(f"verify: {summary['n_passed']}/{len(applicable)} applicable "
           f"certificates passed ({summary['n_certificates']} total)")
@@ -207,21 +199,10 @@ def cmd_annulus(args):
         return EXIT_CONFIG
     out = Path(args.out or "out")
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "radial_mean.csv", "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["t", "mean_perp_norm"])
-        for k, t in enumerate(rep.t_grid):
-            w.writerow(["%.17g" % t,
-                        "%.17g" % np.linalg.norm(rep.mean_perp[k])])
-    with open(out / "solution.csv", "w", encoding="utf-8", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["phi_index", "t_index", "phi", "t", "mx", "my", "mz"])
-        for i in range(args.n_phi):
-            for k in range(args.n_t + 1):
-                v = rep.solution[i, k]
-                w.writerow([str(i), str(k), "%.17g" % rep.phi[i],
-                            "%.17g" % rep.t_grid[k], "%.17g" % v[0],
-                            "%.17g" % v[1], "%.17g" % v[2]])
+    _write_csv(out / "radial_mean.csv", ["t", "mean_perp_norm"],
+               (("%.17g" % t, "%.17g" % np.linalg.norm(m))
+                for t, m in zip(rep.t_grid, rep.mean_perp)), None)
+    grid_to_csv(rep.phi, rep.t_grid, rep.solution, out / "solution.csv")
     _write_json(out / "annulus_report.json", rep.to_dict())
     print(f"annulus: kappa={args.kappa:g} max|<m_perp>|={rep.max_mean_perp:.3e} "
           f"-> {out}")

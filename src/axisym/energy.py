@@ -16,24 +16,24 @@ trigonometric interpolant (FFT multiplier k^2, Nyquist included), so pure
 first harmonics have exactly their continuum energy and the discrete
 Poincare-Wirtinger inequality holds mode by mode.  The t-derivative term
 is in conservative flux form: first differences between adjacent t nodes,
-weighted by sqrt(g)/h2^2 evaluated at the cell edge between them.  This is
-second-order accurate, closes periodically for closed curves, imposes the
-natural boundary condition at free ends, and at axis-touching ends the
-pole edge weight vanishes with sqrt(g), so fields that are smooth across
-the pole are discretely near-critical there (no pole special-casing).
+weighted by sqrt(g)/h2^2 evaluated at the cell edge between them
+(SurfaceMesh.edge_weights).  This is second-order accurate, closes
+periodically for closed curves, imposes the natural boundary condition at
+free ends, and at axis-touching ends the pole edge weight vanishes with
+sqrt(g), so fields that are smooth across the pole are discretely
+near-critical there (no pole special-casing).  The differences and their
+transpose are array slices along the t axis (t_diff, t_diff_transpose);
+no matrix is assembled.
 
-All reductions are fixed-order numpy sums, so results are identical across
-thread counts.
+All reductions are fixed-order numpy sums, so reruns are bit-identical.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.interpolate import CubicSpline
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
@@ -303,9 +303,6 @@ def make_params(mesh, target, potential, aniso, weight, boundary=None):
 # discrete derivative operators
 # ---------------------------------------------------------------------------
 
-_t_op_cache = weakref.WeakKeyDictionary()
-
-
 def _phi_multiplier(n_phi):
     k = np.arange(n_phi // 2 + 1, dtype=float)
     return k ** 2
@@ -320,65 +317,28 @@ def lphi(values):
     return np.fft.irfft(coeff, n=n, axis=0)
 
 
-def _meridian_edge_weights(mesh):
-    """Edge weights sqrt(g)/h2^2 of one meridian and whether it closes.
+def t_diff(values, mesh):
+    """Differences a[j+1] - a[j] across the t edges of each meridian.
 
-    Edges sit at t_0 + (j+1) dt between adjacent t nodes; a closed curve
-    adds the seam edge at t_0 as the last one.
+    t runs along axis -2 of values (a profile (n_t, k) or a field
+    (n_phi, n_t, k)); the edges are those of mesh.edge_weights, so a closed
+    curve adds the seam difference a[0] - a[n_t-1] last.  Callers scale
+    by 1/dt first: t_diff(c * m) is c m[j+1] - c m[j].
     """
-    surf = mesh.surface
-    t0 = surf.curve.interval[0]
-    periodic = mesh.t_ends[0] == "periodic"
-    t_interior = t0 + mesh.dt * np.arange(1, mesh.n_t)
-    w = surf.sqrtg(t_interior) / surf.h2(t_interior) ** 2
-    if periodic:
-        w = np.append(w, surf.sqrtg(t0) / surf.h2(t0) ** 2)
-    return w, periodic
+    if mesh.t_ends[0] == "periodic":
+        return np.roll(values, -1, axis=-2) - values
+    return values[..., 1:, :] - values[..., :-1, :]
 
 
-def t_edge_operator(mesh):
-    """Flux-form t-derivative: differences between adjacent t nodes.
-
-    Returns (D, DT, w_edges, n_edges_per_meridian) where D maps flattened
-    node values to edge values (m[j+1] - m[j])/dt, edges ordered meridian
-    major, and w_edges holds sqrt(g)/h2^2 at the cell edges t_0 + (j+1) dt.
-    Closed curves get a seam edge; free ends get none (natural boundary
-    condition); at axis-touching ends the would-be pole edge has weight
-    sqrt(g) = 0, so it is omitted.
-    """
-    cached = _t_op_cache.get(mesh)
-    if cached is not None:
-        return cached
-    n_phi, n_t = mesh.shape
-    w_per, periodic = _meridian_edge_weights(mesh)
-    n_edges = len(w_per)
-    w_edges = np.tile(w_per, n_phi)
-
-    c = 1.0 / mesh.dt
-    rows, cols, vals = [], [], []
-    for i in range(n_phi):
-        for e in range(n_t - 1):
-            row = i * n_edges + e
-            rows += [row, row]
-            cols += [i * n_t + e + 1, i * n_t + e]
-            vals += [c, -c]
-        if periodic:
-            row = i * n_edges + n_t - 1
-            rows += [row, row]
-            cols += [i * n_t + 0, i * n_t + n_t - 1]
-            vals += [c, -c]
-    D = sp.csr_matrix((vals, (rows, cols)), shape=(n_phi * n_edges, n_phi * n_t))
-    ops = (D, sp.csr_matrix(D.T), w_edges, n_edges)
-    _t_op_cache[mesh] = ops
-    return ops
-
-
-def t_edge_differences(field_values, mesh):
-    """Edge differences (m[j+1] - m[j])/dt, shape (n_phi, n_edges, ncomp)."""
-    D, _, _, n_edges = t_edge_operator(mesh)
-    ncomp = field_values.shape[-1]
-    flat = field_values.reshape(-1, ncomp)
-    return (D @ flat).reshape(field_values.shape[0], n_edges, ncomp)
+def t_diff_transpose(flux, mesh):
+    """Transpose of t_diff: each edge adds +flux to its upper node and
+    -flux to its lower one (edges along axis -2, nodes out)."""
+    if mesh.t_ends[0] == "periodic":
+        return np.roll(flux, 1, axis=-2) - flux
+    out = np.zeros(flux.shape[:-2] + (mesh.n_t, flux.shape[-1]))
+    out[..., 1:, :] = flux
+    out[..., :-1, :] -= flux
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -409,10 +369,9 @@ def _phi_quad_rows(values, mesh):
 
 def _t_energy_per_slice(field_values, mesh):
     """Flux-form t-derivative energy attributed per meridian: (n_phi,)."""
-    _, _, w_edges, n_edges = t_edge_operator(mesh)
-    diffs = t_edge_differences(field_values, mesh)
-    w = w_edges.reshape(field_values.shape[0], n_edges)
-    return mesh.dt * np.sum(w * np.sum(diffs ** 2, axis=-1), axis=1)
+    diffs = t_diff((1.0 / mesh.dt) * field_values, mesh)
+    return mesh.dt * np.sum(mesh.edge_weights * np.sum(diffs ** 2, axis=-1),
+                            axis=1)
 
 
 def dirichlet_energy(field, perp_only=False):
@@ -475,9 +434,9 @@ def euclidean_gradient(field, params):
     w_phi = (mesh.sqrtg / mesh.h1 ** 2)[None, :, None]
     grad = 2 * scale * w_phi * lphi(vals)
 
-    D, DT, w_edges, _ = t_edge_operator(mesh)
-    dv = D @ vals.reshape(-1, 3)
-    grad += 2 * scale * (DT @ (w_edges[:, None] * dv)).reshape(vals.shape)
+    c = 1.0 / mesh.dt
+    flux = mesh.edge_weights[:, None] * t_diff(c * vals, mesh)
+    grad += 2 * scale * t_diff_transpose(c * flux, mesh)
 
     dots = np.sum(vals * params.aniso.node_values, axis=-1)
     grad += scale * mesh.sqrtg[None, :, None] \
@@ -512,8 +471,7 @@ class ProfileFunctional:
       on which lphi is the identity, and its vertical part is constant in
       phi, where lphi vanishes;
     - t-term: rotations preserve edge differences, so every meridian
-      carries the t-energy of gamma (edge weights and periodic seam as in
-      t_edge_operator);
+      carries the t-energy of gamma (the mesh's edge weights and seam);
     - anisotropy: m_ij . a_ij = gamma_j . b_ij with b_ij = R(phi_i)^T a_ij,
       exact also when the anisotropy variant differs from the profile's;
     - penalty: the circular mean of a swept horizontal part vanishes.
@@ -530,18 +488,10 @@ class ProfileFunctional:
             -1, 0).copy()
         ring = 2 * np.pi * mesh.dt          # dphi * n_phi * dt
         self.w_phi = ring * mesh.sqrtg / mesh.h1 ** 2
-        w_edges, periodic = _meridian_edge_weights(mesh)
-        self.w_edges = ring * w_edges
-        self.hi = np.arange(1, mesh.n_t)
-        self.lo = np.arange(mesh.n_t - 1)
-        if periodic:
-            self.hi = np.append(self.hi, 0)
-            self.lo = np.append(self.lo, mesh.n_t - 1)
+        self.w_edges = ring * mesh.edge_weights
         self.c = 1.0 / mesh.dt
         self.w_aniso = mesh.dphi * mesh.dt * mesh.sqrtg
-
-    def _edge_differences(self, gamma):
-        return self.c * gamma[self.hi] - self.c * gamma[self.lo]
+        self.mesh = mesh
 
     def _dots(self, gamma):
         b = self.b
@@ -549,7 +499,7 @@ class ProfileFunctional:
 
     def value(self, gamma):
         """Energy of the swept field of the (n_t, 3) profile gamma."""
-        diffs = self._edge_differences(gamma)
+        diffs = t_diff(self.c * gamma, self.mesh)
         dots = self._dots(gamma)
         return float(np.sum(self.w_phi * np.sum(gamma[:, :2] ** 2, axis=-1))
                      + np.sum(self.w_edges * np.sum(diffs ** 2, axis=-1))
@@ -560,10 +510,9 @@ class ProfileFunctional:
         if self.potential.non_differentiable:
             raise NonDifferentiableError(
                 "custom potential table has kinks; gradient refused")
-        flux = 2 * self.c * self.w_edges[:, None] * self._edge_differences(gamma)
-        grad = np.zeros_like(gamma)
-        grad[self.hi] += flux
-        grad[self.lo] -= flux
+        diffs = t_diff(self.c * gamma, self.mesh)
+        flux = 2 * self.c * self.w_edges[:, None] * diffs
+        grad = t_diff_transpose(flux, self.mesh)
         dg = np.asarray(self.potential.dg(self._dots(gamma)))
         grad += self.w_aniso[:, None] * np.einsum("ij,kij->jk", dg, self.b)
         grad[:, :2] += 2 * self.w_phi[:, None] * gamma[:, :2]
@@ -582,8 +531,8 @@ class SobolevPreconditioner:
 
         H_k = scale (2 T + diag(sqrtg) + 2 k^2 diag(sqrtg / h1^2)),
 
-    where T is the flux-form t-stiffness (edge weights sqrt(g)/h2^2 / dt^2
-    as in t_edge_operator) and scale = dphi dt, so H is the Hessian of the
+    where T is the flux-form t-stiffness (the mesh's edge weights
+    sqrt(g)/h2^2, over dt^2) and scale = dphi dt, so H is the Hessian of the
     Dirichlet energy plus the quadrature mass.  The seam edge of closed
     curves is left out: every block is then tridiagonal and still symmetric
     positive definite, which is all a preconditioner needs.  Rows listed in
@@ -606,8 +555,7 @@ class SobolevPreconditioner:
         self.profile = profile
         n_modes = 2 if profile else mesh.n_phi // 2 + 1
         scale = (2 * np.pi if profile else mesh.dphi) * mesh.dt
-        w_edges, _ = _meridian_edge_weights(mesh)
-        w = w_edges[:n_t - 1] / mesh.dt ** 2
+        w = mesh.edge_weights[:n_t - 1] / mesh.dt ** 2
         stiff = np.zeros(n_t)
         stiff[:-1] += w
         stiff[1:] += w

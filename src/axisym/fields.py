@@ -152,12 +152,6 @@ def build_from_triple(mesh, alpha_perp, beta_perp, eta):
     return vals
 
 
-def l2_norm(field):
-    """Quadrature-weighted L2 norm of the field over the surface."""
-    return float(np.sqrt(np.sum(field.mesh.quad_weights
-                                * np.sum(field.values ** 2, axis=-1))))
-
-
 def symmetry_defect(field, variant):
     """Quadrature-weighted L2 distance from the rotation-(contra)variant
     field generated by the phi = 0 meridian; zero iff the sampled field is
@@ -252,18 +246,17 @@ def random_field(mesh, target, seed, smoothness=3):
 # ---------------------------------------------------------------------------
 
 def field_to_csv(field, path_or_buf, header_comment=None):
-    rows = _field_rows(field)
+    grid_to_csv(field.mesh.phi, field.mesh.t, field.values, path_or_buf,
+                header_comment)
+
+
+def grid_to_csv(phi, t, values, path_or_buf, header_comment=None):
+    """One row per (phi_i, t_j) node of values (len(phi), len(t), 3)."""
+    rows = ((str(i), str(j), _FMT % phi[i], _FMT % t[j], _FMT % v[0],
+             _FMT % v[1], _FMT % v[2])
+            for i in range(len(phi)) for j, v in enumerate(values[i]))
     _write_csv(path_or_buf, ["phi_index", "t_index", "phi", "t", "mx", "my", "mz"],
                rows, header_comment)
-
-
-def _field_rows(field):
-    mesh = field.mesh
-    for i in range(mesh.n_phi):
-        for j in range(mesh.n_t):
-            v = field.values[i, j]
-            yield (str(i), str(j), _FMT % mesh.phi[i], _FMT % mesh.t[j],
-                   _FMT % v[0], _FMT % v[1], _FMT % v[2])
 
 
 def field_from_csv(path_or_buf, mesh, target):

@@ -272,6 +272,12 @@ class SurfaceMesh:
     t_ends classifies each end of the t-range: "axis" (curve touches the
     e3-axis there, chart continues through the pole), "periodic" (closed
     curve), or "free" (genuine boundary circle).
+
+    edge_weights holds sqrt(g)/h2^2 at the meridian cell edges between
+    adjacent t nodes, t_min + (j + 1) dt; a closed curve adds its seam edge
+    at t_min as the last one.  Free ends get no edge (natural boundary
+    condition), and at an axis-touching end the would-be pole edge has
+    weight sqrt(g) = 0, so it is omitted too.
     """
 
     surface: SurfaceOfRevolution
@@ -286,6 +292,7 @@ class SurfaceMesh:
     sqrtg: np.ndarray
     quad_weights: np.ndarray
     t_ends: tuple[str, str]
+    edge_weights: np.ndarray
 
     @property
     def shape(self):
@@ -364,9 +371,12 @@ def build_mesh(surf, n_phi, n_t):
             return "periodic"
         return "axis" if any(abs(ta - a) < 1e-12 for a in curve.touches_axis_at) else "free"
 
-    mesh = SurfaceMesh(surf, n_phi, n_t, phi, t, dphi, dt, h1, h2, sqrtg,
-                       weights, (end_kind(t0), end_kind(t1)))
-    return mesh
+    t_edges = t0 + dt * np.arange(1, n_t)
+    if curve.closed:
+        t_edges = np.append(t_edges, t0)
+    edge_weights = surf.sqrtg(t_edges) / surf.h2(t_edges) ** 2
+    return SurfaceMesh(surf, n_phi, n_t, phi, t, dphi, dt, h1, h2, sqrtg,
+                       weights, (end_kind(t0), end_kind(t1)), edge_weights)
 
 
 def surface_normal(mesh, i_phi=None, j_t=None):

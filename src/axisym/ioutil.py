@@ -1,6 +1,6 @@
 """Deterministic JSON rendering with 17-significant-digit floats.
 
-Artifacts are compared byte for byte across reruns and thread counts, so
+Artifacts are compared byte for byte across reruns, so
 serialization must be fully deterministic: keys sorted, floats rendered
 with %.17g (which round-trips IEEE doubles exactly), LF line endings.
 Every artifact is strict JSON: non-finite floats are refused, never

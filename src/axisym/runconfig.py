@@ -57,6 +57,7 @@ _SOLVER_KEYS = {"max_iters", "grad_tol", "step_init", "armijo_c",
                 "armijo_shrink", "restarts", "seed"}
 _SUITE_KEYS = {"grid", "solver", "seeds", "chain_fields", "pw_fields",
                "annulus", "instances", "plant_failure"}
+_ANNULUS_KEYS = {"kappas", "n_t", "n_phi"}
 
 
 def _check_keys(section, allowed, where):
@@ -92,9 +93,14 @@ def load_config(path):
             if cfg["boundary"].get(side) is not None:
                 _check_keys(cfg["boundary"][side], _BOUNDARY_SIDE_KEYS,
                             f"config.boundary.{side}")
-    if "solver" in cfg.get("suite", {}):
+    suite = cfg.get("suite", {})
+    for name, allowed in (("grid", _GRID_KEYS), ("solver", _SOLVER_KEYS),
+                          ("annulus", _ANNULUS_KEYS)):
+        if name in suite:
+            _check_keys(suite[name], allowed, f"config.suite.{name}")
+    if "solver" in suite:
         # the suite builds its instances with build_run from these settings
-        _check_keys(cfg["suite"]["solver"], _SOLVER_KEYS, "config.suite.solver")
+        _solve_config(suite["solver"], "config.suite.solver")
     return cfg
 
 
@@ -227,6 +233,15 @@ def _build_boundary(section, mesh):
     return BoundaryCondition("dirichlet", sides["bottom"], sides["top"], variant)
 
 
+def _solve_config(section, where):
+    """SolveConfig from a solver section, or ConfigError naming `where`."""
+    try:
+        return SolveConfig(**{k: (int(v) if k in ("max_iters", "restarts", "seed")
+                                  else float(v)) for k, v in section.items()})
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def build_run(cfg, seed_override=None, grid_override=None):
     """Instantiate (mesh, target, params, solve_config) from config."""
     if grid_override:
@@ -254,9 +269,4 @@ def build_run(cfg, seed_override=None, grid_override=None):
     solver_cfg = dict(cfg.get("solver", {}))
     if seed_override is not None:
         solver_cfg["seed"] = int(seed_override)
-    try:
-        sc = SolveConfig(**{k: (int(v) if k in ("max_iters", "restarts", "seed")
-                                else float(v)) for k, v in solver_cfg.items()})
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config.solver: {exc}") from exc
-    return mesh, target, params, sc
+    return mesh, target, params, _solve_config(solver_cfg, "config.solver")

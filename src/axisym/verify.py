@@ -414,18 +414,30 @@ DEFAULT_SUITE_CONFIG = {
     "plant_failure": False,   # synthetic failing certificate (harness test)
 }
 
+# suite sections whose keys merge one by one over the defaults
+_SUITE_SECTIONS = ("grid", "solver", "annulus")
+
+
+def suite_config(config=None):
+    """DEFAULT_SUITE_CONFIG with config laid over it: the grid, solver and
+    annulus sections merge key by key, other keys replace the default."""
+    cfg = copy.deepcopy(DEFAULT_SUITE_CONFIG)
+    for key, value in (config or {}).items():
+        cfg[key] = dict(cfg[key], **value) if key in _SUITE_SECTIONS else value
+    return cfg
+
 
 def run_suite(config=None, out_dir=None, tols=DEFAULT_TOLERANCES):
     """Run the registered instance matrix and emit certificates.
 
-    Returns (certificates, summary); summary["all_pass"] needs at least
-    one certificate and no failed applicable one.  With out_dir set, writes
+    config is merged over DEFAULT_SUITE_CONFIG by suite_config.  Returns
+    (certificates, summary); summary["all_pass"] needs at least one
+    certificate and no failed applicable one.  With out_dir set, writes
     one JSON file per instance (its certificate list) plus summary.json.
     The run is deterministic under fixed seeds: certificates carry no
     timestamps and reruns are byte-identical.
     """
-    cfg = dict(DEFAULT_SUITE_CONFIG)
-    cfg.update(config or {})
+    cfg = suite_config(config)
     grid = (cfg["grid"]["n_phi"], cfg["grid"]["n_t"])
     names = cfg["instances"]
     selected = [n for n in DEFAULT_INSTANCES if names is None or n in names]
@@ -458,7 +470,7 @@ def run_suite(config=None, out_dir=None, tols=DEFAULT_TOLERANCES):
     if names is None or "annulus_pde" in (names or []):
         ann = cfg["annulus"]
         emit("annulus_pde", verify_annulus(ann["kappas"], ann["n_t"],
-                                           ann["n_phi"], cfg["seeds"][0], tols))
+                                           ann["n_phi"], first_seed, tols))
 
     if cfg.get("plant_failure"):
         emit("planted_failure", TheoremCertificate(

@@ -220,16 +220,18 @@ def test_annulus_constant_e3(tmp_path):
 
 def test_annulus_singular_kappa_exits_2(tmp_path):
     # the vertical operator -Lap + kappa is singular when -kappa is a
-    # Dirichlet eigenvalue of the discrete -Lap; find one exactly
-    from axisym.solvers import _annulus_matrix
-
+    # Dirichlet eigenvalue of the discrete -Lap.  The smallest one belongs
+    # to the phi-constant mode, where the polar 5-point stencil reduces to
+    # the radial tridiagonal -(c_up m[k+1] - (c_up + c_dn) m[k] + c_dn m[k-1])
+    # on the interior radii t_k = 1 + k h
     n_t, n_phi = 16, 8
     h = 1.0 / n_t
-    t = 1.0 + h * np.arange(n_t + 1)
-    dphi = 2 * np.pi / n_phi
-    A0, _, _ = _annulus_matrix(n_phi, n_t, t, h, dphi, 0.0)
-    eigs = np.linalg.eigvals(A0.toarray())
-    lam = float(np.min(eigs.real))
+    tk = 1.0 + h * np.arange(1, n_t)
+    c_up = (tk + h / 2) / (tk * h * h)
+    c_dn = (tk - h / 2) / (tk * h * h)
+    radial = (np.diag(c_up + c_dn) - np.diag(c_up[:-1], 1)
+              - np.diag(c_dn[1:], -1))
+    lam = float(np.min(np.linalg.eigvals(radial).real))
     kappa_star = -lam
     rc = main(["annulus", "--kappa", repr(kappa_star), "--n-t", str(n_t),
                "--n-phi", str(n_phi), "--inner", "0,0,1", "--outer", "0,0,1",
@@ -298,6 +300,43 @@ def test_verify_unknown_solver_key_exits_3(tmp_path, capsys):
                                   "solver": {"max_iter": 10}})
     assert main(["verify", "--config", str(cfg_path)]) == 3
     assert "config.suite.solver.max_iter" in capsys.readouterr().err
+
+
+def test_verify_bad_suite_sections_exit_3(tmp_path, capsys):
+    cfg_path = tmp_path / "verify.json"
+    write_config(cfg_path, suite={"solver": {"max_iters": "abc"}})
+    assert main(["verify", "--config", str(cfg_path)]) == 3
+    assert "config error: config.suite.solver: " in capsys.readouterr().err
+    write_config(cfg_path, suite={"annulus": {"n_r": 16}})
+    assert main(["verify", "--config", str(cfg_path)]) == 3
+    assert "config.suite.annulus.n_r: unknown key" in capsys.readouterr().err
+
+
+def test_verify_partial_suite_sections_merge_over_defaults(tmp_path):
+    # a partial grid, solver or annulus section overrides only the keys it
+    # names; the others keep the suite defaults
+    cfg_path = tmp_path / "verify.json"
+    cfg_path.write_text(json.dumps({"schema": "axisym-run/1", "suite": {
+        "instances": ["annulus_pde"], "annulus": {"n_t": 16}}}),
+        encoding="utf-8")
+    out = tmp_path / "annulus"
+    assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 0
+    cert, = ioutil.loads((out / "cert_annulus_pde.json").read_text())[
+        "certificates"]
+    assert cert["instance"]["grid"] == [32, 16]
+    assert cert["instance"]["kappas"] == [0.0, 0.5, 1.0, 5.0]
+
+    cfg_path.write_text(json.dumps({"schema": "axisym-run/1", "suite": {
+        "instances": ["cylinder2_quadratic_const1"], "grid": {"n_t": 12},
+        "solver": {"restarts": 0}, "chain_fields": 1, "pw_fields": 1}}),
+        encoding="utf-8")
+    out = tmp_path / "cylinder"
+    assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 0
+    cert = ioutil.loads((out / "cert_cylinder2_quadratic_const1_s0.json")
+                        .read_text())["certificates"][0]
+    assert cert["instance"]["config"]["grid"] == {"n_phi": 32, "n_t": 12}
+    assert cert["instance"]["config"]["solver"] == {
+        "restarts": 0, "max_iters": 4000, "grad_tol": 1e-9, "seed": 0}
 
 
 def test_verify_empty_seeds_exits_3(tmp_path, capsys):

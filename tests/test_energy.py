@@ -1,5 +1,8 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from axisym.energy import (
     NonDifferentiableError,
@@ -14,7 +17,6 @@ from axisym.energy import (
     easy_normal_potential,
     euclidean_gradient,
     hypothesis_margin,
-    lphi,
     make_params,
     penalty_energy,
     penalty_energy_raw,
@@ -22,7 +24,6 @@ from axisym.energy import (
     quadratic_potential,
     quartic_potential,
     riemannian_gradient,
-    t_edge_operator,
     table_potential,
     total_energy,
     weight_constant,
@@ -36,7 +37,10 @@ from axisym.geometry import (
     rotate_inverse,
     surface,
     surface_normal,
+    sweep,
 )
+from axisym.runconfig import build_run
+from axisym.verify import instance
 from conftest import make_instance
 
 
@@ -180,15 +184,51 @@ def test_total_e3_field_anisotropy_only():
     assert abs(bd.anisotropy - 4 * np.pi / 3) / (4 * np.pi / 3) < 1e-2
 
 
-def test_rotation_invariance():
-    mesh, tgt, params = make_instance(weight=("margin", 1.4))
-    f = random_field(mesh, tgt, seed=5)
-    e0 = total_energy(f, params).total
-    for shift in (1, 7):
-        rolled = np.roll(f.values, shift, axis=0)
-        rotated = rotate(mesh.phi[shift], rolled)
-        e1 = total_energy(DiscreteField(mesh, tgt, rotated), params).total
-        assert abs(e1 - e0) < 1e-10 * (1 + abs(e0))
+@lru_cache(maxsize=None)
+def _equivariance_instance(name):
+    if name == "sphere":
+        return make_instance(weight=("margin", 1.4))
+    if name == "torus_band":          # closed curve: the seam edge
+        return make_instance(base="torus_band", target="torus_band",
+                             n_phi=16, n_t=12, potential=("quadratic", 0.5),
+                             weight=("margin", 1.2))
+    if name == "antisymmetric_cylinder":
+        return make_instance(base="cylinder", base_kw={"radius": 2.0},
+                             n_phi=16, n_t=12, potential=("quadratic", 1.0),
+                             aniso="antisymmetric_profile",
+                             weight=("constant", 1.0))
+    return build_run(instance("cylinder2_dirichlet_top", 16, 12)["config"])[:3]
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(["sphere", "torus_band", "antisymmetric_cylinder",
+                             "dirichlet_cylinder"]),
+       shift=st.integers(1, 63), seed=st.integers(0, 2 ** 16))
+@example(name="sphere", shift=1, seed=5)
+@example(name="sphere", shift=7, seed=5)
+def test_rotation_invariance(name, shift, seed):
+    # Z_n equivariance: rolling a field by `shift` phi nodes and rotating
+    # its values by phi[shift] (by the anisotropy's rotation law) keeps the
+    # energy and carries the gradient along, g(R roll m) = R roll g(m)
+    mesh, tgt, params = _equivariance_instance(name)
+    shift %= mesh.n_phi
+    vals = random_field(mesh, tgt, seed=seed).values
+    if params.boundary.top is not None:
+        vals[:, -1] = params.boundary.top
+
+    def move(v):
+        return sweep(mesh.phi[shift], np.roll(v, shift, axis=0),
+                     params.aniso.variant)
+
+    moved = DiscreteField(mesh, tgt, move(vals))
+    if params.boundary.top is not None:     # symmetric ring data stay put
+        assert np.max(np.abs(moved.values[:, -1] - params.boundary.top)) < 1e-14
+    e0 = total_energy(DiscreteField(mesh, tgt, vals), params).total
+    e1 = total_energy(moved, params).total
+    assert abs(e1 - e0) < 1e-10 * (1 + abs(e0))
+    g0 = euclidean_gradient(DiscreteField(mesh, tgt, vals), params)
+    g1 = euclidean_gradient(moved, params)
+    assert np.max(np.abs(g1 - move(g0))) <= 1e-10 * max(1.0, np.max(np.abs(g0)))
 
 
 # ---------------------------------------------------------------------------
@@ -363,14 +403,11 @@ def test_profile_functional_gradient_central_differences(name, variant):
 # H^1 preconditioner
 # ---------------------------------------------------------------------------
 
-def dirichlet_plus_mass(mesh, v):
-    """H v from lphi, t_edge_operator and the quadrature mass."""
-    scale = mesh.dphi * mesh.dt
-    D, DT, w_edges, _ = t_edge_operator(mesh)
-    t_part = DT @ (w_edges[:, None] * (D @ v.reshape(-1, 3)))
-    return scale * (2 * (mesh.sqrtg / mesh.h1 ** 2)[None, :, None] * lphi(v)
-                    + 2 * t_part.reshape(v.shape)
-                    + mesh.sqrtg[None, :, None] * v)
+def dirichlet_plus_mass(mesh, tgt, params, v):
+    """H v: with g = 0 and zero weight the Euclidean gradient is the
+    Dirichlet Hessian applied to v; add the quadrature mass."""
+    grad = euclidean_gradient(DiscreteField(mesh, tgt, v), params)
+    return grad + mesh.dphi * mesh.dt * mesh.sqrtg[None, :, None] * v
 
 
 @pytest.mark.parametrize("base, dirichlet", [("cylinder", False),
@@ -379,13 +416,14 @@ def dirichlet_plus_mass(mesh, v):
 def test_preconditioner_inverts_dirichlet_plus_mass(base, dirichlet):
     mesh, tgt, params = make_instance(base=base, n_phi=16, n_t=12,
                                       potential=("quadratic", 0.0),
+                                      weight=("zero", 0.0),
                                       base_kw={"radius": 2.0}
                                       if base == "cylinder" else None)
     frozen = [0, mesh.n_t - 1] if dirichlet else []
     precond = SobolevPreconditioner(mesh, frozen_rows=frozen)
     v = np.random.default_rng(3).normal(size=mesh.shape + (3,))
     v[:, frozen, :] = 0.0
-    hv = dirichlet_plus_mass(mesh, v)
+    hv = dirichlet_plus_mass(mesh, tgt, params, v)
     hv[:, frozen, :] = 0.0           # pinned rows are eliminated
     assert np.max(np.abs(precond.solve(hv) - v)) <= 1e-10 * np.max(np.abs(v))
     if dirichlet:

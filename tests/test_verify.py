@@ -187,6 +187,14 @@ def test_empty_corpus_certificates_inapplicable(seeds, n_fields):
     assert certs[0].residuals["fields_checked"] == 0.0
 
 
+def test_annulus_only_suite_without_seeds():
+    # the annulus certificate takes the suite's first seed, 0 when none
+    certs, summary = run_suite({"seeds": [], "instances": ["annulus_pde"]})
+    assert [c.theorem for c in certs] == ["annulus_null_average"]
+    assert certs[0].applicable and summary["all_pass"]
+    assert certs[0].instance["seed"] == 0
+
+
 def test_default_suite_all_pass(tmp_path):
     # the full default matrix is the verification gate: every applicable
     # certificate must pass, deterministically, within the runtime budget
