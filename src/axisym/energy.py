@@ -37,7 +37,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
-from .geometry import ring_defect, sweep, tangent_project_points
+from .geometry import dot3, ring_defect, sweep, tangent_project_points
 from .fields import circular_average_perp
 
 SQRT_2PI = float(np.sqrt(2 * np.pi))
@@ -370,8 +370,7 @@ def _phi_quad_rows(values, mesh):
 def _t_energy_per_slice(field_values, mesh):
     """Flux-form t-derivative energy attributed per meridian: (n_phi,)."""
     diffs = t_diff((1.0 / mesh.dt) * field_values, mesh)
-    return mesh.dt * np.sum(mesh.edge_weights * np.sum(diffs ** 2, axis=-1),
-                            axis=1)
+    return mesh.dt * np.sum(mesh.edge_weights * dot3(diffs, diffs), axis=1)
 
 
 def dirichlet_energy(field, perp_only=False):
@@ -390,7 +389,7 @@ def dirichlet_energy(field, perp_only=False):
 
 def anisotropy_energy(field, params):
     mesh = field.mesh
-    dots = np.sum(field.values * params.aniso.node_values, axis=-1)
+    dots = dot3(field.values, params.aniso.node_values)
     return float(mesh.dphi * mesh.dt
                  * np.sum(mesh.sqrtg * params.potential.g(dots).sum(axis=0)))
 
@@ -438,7 +437,7 @@ def euclidean_gradient(field, params):
     flux = mesh.edge_weights[:, None] * t_diff(c * vals, mesh)
     grad += 2 * scale * t_diff_transpose(c * flux, mesh)
 
-    dots = np.sum(vals * params.aniso.node_values, axis=-1)
+    dots = dot3(vals, params.aniso.node_values)
     grad += scale * mesh.sqrtg[None, :, None] \
         * np.asarray(params.potential.dg(dots))[..., None] * params.aniso.node_values
 
@@ -502,7 +501,7 @@ class ProfileFunctional:
         diffs = t_diff(self.c * gamma, self.mesh)
         dots = self._dots(gamma)
         return float(np.sum(self.w_phi * np.sum(gamma[:, :2] ** 2, axis=-1))
-                     + np.sum(self.w_edges * np.sum(diffs ** 2, axis=-1))
+                     + np.sum(self.w_edges * dot3(diffs, diffs))
                      + np.sum(self.w_aniso * self.potential.g(dots).sum(axis=0)))
 
     def gradient(self, gamma):

@@ -60,6 +60,14 @@ def rotate_inverse(phi, v):
     return rotate(-np.asarray(phi, dtype=float), v)
 
 
+def dot3(a, b):
+    """Dot products of 3-vectors along the last axis,
+    a0 b0 + a1 b1 + a2 b2: the same value, bit for bit, as
+    np.sum(a * b, axis=-1) without an axis reduction."""
+    return (a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+            + a[..., 2] * b[..., 2])
+
+
 def sweep(phi, v, variant):
     """Sweep v around the e3-axis by the variant's rotation law: rotate for
     "symmetric", rotate_inverse for any other variant (antisymmetric)."""
@@ -546,8 +554,8 @@ def tangent_frame(target, pts, params=None):
         sin_t = np.where(r > 0, flat[:, 1] / np.where(r > 0, r, 1.0), 0.0)
     u1 = np.stack([-sin_t, cos_t, np.zeros_like(r)], axis=-1)
     h2 = target.h2(params)
-    u2 = np.stack([target.curve.dx(params) * cos_t,
-                   target.curve.dx(params) * sin_t,
+    dx = target.curve.dx(params)
+    u2 = np.stack([dx * cos_t, dx * sin_t,
                    target.curve.dz(params)], axis=-1) / h2[:, None]
     return u1.reshape(pts.shape), u2.reshape(pts.shape)
 
@@ -557,9 +565,7 @@ def project_to_frame(frame, w):
     (u1, u2), as returned by tangent_frame."""
     u1, u2 = frame
     w = np.asarray(w, dtype=float)
-    c1 = np.sum(w * u1, axis=-1, keepdims=True)
-    c2 = np.sum(w * u2, axis=-1, keepdims=True)
-    return c1 * u1 + c2 * u2
+    return dot3(w, u1)[..., None] * u1 + dot3(w, u2)[..., None] * u2
 
 
 def tangent_project_points(target, pts, w, params=None):

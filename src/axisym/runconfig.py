@@ -34,7 +34,7 @@ from .energy import (
     weight_zero,
 )
 from .geometry import GeometryError, build_mesh, spline_curve, surface
-from .solvers import SolveConfig
+from .solvers import ANNULUS_MIN_GRID, SolveConfig
 
 RUN_SCHEMA = "axisym-run/1"
 
@@ -101,7 +101,30 @@ def load_config(path):
     if "solver" in suite:
         # the suite builds its instances with build_run from these settings
         _solve_config(suite["solver"], "config.suite.solver")
+    if "annulus" in suite:
+        _check_annulus(suite["annulus"], "config.suite.annulus")
     return cfg
+
+
+def _check_annulus(section, where):
+    """ConfigError naming `where`.<key> unless n_t and n_phi are integers
+    from the solver's minimum to 4096 and kappas is a non-empty list of
+    finite numbers; keys the section leaves out keep the suite defaults."""
+    for key, low in ANNULUS_MIN_GRID.items():
+        if key not in section:
+            continue
+        n = section[key]
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise ConfigError(f"{where}.{key}: expected an integer, got {n!r}")
+        if not low <= n <= 4096:
+            raise ConfigError(f"{where}.{key}: must lie in [{low}, 4096]")
+    if "kappas" in section:
+        kappas, big = section["kappas"], np.finfo(float).max
+        if not (isinstance(kappas, list) and kappas
+                and all(isinstance(k, (int, float)) and not isinstance(k, bool)
+                        and -big <= k <= big for k in kappas)):
+            raise ConfigError(f"{where}.kappas: expected a non-empty list of "
+                              f"finite numbers, got {kappas!r}")
 
 
 def _read_table(path, columns):

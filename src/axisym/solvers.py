@@ -2,17 +2,20 @@
 
 2D solver: projected descent on target-valued fields along a Sobolev (H^1)
 direction: the tangent-projected gradient is preconditioned with the
-discrete Dirichlet operator plus mass (energy.SobolevPreconditioner, one
-banded solve per iteration) and tangent-projected again, so iteration
-counts do not grow with the grid.  Limited-memory BFGS on top of that
-preconditioner takes up the soft modes it leaves (unit trial steps),
-with Armijo backtracking (monotone) and closest-point retraction after
-every step.  The stop test bounds the sup of the tangent-projected
-Euclidean gradient.  Several restarts from seeded random fields plus two
-structured initializations (the rotation-swept normal profile, both
-symmetry variants) mitigate non-convexity; only the best found field is
-reported, with symmetry diagnostics and every restart's stop reason
-attached.
+discrete Dirichlet operator plus mass (energy.SobolevPreconditioner) and
+tangent-projected again, so iteration counts do not grow with the grid.
+Limited-memory BFGS on top of that preconditioner takes up the soft modes
+it leaves (unit trial steps), with Armijo backtracking (monotone) and
+closest-point retraction after every step.  It makes one banded solve
+per iteration: the solve of each accepted gradient is kept, each
+curvature pair stores the difference of two of them, and the pairs are
+rows of stacked arrays, so the two-loop recursion is a few matrix-vector
+products (_PairMemory).  The stop test bounds the sup of the
+tangent-projected Euclidean gradient.  Several restarts from seeded random
+fields plus two structured initializations (the rotation-swept normal
+profile, both symmetry variants) mitigate non-convexity; only the best
+found field is reported, with symmetry diagnostics and every restart's
+stop reason attached.
 
 1D solver: minimizes over t-profiles gamma the energy of the swept field
 A(phi)^T gamma(t) (or A(phi) gamma(t)).  The descent only handles (n_t, 3)
@@ -100,48 +103,100 @@ class SolveConfig:
 _MEMORY = 20
 
 
-def _identity_direction(x, g):
+def _identity_solve(g):
     return g
 
 
-def _lbfgs_direction(x, g, pairs, direction_fn):
-    """Two-loop recursion over the stored pairs (s, y, 1 / s.y).
+def _identity_project(x, v):
+    return v
 
-    The initial inverse-Hessian approximation is direction_fn scaled by
-    s.y / (y . direction_fn(x, y)) of the newest pair.  Returns None when
-    that scale is not positive.
+
+class _PairMemory:
+    """The last _MEMORY curvature pairs (s, y, z) as rows of stacked arrays.
+
+    z = M^-1 y is the preconditioner applied to y, the difference of the
+    stored solves u = M^-1 g of the pair's two iterates.  Rows fill from 0
+    after a clear; once all are in use, the oldest row is overwritten.  sy
+    holds s_i . y_j, updated by two matrix-vector products per pair, so
+    both loops of the two-loop recursion reduce to one product with the
+    stacked arrays each plus _MEMORY-term recurrences.  The products run
+    over all rows: the coefficients of rows not in use are zero, and a
+    product with one row would go to a BLAS dot whose summation order
+    depends on the thread count.
     """
-    q = g.copy()
-    coeffs = []
-    for s, y, rho in reversed(pairs):
-        a = rho * float(np.sum(s * q))
-        q -= a * y
-        coeffs.append(a)
-    _, y, rho = pairs[-1]
-    yhy = float(np.sum(y * direction_fn(x, y)))
-    if not yhy > 0:
-        return None
-    d = direction_fn(x, q) / (rho * yhy)
-    for (s, y, rho), a in zip(pairs, reversed(coeffs)):
-        d += (a - rho * float(np.sum(y * d))) * s
-    return d
+
+    def __init__(self, n):
+        m = _MEMORY
+        self.S, self.Y, self.Z = (np.zeros((m, n)) for _ in range(3))
+        self.rho = np.zeros(m)
+        self.sy = np.zeros((m, m))
+        self.pushed = 0             # pairs pushed since the last clear
+
+    def clear(self):
+        self.pushed = 0
+
+    def push(self, s, y, z, sy):
+        """Store a pair with sy = s . y > 0, dropping the oldest if full."""
+        row = self.pushed % _MEMORY
+        self.pushed += 1
+        self.S[row], self.Y[row], self.Z[row] = s.ravel(), y.ravel(), z.ravel()
+        self.rho[row] = 1.0 / sy
+        self.sy[row] = self.Y @ self.S[row]
+        self.sy[:, row] = self.S @ self.Y[row]
+
+    def direction(self, g, u, project):
+        """L-BFGS direction at g, or None without pairs or when the scale
+        of the initial approximation is not positive.
+
+        The initial inverse-Hessian approximation is v -> P_T M^-1 v
+        (project(v) = P_T v) scaled by s.y / (y . P_T M^-1 y) of the
+        newest pair.  M^-1 is linear, so with u = M^-1 g the first loop's
+        q = g - sum a_i y_i gives M^-1 q = u - sum a_i z_i, and no solve
+        is made here.
+        """
+        if self.pushed == 0:
+            return None
+        m = _MEMORY
+        newest = (self.pushed - 1) % m
+        order = [(newest - j) % m for j in range(min(self.pushed, m))]
+        rho, sy = self.rho, self.sy
+        # s_i . q = s_i . g - sum over newer pairs j of a_j s_i . y_j
+        sg = self.S @ g.ravel()
+        a = np.zeros(m)
+        for i in order:                                  # newest first
+            a[i] = rho[i] * (sg[i] - sy[i] @ a)
+        pz = project(self.Z[newest].reshape(g.shape))
+        yhy = float(np.sum(self.Y[newest] * pz.ravel()))
+        if not yhy > 0:
+            return None
+        r = project((u.ravel() - a @ self.Z).reshape(g.shape)).ravel() \
+            / (rho[newest] * yhy)
+        # y_i . d = y_i . r + sum over older pairs j of c_j s_j . y_i
+        yr = self.Y @ r
+        c = np.zeros(m)
+        for i in reversed(order):                        # oldest first
+            c[i] = a[i] - rho[i] * (yr[i] + c @ sy[:, i])
+        return (r + c @ self.S).reshape(g.shape)
 
 
 def _descend(x0, value_fn, grad_fn, retract_fn, config,
-             direction_fn=_identity_direction):
+             solve_fn=_identity_solve, project_fn=_identity_project):
     """Projected limited-memory BFGS descent with Armijo backtracking.
 
     grad_fn(x) is the tangent-projected Euclidean gradient g; the descent
-    stops when sup|g| <= grad_tol (1 + |E|).  direction_fn(x, v) is the
-    preconditioner, a positive definite map from gradients to directions
-    (the identity by default; the solvers pass the tangent-projected H^1
-    solve).  The direction d applies the L-BFGS inverse-Hessian
-    approximation of the last _MEMORY pairs (s, y) = (x_k+1 - x_k,
-    g_k+1 - g_k) to g, with direction_fn as its initial approximation;
-    pairs with s . y not positive are skipped.  Trial points are
+    stops when sup|g| <= grad_tol (1 + |E|).  The preconditioner is
+    v -> project_fn(x, solve_fn(v)): solve_fn a linear, symmetric positive
+    definite map (the identity by default; the solvers pass the H^1
+    solve), project_fn(x, v) the tangent projection at the current point
+    (the identity by default).  solve_fn runs once per accepted iterate,
+    u = solve_fn(g), and each pair (s, y) = (x_k+1 - x_k, g_k+1 - g_k)
+    keeps z = u_k+1 - u_k with it.  The direction d applies the L-BFGS
+    inverse-Hessian approximation of the last _MEMORY pairs to g, with
+    the preconditioner as its initial approximation (_PairMemory); pairs
+    with s . y not positive are skipped.  Trial points are
     retract(x - alpha d), accepted by the Armijo test against g . d, from
     alpha = 1.  The first step, and any step whose d fails g . d > 0
-    (the memory is then dropped), goes along direction_fn(x, g) from
+    (the memory is then dropped), goes along project_fn(x, u) from
     alpha = step_init.  The energy sequence is non-increasing by
     construction and checked so.
 
@@ -152,7 +207,8 @@ def _descend(x0, value_fn, grad_fn, retract_fn, config,
     x = retract_fn(x0)
     e = value_fn(x)
     g = grad_fn(x)
-    pairs = []
+    u = solve_fn(g)
+    memory = _PairMemory(g.size)
     iters = 0
     while True:
         if float(np.max(np.abs(g))) <= config.grad_tol * (1 + abs(e)):
@@ -162,12 +218,12 @@ def _descend(x0, value_fn, grad_fn, retract_fn, config,
             reason = "max_iters"
             break
         iters += 1
-        d = _lbfgs_direction(x, g, pairs, direction_fn) if pairs else None
+        d = memory.direction(g, u, lambda v: project_fn(x, v))
         gd = float(np.sum(g * d)) if d is not None else 0.0
         alpha = 1.0
         if not gd > 0:
-            pairs.clear()
-            d = direction_fn(x, g)
+            memory.clear()
+            d = project_fn(x, u)
             gd = float(np.sum(g * d))
             alpha = config.step_init
         accepted = False
@@ -184,12 +240,12 @@ def _descend(x0, value_fn, grad_fn, retract_fn, config,
         if et > e + 1e-12 * (1 + abs(e)):
             raise RuntimeError("descent must be monotone")
         gt = grad_fn(xt)
+        ut = solve_fn(gt)
         s, y = xt - x, gt - g
         sy = float(np.sum(s * y))
         if sy > 1e-12 * float(np.sqrt(np.sum(s * s) * np.sum(y * y))):
-            pairs.append((s, y, 1.0 / sy))
-            del pairs[:-_MEMORY]
-        x, e, g = xt, et, gt
+            memory.push(s, y, ut - u, sy)
+        x, e, g, u = xt, et, gt, ut
     return x, e, iters, reason
 
 
@@ -235,8 +291,7 @@ def _h1_descent(x0, value_fn, egrad_fn, precond, feasible, config):
     v -> P_T(H^-1 v)."""
     return _descend(x0, value_fn,
                     lambda x: feasible.project(x, egrad_fn(x)),
-                    feasible.retract, config,
-                    lambda x, g: feasible.project(x, precond.solve(g)))
+                    feasible.retract, config, precond.solve, feasible.project)
 
 
 # ---------------------------------------------------------------------------
@@ -540,6 +595,10 @@ class AnnulusReport:
         }
 
 
+# smallest grid solve_annulus_example accepts
+ANNULUS_MIN_GRID = {"n_t": 3, "n_phi": 4}
+
+
 def annulus_boundary_from_vector(n_phi, vector, variant="symmetric"):
     """Ring data b(phi) = A(phi)^T e (or A(phi) e) at uniform phi nodes."""
     phi = 2 * np.pi * np.arange(n_phi) / n_phi
@@ -569,7 +628,7 @@ def solve_annulus_example(n_t, n_phi, kappa, b1, b2, r_inner=1.0, r_outer=2.0):
     for ring in (b1, b2):
         if ring_defect(phi, ring) > 1e-8:
             raise ValueError("annulus boundary data must be axially symmetric")
-    if n_t < 3 or n_phi < 4:
+    if n_t < ANNULUS_MIN_GRID["n_t"] or n_phi < ANNULUS_MIN_GRID["n_phi"]:
         raise ValueError("annulus grid too small")
 
     h = (r_outer - r_inner) / n_t

@@ -312,6 +312,27 @@ def test_verify_bad_suite_sections_exit_3(tmp_path, capsys):
     assert "config.suite.annulus.n_r: unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("annulus, key", [
+    ({"n_t": 2}, "n_t"),
+    ({"n_t": "abc"}, "n_t"),
+    ({"n_t": 16.0}, "n_t"),
+    ({"n_phi": 3}, "n_phi"),
+    ({"n_phi": True}, "n_phi"),
+    ({"kappas": "x"}, "kappas"),
+    ({"kappas": []}, "kappas"),
+    ({"kappas": [0.5, "1"]}, "kappas"),
+    ({"kappas": [1.0, 1e400]}, "kappas"),
+])
+def test_verify_bad_annulus_values_exit_3(tmp_path, capsys, annulus, key):
+    cfg_path = tmp_path / "verify.json"
+    cfg_path.write_text(json.dumps({"schema": "axisym-run/1", "suite": {
+        "instances": ["annulus_pde"], "annulus": annulus}}), encoding="utf-8")
+    assert main(["verify", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == 3
+    assert f"config error: config.suite.annulus.{key}: " \
+        in capsys.readouterr().err
+
+
 def test_verify_partial_suite_sections_merge_over_defaults(tmp_path):
     # a partial grid, solver or annulus section overrides only the keys it
     # names; the others keep the suite defaults

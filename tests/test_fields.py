@@ -2,6 +2,7 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from axisym.fields import (
     DiscreteField,
@@ -112,6 +113,17 @@ def test_parseval_weights(n):
     c = np.fft.rfft(f) / n
     assert abs(np.sum(f ** 2) * 2 * np.pi / n
                - 2 * np.pi * np.sum(parseval_weights(n) * np.abs(c) ** 2)) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 200), st.integers(0, 2 ** 32 - 1))
+def test_parseval_weights_property(n, seed):
+    # odd and even n: the Nyquist mode of even n counts once
+    f = np.random.default_rng(seed).normal(size=n)
+    c = np.fft.rfft(f) / n
+    direct = np.sum(f ** 2) * 2 * np.pi / n
+    modes = 2 * np.pi * np.sum(parseval_weights(n) * np.abs(c) ** 2)
+    assert abs(direct - modes) <= 1e-13 * direct
 
 
 def test_symmetry_defect_classes(sphere_mesh, sphere_target):

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from axisym.geometry import (
     AxisError,
     RegularityError,
     build_mesh,
+    dot3,
     never_flat_check,
     preset_curve,
     project_points,
+    project_to_frame,
     project_to_target,
     ring_defect,
     rotate,
@@ -59,6 +63,51 @@ def test_sweep_and_ring_defect():
         ring = sweep(phi, v, variant)
         assert ring_defect(phi, ring, variant) < 1e-15
         assert ring_defect(phi, ring, other) > 0.1
+
+
+_FINITE = st.floats(-1e6, 1e6)
+
+
+@st.composite
+def _vector_arrays(draw, count):
+    """count float arrays of one drawn shape (..., 3)."""
+    shape = draw(array_shapes(min_dims=0, max_dims=3, max_side=6)) + (3,)
+    return [draw(arrays(np.float64, shape, elements=_FINITE))
+            for _ in range(count)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_vector_arrays(4))
+def test_dot3_and_project_to_frame_equal_axis_sums(vectors):
+    a, b, u1, u2 = vectors
+    np.testing.assert_array_equal(dot3(a, b), np.sum(a * b, axis=-1))
+    ref = (np.sum(a * u1, axis=-1, keepdims=True) * u1
+           + np.sum(a * u2, axis=-1, keepdims=True) * u2)
+    np.testing.assert_array_equal(project_to_frame((u1, u2), a), ref)
+
+
+_ANGLE = st.floats(-20.0, 20.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ANGLE, _ANGLE,
+       arrays(np.float64, (3,), elements=st.floats(-1e3, 1e3)),
+       st.integers(4, 40), st.sampled_from(["symmetric", "antisymmetric"]))
+def test_rotation_and_sweep_laws(p1, p2, v, n_phi, variant):
+    scale = 1 + float(np.linalg.norm(v))
+    rv = rotate(p1, v)
+    assert abs(np.linalg.norm(rv) - np.linalg.norm(v)) <= 1e-12 * scale
+    assert rv[2] == v[2]
+    np.testing.assert_allclose(rotate_inverse(p1, rv), v, rtol=0,
+                               atol=1e-12 * scale)
+    np.testing.assert_allclose(rotate(p1, rotate(p2, v)), rotate(p1 + p2, v),
+                               rtol=0, atol=1e-11 * scale)
+    phi = 2 * np.pi * np.arange(n_phi) / n_phi
+    ring = sweep(phi, v[None, :], variant)
+    law = rotate if variant == "symmetric" else rotate_inverse
+    np.testing.assert_array_equal(ring, law(phi, v[None, :]))
+    np.testing.assert_array_equal(ring[0], v)
+    assert ring_defect(phi, ring, variant) <= 1e-14 * scale
 
 
 def test_sphere_mesh_area():

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -110,6 +114,130 @@ def test_minimize_huge_weight_suppresses_penalty():
                               SolveConfig(restarts=1, max_iters=4000))
     unpenalized = rep.best_energy.dirichlet + rep.best_energy.anisotropy
     assert unpenalized <= e0 * 1.05 + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# limited-memory direction
+# ---------------------------------------------------------------------------
+
+def _two_loop_reference(g, pairs, precond):
+    """Sequential two-loop recursion over (s, y, 1 / s.y), oldest first,
+    with precond as the initial inverse Hessian scaled by the newest pair:
+    two applications of precond per direction."""
+    q = g.copy()
+    coeffs = []
+    for s, y, rho in reversed(pairs):
+        a = rho * float(np.sum(s * q))
+        q -= a * y
+        coeffs.append(a)
+    _, y, rho = pairs[-1]
+    yhy = float(np.sum(y * precond(y)))
+    if not yhy > 0:
+        return None
+    d = precond(q) / (rho * yhy)
+    for (s, y, rho), a in zip(pairs, reversed(coeffs)):
+        d += (a - rho * float(np.sum(y * d))) * s
+    return d
+
+
+def test_stacked_pair_direction_matches_sequential_two_loop():
+    from axisym.solvers import _MEMORY, _PairMemory
+    rng = np.random.default_rng(4)
+    shape = (6, 5, 3)
+    n = int(np.prod(shape))
+    a = rng.normal(size=(n, n))
+    minv = np.linalg.inv(a @ a.T + n * np.eye(n))       # M^-1, SPD
+    basis, _ = np.linalg.qr(rng.normal(size=(n, 2 * n // 3)))
+    proj = basis @ basis.T                               # P_T, orthogonal
+
+    def solve(v):
+        return (minv @ v.ravel()).reshape(shape)
+
+    def project(v):
+        return (proj @ v.ravel()).reshape(shape)
+
+    hess = rng.normal(size=(n, n))
+    hess = hess @ hess.T + np.eye(n)
+    memory = _PairMemory(n)
+    pairs = []
+
+    def push(count):
+        for _ in range(count):
+            s = rng.normal(size=shape)
+            y = (hess @ s.ravel()).reshape(shape)
+            sy = float(np.sum(s * y))
+            memory.push(s, y, solve(y), sy)
+            pairs.append((s, y, 1.0 / sy))
+            del pairs[:-_MEMORY]
+
+    def check():
+        g = rng.normal(size=shape)
+        d = memory.direction(g, solve(g), project)
+        ref = _two_loop_reference(g, pairs, lambda v: project(solve(v)))
+        assert np.max(np.abs(d - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    push(1)
+    check()
+    push(6)
+    check()
+    push(_MEMORY + 9)                   # the buffer wraps: oldest rows reused
+    check()
+    memory.clear()
+    pairs.clear()
+    assert memory.direction(rng.normal(size=shape), np.ones(shape),
+                            project) is None
+    push(3)
+    check()
+
+
+_PAIR_DIRECTION_SCRIPT = """
+import hashlib
+import numpy as np
+from axisym.solvers import _PairMemory
+rng = np.random.default_rng(0)
+n = 64 * 64 * 3        # above the size where BLAS splits a dot over threads
+memory = _PairMemory(n)
+digest = hashlib.sha256()
+for _ in range(3):
+    s = rng.normal(size=n)
+    y = s + 0.5 * rng.normal(size=n)
+    memory.push(s, y, 0.5 * y, float(np.sum(s * y)))
+    g = rng.normal(size=n)
+    digest.update(memory.direction(g, 0.5 * g, lambda v: v).tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_pair_direction_independent_of_blas_threads():
+    runs = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        runs.add(subprocess.run([sys.executable, "-c", _PAIR_DIRECTION_SCRIPT],
+                                env=env, capture_output=True, text=True,
+                                check=True).stdout)
+    assert len(runs) == 1
+
+
+def test_one_preconditioner_solve_per_iteration(monkeypatch):
+    from axisym.energy import SobolevPreconditioner
+    calls = []
+    solve = SobolevPreconditioner.solve
+
+    def counting(self, g):
+        calls.append(1)
+        return solve(self, g)
+
+    monkeypatch.setattr(SobolevPreconditioner, "solve", counting)
+    mesh, tgt, params = make_instance(n_phi=16, n_t=12)
+    cfg = SolveConfig(restarts=2, seed=1, max_iters=200)
+    rep = minimize_2d(mesh, tgt, params, cfg)
+    assert sum(rep.iterations) > len(rep.iterations)
+    assert 0 < len(calls) <= sum(i + 1 for i in rep.iterations)
+    calls.clear()
+    rep = minimize_1d_profile(mesh, tgt, params, "symmetric", cfg)
+    assert sum(rep.iterations) > len(rep.iterations)
+    assert 0 < len(calls) <= sum(i + 1 for i in rep.iterations)
 
 
 def test_dirichlet_boundary_rows_frozen():
