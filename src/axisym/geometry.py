@@ -410,6 +410,7 @@ def surface_normal(mesh, i_phi=None, j_t=None):
 # ---------------------------------------------------------------------------
 
 _SCAN_POINTS = 1024
+_SCAN_BLOCK = 64
 
 
 def _analytic_projection(curve, r, zeta):
@@ -442,50 +443,73 @@ def _analytic_projection(curve, r, zeta):
 def _bracketed_refine(curve, r, zeta, lo, hi, iters=80):
     """Vectorized refinement of the squared-distance minimum on [lo, hi].
 
-    Bisects on the derivative of the half-plane squared distance when it
-    changes sign across the bracket, which resolves the parameter to machine
-    precision; otherwise falls back to golden-section on the distance itself.
+    Bisects on the derivative of the half-plane squared distance on the rows
+    where it changes sign across the bracket, which resolves the parameter
+    to machine precision; the other rows fall back to golden section on the
+    distance itself.  Both loops run at most `iters` times and stop at their
+    fixed point: once an iteration leaves the bracket arrays unchanged, no
+    later one can change them, since the update depends only on the
+    brackets.  Curve evaluation is pointwise, so refining each set of rows
+    on its own gives, bit for bit, what refining every row with both
+    methods for all `iters` steps and keeping one result per row gives.
     """
-    def fdist(s):
+    def fdist(s, r, zeta):
         return (curve.x(s) - r) ** 2 + (curve.z(s) - zeta) ** 2
 
-    def g(s):
+    def g(s, r, zeta):
         return ((curve.x(s) - r) * curve.dx(s)
                 + (curve.z(s) - zeta) * curve.dz(s))
 
-    glo, ghi = g(lo), g(hi)
-    has_root = (glo <= 0) & (ghi >= 0)
-    a, b = lo.copy(), hi.copy()
+    has_root = (g(lo, r, zeta) <= 0) & (g(hi, r, zeta) >= 0)
+    s = np.empty_like(lo)
+
+    a, b = lo[has_root], hi[has_root]
+    rr, zz = r[has_root], zeta[has_root]
     for _ in range(iters):
         mid = 0.5 * (a + b)
-        gm = g(mid)
-        take_hi = gm <= 0
-        a = np.where(has_root & take_hi, mid, a)
-        b = np.where(has_root & ~take_hi, mid, b)
-    root = 0.5 * (a + b)
+        take_hi = g(mid, rr, zz) <= 0
+        a_next = np.where(take_hi, mid, a)
+        b_next = np.where(take_hi, b, mid)
+        if np.array_equal(a_next, a) and np.array_equal(b_next, b):
+            break
+        a, b = a_next, b_next
+    s[has_root] = 0.5 * (a + b)
 
     # golden-section fallback where no sign change was available
-    inv = 0.5 * (np.sqrt(5.0) - 1.0)
-    ga, gb = lo.copy(), hi.copy()
-    for _ in range(iters):
-        c = gb - inv * (gb - ga)
-        d = ga + inv * (gb - ga)
-        left = fdist(c) < fdist(d)
-        gb = np.where(left, d, gb)
-        ga = np.where(left, ga, c)
-    gold = 0.5 * (ga + gb)
+    no_root = ~has_root
+    if no_root.any():
+        inv = 0.5 * (np.sqrt(5.0) - 1.0)
+        a, b = lo[no_root], hi[no_root]
+        rr, zz = r[no_root], zeta[no_root]
+        for _ in range(iters):
+            c = b - inv * (b - a)
+            d = a + inv * (b - a)
+            left = fdist(c, rr, zz) < fdist(d, rr, zz)
+            a_next = np.where(left, a, c)
+            b_next = np.where(left, d, b)
+            if np.array_equal(a_next, a) and np.array_equal(b_next, b):
+                break
+            a, b = a_next, b_next
+        s[no_root] = 0.5 * (a + b)
 
-    s = np.where(has_root, root, gold)
     # keep whichever of {refined, bracket ends} is best; ties -> smallest s
     cands = np.stack([lo, s, hi])
     order = np.argsort(cands, axis=0, kind="stable")
     cands = np.take_along_axis(cands, order, 0)
-    best = np.argmin(fdist(cands), axis=0)
+    best = np.argmin(fdist(cands, r, zeta), axis=0)
     return np.take_along_axis(cands, best[None, :], 0)[0]
 
 
 def curve_parameter_of_closest(curve, r, zeta):
-    """Parameter s in I minimizing (r - x(s))^2 + (zeta - z(s))^2, vectorized."""
+    """Parameter s in I minimizing (r - x(s))^2 + (zeta - z(s))^2, vectorized.
+
+    Presets with a closed form take it.  Any other curve is scanned at
+    _SCAN_POINTS + 1 equispaced nodes, and the bracket of one node step on
+    either side of each point's nearest node (the first one on ties) is
+    refined by _bracketed_refine.  The scan runs over _SCAN_BLOCK points at
+    a time, so its distance table stays in cache; each point's argmin is
+    computed from its own row only, so blocking changes no result.
+    """
     r = np.atleast_1d(np.asarray(r, dtype=float))
     zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
     s = _analytic_projection(curve, r, zeta)
@@ -493,9 +517,12 @@ def curve_parameter_of_closest(curve, r, zeta):
         return np.atleast_1d(s)
     t0, t1 = curve.interval
     grid = np.linspace(t0, t1, _SCAN_POINTS + 1)
-    d2 = ((curve.x(grid)[None, :] - r[:, None]) ** 2
-          + (curve.z(grid)[None, :] - zeta[:, None]) ** 2)
-    k = np.argmin(d2, axis=1)                             # first minimum wins
+    xg, zg = curve.x(grid), curve.z(grid)
+    k = np.empty(r.shape, dtype=np.intp)
+    for i in range(0, r.size, _SCAN_BLOCK):
+        blk = slice(i, i + _SCAN_BLOCK)
+        d2 = (xg - r[blk, None]) ** 2 + (zg - zeta[blk, None]) ** 2
+        k[blk] = np.argmin(d2, axis=1)                    # first minimum wins
     step = (t1 - t0) / _SCAN_POINTS
     lo = np.maximum(grid[k] - step, t0)
     hi = np.minimum(grid[k] + step, t1)

@@ -111,13 +111,8 @@ def _check_annulus(section, where):
     from the solver's minimum to 4096 and kappas is a non-empty list of
     finite numbers; keys the section leaves out keep the suite defaults."""
     for key, low in ANNULUS_MIN_GRID.items():
-        if key not in section:
-            continue
-        n = section[key]
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise ConfigError(f"{where}.{key}: expected an integer, got {n!r}")
-        if not low <= n <= 4096:
-            raise ConfigError(f"{where}.{key}: must lie in [{low}, 4096]")
+        if key in section:
+            _check_size(section[key], low, f"{where}.{key}")
     if "kappas" in section:
         kappas, big = section["kappas"], np.finfo(float).max
         if not (isinstance(kappas, list) and kappas
@@ -157,22 +152,24 @@ def _build_surface(section, role, where):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+def _check_size(n, low, where):
+    """ConfigError naming `where` unless n is an integer in [low, 4096];
+    floats, strings and booleans are refused, not truncated."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ConfigError(f"{where}: expected an integer, got {n!r}")
+    if not low <= n <= 4096:
+        raise ConfigError(f"{where}: must lie in [{low}, 4096]")
+
+
 def _check_grid(n_phi, n_t, where):
-    """(n_phi, n_t) as integers in [8, 4096] with n_phi even, or ConfigError
-    naming `where` (the config section or the flag they came from)."""
-    out = []
-    for key, n in (("n_phi", n_phi), ("n_t", n_t)):
-        try:
-            n = int(n)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{where}.{key}: expected an integer, "
-                              f"got {n!r}") from None
-        if not (8 <= n <= 4096):
-            raise ConfigError(f"{where}.{key}: must lie in [8, 4096]")
-        out.append(n)
-    if out[0] % 2 != 0:
+    """(n_phi, n_t) if both are grid sizes (_check_size, from 8) with n_phi
+    even, or ConfigError naming `where` (the config section or the flag
+    they came from)."""
+    _check_size(n_phi, 8, f"{where}.n_phi")
+    _check_size(n_t, 8, f"{where}.n_t")
+    if n_phi % 2 != 0:
         raise ConfigError(f"{where}.n_phi: must be even")
-    return tuple(out)
+    return n_phi, n_t
 
 
 def _build_anisotropy_potential(section):

@@ -285,13 +285,26 @@ def test_grid_override_validated(tmp_path, capsys, command, grid):
 
 
 def test_non_integer_grid_exits_3(tmp_path, capsys):
+    # sizes are refused, not truncated (16.9 must not run at 16)
     cfg_path = tmp_path / "run.json"
-    write_config(cfg_path, grid={"n_phi": "abc", "n_t": 12})
-    assert main(["minimize", "--config", str(cfg_path)]) == 3
-    assert "config.grid.n_phi" in capsys.readouterr().err
-    write_config(cfg_path, suite={"grid": {"n_phi": "abc"}})
-    assert main(["verify", "--config", str(cfg_path)]) == 3
-    assert "config.suite.grid.n_phi" in capsys.readouterr().err
+    out = tmp_path / "o"
+    for grid, key in (({"n_phi": "abc", "n_t": 12}, "n_phi"),
+                      ({"n_phi": 16.9, "n_t": 12.7}, "n_phi"),
+                      ({"n_phi": 32.0, "n_t": 12}, "n_phi"),
+                      ({"n_phi": "16", "n_t": 12}, "n_phi"),
+                      ({"n_phi": 16, "n_t": True}, "n_t")):
+        write_config(cfg_path, grid=grid)
+        assert main(["minimize", "--config", str(cfg_path),
+                     "--out", str(out)]) == 3
+        assert (f"config.grid.{key}: expected an integer"
+                in capsys.readouterr().err)
+        assert not out.exists()
+    for n_phi in ("abc", 32.5):
+        write_config(cfg_path, suite={"grid": {"n_phi": n_phi}})
+        assert main(["verify", "--config", str(cfg_path),
+                     "--out", str(out)]) == 3
+        assert ("config.suite.grid.n_phi: expected an integer"
+                in capsys.readouterr().err)
 
 
 def test_verify_unknown_solver_key_exits_3(tmp_path, capsys):

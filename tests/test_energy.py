@@ -2,7 +2,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from axisym.energy import (
     NonDifferentiableError,
@@ -27,14 +27,23 @@ from axisym.energy import (
     table_potential,
     total_energy,
     weight_constant,
+    weight_margin_profile,
     weight_zero,
 )
-from axisym.fields import DiscreteField, ProfileField, build_from_profile, random_field
+from axisym.fields import (
+    DiscreteField,
+    ProfileField,
+    build_from_profile,
+    random_field,
+    symmetrize,
+)
 from axisym.geometry import (
+    GeometryError,
     build_mesh,
     project_points,
     rotate,
     rotate_inverse,
+    spline_curve,
     surface,
     surface_normal,
     sweep,
@@ -561,7 +570,6 @@ def corpus(mesh, tgt, n=20, seed0=100):
 def test_chain_inequalities_on_corpus(inst_kw):
     mesh, tgt, params = make_instance(**inst_kw)
     assert hypothesis_margin(mesh, params.weight).strict
-    from axisym.fields import symmetrize
     for f in corpus(mesh, tgt, n=10):
         ct = chain_terms(f, params)
         slack = 1e-9 * (1 + abs(ct.total))
@@ -574,11 +582,56 @@ def test_chain_inequalities_on_corpus(inst_kw):
         assert e_u <= ct.total + slack
 
 
+@st.composite
+def _spline_curves(draw):
+    """An open cubic-spline generating curve through 4-7 samples on [0, 1]
+    with x > 0 and z increasing.  A spline can overshoot between samples,
+    so tables whose curve fails the checks of spline_curve or build_mesh
+    (x < 0, zero speed, an axis touch) are rejected."""
+    n = draw(st.integers(4, 7))
+    x = draw(st.lists(st.floats(0.6, 2.5), min_size=n, max_size=n))
+    dz = draw(st.lists(st.floats(0.15, 1.0), min_size=n, max_size=n))
+    try:
+        curve = spline_curve(np.linspace(0.0, 1.0, n), x, np.cumsum(dz))
+        build_mesh(surface(curve), 12, 8)
+    except GeometryError:
+        assume(False)
+    return curve
+
+
+@settings(max_examples=30, deadline=None)
+@given(base=_spline_curves(), target=_spline_curves(),
+       margin=st.floats(1.05, 3.0), kappa=st.floats(0.1, 5.0),
+       normal=st.booleans(), seed=st.integers(0, 2**16),
+       blend=st.sampled_from([1e-3, 0.1, 1.0]))
+def test_chain_inequalities_on_spline_curves(base, target, margin, kappa,
+                                             normal, seed, blend):
+    mesh = build_mesh(surface(base), 12, 8)
+    tgt = surface(target, role="target")
+    aniso = aniso_surface_normal(mesh) if normal else aniso_constant_e3(mesh)
+    params = make_params(mesh, tgt, quadratic_potential(kappa), aniso,
+                         weight_margin_profile(mesh, margin))
+    assert hypothesis_margin(mesh, params.weight).strict
+    # random fields on a spline target, so every node goes through the
+    # generic closest-point projection; blend < 1 pulls each toward the
+    # sweep of its first row, where the chain is nearly tight
+    for f in corpus(mesh, tgt, n=3, seed0=seed):
+        swept = symmetrize(f, 0, "symmetric").values
+        f = DiscreteField(mesh, tgt, project_points(
+            tgt, swept + blend * (f.values - swept))[0])
+        ct = chain_terms(f, params)
+        slack = 1e-9 * (1 + abs(ct.total))
+        u = symmetrize(f, argmin_phi_slice(f, params), "symmetric")
+        e_u = total_energy(u, params).total
+        assert ct.eq1 - e_u >= -slack
+        assert ct.eq2 - ct.eq1 >= -slack
+        assert ct.total - ct.eq2 >= -slack
+
+
 def test_chain_equalities_for_symmetric_input(sphere_instance):
     mesh, tgt, params = sphere_instance
     prof = np.stack([np.sin(mesh.t), np.zeros_like(mesh.t), np.cos(mesh.t)], -1)
     f = build_from_profile(mesh, ProfileField(mesh.t, prof, "symmetric"), tgt)
-    from axisym.fields import symmetrize
     u = symmetrize(f, argmin_phi_slice(f, params), "symmetric")
     assert np.max(np.abs(u.values - f.values)) < 1e-12
     ct = chain_terms(f, params)

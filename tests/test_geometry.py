@@ -1,12 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from axisym.fields import random_field
 from axisym.geometry import (
+    _SCAN_POINTS,
     AxisError,
     RegularityError,
     build_mesh,
+    curve_parameter_of_closest,
     dot3,
     never_flat_check,
     preset_curve,
@@ -264,6 +269,116 @@ def test_project_lipschitz_bound():
     pw, _ = project_points(sph, w)
     ratio = np.linalg.norm(pv - pw, axis=1) / np.linalg.norm(v - w, axis=1)
     assert np.max(ratio) <= 2.0
+
+
+def _reference_closest(curve, r, zeta, iters=80):
+    """The closest-point search with fixed iteration counts: an unblocked
+    scan, `iters` bisection steps on every row, and `iters` golden-section
+    steps on every row, of which each row keeps one.  Returns the
+    parameters and the rows whose bracket has a sign change."""
+    t0, t1 = curve.interval
+    grid = np.linspace(t0, t1, _SCAN_POINTS + 1)
+    d2 = ((curve.x(grid)[None, :] - r[:, None]) ** 2
+          + (curve.z(grid)[None, :] - zeta[:, None]) ** 2)
+    k = np.argmin(d2, axis=1)
+    step = (t1 - t0) / _SCAN_POINTS
+    lo, hi = grid[k] - step, grid[k] + step
+    if not curve.closed:
+        lo, hi = np.maximum(lo, t0), np.minimum(hi, t1)
+
+    def fdist(s):
+        return (curve.x(s) - r) ** 2 + (curve.z(s) - zeta) ** 2
+
+    def g(s):
+        return ((curve.x(s) - r) * curve.dx(s)
+                + (curve.z(s) - zeta) * curve.dz(s))
+
+    has_root = (g(lo) <= 0) & (g(hi) >= 0)
+    a, b = lo.copy(), hi.copy()
+    for _ in range(iters):
+        mid = 0.5 * (a + b)
+        take_hi = g(mid) <= 0
+        a = np.where(has_root & take_hi, mid, a)
+        b = np.where(has_root & ~take_hi, mid, b)
+    inv = 0.5 * (np.sqrt(5.0) - 1.0)
+    ga, gb = lo.copy(), hi.copy()
+    for _ in range(iters):
+        c = gb - inv * (gb - ga)
+        d = ga + inv * (gb - ga)
+        left = fdist(c) < fdist(d)
+        gb = np.where(left, d, gb)
+        ga = np.where(left, ga, c)
+    s = np.where(has_root, 0.5 * (a + b), 0.5 * (ga + gb))
+    cands = np.sort(np.stack([lo, s, hi]), axis=0, kind="stable")
+    s = np.take_along_axis(cands, np.argmin(fdist(cands), axis=0)[None, :], 0)[0]
+    if curve.closed:
+        s = (s - t0) % (t1 - t0) + t0
+    return s, has_root
+
+
+def _ellipse_spline():
+    t = np.pi * np.arange(41) / 40
+    return spline_curve(t, np.sin(t), 1.5 * np.cos(t), name="ellipse")
+
+
+def _loop_spline():
+    t = np.linspace(0.0, 2 * np.pi, 25)
+    return spline_curve(t, 2 + 0.7 * np.cos(t),
+                        0.9 * np.sin(t) + 0.1 * np.sin(2 * t),
+                        name="loop", closed=True)
+
+
+def _probe_points(curve, n, rng):
+    """n points (r, zeta): the origin, points on the axis and, for an open
+    curve, points beyond its ends, then random points of the half-plane."""
+    special = [(0.0, 0.0), (0.0, 0.7), (0.0, -2.5), (0.0, 4.0)]
+    if not curve.closed:
+        for te, sign in zip(curve.interval, (-1.0, 1.0)):
+            x, z = float(curve.x(te)), float(curve.z(te))
+            dx, dz = float(curve.dx(te)), float(curve.dz(te))
+            for dist in (0.05, 0.6):
+                special.append((max(x + sign * dist * dx, 0.0),
+                                z + sign * dist * dz))
+    rand = np.column_stack([np.abs(rng.normal(scale=2.0, size=n)),
+                            rng.normal(scale=2.0, size=n)])
+    pts = np.concatenate([np.array(special), rand])[:n]
+    return pts[:, 0].copy(), pts[:, 1].copy()
+
+
+def test_closest_parameter_equals_fixed_iteration_reference():
+    rng = np.random.default_rng(11)
+    no_root = 0
+    for curve in (_ellipse_spline(), _loop_spline(),
+                  preset_curve("ellipsoid_band")):
+        for n in (1, 63, 64, 65, 300):
+            r, zeta = _probe_points(curve, n, rng)
+            ref, has_root = _reference_closest(curve, r, zeta)
+            np.testing.assert_array_equal(
+                curve_parameter_of_closest(curve, r, zeta), ref)
+            no_root += int(np.count_nonzero(~has_root))
+    # some brackets have no sign change, so the golden-section rows ran
+    assert no_root > 0
+
+
+def test_closest_parameter_evaluation_count():
+    # the spline-target instance: a 16x16 cylinder base, the ellipse target
+    mesh = build_mesh(surface("cylinder", radius=2.0), 16, 16)
+    target = surface(_ellipse_spline(), role="target")
+    pts = random_field(mesh, target, seed=0).values.reshape(-1, 3)
+    sizes = []
+
+    def x(s):
+        sizes.append(np.size(s))
+        return target.curve.x(s)
+
+    counted = dataclasses.replace(target.curve, x=x)
+    sizes.clear()                     # the curve's own checks sampled x
+    s = curve_parameter_of_closest(counted, np.hypot(pts[:, 0], pts[:, 1]),
+                                   pts[:, 2])
+    assert s.shape == (256,)
+    scan = sizes.count(_SCAN_POINTS + 1)
+    assert scan == 1
+    assert len(sizes) - scan <= 64
 
 
 def test_tangent_project_examples():
