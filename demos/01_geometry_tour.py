@@ -29,10 +29,10 @@ v = np.array([1.0, 0.0, 0.5])
 print("\nrotate(pi/2, (1,0,0.5)) =", rotate(np.pi / 2, v).round(12))
 
 # Closest-point projection is the retraction used by the solvers.
-sphere = surface("sphere", role="target")
+sphere = surface("sphere")
 print("project (0.3, 0.4, 0) onto the unit sphere:",
       project_to_target(sphere, [0.3, 0.4, 0.0]).round(12))
-torus = surface("torus_band", role="target")
+torus = surface("torus_band")
 print("project (4, 0, 0) onto the torus band:",
       project_to_target(torus, [4.0, 0.0, 0.0]).round(12))
 

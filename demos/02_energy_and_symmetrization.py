@@ -19,7 +19,7 @@ from axisym.geometry import build_mesh, surface
 from axisym.solvers import symmetrize_and_certify
 
 mesh = build_mesh(surface("sphere"), 48, 32)
-target = surface("sphere", role="target")
+target = surface("sphere")
 params = make_params(mesh, target, quartic_potential(5.0),
                      aniso_surface_normal(mesh),
                      weight_margin_profile(mesh, 1.5))

@@ -16,7 +16,7 @@ from axisym.geometry import build_mesh, surface, surface_normal
 from axisym.solvers import SolveConfig, minimize_2d
 
 mesh = build_mesh(surface("sphere"), 32, 32)
-target = surface("sphere", role="target")
+target = surface("sphere")
 params = make_params(mesh, target, easy_normal_potential(20.0),
                      aniso_surface_normal(mesh), weight_zero(mesh))
 

@@ -21,7 +21,7 @@ from axisym.solvers import (
 )
 
 mesh = build_mesh(surface("cylinder", radius=2.0), 32, 24)
-target = surface("sphere", role="target")
+target = surface("sphere")
 params = make_params(mesh, target, quadratic_potential(1.0),
                      aniso_constant_e3(mesh), weight_constant(mesh, 1.0))
 

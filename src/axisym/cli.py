@@ -39,7 +39,6 @@ from .fields import (
     field_from_csv,
     field_to_csv,
     grid_to_csv,
-    mode_decompose,
     profile_to_csv,
 )
 from .runconfig import RUN_SCHEMA, ConfigError, _check_grid, build_run, load_config
@@ -68,15 +67,15 @@ def _provenance(cfg, seed):
     return f"config_sha256={digest} seed={seed}", digest
 
 
-def _write_mode_csv(path, field, comment):
-    dec = mode_decompose(field)
-    rows = (["%.17g" % field.mesh.t[j],
+def _write_mode_csv(path, t, dec, comment):
+    """One row per t node of the first-harmonic decomposition dec."""
+    rows = (["%.17g" % t[j],
              "%.17g" % np.linalg.norm(dec.alpha_perp[j]),
              "%.17g" % np.linalg.norm(dec.beta_perp[j]),
              "%.17g" % float(np.dot(dec.alpha_perp[j], dec.beta_perp[j])),
              "%.17g" % dec.eta[j],
              "%.17g" % np.linalg.norm(dec.mean_perp[j])]
-            for j in range(field.mesh.n_t))
+            for j in range(len(t)))
     _write_csv(path, ["t", "alpha_perp_norm", "beta_perp_norm", "alpha_dot_beta",
                       "eta", "mean_perp_norm"], rows, comment)
 
@@ -97,7 +96,7 @@ def cmd_minimize(args):
     report = minimize_2d(mesh, target, params, sc)
     comment, digest = _provenance(cfg, sc.seed)
     field_to_csv(report.best_field, out / "field.csv", comment)
-    _write_mode_csv(out / "mode.csv", report.best_field, comment)
+    _write_mode_csv(out / "mode.csv", mesh.t, report.mode, comment)
     _write_json(out / "breakdown.json",
                 dict(report.best_energy.to_dict(), config_sha256=digest,
                      seed=sc.seed))

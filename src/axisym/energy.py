@@ -58,18 +58,14 @@ class AnisotropyPotential:
     kind: str
     g: Callable
     dg: Callable
-    params: dict
     non_differentiable: bool = False
 
     def check_range(self, smax, n=10_000):
-        """Scan [-smax, smax]: g must be nonnegative; returns the observed
-        Lipschitz bound (max |difference quotient|)."""
+        """Scan [-smax, smax]: g must be nonnegative."""
         s = np.linspace(-smax, smax, n)
-        gs = self.g(s)
-        if np.any(gs < -1e-12):
+        if np.any(self.g(s) < -1e-12):
             raise ValueError(
                 f"potential {self.kind} negative on [-{smax:g}, {smax:g}]")
-        return float(np.max(np.abs(np.diff(gs) / np.diff(s))))
 
 
 def quadratic_potential(kappa):
@@ -78,7 +74,7 @@ def quadratic_potential(kappa):
         raise ValueError("quadratic potential needs kappa >= 0")
     return AnisotropyPotential(
         "quadratic", lambda s: kappa * np.asarray(s) ** 2,
-        lambda s: 2 * kappa * np.asarray(s), {"kappa": float(kappa)})
+        lambda s: 2 * kappa * np.asarray(s))
 
 
 def easy_normal_potential(kappa):
@@ -86,7 +82,7 @@ def easy_normal_potential(kappa):
     k = abs(float(kappa))
     return AnisotropyPotential(
         "easy_normal", lambda s: k * (1 - np.asarray(s) ** 2),
-        lambda s: -2 * k * np.asarray(s), {"kappa": float(kappa)})
+        lambda s: -2 * k * np.asarray(s))
 
 
 def quartic_potential(lam):
@@ -95,8 +91,7 @@ def quartic_potential(lam):
         raise ValueError("quartic potential needs lam >= 0")
     return AnisotropyPotential(
         "quartic", lambda s: lam * (1 - np.asarray(s) ** 2) ** 2,
-        lambda s: -4 * lam * np.asarray(s) * (1 - np.asarray(s) ** 2),
-        {"lam": float(lam)})
+        lambda s: -4 * lam * np.asarray(s) * (1 - np.asarray(s) ** 2))
 
 
 def table_potential(s_samples, g_samples):
@@ -113,7 +108,7 @@ def table_potential(s_samples, g_samples):
     denom = max(float(np.median(d2)), 1e-12 * (float(np.max(np.abs(gv))) + 1.0))
     kinked = bool(np.max(d2, initial=0.0) > 1e3 * denom)
     return AnisotropyPotential("custom_table", spl, dspl,
-                               {"n_samples": len(s)}, non_differentiable=kinked)
+                               non_differentiable=kinked)
 
 
 # ---------------------------------------------------------------------------
@@ -127,12 +122,11 @@ class AnisotropyField:
     kind: str
     variant: str                 # "symmetric" | "antisymmetric"
     node_values: np.ndarray      # (n_phi, n_t, 3)
-    profile0: np.ndarray         # values along the phi = 0 meridian
 
 
 def _sweep_aniso(mesh, kind, profile0, variant):
     vals = sweep(mesh.phi[:, None], profile0[None, :, :], variant)
-    return AnisotropyField(kind, variant, vals, profile0)
+    return AnisotropyField(kind, variant, vals)
 
 
 def aniso_surface_normal(mesh):
@@ -173,7 +167,6 @@ class Weight:
     kind: str
     W2: np.ndarray               # (n_t,)
     node_values: np.ndarray      # (n_phi, n_t), for reference/auditing
-    params: dict
 
 
 def weight_zero(mesh):
@@ -185,17 +178,16 @@ def weight_constant(mesh, lam):
         raise ValueError("omega must be nonnegative")
     vals = np.full(mesh.shape, float(lam))
     W2 = np.full(mesh.n_t, 2 * np.pi * lam ** 2)
-    return Weight("constant", W2, vals, {"lam": float(lam)})
+    return Weight("constant", W2, vals)
 
 
-def weight_t_profile(mesh, omega0, label=None):
+def weight_t_profile(mesh, omega0):
     """omega depending on t only; W^2 = 2 pi omega0(t)^2."""
     om = omega0(mesh.t) if callable(omega0) else np.asarray(omega0, dtype=float)
     if np.any(om < 0):
         raise ValueError("omega must be nonnegative")
     vals = np.broadcast_to(om, mesh.shape).copy()
-    return Weight("t_profile", 2 * np.pi * om ** 2, vals,
-                  {"label": label or "t_profile"})
+    return Weight("t_profile", 2 * np.pi * om ** 2, vals)
 
 
 def weight_margin_profile(mesh, margin):
@@ -205,10 +197,10 @@ def weight_margin_profile(mesh, margin):
     generating curve touches the axis (h1 -> 0 there while sup h1 W stays
     finite); mesh nodes never sample the axis itself.
     """
-    return weight_t_profile(mesh, margin / mesh.h1, label=f"margin({margin:g})")
+    return weight_t_profile(mesh, margin / mesh.h1)
 
 
-def weight_general(mesh, omega, label=None):
+def weight_general(mesh, omega):
     """omega(phi, t) sampled at nodes; W^2 by the rectangle rule in phi."""
     vals = omega(mesh.phi[:, None], mesh.t[None, :]) if callable(omega) \
         else np.asarray(omega, dtype=float)
@@ -217,7 +209,7 @@ def weight_general(mesh, omega, label=None):
     if np.any(vals < 0):
         raise ValueError("omega must be nonnegative")
     W2 = mesh.dphi * np.sum(vals ** 2, axis=0)
-    return Weight("general", W2, vals.copy(), {"label": label or "general"})
+    return Weight("general", W2, vals.copy())
 
 
 @dataclass(frozen=True)
@@ -277,7 +269,6 @@ class EnergyParams:
     aniso: AnisotropyField
     weight: Weight
     boundary: BoundaryCondition = dc_field(default_factory=BoundaryCondition)
-    lipschitz_bound: float = 0.0
 
 
 def make_params(mesh, target, potential, aniso, weight, boundary=None):
@@ -291,12 +282,12 @@ def make_params(mesh, target, potential, aniso, weight, boundary=None):
     ts = np.linspace(*target.curve.interval, 2048)
     r_target = float(np.max(np.hypot(target.curve.x(ts), target.curve.z(ts))))
     smax = r_target * float(np.max(np.linalg.norm(aniso.node_values, axis=-1)))
-    lip = potential.check_range(max(smax, 1e-9))
+    potential.check_range(max(smax, 1e-9))
     if boundary.kind == "dirichlet":
         for row in (boundary.bottom, boundary.top):
             if row is not None and ring_defect(mesh.phi, row, boundary.variant) > 1e-10:
                 raise ValueError("Dirichlet data does not match its declared variant")
-    return EnergyParams(potential, aniso, weight, boundary, lip)
+    return EnergyParams(potential, aniso, weight, boundary)
 
 
 # ---------------------------------------------------------------------------
@@ -355,11 +346,6 @@ class EnergyBreakdown:
     def to_dict(self):
         return {"dirichlet": self.dirichlet, "anisotropy": self.anisotropy,
                 "penalty": self.penalty, "total": self.total}
-
-    @staticmethod
-    def from_dict(d):
-        return EnergyBreakdown(float(d["dirichlet"]), float(d["anisotropy"]),
-                               float(d["penalty"]), float(d["total"]))
 
 
 def _phi_quad_rows(values, mesh):
@@ -611,18 +597,6 @@ def phi_slice_energy(field, params):
             + _t_energy_per_slice(field.values, mesh))
 
 
-def argmin_phi_slice(field, params):
-    """Angle of the phi node minimizing the slice functional.
-
-    Ties (within rounding of the minimum) break toward the smallest node
-    index, so exactly symmetric fields report phi* = 0.
-    """
-    phi_e = phi_slice_energy(field, params)
-    lo = float(np.min(phi_e))
-    idx = int(np.argmax(phi_e <= lo + 1e-12 * (1 + abs(lo))))
-    return float(field.mesh.phi[idx])
-
-
 @dataclass(frozen=True)
 class ChainTerms:
     """The three quantities chained between E(u) and E(m):
@@ -632,18 +606,35 @@ class ChainTerms:
     eq1 integrates the slice functional over phi; eq2 replaces |m_perp|^2
     by |d_phi m_perp|^2 and adds the penalty.  Under the hypothesis
     h1 W >= sqrt(2 pi), each step is nonnegative for every sampled field.
+    energy_m is the breakdown of E(m), equal to total_energy's;
+    slice_energies holds the slice functional per phi node and phi_star
+    the angle of the node minimizing it.
     """
 
     eq1: float
     eq2: float
-    total: float
+    energy_m: EnergyBreakdown
+    slice_energies: np.ndarray
+    phi_star: float
 
 
 def chain_terms(field, params):
     mesh = field.mesh
-    eq1 = float(mesh.dphi * np.sum(phi_slice_energy(field, params)))
+    phi_e = phi_slice_energy(field, params)
+    eq1 = float(mesh.dphi * np.sum(phi_e))
+    # ties (within rounding of the minimum) break toward the smallest node
+    # index, so exactly symmetric fields report phi* = 0
+    lo = float(np.min(phi_e))
+    phi_star = float(mesh.phi[np.argmax(phi_e <= lo + 1e-12 * (1 + abs(lo)))])
+    d = dirichlet_energy(field)
     a = anisotropy_energy(field, params)
     p = penalty_energy(field, params)
     eq2 = dirichlet_energy(field, perp_only=True) + p + a
-    tot = dirichlet_energy(field) + a + p
-    return ChainTerms(eq1, eq2, tot)
+    return ChainTerms(eq1, eq2, EnergyBreakdown(d, a, p, d + a + p), phi_e,
+                      phi_star)
+
+
+def argmin_phi_slice(field, params):
+    """Angle of the phi node minimizing the slice functional, as
+    chain_terms picks it."""
+    return chain_terms(field, params).phi_star

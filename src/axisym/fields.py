@@ -51,9 +51,6 @@ class DiscreteField:
         """Horizontal (e1, e2) components, shape (n_phi, n_t, 2)."""
         return self.values[..., :2]
 
-    def vertical(self):
-        return self.values[..., 2]
-
     def with_values(self, values):
         return DiscreteField(self.mesh, self.target, values)
 
@@ -87,6 +84,8 @@ class ModeDecomposition:
     beta_perp[j]   sin(phi) coefficient of the horizontal part
     eta[j]         circular mean of the vertical component
     residual_energy  quadrature-weighted L2 mass of everything else
+    coeff          the one-sided DFT rfft(values) / n_phi along phi, all
+                   modes k = 0..n_phi/2: (n_phi/2 + 1, n_t, 3)
     """
 
     mean_perp: np.ndarray
@@ -94,6 +93,7 @@ class ModeDecomposition:
     beta_perp: np.ndarray
     eta: np.ndarray
     residual_energy: float
+    coeff: np.ndarray
 
 
 def circular_average_perp(field):
@@ -135,7 +135,8 @@ def mode_decompose(field):
     resid_vert = mass[1:, :, 2].sum(axis=0)
     residual = 2 * np.pi * float(
         np.sum((resid_perp + resid_vert) * mesh.sqrtg * mesh.dt))
-    return ModeDecomposition(mean_perp, alpha_perp, beta_perp, eta, residual)
+    return ModeDecomposition(mean_perp, alpha_perp, beta_perp, eta, residual,
+                             coeff)
 
 
 def build_from_triple(mesh, alpha_perp, beta_perp, eta):

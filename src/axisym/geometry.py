@@ -12,7 +12,7 @@ Everything here is immutable after construction; operations are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -92,7 +92,10 @@ class GeneratingCurve:
     x, z, dx, dz are vectorized callables on the closed interval.  ``closed``
     marks loops (endpoints identified).  ``touches_axis_at`` lists endpoint
     parameters where x vanishes; there the curve must meet the axis
-    perpendicularly (dz = 0) so the swept surface is smooth.
+    perpendicularly (dz = 0) so the swept surface is smooth.  ``closest``,
+    when set, is the closed form of curve_parameter_of_closest: closest(r,
+    zeta) is the parameter of the curve point nearest to (r, zeta) in the
+    half-plane, ties broken toward the smallest one.
     """
 
     name: str
@@ -103,6 +106,7 @@ class GeneratingCurve:
     dz: Callable
     closed: bool = False
     touches_axis_at: frozenset = field(default_factory=frozenset)
+    closest: Optional[Callable] = None
 
     def __post_init__(self):
         t0, t1 = self.interval
@@ -123,10 +127,6 @@ class GeneratingCurve:
                 raise AxisError(
                     f"curve does not meet the axis perpendicularly at t={ta}")
 
-    @property
-    def length(self):
-        return self.interval[1] - self.interval[0]
-
     def point(self, t):
         t = np.asarray(t, dtype=float)
         out = np.zeros(t.shape + (3,))
@@ -138,50 +138,81 @@ class GeneratingCurve:
         return np.hypot(self.dx(t), self.dz(t))
 
 
+# each preset's parameters and their defaults
+_PRESET_PARAMS = {
+    "sphere": {},
+    "cylinder": {"radius": 1.0, "height": 1.0},
+    "annulus": {"r_inner": 1.0, "r_outer": 2.0},
+    "disk": {"radius": 1.0},
+    "torus_band": {"R": 2.0, "r": 1.0},
+    "ellipsoid_band": {"a": 1.0, "c": 1.5, "pad": 0.4},
+}
+
+
+def _sphere_closest(r, zeta):
+    if np.any(np.hypot(r, zeta) == 0):
+        raise ValueError("projection of the origin onto the sphere is undefined")
+    return np.arctan2(r, zeta)                            # in [0, pi]
+
+
+def _flat_ring(name, r0, r1, touches_axis_at=frozenset()):
+    """x = t, z = 0 on [r0, r1]; the nearest parameter is r clipped."""
+    return GeneratingCurve(
+        name, (r0, r1),
+        x=lambda t: np.asarray(t, dtype=float),
+        z=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+        dx=lambda t: np.ones_like(np.asarray(t, dtype=float)),
+        dz=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+        touches_axis_at=touches_axis_at,
+        closest=lambda r, zeta: np.clip(r, r0, r1))
+
+
 def preset_curve(name, **kw):
     """Built-in generating curves.
 
     sphere           x = sin t, z = cos t on [0, pi] (unit sphere)
     cylinder         x = radius, z = t on [0, height]
     annulus          x = t, z = 0 on [r_inner, r_outer] (flat ring)
-    disk             x = t, z = 0 on [0, 1] (flat disk, touches axis)
+    disk             x = t, z = 0 on [0, radius] (flat disk, touches axis)
     torus_band       x = R + r cos t, z = r sin t on [0, 2 pi], closed
     ellipsoid_band   x = a sin t, z = c cos t on [pad, pi - pad]
+
+    _PRESET_PARAMS lists each preset's keyword parameters and defaults; any
+    other keyword, or a value that is not a number, is a GeometryError.
+    Every preset but the ellipsoid band carries the closed form of its
+    closest-point parameter (GeneratingCurve.closest).
     """
+    if name not in _PRESET_PARAMS:
+        raise GeometryError(f"unknown curve preset {name!r}")
+    for key, value in sorted(kw.items()):
+        if key not in _PRESET_PARAMS[name]:
+            raise GeometryError(f"preset {name!r} has no parameter {key!r} "
+                                f"(it takes {sorted(_PRESET_PARAMS[name])})")
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise GeometryError(f"preset {name!r}: parameter {key!r} must be "
+                                f"a number, got {value!r}")
+    p = dict(_PRESET_PARAMS[name], **kw)
     if name == "sphere":
         return GeneratingCurve(
             "sphere", (0.0, np.pi),
             x=np.sin, z=np.cos, dx=np.cos, dz=lambda t: -np.sin(t),
-            touches_axis_at=frozenset((0.0, np.pi)))
+            touches_axis_at=frozenset((0.0, np.pi)), closest=_sphere_closest)
     if name == "cylinder":
-        radius = kw.get("radius", 1.0)
-        height = kw.get("height", 1.0)
+        radius, height = p["radius"], p["height"]
         return GeneratingCurve(
             f"cylinder(r={radius:g})", (0.0, height),
             x=lambda t: np.full_like(np.asarray(t, dtype=float), radius),
             z=lambda t: np.asarray(t, dtype=float),
             dx=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-            dz=lambda t: np.ones_like(np.asarray(t, dtype=float)))
+            dz=lambda t: np.ones_like(np.asarray(t, dtype=float)),
+            closest=lambda r, zeta: np.clip(zeta, 0.0, height))
     if name == "annulus":
-        r0 = kw.get("r_inner", 1.0)
-        r1 = kw.get("r_outer", 2.0)
-        return GeneratingCurve(
-            f"annulus({r0:g},{r1:g})", (r0, r1),
-            x=lambda t: np.asarray(t, dtype=float),
-            z=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-            dx=lambda t: np.ones_like(np.asarray(t, dtype=float)),
-            dz=lambda t: np.zeros_like(np.asarray(t, dtype=float)))
+        r0, r1 = p["r_inner"], p["r_outer"]
+        return _flat_ring(f"annulus({r0:g},{r1:g})", r0, r1)
     if name == "disk":
-        return GeneratingCurve(
-            "disk", (0.0, kw.get("radius", 1.0)),
-            x=lambda t: np.asarray(t, dtype=float),
-            z=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-            dx=lambda t: np.ones_like(np.asarray(t, dtype=float)),
-            dz=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-            touches_axis_at=frozenset((0.0,)))
+        return _flat_ring("disk", 0.0, p["radius"], frozenset((0.0,)))
     if name == "torus_band":
-        R = kw.get("R", 2.0)
-        r = kw.get("r", 1.0)
+        R, r = p["R"], p["r"]
         if not R > r > 0:
             raise RegularityError("torus_band needs R > r > 0")
         return GeneratingCurve(
@@ -190,18 +221,16 @@ def preset_curve(name, **kw):
             z=lambda t: r * np.sin(t),
             dx=lambda t: -r * np.sin(t),
             dz=lambda t: r * np.cos(t),
-            closed=True)
-    if name == "ellipsoid_band":
-        a = kw.get("a", 1.0)
-        c = kw.get("c", 1.5)
-        pad = kw.get("pad", 0.4)
-        return GeneratingCurve(
-            f"ellipsoid_band(a={a:g},c={c:g})", (pad, np.pi - pad),
-            x=lambda t: a * np.sin(t),
-            z=lambda t: c * np.cos(t),
-            dx=lambda t: a * np.cos(t),
-            dz=lambda t: -c * np.sin(t))
-    raise GeometryError(f"unknown curve preset {name!r}")
+            closed=True,
+            # nearest tube angle seen from the center circle of radius R
+            closest=lambda rr, zeta: np.arctan2(zeta, rr - R) % (2 * np.pi))
+    a, c, pad = p["a"], p["c"], p["pad"]
+    return GeneratingCurve(
+        f"ellipsoid_band(a={a:g},c={c:g})", (pad, np.pi - pad),
+        x=lambda t: a * np.sin(t),
+        z=lambda t: c * np.cos(t),
+        dx=lambda t: a * np.cos(t),
+        dz=lambda t: -c * np.sin(t))
 
 
 def spline_curve(t_samples, x_samples, z_samples, name="spline", closed=False):
@@ -233,10 +262,9 @@ def spline_curve(t_samples, x_samples, z_samples, name="spline", closed=False):
 
 @dataclass(frozen=True)
 class SurfaceOfRevolution:
-    """A generating curve together with its role (base S or target T)."""
+    """The surface swept by a generating curve (base S or target T)."""
 
     curve: GeneratingCurve
-    role: str = "base"  # "base" | "target"
 
     def h1(self, t):
         return np.abs(self.curve.x(t))
@@ -260,11 +288,13 @@ class SurfaceOfRevolution:
         return out
 
 
-def surface(preset_or_curve, role="base", **kw):
-    """Convenience constructor: surface('sphere'), surface(curve, 'target'), ..."""
+def surface(preset_or_curve, role=None, **kw):
+    """Convenience constructor: surface('sphere'), surface(curve),
+    surface('cylinder', radius=2.0), ...; role ('base' or 'target') is
+    accepted and changes nothing."""
     if isinstance(preset_or_curve, GeneratingCurve):
-        return SurfaceOfRevolution(preset_or_curve, role)
-    return SurfaceOfRevolution(preset_curve(preset_or_curve, **kw), role)
+        return SurfaceOfRevolution(preset_or_curve)
+    return SurfaceOfRevolution(preset_curve(preset_or_curve, **kw))
 
 
 @dataclass(frozen=True, eq=False)
@@ -413,33 +443,6 @@ _SCAN_POINTS = 1024
 _SCAN_BLOCK = 64
 
 
-def _analytic_projection(curve, r, zeta):
-    """Closed-form profile parameters for presets; None if unavailable.
-
-    Returns s such that (x(s), z(s)) is nearest to (r, zeta) in the
-    half-plane, with ties broken toward the smallest s.
-    """
-    name = curve.name
-    t0, t1 = curve.interval
-    if name == "sphere":
-        rho = np.hypot(r, zeta)
-        if np.any(rho == 0):
-            raise ValueError("projection of the origin onto the sphere is undefined")
-        return np.arctan2(r, zeta)                        # in [0, pi]
-    if name.startswith("cylinder"):
-        return np.clip(zeta, t0, t1)
-    if name.startswith(("annulus", "disk")):
-        return np.clip(r, t0, t1)
-    if name.startswith("torus_band"):
-        # x = R + r cos t, z = r sin t: nearest tube angle seen from the
-        # center circle of radius R = (min x + max x)/2
-        grid = np.linspace(t0, t1, 4097)
-        xg = curve.x(grid)
-        R = 0.5 * (float(xg.min()) + float(xg.max()))
-        return np.arctan2(zeta, r - R) % (2 * np.pi)
-    return None
-
-
 def _bracketed_refine(curve, r, zeta, lo, hi, iters=80):
     """Vectorized refinement of the squared-distance minimum on [lo, hi].
 
@@ -503,18 +506,18 @@ def _bracketed_refine(curve, r, zeta, lo, hi, iters=80):
 def curve_parameter_of_closest(curve, r, zeta):
     """Parameter s in I minimizing (r - x(s))^2 + (zeta - z(s))^2, vectorized.
 
-    Presets with a closed form take it.  Any other curve is scanned at
-    _SCAN_POINTS + 1 equispaced nodes, and the bracket of one node step on
-    either side of each point's nearest node (the first one on ties) is
-    refined by _bracketed_refine.  The scan runs over _SCAN_BLOCK points at
-    a time, so its distance table stays in cache; each point's argmin is
-    computed from its own row only, so blocking changes no result.
+    A curve with a closed form (curve.closest, set by the presets) takes
+    it.  Any other curve is scanned at _SCAN_POINTS + 1 equispaced nodes,
+    and the bracket of one node step on either side of each point's
+    nearest node (the first one on ties) is refined by _bracketed_refine.
+    The scan runs over _SCAN_BLOCK points at a time, so its distance table
+    stays in cache; each point's argmin is computed from its own row only,
+    so blocking changes no result.
     """
     r = np.atleast_1d(np.asarray(r, dtype=float))
     zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
-    s = _analytic_projection(curve, r, zeta)
-    if s is not None:
-        return np.atleast_1d(s)
+    if curve.closest is not None:
+        return np.atleast_1d(curve.closest(r, zeta))
     t0, t1 = curve.interval
     grid = np.linspace(t0, t1, _SCAN_POINTS + 1)
     xg, zg = curve.x(grid), curve.z(grid)

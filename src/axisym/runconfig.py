@@ -136,19 +136,18 @@ def _read_table(path, columns):
     return np.array(rows)
 
 
-def _build_surface(section, role, where):
-    if "spline_table" in section:
-        tab = _read_table(section["spline_table"], ["t", "x", "z"])
-        curve = spline_curve(tab[:, 0], tab[:, 1], tab[:, 2],
-                             name=Path(section["spline_table"]).stem,
-                             closed=bool(section.get("closed", False)))
-        return surface(curve, role)
-    preset = section.get("preset")
-    if not preset:
+def _build_surface(section, where):
+    if "spline_table" not in section and not section.get("preset"):
         raise ConfigError(f"{where}: needs 'preset' or 'spline_table'")
     try:
-        return surface(preset, role, **section.get("params", {}))
-    except (GeometryError, TypeError) as exc:
+        if "spline_table" in section:
+            tab = _read_table(section["spline_table"], ["t", "x", "z"])
+            return surface(spline_curve(
+                tab[:, 0], tab[:, 1], tab[:, 2],
+                name=Path(section["spline_table"]).stem,
+                closed=bool(section.get("closed", False))))
+        return surface(section["preset"], **section.get("params", {}))
+    except (ValueError, TypeError) as exc:      # GeometryError included
         raise ConfigError(f"{where}: {exc}") from exc
 
 
@@ -271,9 +270,9 @@ def build_run(cfg, seed_override=None, grid_override=None):
         n_phi, n_t = _check_grid(grid.get("n_phi", 64), grid.get("n_t", 64),
                                  "config.grid")
     base = _build_surface(cfg.get("base_surface", {"preset": "sphere"}),
-                          "base", "config.base_surface")
+                          "config.base_surface")
     target = _build_surface(cfg.get("target_surface", {"preset": "sphere"}),
-                            "target", "config.target_surface")
+                            "config.target_surface")
     try:
         mesh = build_mesh(base, n_phi, n_t)
     except (GeometryError, ValueError) as exc:

@@ -47,7 +47,6 @@ from .energy import (
     EnergyBreakdown,
     ProfileFunctional,
     SobolevPreconditioner,
-    argmin_phi_slice,
     chain_terms,
     euclidean_gradient,
     hypothesis_margin,
@@ -330,16 +329,20 @@ class SolveReport:
         }
 
 
-def field_diagnostics(field, params):
-    """Symmetry diagnostics attached to every solve report."""
+def field_diagnostics(field, energy):
+    """Mode decomposition and symmetry diagnostics of a reported field.
+
+    energy is the field's EnergyBreakdown.  Returns (ModeDecomposition,
+    diagnostics dict); the vertical phi-derivative mass is read from the
+    decomposition's DFT coefficients.
+    """
     dec = mode_decompose(field)
-    total = total_energy(field, params).total
     scale = max(float(np.max(np.linalg.norm(field.values, axis=-1))), 1e-30)
     l2_sq = float(np.sum(field.mesh.quad_weights
                          * np.sum(field.values ** 2, axis=-1)))
     # absolute floors keep the relative diagnostics meaningful for
     # degenerate (near-zero) minimizers
-    energy_floor = abs(total) + 1e-12 * (1 + l2_sq)
+    energy_floor = abs(energy.total) + 1e-12 * (1 + l2_sq)
     labels = line_symmetry_classify(field, tol=max(1e-3 * scale, 1e-12))
     mean = circular_average_perp(field)
     alpha, beta = dec.alpha_perp, dec.beta_perp
@@ -354,13 +357,12 @@ def field_diagnostics(field, params):
     else:
         orth_norm = orth_dot = 0.0
     n_phi = field.mesh.n_phi
-    vert_coeff = np.fft.rfft(field.values[..., 2], axis=0) / n_phi
     w = parseval_weights(n_phi)
     k2 = np.arange(n_phi // 2 + 1, dtype=float) ** 2
     dphi_vert_mass = 2 * np.pi * float(
-        np.sum((w * k2)[:, None] * np.abs(vert_coeff) ** 2
+        np.sum((w * k2)[:, None] * np.abs(dec.coeff[..., 2]) ** 2
                * (field.mesh.sqrtg * field.mesh.dt)[None, :]))
-    return {
+    return dec, {
         "residual_energy": dec.residual_energy,
         "residual_over_total": dec.residual_energy / energy_floor,
         "null_average_norm": float(np.max(np.linalg.norm(mean, axis=1))),
@@ -375,6 +377,33 @@ def field_diagnostics(field, params):
         "constraint_defect": field.constraint_defect(),
         "field_scale": scale,
     }
+
+
+def _rank_restarts(results, params, seed):
+    """Rank the restarts and report the best one.
+
+    results lists (field, energy, iterations, stop_reason) per restart in
+    restart order, where energy is the total_energy of the restart's final
+    2D field.  The lowest energy wins, ties going to the lowest index.
+    Returns (index of the winner, its SolveReport).
+    """
+    best = min(range(len(results)), key=lambda i: (results[i][1], i))
+    field, e, _, reason = results[best]
+    breakdown = total_energy(field, params)
+    assert abs(breakdown.total - e) <= 1e-12 * (1 + abs(e))
+    mode, diagnostics = field_diagnostics(field, breakdown)
+    return best, SolveReport(
+        best_field=field,
+        best_energy=breakdown,
+        iterations=[r[2] for r in results],
+        converged=reason == "grad_tol",
+        stop_reasons=[r[3] for r in results],
+        mode=mode,
+        margin=hypothesis_margin(field.mesh, params.weight),
+        diagnostics=diagnostics,
+        restart_energies=[r[1] for r in results],
+        seed=seed,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -424,31 +453,15 @@ def minimize_2d(mesh, target, params, config=SolveConfig(), keep_fields=False):
     inits += [f.values for f in _structured_inits(mesh, target)]
     inits = [_apply_boundary(v, boundary) for v in inits]
 
-    results = [(idx,) + _h1_descent(v0, value_fn, egrad_fn, precond,
-                                    _FeasibleSet(target, boundary), config)
-               for idx, v0 in enumerate(inits)]
-    by_energy = sorted(results, key=lambda r: (r[2], r[0]))
-    _, vals, _, _, reason = by_energy[0]
-
-    best = DiscreteField(mesh, target, vals)
-    breakdown = total_energy(best, params)
-    by_index = sorted(results, key=lambda r: r[0])
-    report = SolveReport(
-        best_field=best,
-        best_energy=breakdown,
-        iterations=[r[3] for r in by_index],
-        converged=reason == "grad_tol",
-        stop_reasons=[r[4] for r in by_index],
-        mode=mode_decompose(best),
-        margin=hypothesis_margin(mesh, params.weight),
-        diagnostics=field_diagnostics(best, params),
-        restart_energies=[r[2] for r in by_index],
-        restart_fields=([DiscreteField(mesh, target, r[1]) for r in by_index]
-                        if keep_fields else None),
-        seed=config.seed,
-    )
-    assert abs(report.best_energy.total - total_energy(best, params).total) \
-        <= 1e-12 * (1 + abs(report.best_energy.total))
+    results = []
+    for v0 in inits:
+        vals, e, iters, reason = _h1_descent(v0, value_fn, egrad_fn, precond,
+                                             _FeasibleSet(target, boundary),
+                                             config)
+        results.append((DiscreteField(mesh, target, vals), e, iters, reason))
+    _, report = _rank_restarts(results, params, config.seed)
+    if keep_fields:
+        report.restart_fields = [r[0] for r in results]
     return report
 
 
@@ -475,42 +488,27 @@ def minimize_1d_profile(mesh, target, params, variant, config=SolveConfig()):
     """
     reduced = ProfileFunctional(mesh, params, variant)
     precond = SobolevPreconditioner(mesh, profile=True)
-    variant_mismatch = params.aniso.variant != variant
 
     prof0, _ = project_points(target, mesh.surface.normal_profile(mesh.t))
     inits = [prof0]
     for r in range(config.restarts):
         inits.append(random_field(mesh, target, seed=config.seed + 500 + r).values[0])
 
-    results = []
-    for idx, g0 in enumerate(inits):
+    profiles, results = [], []
+    for g0 in inits:
         gamma, _, iters, reason = _h1_descent(g0, reduced.value,
                                               reduced.gradient, precond,
                                               _FeasibleSet(target), config)
-        e = profile_energy(mesh, target, params,
-                           ProfileField(mesh.t, gamma, variant)).total
-        results.append((idx, gamma, e, iters, reason))
-    by_energy = sorted(results, key=lambda r: (r[2], r[0]))
-    _, gamma, _, _, reason = by_energy[0]
-
-    profile = ProfileField(mesh.t, gamma, variant)
-    best = build_from_profile(mesh, profile, target)
-    diags = field_diagnostics(best, params)
-    diags["variant_mismatch_warning"] = bool(variant_mismatch)
-    by_index = sorted(results, key=lambda r: r[0])
-    return SolveReport(
-        best_field=best,
-        best_energy=total_energy(best, params),
-        iterations=[r[3] for r in by_index],
-        converged=reason == "grad_tol",
-        stop_reasons=[r[4] for r in by_index],
-        mode=mode_decompose(best),
-        margin=hypothesis_margin(mesh, params.weight),
-        diagnostics=diags,
-        best_profile=profile,
-        restart_energies=[r[2] for r in by_index],
-        seed=config.seed,
-    )
+        profile = ProfileField(mesh.t, gamma, variant)
+        field = build_from_profile(mesh, profile, target)
+        profiles.append(profile)
+        results.append((field, total_energy(field, params).total, iters,
+                        reason))
+    best, report = _rank_restarts(results, params, config.seed)
+    report.best_profile = profiles[best]
+    report.diagnostics["variant_mismatch_warning"] = \
+        params.aniso.variant != variant
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -553,22 +551,21 @@ def symmetrize_and_certify(field, params, variant):
     hypothesis_violation rather than raising.
     """
     margin = hypothesis_margin(field.mesh, params.weight)
-    phi_star = argmin_phi_slice(field, params)
-    u = symmetrize(field, phi_star, variant)
     ct = chain_terms(field, params)
-    bd_m = total_energy(field, params)
+    u = symmetrize(field, ct.phi_star, variant)
     bd_u = total_energy(u, params)
-    slack = 1e-9 * (1 + abs(bd_m.total))
+    e_m = ct.energy_m.total
+    slack = 1e-9 * (1 + abs(e_m))
     residuals = {
         "slice_vs_mean": ct.eq1 - bd_u.total,
         "poincare_wirtinger": ct.eq2 - ct.eq1,
-        "vertical_mode": ct.total - ct.eq2,
-        "total_gap": bd_m.total - bd_u.total,
+        "vertical_mode": e_m - ct.eq2,
+        "total_gap": e_m - bd_u.total,
     }
     violated = margin.min_h1w < SQRT_2PI * (1 - 1e-9)
     certified = all(v >= -slack for v in residuals.values())
-    return u, ChainReport(phi_star, bd_m, bd_u, ct.eq1, ct.eq2, residuals,
-                          margin, bool(violated), bool(certified))
+    return u, ChainReport(ct.phi_star, ct.energy_m, bd_u, ct.eq1, ct.eq2,
+                          residuals, margin, bool(violated), bool(certified))
 
 
 # ---------------------------------------------------------------------------

@@ -197,6 +197,28 @@ def _margin_state(margin, weight):
     return "below"
 
 
+def _form_check(diag, tols):
+    """(residuals, ok) of the first-harmonic form: the mass outside
+    horizontal k = +-1 and vertical k = 0, and the vertical
+    phi-derivative mass, each relative to the energy."""
+    residuals = {"form_residual": diag["residual_over_total"],
+                 "vertical_mode_residual": diag["dphi_vertical_over_total"]}
+    return residuals, all(v <= tols["form_residual"]
+                          for v in residuals.values())
+
+
+def _line_symmetry_check(diag, tols):
+    """(residuals, ok) of line symmetry: the orthogonality relations
+    |alpha| = |beta| and alpha . beta = 0, and no row of neither kind."""
+    residuals = {"orthogonality_norm": diag["orthogonality_norm_residual"],
+                 "orthogonality_dot": diag["orthogonality_dot_residual"],
+                 "neither_rows": float(diag["neither_rows"])}
+    ok = (residuals["orthogonality_norm"] <= tols["orthogonality"]
+          and residuals["orthogonality_dot"] <= tols["orthogonality"]
+          and diag["neither_rows"] == 0)
+    return residuals, ok
+
+
 def verify_main0(instance_desc, report, params, tols=DEFAULT_TOLERANCES):
     """First-harmonic form of the best found field under the strict margin."""
     state = _margin_state(report.margin, params.weight)
@@ -209,56 +231,41 @@ def verify_main0(instance_desc, report, params, tols=DEFAULT_TOLERANCES):
             tolerances, f"inapplicable: margin {state}")
     u, chain = symmetrize_and_certify(report.best_field, params,
                                       params.aniso.variant)
-    gap = abs(chain.energy_u.total - chain.energy_m.total) \
+    residuals, ok = _form_check(diag, tols)
+    residuals["companion_energy_gap"] = \
+        abs(chain.energy_u.total - chain.energy_m.total) \
         / (1 + abs(chain.energy_m.total))
-    residuals = {
-        "form_residual": diag["residual_over_total"],
-        "vertical_mode_residual": diag["dphi_vertical_over_total"],
-        "companion_energy_gap": gap,
-        "companion_defect": symmetry_defect(u, params.aniso.variant),
-    }
-    checks = [
-        residuals["form_residual"] <= tols["form_residual"],
-        residuals["vertical_mode_residual"] <= tols["form_residual"],
-        residuals["companion_energy_gap"] <= tols["energy_gap"],
-        residuals["companion_defect"] <= tols["defect"],
-    ]
+    residuals["companion_defect"] = symmetry_defect(u, params.aniso.variant)
+    ok = (ok and residuals["companion_energy_gap"] <= tols["energy_gap"]
+          and residuals["companion_defect"] <= tols["defect"])
     note = ""
     if state == "strict":
         residuals["null_average"] = (diag["null_average_norm"]
-            / max(diag["field_scale"], 1e-9))
-        checks.append(residuals["null_average"] <= tols["null_average"])
+                                     / max(diag["field_scale"], 1e-9))
+        ok = ok and residuals["null_average"] <= tols["null_average"]
     else:
         note = "borderline margin: ring-mean term retained in the form"
-    return TheoremCertificate("main0_form", instance_desc, True,
-                              bool(all(checks)), residuals, tolerances, note)
+    return TheoremCertificate("main0_form", instance_desc, True, bool(ok),
+                              residuals, tolerances, note)
 
 
-def verify_main1(instance_desc, report, params, target,
-                 tols=DEFAULT_TOLERANCES):
-    """Adds line-symmetry labels and orthogonality under never-flat targets."""
+def verify_main1(main0, report, params, target, tols=DEFAULT_TOLERANCES):
+    """Adds line-symmetry labels and orthogonality under never-flat targets.
+
+    main0 is verify_main0's certificate of the same report; this one
+    extends its residuals and passes only where it passed.
+    """
     state = _margin_state(report.margin, params.weight)
-    flat = never_flat_check(target)
     tolerances = {k: tols[k] for k in ("form_residual", "orthogonality")}
-    if state != "strict" or not flat.ok:
+    if state != "strict" or not never_flat_check(target).ok:
         why = "margin not strict" if state != "strict" else "target has flat bands"
-        return TheoremCertificate("main1_line_symmetry", instance_desc,
+        return TheoremCertificate("main1_line_symmetry", main0.instance,
                                   False, True, {}, tolerances,
                                   f"inapplicable: {why}")
-    base = verify_main0(instance_desc, report, params, tols)
-    diag = report.diagnostics
-    residuals = dict(base.residuals)
-    residuals.update({
-        "orthogonality_norm": diag["orthogonality_norm_residual"],
-        "orthogonality_dot": diag["orthogonality_dot_residual"],
-        "neither_rows": float(diag["neither_rows"]),
-    })
-    ok = (base.passed
-          and residuals["orthogonality_norm"] <= tols["orthogonality"]
-          and residuals["orthogonality_dot"] <= tols["orthogonality"]
-          and diag["neither_rows"] == 0)
-    return TheoremCertificate("main1_line_symmetry", instance_desc, True,
-                              bool(ok), residuals, tolerances)
+    residuals, ok = _line_symmetry_check(report.diagnostics, tols)
+    return TheoremCertificate("main1_line_symmetry", main0.instance, True,
+                              bool(main0.passed and ok),
+                              dict(main0.residuals, **residuals), tolerances)
 
 
 def verify_main3(instance_desc, report, params, target,
@@ -276,29 +283,24 @@ def verify_main3(instance_desc, report, params, target,
                                   False, True, {}, tolerances,
                                   "inapplicable: instance has a penalty term")
     diag = report.diagnostics
-    rel_mean = diag["null_average_norm"] / max(diag["field_scale"], 1e-9)
-    residuals = {"null_average": rel_mean}
-    if rel_mean > tols["null_average_strict"]:
+    residuals = {"null_average": diag["null_average_norm"]
+                 / max(diag["field_scale"], 1e-9)}
+    if residuals["null_average"] > tols["null_average_strict"]:
         return TheoremCertificate("main3_null_average", instance_desc,
                                   False, True, residuals, tolerances,
                                   "hypothesis unmet: found minimizer is not "
                                   "axially null-average")
-    residuals["form_residual"] = diag["residual_over_total"]
-    residuals["vertical_mode_residual"] = diag["dphi_vertical_over_total"]
-    checks = [residuals["form_residual"] <= tols["form_residual"],
-              residuals["vertical_mode_residual"] <= tols["form_residual"]]
+    form, ok = _form_check(diag, tols)
+    residuals.update(form)
     note = ""
     if never_flat_check(target).ok:
-        residuals["orthogonality_norm"] = diag["orthogonality_norm_residual"]
-        residuals["orthogonality_dot"] = diag["orthogonality_dot_residual"]
-        residuals["neither_rows"] = float(diag["neither_rows"])
-        checks += [residuals["orthogonality_norm"] <= tols["orthogonality"],
-                   residuals["orthogonality_dot"] <= tols["orthogonality"],
-                   diag["neither_rows"] == 0]
+        line, line_ok = _line_symmetry_check(diag, tols)
+        residuals.update(line)
+        ok = ok and line_ok
     else:
         note = "target not never-flat: orthogonality checks skipped"
     return TheoremCertificate("main3_null_average", instance_desc, True,
-                              bool(all(checks)), residuals, tolerances, note)
+                              bool(ok), residuals, tolerances, note)
 
 
 def verify_chain(desc, seeds, n_fields, tols=DEFAULT_TOLERANCES):
@@ -455,8 +457,9 @@ def run_suite(config=None, out_dir=None, tols=DEFAULT_TOLERANCES):
             mesh, target, params, sc = build_run(desc["config"])
             report = minimize_2d(mesh, target, params, sc)
             key = f"{name}_s{seed}"
-            emit(key, verify_main0(desc, report, params, tols))
-            emit(key, verify_main1(desc, report, params, target, tols))
+            main0 = verify_main0(desc, report, params, tols)
+            emit(key, main0)
+            emit(key, verify_main1(main0, report, params, target, tols))
             emit(key, verify_main3(desc, report, params, target, tols))
 
     first_seed = cfg["seeds"][0] if cfg["seeds"] else 0

@@ -1,5 +1,8 @@
+import sys
+
 import pytest
 
+import axisym.cli  # noqa: F401  (imports every axisym module)
 from axisym.runconfig import RUN_SCHEMA, build_run
 
 # the config key that carries each potential's and weight's value
@@ -26,6 +29,23 @@ def make_instance(base="sphere", target="sphere", n_phi=32, n_t=24,
         "weight": {"kind": wkind, _VALUE_KEY[wkind]: wval},
     })
     return mesh, tgt, params
+
+
+def count_calls(monkeypatch, fn):
+    """Route every axisym module's binding of fn through a counter; returns
+    the list that gets one entry per call."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "axisym" or name.startswith("axisym."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

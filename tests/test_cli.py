@@ -6,8 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from axisym import ioutil
+from axisym import fields, ioutil
 from axisym.cli import main
+from conftest import count_calls
 
 
 def write_config(path, **overrides):
@@ -74,6 +75,16 @@ def test_minimize_thread_count_invariance(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+def test_minimize_decomposes_the_field_once(tmp_path, monkeypatch):
+    # the report's decomposition feeds its diagnostics and mode.csv
+    calls = count_calls(monkeypatch, fields.mode_decompose)
+    cfg_path = tmp_path / "run.json"
+    write_config(cfg_path, solver={"restarts": 1, "max_iters": 50, "seed": 0})
+    assert main(["minimize", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "o")]) in (0, 2)
+    assert len(calls) == 1
+
+
 def test_unknown_key_rejected(tmp_path):
     cfg_path = tmp_path / "run.json"
     cfg = write_config(cfg_path)
@@ -88,6 +99,35 @@ def test_bad_grid_rejected(tmp_path, capsys):
     assert main(["minimize", "--config", str(cfg_path)]) == 3
     err = capsys.readouterr().err
     assert "n_phi" in err
+
+
+@pytest.mark.parametrize("params, message", [
+    ({"radus": 2.0}, "no parameter 'radus'"),
+    ({"radius": "2"}, "'radius' must be a number"),
+])
+def test_bad_preset_parameter_exits_3(tmp_path, capsys, params, message):
+    # a misspelt parameter must not fall back to its default
+    cfg_path = tmp_path / "run.json"
+    write_config(cfg_path, base_surface={"preset": "cylinder", "params": params})
+    assert main(["minimize", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "config.base_surface" in err and message in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("rows", [
+    "0,1,0\n1,1,1\n0.5,1,2\n",
+    "0,1,0\n1,-1,1\n2,1,2\n3,1,3\n",
+], ids=["t_not_increasing", "x_negative"])
+def test_bad_spline_table_exits_3(tmp_path, capsys, rows):
+    table = tmp_path / "curve.csv"
+    table.write_text("t,x,z\n" + rows, encoding="utf-8")
+    cfg_path = tmp_path / "run.json"
+    write_config(cfg_path, target_surface={"spline_table": str(table)})
+    assert main(["minimize", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "o")]) == 3
+    assert "config.target_surface" in capsys.readouterr().err
 
 
 def test_missing_config():

@@ -31,7 +31,7 @@ def sphere_mesh():
 
 @pytest.fixture(scope="module")
 def sphere_target():
-    return surface("sphere", role="target")
+    return surface("sphere")
 
 
 def unit_profile(mesh):

@@ -9,6 +9,7 @@ from axisym.fields import random_field
 from axisym.geometry import (
     _SCAN_POINTS,
     AxisError,
+    GeometryError,
     RegularityError,
     build_mesh,
     curve_parameter_of_closest,
@@ -204,14 +205,14 @@ def test_surface_normal_axially_symmetric():
 
 
 def test_project_sphere_examples():
-    sph = surface("sphere", role="target")
+    sph = surface("sphere")
     assert np.allclose(project_to_target(sph, [0, 0, 2.0]), [0, 0, 1.0], atol=1e-12)
     assert np.allclose(project_to_target(sph, [0.3, 0.4, 0.0]), [0.6, 0.8, 0.0],
                        atol=1e-12)
 
 
 def test_project_sphere_is_normalization():
-    sph = surface("sphere", role="target")
+    sph = surface("sphere")
     rng = np.random.default_rng(1)
     v = rng.normal(size=(1000, 3))
     v *= rng.uniform(0.5, 2.0, size=(1000, 1)) / np.linalg.norm(v, axis=1, keepdims=True)
@@ -221,7 +222,7 @@ def test_project_sphere_is_normalization():
 
 
 def test_project_torus_example():
-    tor = surface("torus_band", role="target")
+    tor = surface("torus_band")
     assert np.allclose(project_to_target(tor, [4.0, 0, 0]), [3.0, 0, 0], atol=1e-10)
 
 
@@ -229,8 +230,8 @@ def test_project_generic_matches_analytic_on_sphere():
     # run the scan+bisection path on a spline replica of the sphere curve
     t = np.linspace(0, np.pi, 801)
     spl = spline_curve(t, np.sin(t), np.cos(t), name="sphere_spline")
-    tgt = surface(spl, role="target")
-    sph = surface("sphere", role="target")
+    tgt = surface(spl)
+    sph = surface("sphere")
     rng = np.random.default_rng(2)
     v = rng.normal(size=(200, 3))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
@@ -240,9 +241,30 @@ def test_project_generic_matches_analytic_on_sphere():
     assert np.max(np.linalg.norm(pg - pa, axis=1)) < 1e-6
 
 
+@pytest.mark.parametrize("name", ["sphere", "cylinder_tall", "annulus_x",
+                                  "disk_x", "torus_band_x", "ellipsoid_band"])
+def test_spline_named_like_a_preset_projects_generically(name):
+    # only presets carry a closed-form projection; a curve's name picks none
+    t = np.linspace(0, np.pi, 41)
+    named = surface(spline_curve(t, np.sin(t), 1.5 * np.cos(t), name=name))
+    plain = surface(spline_curve(t, np.sin(t), 1.5 * np.cos(t), name="spline"))
+    v = np.random.default_rng(4).normal(size=(200, 3)) * 1.5
+    p_named, s_named = project_points(named, v)
+    p_plain, s_plain = project_points(plain, v)
+    np.testing.assert_array_equal(s_named, s_plain)
+    np.testing.assert_array_equal(p_named, p_plain)
+
+
+def test_preset_rejects_unknown_parameter():
+    with pytest.raises(GeometryError, match="no parameter 'radus'"):
+        preset_curve("cylinder", radus=2.0)
+    with pytest.raises(GeometryError, match="unknown curve preset"):
+        preset_curve("cone")
+
+
 def test_project_idempotent():
     for name in ("sphere", "cylinder", "torus_band", "ellipsoid_band"):
-        tgt = surface(name, role="target")
+        tgt = surface(name)
         rng = np.random.default_rng(3)
         v = rng.normal(size=(100, 3)) * 1.5
         if name == "sphere":
@@ -253,13 +275,13 @@ def test_project_idempotent():
 
 
 def test_project_axis_tiebreak_uses_e1():
-    cyl = surface("cylinder", role="target")
+    cyl = surface("cylinder")
     p = project_to_target(cyl, [0.0, 0.0, 0.5])
     assert np.allclose(p, [1.0, 0.0, 0.5], atol=1e-14)
 
 
 def test_project_lipschitz_bound():
-    sph = surface("sphere", role="target")
+    sph = surface("sphere")
     rng = np.random.default_rng(4)
     base = rng.normal(size=(300, 3))
     base /= np.linalg.norm(base, axis=1, keepdims=True)
@@ -363,7 +385,7 @@ def test_closest_parameter_equals_fixed_iteration_reference():
 def test_closest_parameter_evaluation_count():
     # the spline-target instance: a 16x16 cylinder base, the ellipse target
     mesh = build_mesh(surface("cylinder", radius=2.0), 16, 16)
-    target = surface(_ellipse_spline(), role="target")
+    target = surface(_ellipse_spline())
     pts = random_field(mesh, target, seed=0).values.reshape(-1, 3)
     sizes = []
 
@@ -382,12 +404,12 @@ def test_closest_parameter_evaluation_count():
 
 
 def test_tangent_project_examples():
-    sph = surface("sphere", role="target")
+    sph = surface("sphere")
     assert np.allclose(tangent_project(sph, [0, 0, 1.0], [1.0, 2.0, 3.0]),
                        [1, 2, 0], atol=1e-12)
     assert np.max(np.abs(tangent_project(sph, [1.0, 0, 0], [5.0, 0, 0]))) < 1e-12
     # removing the normal component leaves 0
-    tor = surface("torus_band", role="target")
+    tor = surface("torus_band")
     p = project_to_target(tor, [2.7, 0.4, 0.8])
     nu = target_normal(tor, p)
     assert np.max(np.abs(tangent_project(tor, p, nu))) < 1e-10
@@ -396,7 +418,7 @@ def test_tangent_project_examples():
 def test_tangent_orthogonal_to_normal():
     rng = np.random.default_rng(5)
     for name in ("sphere", "cylinder", "ellipsoid_band"):
-        tgt = surface(name, role="target")
+        tgt = surface(name)
         v = rng.normal(size=(50, 3)) + np.array([1.5, 0, 0])
         p, s = project_points(tgt, v)
         w = rng.normal(size=(50, 3))
@@ -422,17 +444,20 @@ def test_spline_curve_roundtrip():
 
 
 def test_project_torus_brute_force_oracle():
-    # independent oracle: scan 1e5 curve samples for the nearest point
-    tor = surface("torus_band", role="target")
-    curve = tor.curve
-    s = np.linspace(*curve.interval, 100_001)
-    xs, zs = curve.x(s), curve.z(s)
-    rng = np.random.default_rng(8)
-    pts = rng.normal(size=(25, 3)) * 2.0 + np.array([2.0, 0, 0])
-    proj, _ = project_points(tor, pts)
-    for v, p in zip(pts, proj):
-        r, zeta = np.hypot(v[0], v[1]), v[2]
-        k = np.argmin((xs - r) ** 2 + (zs - zeta) ** 2)
-        theta = np.arctan2(v[1], v[0])
-        brute = np.array([xs[k] * np.cos(theta), xs[k] * np.sin(theta), zs[k]])
-        assert np.linalg.norm(p - brute) < 1e-4
+    # independent oracle: scan 1e5 curve samples for the nearest point, on
+    # the default torus and on one with its own R and r
+    for params in ({}, {"R": 3.0, "r": 0.7}):
+        tor = surface("torus_band", **params)
+        curve = tor.curve
+        s = np.linspace(*curve.interval, 100_001)
+        xs, zs = curve.x(s), curve.z(s)
+        rng = np.random.default_rng(8)
+        pts = rng.normal(size=(25, 3)) * 2.0 + np.array([2.0, 0, 0])
+        proj, _ = project_points(tor, pts)
+        for v, p in zip(pts, proj):
+            r, zeta = np.hypot(v[0], v[1]), v[2]
+            k = np.argmin((xs - r) ** 2 + (zs - zeta) ** 2)
+            theta = np.arctan2(v[1], v[0])
+            brute = np.array([xs[k] * np.cos(theta), xs[k] * np.sin(theta),
+                              zs[k]])
+            assert np.linalg.norm(p - brute) < 1e-4, params

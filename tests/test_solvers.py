@@ -244,7 +244,7 @@ def test_dirichlet_boundary_rows_frozen():
     from axisym.energy import BoundaryCondition, aniso_constant_e3 as ac3
     from axisym.energy import dirichlet_rows_from_vector, weight_zero
     mesh = build_mesh(surface("cylinder", radius=2.0), 16, 12)
-    tgt = surface("sphere", role="target")
+    tgt = surface("sphere")
     bottom = dirichlet_rows_from_vector(mesh, [0.6, 0.0, 0.8], "symmetric")
     top = dirichlet_rows_from_vector(mesh, [0.0, 0.0, 1.0], "symmetric")
     bc = BoundaryCondition("dirichlet", bottom, top, "symmetric")
@@ -414,7 +414,7 @@ def test_certify_never_worsens_best_solve():
 
 def test_certify_subthreshold_flags_violation():
     mesh = build_mesh(surface("cylinder", radius=0.5), 16, 12)
-    tgt = surface("sphere", role="target")
+    tgt = surface("sphere")
     params = make_params(mesh, tgt, quadratic_potential(0.0),
                          aniso_constant_e3(mesh), weight_constant(mesh, 1.0))
     assert not hypothesis_margin(mesh, params.weight).strict

@@ -5,7 +5,8 @@ import pytest
 
 from axisym import ioutil
 from axisym.runconfig import build_run, load_config
-from axisym.solvers import SolveConfig, minimize_2d
+from axisym.solvers import SolveConfig, minimize_2d, symmetrize_and_certify
+from conftest import count_calls
 from axisym.verify import (
     DEFAULT_INSTANCES,
     instance,
@@ -86,6 +87,20 @@ def test_suite_reruns_byte_identical(tmp_path):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
 
+def test_one_symmetrization_per_solved_instance(monkeypatch):
+    # main1 extends main0's certificate: the strict-margin instance is
+    # symmetrized once, the instance without a penalty weight not at all
+    calls = count_calls(monkeypatch, symmetrize_and_certify)
+    certs, _ = run_suite({
+        "instances": ["cylinder2_quartic_const1", "sphere_easy_normal_free"],
+        "grid": {"n_phi": 16, "n_t": 12},
+        "solver": {"restarts": 0, "max_iters": 200}})
+    applicable = [(c.theorem, c.instance["name"]) for c in certs
+                  if c.applicable]
+    assert ("main1_line_symmetry", "cylinder2_quartic_const1") in applicable
+    assert len(calls) == 1
+
+
 def test_empty_matrix():
     # a suite that checks nothing must not pass
     certs, summary = run_suite({"instances": []})
@@ -146,8 +161,10 @@ def test_main1_applicable_on_torus_band():
     desc, mesh, tgt, params = build("torus_band_self_margin", 16, 16)
     rep = minimize_2d(mesh, tgt, params,
                       SolveConfig(restarts=1, max_iters=2500, grad_tol=1e-9, seed=0))
-    cert = verify_main1(desc, rep, params, tgt)
-    assert cert.applicable
+    main0 = verify_main0(desc, rep, params)
+    cert = verify_main1(main0, rep, params, tgt)
+    assert cert.applicable and cert.instance == desc
+    assert set(cert.residuals) >= set(main0.residuals)
 
 
 def test_chain_certificate():
