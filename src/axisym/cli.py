@@ -20,13 +20,14 @@ Exit codes: 0 ok/converged (of a solve: its winning restart met the
 gradient tolerance; report.json's stop_reasons gives every restart), 1
 failed certificate, 2 not converged (the winning restart did not meet the
 tolerance) or singular system, 3 input error (including grids outside
-[8, 4096] or with odd n_phi, and kinked potential tables where a gradient
-is needed).  Restarts run one after another in one thread.
+[8, 4096] or with odd n_phi, NaN or Infinity in a config or an annulus
+flag, and kinked potential tables where a gradient is needed).  Restarts run one after another in one thread.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -177,15 +178,23 @@ def cmd_verify(args):
     return EXIT_OK if summary["all_pass"] else EXIT_CERT_FAILED
 
 
-def cmd_annulus(args):
+def _ring_vector(text, flag):
     try:
-        inner = [float(v) for v in args.inner.split(",")]
-        outer = [float(v) for v in args.outer.split(",")]
-        if len(inner) != 3 or len(outer) != 3:
-            raise ValueError("boundary vectors need three components")
+        vector = [float(v) for v in text.split(",")]
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"{flag}: {exc}") from exc
+    if len(vector) != 3:
+        raise ConfigError(f"{flag}: boundary vectors need three components")
+    if not all(math.isfinite(v) for v in vector):
+        raise ConfigError(f"{flag}: components must be finite, got {text!r}")
+    return vector
+
+
+def cmd_annulus(args):
+    if not math.isfinite(args.kappa):
+        raise ConfigError(f"--kappa: must be finite, got {args.kappa!r}")
+    inner = _ring_vector(args.inner, "--inner")
+    outer = _ring_vector(args.outer, "--outer")
     b1 = annulus_boundary_from_vector(args.n_phi, inner)
     b2 = annulus_boundary_from_vector(args.n_phi, outer)
     try:

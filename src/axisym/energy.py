@@ -34,7 +34,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .geometry import dot3, ring_defect, sweep, tangent_project_points
@@ -100,6 +99,9 @@ def table_potential(s_samples, g_samples):
     Kinks are flagged when the largest second difference exceeds 1e3 times
     the median one; gradients then refuse to differentiate the table.
     """
+    # imported here for the reason given in geometry.spline_curve
+    from scipy.interpolate import CubicSpline
+
     s = np.asarray(s_samples, dtype=float)
     gv = np.asarray(g_samples, dtype=float)
     spl = CubicSpline(s, gv)
@@ -119,26 +121,24 @@ def table_potential(s_samples, g_samples):
 class AnisotropyField:
     """Rotation-(contra)variant reference field a cached at mesh nodes."""
 
-    kind: str
     variant: str                 # "symmetric" | "antisymmetric"
     node_values: np.ndarray      # (n_phi, n_t, 3)
 
 
-def _sweep_aniso(mesh, kind, profile0, variant):
+def _sweep_aniso(mesh, profile0, variant):
     vals = sweep(mesh.phi[:, None], profile0[None, :, :], variant)
-    return AnisotropyField(kind, variant, vals)
+    return AnisotropyField(variant, vals)
 
 
 def aniso_surface_normal(mesh):
     """a = unit normal of the base surface (axially symmetric)."""
-    return _sweep_aniso(mesh, "surface_normal",
-                        mesh.surface.normal_profile(mesh.t), "symmetric")
+    return _sweep_aniso(mesh, mesh.surface.normal_profile(mesh.t), "symmetric")
 
 
 def aniso_constant_e3(mesh):
     prof = np.zeros((mesh.n_t, 3))
     prof[:, 2] = 1.0
-    return _sweep_aniso(mesh, "constant_e3", prof, "symmetric")
+    return _sweep_aniso(mesh, prof, "symmetric")
 
 
 def aniso_profile(mesh, profile0, variant):
@@ -152,8 +152,7 @@ def aniso_profile(mesh, profile0, variant):
             prof = np.broadcast_to(prof, (mesh.n_t, 3)).copy()
     if prof.shape != (mesh.n_t, 3):
         raise ValueError("anisotropy profile must have shape (n_t, 3)")
-    kind = "symmetric_profile" if variant == "symmetric" else "antisymmetric_profile"
-    return _sweep_aniso(mesh, kind, prof, variant)
+    return _sweep_aniso(mesh, prof, variant)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +163,6 @@ def aniso_profile(mesh, profile0, variant):
 class Weight:
     """Penalty weight omega with cached circular integral W^2(t)."""
 
-    kind: str
     W2: np.ndarray               # (n_t,)
     node_values: np.ndarray      # (n_phi, n_t), for reference/auditing
 
@@ -178,7 +176,7 @@ def weight_constant(mesh, lam):
         raise ValueError("omega must be nonnegative")
     vals = np.full(mesh.shape, float(lam))
     W2 = np.full(mesh.n_t, 2 * np.pi * lam ** 2)
-    return Weight("constant", W2, vals)
+    return Weight(W2, vals)
 
 
 def weight_t_profile(mesh, omega0):
@@ -187,7 +185,7 @@ def weight_t_profile(mesh, omega0):
     if np.any(om < 0):
         raise ValueError("omega must be nonnegative")
     vals = np.broadcast_to(om, mesh.shape).copy()
-    return Weight("t_profile", 2 * np.pi * om ** 2, vals)
+    return Weight(2 * np.pi * om ** 2, vals)
 
 
 def weight_margin_profile(mesh, margin):
@@ -209,7 +207,7 @@ def weight_general(mesh, omega):
     if np.any(vals < 0):
         raise ValueError("omega must be nonnegative")
     W2 = mesh.dphi * np.sum(vals ** 2, axis=0)
-    return Weight("general", W2, vals.copy())
+    return Weight(W2, vals.copy())
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 
 class GeometryError(ValueError):
@@ -98,7 +97,6 @@ class GeneratingCurve:
     half-plane, ties broken toward the smallest one.
     """
 
-    name: str
     interval: tuple[float, float]
     x: Callable
     z: Callable
@@ -155,10 +153,10 @@ def _sphere_closest(r, zeta):
     return np.arctan2(r, zeta)                            # in [0, pi]
 
 
-def _flat_ring(name, r0, r1, touches_axis_at=frozenset()):
+def _flat_ring(r0, r1, touches_axis_at=frozenset()):
     """x = t, z = 0 on [r0, r1]; the nearest parameter is r clipped."""
     return GeneratingCurve(
-        name, (r0, r1),
+        (r0, r1),
         x=lambda t: np.asarray(t, dtype=float),
         z=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
         dx=lambda t: np.ones_like(np.asarray(t, dtype=float)),
@@ -194,13 +192,13 @@ def preset_curve(name, **kw):
     p = dict(_PRESET_PARAMS[name], **kw)
     if name == "sphere":
         return GeneratingCurve(
-            "sphere", (0.0, np.pi),
+            (0.0, np.pi),
             x=np.sin, z=np.cos, dx=np.cos, dz=lambda t: -np.sin(t),
             touches_axis_at=frozenset((0.0, np.pi)), closest=_sphere_closest)
     if name == "cylinder":
         radius, height = p["radius"], p["height"]
         return GeneratingCurve(
-            f"cylinder(r={radius:g})", (0.0, height),
+            (0.0, height),
             x=lambda t: np.full_like(np.asarray(t, dtype=float), radius),
             z=lambda t: np.asarray(t, dtype=float),
             dx=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
@@ -208,15 +206,15 @@ def preset_curve(name, **kw):
             closest=lambda r, zeta: np.clip(zeta, 0.0, height))
     if name == "annulus":
         r0, r1 = p["r_inner"], p["r_outer"]
-        return _flat_ring(f"annulus({r0:g},{r1:g})", r0, r1)
+        return _flat_ring(r0, r1)
     if name == "disk":
-        return _flat_ring("disk", 0.0, p["radius"], frozenset((0.0,)))
+        return _flat_ring(0.0, p["radius"], frozenset((0.0,)))
     if name == "torus_band":
         R, r = p["R"], p["r"]
         if not R > r > 0:
             raise RegularityError("torus_band needs R > r > 0")
         return GeneratingCurve(
-            f"torus_band(R={R:g},r={r:g})", (0.0, 2 * np.pi),
+            (0.0, 2 * np.pi),
             x=lambda t: R + r * np.cos(t),
             z=lambda t: r * np.sin(t),
             dx=lambda t: -r * np.sin(t),
@@ -226,15 +224,20 @@ def preset_curve(name, **kw):
             closest=lambda rr, zeta: np.arctan2(zeta, rr - R) % (2 * np.pi))
     a, c, pad = p["a"], p["c"], p["pad"]
     return GeneratingCurve(
-        f"ellipsoid_band(a={a:g},c={c:g})", (pad, np.pi - pad),
+        (pad, np.pi - pad),
         x=lambda t: a * np.sin(t),
         z=lambda t: c * np.cos(t),
         dx=lambda t: a * np.cos(t),
         dz=lambda t: -c * np.sin(t))
 
 
-def spline_curve(t_samples, x_samples, z_samples, name="spline", closed=False):
+def spline_curve(t_samples, x_samples, z_samples, closed=False):
     """Cubic-spline generating curve through (t, x, z) sample tables."""
+    # imported here, not at module level: scipy.interpolate also loads
+    # scipy.optimize and scipy.special, which would double the start-up of
+    # every run that builds no spline
+    from scipy.interpolate import CubicSpline
+
     t = np.asarray(t_samples, dtype=float)
     bc = "periodic" if closed else "not-a-knot"
     sx = CubicSpline(t, np.asarray(x_samples, dtype=float), bc_type=bc)
@@ -247,12 +250,12 @@ def spline_curve(t_samples, x_samples, z_samples, name="spline", closed=False):
         def wrap(f):
             return lambda s: f((np.asarray(s, dtype=float) - t0) % period + t0)
 
-        return GeneratingCurve(name, (t0, t1), x=wrap(sx), z=wrap(sz),
+        return GeneratingCurve((t0, t1), x=wrap(sx), z=wrap(sz),
                                dx=wrap(dsx), dz=wrap(dsz), closed=True)
     touches = frozenset(
         ta for ta in (t0, t1)
         if abs(float(sx(ta))) <= 1e-10 and abs(float(dsz(ta))) <= 1e-10)
-    return GeneratingCurve(name, (t0, t1), x=sx, z=sz, dx=dsx, dz=dsz,
+    return GeneratingCurve((t0, t1), x=sx, z=sz, dx=dsx, dz=dsz,
                            touches_axis_at=touches)
 
 
@@ -623,7 +626,6 @@ def target_normal(target, pts, params=None):
 class NeverFlatReport:
     ok: bool
     flat_intervals: tuple
-    tol: float
 
 
 def never_flat_check(target, tol=1e-6, samples=4096):
@@ -648,4 +650,4 @@ def never_flat_check(target, tol=1e-6, samples=4096):
             if b - a > tol:
                 intervals.append((float(a), float(b)))
             start = None
-    return NeverFlatReport(len(intervals) == 0, tuple(intervals), tol)
+    return NeverFlatReport(len(intervals) == 0, tuple(intervals))

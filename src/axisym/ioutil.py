@@ -4,7 +4,7 @@ Artifacts are compared byte for byte across reruns, so
 serialization must be fully deterministic: keys sorted, floats rendered
 with %.17g (which round-trips IEEE doubles exactly), LF line endings.
 Every artifact is strict JSON: non-finite floats are refused, never
-written as bare inf/nan.
+written as bare inf/nan, and loads refuses NaN and Infinity on input.
 """
 
 from __future__ import annotations
@@ -76,8 +76,13 @@ def _render(obj, out, indent, level):
             out.append(float17(value))
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def loads(text):
-    return json.loads(text)
+    """Parse strict JSON: NaN, Infinity and -Infinity raise ValueError."""
+    return json.loads(text, parse_constant=_refuse_constant)
 
 
 def sha256_of(obj):

@@ -144,7 +144,6 @@ def _build_surface(section, where):
             tab = _read_table(section["spline_table"], ["t", "x", "z"])
             return surface(spline_curve(
                 tab[:, 0], tab[:, 1], tab[:, 2],
-                name=Path(section["spline_table"]).stem,
                 closed=bool(section.get("closed", False))))
         return surface(section["preset"], **section.get("params", {}))
     except (ValueError, TypeError) as exc:      # GeometryError included

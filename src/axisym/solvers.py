@@ -617,6 +617,8 @@ def solve_annulus_example(n_t, n_phi, kappa, b1, b2, r_inner=1.0, r_outer=2.0):
     rounding whatever the ring data.  The residual is that of the polar
     5-point stencil applied to the assembled solution.
     """
+    if n_t < ANNULUS_MIN_GRID["n_t"] or n_phi < ANNULUS_MIN_GRID["n_phi"]:
+        raise ValueError("annulus grid too small")
     b1 = np.asarray(b1, dtype=float)
     b2 = np.asarray(b2, dtype=float)
     if b1.shape != (n_phi, 3) or b2.shape != (n_phi, 3):
@@ -625,8 +627,6 @@ def solve_annulus_example(n_t, n_phi, kappa, b1, b2, r_inner=1.0, r_outer=2.0):
     for ring in (b1, b2):
         if ring_defect(phi, ring) > 1e-8:
             raise ValueError("annulus boundary data must be axially symmetric")
-    if n_t < ANNULUS_MIN_GRID["n_t"] or n_phi < ANNULUS_MIN_GRID["n_phi"]:
-        raise ValueError("annulus grid too small")
 
     h = (r_outer - r_inner) / n_t
     t = r_inner + h * np.arange(n_t + 1)

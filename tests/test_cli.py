@@ -378,8 +378,11 @@ def test_verify_bad_suite_sections_exit_3(tmp_path, capsys):
 ])
 def test_verify_bad_annulus_values_exit_3(tmp_path, capsys, annulus, key):
     cfg_path = tmp_path / "verify.json"
+    # 1e400 as the literal that overflows, not as the constant Infinity,
+    # which ioutil.loads refuses before any section is checked
     cfg_path.write_text(json.dumps({"schema": "axisym-run/1", "suite": {
-        "instances": ["annulus_pde"], "annulus": annulus}}), encoding="utf-8")
+        "instances": ["annulus_pde"], "annulus": annulus}}).replace(
+            "Infinity", "1e400"), encoding="utf-8")
     assert main(["verify", "--config", str(cfg_path),
                  "--out", str(tmp_path / "out")]) == 3
     assert f"config error: config.suite.annulus.{key}: " \
@@ -435,6 +438,100 @@ def test_verify_selecting_no_instance_exits_3(tmp_path, capsys, instances):
 def test_annulus_bad_grid_exits_3(tmp_path):
     assert main(["annulus", "--n-t", "2", "--n-phi", "8",
                  "--out", str(tmp_path / "ann")]) == 3
+    # checked before the ring data, which n_phi = 0 leaves empty
+    assert main(["annulus", "--n-t", "16", "--n-phi", "0",
+                 "--out", str(tmp_path / "ann")]) == 3
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--kappa", "inf"), ("--kappa", "nan"), ("--inner", "nan,0,0"),
+    ("--outer", "0,0,inf"),
+])
+def test_annulus_non_finite_flag_exits_3(tmp_path, capsys, flag, value):
+    out = tmp_path / "ann"
+    assert main(["annulus", "--n-t", "16", "--n-phi", "8", flag, value,
+                 "--out", str(out)]) == 3
+    assert f"config error: {flag}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("section", [
+    lambda v: {"weight": {"kind": "margin", "margin": v}},
+    lambda v: {"base_surface": {"preset": "cylinder", "params": {"radius": v}}},
+], ids=["weight_margin", "cylinder_radius"])
+def test_non_finite_config_exits_3(tmp_path, capsys, section, constant):
+    cfg_path = tmp_path / "run.json"
+    write_config(cfg_path, **section(float(constant.replace("Infinity", "inf"))))
+    assert constant in cfg_path.read_text()    # json.dumps writes the bare constant
+    assert main(["minimize", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "config is not valid JSON" in err and constant in err
+
+
+_STARTUP_SCRIPT = """
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from axisym.cli import main
+
+work = Path(sys.argv[1])
+assert main(["minimize", "--config", str(work / "run.json"),
+             "--out", str(work / "min")]) == 0
+assert main(["verify", "--config", str(work / "verify.json"),
+             "--out", str(work / "verify")]) == 0
+assert main(["annulus", "--n-t", "16", "--n-phi", "8",
+             "--out", str(work / "ann")]) == 0
+assert "scipy.interpolate" not in sys.modules, "loaded without a spline"
+
+from axisym.runconfig import build_run, load_config
+from scipy.interpolate import CubicSpline
+mesh, target, params, _ = build_run(load_config(work / "spline.json"))
+curve, pot = target.curve, params.potential
+t, x, z = np.loadtxt(work / "curve.csv", delimiter=",", skiprows=1).T
+s, g = np.loadtxt(work / "potential.csv", delimiter=",", skiprows=1).T
+sx, sz, sg = CubicSpline(t, x), CubicSpline(t, z), CubicSpline(s, g)
+tp, sp = np.linspace(t[0], t[-1], 97), np.linspace(-1.2, 1.2, 97)
+for ours, ref in ((curve.x, sx), (curve.z, sz), (curve.dx, sx.derivative()),
+                  (curve.dz, sz.derivative())):
+    np.testing.assert_array_equal(ours(tp), ref(tp))
+np.testing.assert_array_equal(pot.g(sp), sg(sp))
+np.testing.assert_array_equal(pot.dg(sp), sg.derivative()(sp))
+"""
+
+
+def test_scipy_interpolate_loads_only_for_splines(tmp_path):
+    # a fresh interpreter: minimize, verify and annulus runs on presets do
+    # without scipy.interpolate, which spline tables and table potentials
+    # still load, with the same cubic splines as scipy's own
+    write_config(tmp_path / "run.json")
+    (tmp_path / "verify.json").write_text(json.dumps({
+        "schema": "axisym-run/1", "suite": {
+            "instances": ["cylinder2_quadratic_const1"],
+            "grid": {"n_phi": 8, "n_t": 8}, "chain_fields": 2,
+            "pw_fields": 1}}), encoding="utf-8")
+    t = np.linspace(0.0, np.pi, 21)
+    (tmp_path / "curve.csv").write_text("t,x,z\n" + "".join(
+        "%.17g,%.17g,%.17g\n" % row
+        for row in zip(t, 1.2 + np.sin(t), 1.5 * np.cos(t))), encoding="utf-8")
+    s = np.linspace(-3.0, 3.0, 25)
+    (tmp_path / "potential.csv").write_text("s,g\n" + "".join(
+        "%.17g,%.17g\n" % row for row in zip(s, (1 - s ** 2) ** 2)),
+        encoding="utf-8")
+    write_config(tmp_path / "spline.json",
+                 target_surface={"spline_table": str(tmp_path / "curve.csv")},
+                 potential={"kind": "table",
+                            "table": str(tmp_path / "potential.csv")})
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _STARTUP_SCRIPT, str(tmp_path)],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_module_entry_point_has_no_runpy_warning():

@@ -29,6 +29,7 @@ from axisym.geometry import (
     tangent_project,
     target_normal,
 )
+from axisym.runconfig import _build_surface
 
 
 def test_rotate_quarter_turn():
@@ -150,7 +151,7 @@ def test_mesh_validation_errors():
     with pytest.raises(ValueError):
         build_mesh(surface("sphere"), 16, 1)
     # x < 0 somewhere
-    bad = dict(name="bad", interval=(0.0, 1.0),
+    bad = dict(interval=(0.0, 1.0),
                x=lambda t: np.asarray(t) - 0.5,
                z=lambda t: np.asarray(t, dtype=float),
                dx=lambda t: np.ones_like(np.asarray(t, dtype=float)),
@@ -160,7 +161,7 @@ def test_mesh_validation_errors():
         GeneratingCurve(**bad)
     # touches axis at interior point
     interior = GeneratingCurve(
-        "vee", (-1.0, 1.0),
+        (-1.0, 1.0),
         x=lambda t: np.abs(np.asarray(t, dtype=float)) + 0.0,
         z=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
         dx=lambda t: np.sign(np.asarray(t, dtype=float) + 1e-300),
@@ -229,7 +230,7 @@ def test_project_torus_example():
 def test_project_generic_matches_analytic_on_sphere():
     # run the scan+bisection path on a spline replica of the sphere curve
     t = np.linspace(0, np.pi, 801)
-    spl = spline_curve(t, np.sin(t), np.cos(t), name="sphere_spline")
+    spl = spline_curve(t, np.sin(t), np.cos(t))
     tgt = surface(spl)
     sph = surface("sphere")
     rng = np.random.default_rng(2)
@@ -243,11 +244,17 @@ def test_project_generic_matches_analytic_on_sphere():
 
 @pytest.mark.parametrize("name", ["sphere", "cylinder_tall", "annulus_x",
                                   "disk_x", "torus_band_x", "ellipsoid_band"])
-def test_spline_named_like_a_preset_projects_generically(name):
-    # only presets carry a closed-form projection; a curve's name picks none
+def test_spline_named_like_a_preset_projects_generically(tmp_path, name):
+    # only presets carry a closed-form projection; the file name of a
+    # config's spline table picks none
     t = np.linspace(0, np.pi, 41)
-    named = surface(spline_curve(t, np.sin(t), 1.5 * np.cos(t), name=name))
-    plain = surface(spline_curve(t, np.sin(t), 1.5 * np.cos(t), name="spline"))
+    table = tmp_path / f"{name}.csv"
+    table.write_text("t,x,z\n" + "".join(
+        "%.17g,%.17g,%.17g\n" % row
+        for row in zip(t, np.sin(t), 1.5 * np.cos(t))), encoding="utf-8")
+    named = _build_surface({"spline_table": str(table)}, "config.target_surface")
+    plain = surface(spline_curve(t, np.sin(t), 1.5 * np.cos(t)))
+    assert named.curve.closest is None
     v = np.random.default_rng(4).normal(size=(200, 3)) * 1.5
     p_named, s_named = project_points(named, v)
     p_plain, s_plain = project_points(plain, v)
@@ -340,14 +347,13 @@ def _reference_closest(curve, r, zeta, iters=80):
 
 def _ellipse_spline():
     t = np.pi * np.arange(41) / 40
-    return spline_curve(t, np.sin(t), 1.5 * np.cos(t), name="ellipse")
+    return spline_curve(t, np.sin(t), 1.5 * np.cos(t))
 
 
 def _loop_spline():
     t = np.linspace(0.0, 2 * np.pi, 25)
     return spline_curve(t, 2 + 0.7 * np.cos(t),
-                        0.9 * np.sin(t) + 0.1 * np.sin(2 * t),
-                        name="loop", closed=True)
+                        0.9 * np.sin(t) + 0.1 * np.sin(2 * t), closed=True)
 
 
 def _probe_points(curve, n, rng):
@@ -438,7 +444,7 @@ def test_never_flat_presets():
 
 def test_spline_curve_roundtrip():
     t = np.linspace(0, 1, 33)
-    spl = spline_curve(t, 1 + 0.2 * t, t**2, name="user")
+    spl = spline_curve(t, 1 + 0.2 * t, t**2)
     mesh = build_mesh(surface(spl), 8, 16)
     assert mesh.area() > 0
 
