@@ -21,7 +21,9 @@ gradient tolerance; report.json's stop_reasons gives every restart), 1
 failed certificate, 2 not converged (the winning restart did not meet the
 tolerance) or singular system, 3 input error (including grids outside
 [8, 4096] or with odd n_phi, NaN or Infinity in a config or an annulus
-flag, and kinked potential tables where a gradient is needed).  Restarts run one after another in one thread.
+flag, a config number beyond the range of a double such as 1e400, and
+kinked potential tables where a gradient is needed).  Restarts run one
+after another in one thread.
 """
 
 from __future__ import annotations

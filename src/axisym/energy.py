@@ -34,7 +34,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .geometry import dot3, ring_defect, sweep, tangent_project_points
 from .fields import circular_average_perp
@@ -506,8 +505,46 @@ class ProfileFunctional:
 # H^1 preconditioner
 # ---------------------------------------------------------------------------
 
+# rows up to which SobolevPreconditioner keeps dense per-mode inverses.
+# Up to here a stacked product with them takes 0.3-0.8 of the time of the
+# banded Cholesky solve, and they hold n_t/6 fields' worth of doubles, at
+# most 11 against the 60 of the descent's curvature pairs.  Beyond it the
+# time evens out by 128-192 rows while the memory grows with n_t.
+DENSE_MAX_ROWS = 64
+
+
+def tridiagonal_solve(lower, diag, upper, rhs):
+    """x with A x = rhs for tridiagonal A, by one forward elimination and
+    one back substitution over the rows (the Thomas algorithm, no
+    pivoting), vectorised over everything else.
+
+    The arguments are real arrays.  Rows run along axis 0 of each and the
+    other axes broadcast: diag and rhs have n rows, lower and upper n - 1,
+    with lower[i] = A[i + 1, i] and upper[i] = A[i, i + 1].  Returns x and
+    the elimination pivots, whose product is det A.  A zero or non-finite
+    pivot gives non-finite entries of x without a floating-point warning;
+    callers check.  All arithmetic is elementwise, so the bits do not
+    depend on the BLAS.
+    """
+    n = len(diag)
+    x = np.empty((n,) + np.broadcast_shapes(
+        *(a.shape[1:] for a in (lower, diag, upper, rhs))))
+    piv = np.empty((n,) + np.broadcast_shapes(
+        *(a.shape[1:] for a in (lower, diag, upper))))
+    with np.errstate(all="ignore"):
+        piv[0], x[0] = diag[0], rhs[0]
+        for i in range(1, n):
+            m = lower[i - 1] / piv[i - 1]
+            piv[i] = diag[i] - m * upper[i - 1]
+            x[i] = rhs[i] - m * x[i - 1]
+        x[-1] /= piv[-1]
+        for i in range(n - 2, -1, -1):
+            x[i] = (x[i] - upper[i] * x[i + 1]) / piv[i]
+    return x, piv
+
+
 class SobolevPreconditioner:
-    """Discrete Dirichlet operator plus mass, inverted by one banded solve.
+    """Discrete Dirichlet operator plus mass, inverted mode by mode.
 
     On the phi Fourier mode k of a field the operator acts along each
     meridian as
@@ -528,8 +565,16 @@ class SobolevPreconditioner:
     (n_phi, n_t, 3) arrays through an rfft along phi.  A profile
     preconditioner (profile=True) serves the reduced functional of swept
     fields, scale 2 pi dt: the vertical component is the k = 0 block, the
-    horizontal ones the k = 1 block.  All blocks sit in one banded matrix
-    with zero coupling between them, Cholesky-factored once here.
+    horizontal ones the k = 1 block.
+
+    Up to DENSE_MAX_ROWS rows every block is eliminated once
+    (tridiagonal_solve on the identity) into its dense inverse, and a solve
+    is one stacked matrix product.  Above it the dense inverses would hold
+    n_t/6 fields' worth of doubles and cost O(n_t^2) per mode and solve, so
+    all blocks sit in one banded matrix with zero coupling between them,
+    Cholesky-factored by scipy.linalg, which is imported only then.  On
+    either path a non-finite or non-positive pivot, which a positive
+    definite block cannot have, raises LinAlgError.
     """
 
     def __init__(self, mesh, profile=False, frozen_rows=()):
@@ -543,17 +588,38 @@ class SobolevPreconditioner:
         stiff[:-1] += w
         stiff[1:] += w
         k2 = np.arange(n_modes, dtype=float)[:, None] ** 2
-        band = np.zeros((2, n_modes, n_t))      # upper banded storage
-        band[0, :, 1:] = -2 * scale * w
-        band[1] = scale * (2 * stiff + mesh.sqrtg
-                           + 2 * k2 * mesh.sqrtg / mesh.h1 ** 2)
+        off = np.broadcast_to(-2 * scale * w, (n_modes, n_t - 1)).copy()
+        diag = scale * (2 * stiff + mesh.sqrtg
+                        + 2 * k2 * mesh.sqrtg / mesh.h1 ** 2)
         for r in frozen_rows:
-            band[0, :, r] = 0.0                 # edge r-1 -> r
-            if r + 1 < n_t:
-                band[0, :, r + 1] = 0.0         # edge r -> r+1
-        self._factor = cholesky_banded(band.reshape(2, -1))
+            off[:, max(r - 1, 0):r + 1] = 0.0   # edges r-1 -> r and r -> r+1
+        singular = "H^1 operator has a non-finite or non-positive pivot"
+        if n_t <= DENSE_MAX_ROWS:
+            inverse, pivots = tridiagonal_solve(off.T[..., None],
+                                                diag.T[..., None],
+                                                off.T[..., None],
+                                                np.eye(n_t)[:, None, :])
+            if not np.all(np.isfinite(pivots) & (pivots > 0)):
+                raise np.linalg.LinAlgError(singular)
+            self._factor = None
+            # (n_modes, n_t, n_t) as a view: the rows of each block stay
+            # contiguous, which is all the BLAS products below need
+            self._inverse = inverse.transpose(1, 0, 2)
+        else:
+            from scipy.linalg import cholesky_banded
+            band = np.zeros((2, n_modes, n_t))  # upper banded storage
+            band[0, :, 1:], band[1] = off, diag
+            if not np.all(np.isfinite(band)):
+                raise np.linalg.LinAlgError(singular)
+            # raises LinAlgError itself on a non-positive pivot
+            self._factor = cholesky_banded(band.reshape(2, -1),
+                                           check_finite=False)
 
     def _solve_blocks(self, rhs):
+        """Every mode's block applied to its (n_t, cols) slice of rhs."""
+        if self._factor is None:
+            return self._inverse @ rhs
+        from scipy.linalg import cho_solve_banded
         flat = rhs.reshape(-1, rhs.shape[-1])
         return cho_solve_banded((self._factor, False), flat,
                                 check_finite=False).reshape(rhs.shape)

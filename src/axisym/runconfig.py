@@ -88,6 +88,7 @@ def load_config(path):
                           ("suite", _SUITE_KEYS)):
         if name in cfg:
             _check_keys(cfg[name], allowed, f"config.{name}")
+    _check_finite(cfg, "config")
     if "boundary" in cfg:
         for side in ("bottom", "top"):
             if cfg["boundary"].get(side) is not None:
@@ -106,18 +107,35 @@ def load_config(path):
     return cfg
 
 
+def _check_finite(node, where):
+    """ConfigError naming the key (`where`.<key>...) of a number that no
+    double holds.  json reads an overflowing literal such as 1e400 as
+    infinity (and a huge integer literal exactly), with no error; numbers
+    in a list are named by the list's key."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            _check_finite(value, f"{where}.{key}")
+    elif isinstance(node, list):
+        for value in node:
+            _check_finite(value, where)
+    elif (isinstance(node, (int, float)) and not isinstance(node, bool)
+          and not abs(node) <= float(np.finfo(float).max)):
+        raise ConfigError(f"{where}: number out of the range of a double")
+
+
 def _check_annulus(section, where):
     """ConfigError naming `where`.<key> unless n_t and n_phi are integers
     from the solver's minimum to 4096 and kappas is a non-empty list of
-    finite numbers; keys the section leaves out keep the suite defaults."""
+    numbers (_check_finite has refused infinite ones); keys the section
+    leaves out keep the suite defaults."""
     for key, low in ANNULUS_MIN_GRID.items():
         if key in section:
             _check_size(section[key], low, f"{where}.{key}")
     if "kappas" in section:
-        kappas, big = section["kappas"], np.finfo(float).max
+        kappas = section["kappas"]
         if not (isinstance(kappas, list) and kappas
                 and all(isinstance(k, (int, float)) and not isinstance(k, bool)
-                        and -big <= k <= big for k in kappas)):
+                        for k in kappas)):
             raise ConfigError(f"{where}.kappas: expected a non-empty list of "
                               f"finite numbers, got {kappas!r}")
 

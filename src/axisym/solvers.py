@@ -6,8 +6,8 @@ discrete Dirichlet operator plus mass (energy.SobolevPreconditioner) and
 tangent-projected again, so iteration counts do not grow with the grid.
 Limited-memory BFGS on top of that preconditioner takes up the soft modes
 it leaves (unit trial steps), with Armijo backtracking (monotone) and
-closest-point retraction after every step.  It makes one banded solve
-per iteration: the solve of each accepted gradient is kept, each
+closest-point retraction after every step.  It makes one H^1 solve per
+iteration: the solve of each accepted gradient is kept, each
 curvature pair stores the difference of two of them, and the pairs are
 rows of stacked arrays, so the two-loop recursion is a few matrix-vector
 products (_PairMemory).  The stop test bounds the sup of the
@@ -29,9 +29,9 @@ functionals agree to rounding at matched discretization.
 Annulus solver: the linear equations -Lap m + kappa (m.e3) e3 = 0 on the
 flat annulus in polar coordinates with Dirichlet ring data, discretized
 with conservative second-order differences.  The phi-stencil is diagonal
-in the phi Fourier modes, so the solve is an rfft along phi, one banded
-solve over the tridiagonal radial problems of every mode per shift, and
-an irfft.
+in the phi Fourier modes, so the solve is an rfft along phi, one
+tridiagonal sweep over the radial rows for every mode and component at
+once, and an irfft.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import LinAlgError, solve_banded
 
 from .energy import (
     SQRT_2PI,
@@ -51,6 +50,7 @@ from .energy import (
     euclidean_gradient,
     hypothesis_margin,
     total_energy,
+    tridiagonal_solve,
 )
 from .fields import (
     DiscreteField,
@@ -610,12 +610,16 @@ def solve_annulus_example(n_t, n_phi, kappa, b1, b2, r_inner=1.0, r_outer=2.0):
     are harmonic, the vertical part carries the +kappa zero-order term.
     The 3-point phi-stencil has symbol mu_k = (2 - 2 cos k dphi)/dphi^2 on
     the phi Fourier mode k, so after an rfft of the ring data every mode is
-    a tridiagonal radial problem; all of them sit in one banded matrix per
-    shift (0 for x and y, kappa for z), with real and imaginary parts as
-    columns.  The ring average of the horizontal part is the k = 0 mode,
-    whose ring data vanish for symmetric rings, so it vanishes up to
-    rounding whatever the ring data.  The residual is that of the polar
-    5-point stencil applied to the assembled solution.
+    a tridiagonal radial problem.  One sweep (energy.tridiagonal_solve)
+    solves them all: modes are stacked, real and imaginary parts of each
+    component are columns, and each column carries its own shift (0 for x
+    and y, kappa for z).  The sweep does not pivot; a kappa at or near a
+    Dirichlet eigenvalue shows as a non-finite, blown-up or inexact
+    solution, each refused with SingularSystemError.  The ring average of
+    the horizontal part is the k = 0 mode, whose ring data vanish for
+    symmetric rings, so it vanishes up to rounding whatever the ring data.
+    The residual is that of the polar 5-point stencil applied to the
+    assembled solution.
     """
     if n_t < ANNULUS_MIN_GRID["n_t"] or n_phi < ANNULUS_MIN_GRID["n_phi"]:
         raise ValueError("annulus grid too small")
@@ -643,25 +647,15 @@ def solve_annulus_example(n_t, n_phi, kappa, b1, b2, r_inner=1.0, r_outer=2.0):
     n_modes = coeff.shape[0]
     mu = 4 * np.sin(0.5 * dphi * np.arange(n_modes)) ** 2    # 2 - 2 cos
 
-    def solve(shift, c):
-        band = np.zeros((3, n_modes, n_t - 1))
-        band[0, :, 1:] = -c_up[:-1]
-        band[1] = c_up + c_dn + mu[:, None] * c_phi + shift
-        band[2, :, :-1] = -c_dn[1:]
-        cols = np.concatenate([c.real, c.imag], axis=-1)
-        x = solve_banded((1, 1), band.reshape(3, -1),
-                         cols.reshape(-1, cols.shape[-1]),
-                         check_finite=False).reshape(cols.shape)
-        half = cols.shape[-1] // 2
-        return x[..., :half] + 1j * x[..., half:]
-
-    try:
-        x = np.fft.irfft(np.concatenate([solve(0.0, coeff[..., :2]),
-                                         solve(kappa, coeff[..., 2:])], axis=-1),
-                         n=n_phi, axis=0)
-    except LinAlgError as exc:
-        raise SingularSystemError(
-            f"annulus operator singular for kappa={kappa:g}") from exc
+    # rows first for the sweep: (n_t - 1, n_modes, 6), real and imaginary
+    # parts of x, y, z as columns, each with its shift
+    shift = np.array([0.0, 0.0, kappa] * 2)
+    diag = ((c_up + c_dn)[:, None] + mu * c_phi[:, None])[..., None] + shift
+    cols = np.concatenate([coeff.real, coeff.imag], axis=-1).transpose(1, 0, 2)
+    x, _ = tridiagonal_solve(-c_dn[1:, None, None], diag,
+                             -c_up[:-1, None, None], cols)
+    x = np.fft.irfft(x[..., :3] + 1j * x[..., 3:], n=n_phi,
+                     axis=1).transpose(1, 0, 2)
     if not np.all(np.isfinite(x)):
         raise SingularSystemError(
             f"annulus solve non-finite for kappa={kappa:g}")

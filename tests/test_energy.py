@@ -1,10 +1,15 @@
+import os
+import subprocess
+import sys
 from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import axisym.energy as energy_mod
 from axisym.energy import (
+    DENSE_MAX_ROWS,
     NonDifferentiableError,
     ProfileFunctional,
     SobolevPreconditioner,
@@ -423,29 +428,88 @@ def dirichlet_plus_mass(mesh, tgt, params, v):
                                              ("sphere", False),
                                              ("cylinder", True)])
 def test_preconditioner_inverts_dirichlet_plus_mass(base, dirichlet):
-    mesh, tgt, params = make_instance(base=base, n_phi=16, n_t=12,
-                                      potential=("quadratic", 0.0),
-                                      weight=("zero", 0.0),
-                                      base_kw={"radius": 2.0}
-                                      if base == "cylinder" else None)
-    frozen = [0, mesh.n_t - 1] if dirichlet else []
-    precond = SobolevPreconditioner(mesh, frozen_rows=frozen)
-    v = np.random.default_rng(3).normal(size=mesh.shape + (3,))
-    v[:, frozen, :] = 0.0
-    hv = dirichlet_plus_mass(mesh, tgt, params, v)
-    hv[:, frozen, :] = 0.0           # pinned rows are eliminated
-    assert np.max(np.abs(precond.solve(hv) - v)) <= 1e-10 * np.max(np.abs(v))
-    if dirichlet:
-        return
-    # the profile solve inverts the reduced Dirichlet Hessian plus mass:
-    # with g = 0 the reduced gradient is that Hessian applied to gamma
-    reduced = ProfileFunctional(mesh, params, "symmetric")
-    profile = SobolevPreconditioner(mesh, profile=True)
-    gamma = v[0]
-    mass = 2 * np.pi * mesh.dt * mesh.sqrtg[:, None]
-    hg = reduced.gradient(gamma) + mass * gamma
-    err = np.max(np.abs(profile.solve(hg) - gamma))
-    assert err <= 1e-10 * np.max(np.abs(gamma))
+    # 16 x 12 and 64 x 64 take the dense path, 128 x 128 the banded one
+    for n_phi, n_t in ((16, 12), (64, 64), (128, 128)):
+        mesh, tgt, params = make_instance(base=base, n_phi=n_phi, n_t=n_t,
+                                          potential=("quadratic", 0.0),
+                                          weight=("zero", 0.0),
+                                          base_kw={"radius": 2.0}
+                                          if base == "cylinder" else None)
+        frozen = [0, mesh.n_t - 1] if dirichlet else []
+        precond = SobolevPreconditioner(mesh, frozen_rows=frozen)
+        v = np.random.default_rng(3).normal(size=mesh.shape + (3,))
+        v[:, frozen, :] = 0.0
+        hv = dirichlet_plus_mass(mesh, tgt, params, v)
+        hv[:, frozen, :] = 0.0           # pinned rows are eliminated
+        err = np.max(np.abs(precond.solve(hv) - v))
+        assert err <= 1e-10 * np.max(np.abs(v)), (n_phi, n_t)
+        if dirichlet:
+            continue
+        # the profile solve inverts the reduced Dirichlet Hessian plus mass:
+        # with g = 0 the reduced gradient is that Hessian applied to gamma
+        reduced = ProfileFunctional(mesh, params, "symmetric")
+        profile = SobolevPreconditioner(mesh, profile=True)
+        gamma = v[0]
+        mass = 2 * np.pi * mesh.dt * mesh.sqrtg[:, None]
+        hg = reduced.gradient(gamma) + mass * gamma
+        err = np.max(np.abs(profile.solve(hg) - gamma))
+        assert err <= 1e-10 * np.max(np.abs(gamma)), (n_phi, n_t)
+
+
+_PRECONDITIONER_SCRIPT = """
+import hashlib
+import numpy as np
+from axisym.energy import DENSE_MAX_ROWS, SobolevPreconditioner
+from axisym.geometry import build_mesh, surface
+digest = hashlib.sha256()
+for n in (DENSE_MAX_ROWS, 128):
+    mesh = build_mesh(surface("sphere"), n, n)
+    g = np.random.default_rng(0).normal(size=mesh.shape + (3,))
+    digest.update(SobolevPreconditioner(mesh).solve(g).tobytes())
+    digest.update(SobolevPreconditioner(mesh, profile=True).solve(g[0])
+                  .tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_preconditioner_independent_of_blas_threads():
+    # the largest grid of the dense path and one of the banded path: the
+    # bits of neither may depend on the BLAS thread count (those of
+    # np.linalg.inv in place of the elimination sweep do, at 128 x 128)
+    runs = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        runs.add(subprocess.run([sys.executable, "-c", _PRECONDITIONER_SCRIPT],
+                                env=env, capture_output=True, text=True,
+                                check=True).stdout)
+    assert len(runs) == 1
+
+
+@pytest.mark.parametrize("n_t", [8, DENSE_MAX_ROWS + 8])
+def test_preconditioner_refuses_non_positive_pivot(n_t):
+    mesh = build_mesh(surface("cylinder", radius=2.0), 8, n_t)
+    SobolevPreconditioner(mesh)
+    mesh.sqrtg[3] = -1e3             # an indefinite mass row
+    with pytest.raises(np.linalg.LinAlgError):
+        SobolevPreconditioner(mesh)
+    mesh.sqrtg[3] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        SobolevPreconditioner(mesh)
+
+
+def test_preconditioner_dense_and_banded_paths_agree(monkeypatch):
+    mesh = build_mesh(surface("sphere"), 16, 40)
+    g = np.random.default_rng(5).normal(size=mesh.shape + (3,))
+    cases = [({}, g), ({"frozen_rows": [0, 39]}, g),
+             ({"profile": True}, g[0])]
+    dense = [SobolevPreconditioner(mesh, **kw).solve(x) for kw, x in cases]
+    monkeypatch.setattr(energy_mod, "DENSE_MAX_ROWS", 0)
+    for (kw, x), ref in zip(cases, dense):
+        precond = SobolevPreconditioner(mesh, **kw)
+        assert precond._factor is not None
+        err = np.max(np.abs(precond.solve(x) - ref))
+        assert err <= 1e-12 * np.max(np.abs(ref)), kw
 
 
 def test_preconditioner_symmetric_positive_definite_on_closed_curve():

@@ -502,19 +502,58 @@ def test_annulus_rejects_asymmetric_data():
         solve_annulus_example(16, 16, 1.0, b1, b2)
 
 
+def annulus_dense(n_t, n_phi, kappa, b1, b2):
+    """Interior solution of the annulus problem with each phi mode's radial
+    system assembled as a dense matrix and solved by np.linalg.solve (LU
+    with partial pivoting)."""
+    h = 1.0 / n_t
+    tk = 1.0 + h * np.arange(1, n_t)
+    c_up = (tk + h / 2) / (tk * h * h)
+    c_dn = (tk - h / 2) / (tk * h * h)
+    dphi = 2 * np.pi / n_phi
+    c_phi = 1.0 / (tk * dphi) ** 2
+    mu = 2 - 2 * np.cos(dphi * np.arange(n_phi // 2 + 1))
+    radial = (np.diag(c_up + c_dn) - np.diag(c_up[:-1], 1)
+              - np.diag(c_dn[1:], -1))
+    rhs = np.zeros((n_phi, n_t - 1, 3))
+    rhs[:, 0] = c_dn[0] * b1
+    rhs[:, -1] = c_up[-1] * b2
+    coeff = np.fft.rfft(rhs, axis=0)
+    for c, shift in enumerate((0.0, 0.0, kappa)):
+        a = radial + mu[:, None, None] * np.diag(c_phi) + shift * np.eye(n_t - 1)
+        coeff[..., c] = np.linalg.solve(a, coeff[..., c, None])[..., 0]
+    return np.fft.irfft(coeff, n=n_phi, axis=0)
+
+
+@pytest.mark.parametrize("n", [16, 64, 128])
+def test_annulus_sweep_matches_dense_solve(n):
+    rng = np.random.default_rng(n)
+    for kappa in (0.0, 0.5, 1.0, 5.0):
+        b1 = annulus_boundary_from_vector(n, rng.normal(size=3))
+        b2 = annulus_boundary_from_vector(n, rng.normal(size=3))
+        rep = solve_annulus_example(n, n, kappa, b1, b2)
+        dense = annulus_dense(n, n, kappa, b1, b2)
+        err = np.max(np.abs(rep.solution[:, 1:-1] - dense))
+        assert err <= 1e-12 * np.max(np.abs(dense)), (kappa, err)
+
+
 def test_annulus_negative_kappa_eigenvalue_detection():
     from axisym.solvers import SingularSystemError
     b1 = annulus_boundary_from_vector(16, [0, 0, 1.0])
     b2 = annulus_boundary_from_vector(16, [0, 0, 1.0])
-    # scan kappa toward -infinity until the vertical operator loses
-    # definiteness; close to the crossing the solve must either succeed
-    # with a finite residual or raise SingularSystemError, never return
-    # garbage silently
-    hits = 0
+    # scan kappa toward -infinity, past Dirichlet eigenvalues of the
+    # vertical operator, where the sweep meets indefinite systems: each
+    # solve either raises SingularSystemError or agrees with the pivoted
+    # dense solve, never returns garbage silently
+    solved = 0
     for kappa in np.linspace(-5, -40, 15):
         try:
             rep = solve_annulus_example(16, 16, kappa, b1, b2)
-            assert rep.residual <= 1e-8
         except SingularSystemError:
-            hits += 1
-    assert hits >= 0  # smoke: no silent garbage above
+            continue
+        assert rep.residual <= 1e-8
+        dense = annulus_dense(16, 16, kappa, b1, b2)
+        err = np.max(np.abs(rep.solution[:, 1:-1] - dense))
+        assert err <= 1e-12 * np.max(np.abs(dense)), (kappa, err)
+        solved += 1
+    assert solved > 0
