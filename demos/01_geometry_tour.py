@@ -6,8 +6,8 @@ Run:  python3 demos/01_geometry_tour.py
 import numpy as np
 
 from axisym.geometry import (
-    build_mesh, never_flat_check, project_to_target, rotate, surface,
-    surface_normal, tangent_project,
+    build_mesh, never_flat_check, project_points, rotate, surface,
+    surface_normal, tangent_project_points,
 )
 
 # Surfaces of revolution come from planar generating curves.  Presets cover
@@ -31,14 +31,14 @@ print("\nrotate(pi/2, (1,0,0.5)) =", rotate(np.pi / 2, v).round(12))
 # Closest-point projection is the retraction used by the solvers.
 sphere = surface("sphere")
 print("project (0.3, 0.4, 0) onto the unit sphere:",
-      project_to_target(sphere, [0.3, 0.4, 0.0]).round(12))
+      project_points(sphere, [0.3, 0.4, 0.0])[0].round(12))
 torus = surface("torus_band")
 print("project (4, 0, 0) onto the torus band:",
-      project_to_target(torus, [4.0, 0.0, 0.0]).round(12))
+      project_points(torus, [4.0, 0.0, 0.0])[0].round(12))
 
 # Tangent projections drop the normal component at a target point.
 print("tangent part of (1,2,3) at the north pole:",
-      tangent_project(sphere, [0.0, 0.0, 1.0], [1.0, 2.0, 3.0]).round(12))
+      tangent_project_points(sphere, [0.0, 0.0, 1.0], [1.0, 2.0, 3.0]).round(12))
 
 # Mesh normals are axially symmetric by construction.
 mesh = build_mesh(surface("sphere"), 16, 8)

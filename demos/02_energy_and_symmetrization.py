@@ -11,7 +11,7 @@ Run:  python3 demos/02_energy_and_symmetrization.py
 import numpy as np
 
 from axisym.energy import (
-    aniso_surface_normal, argmin_phi_slice, hypothesis_margin, make_params,
+    aniso_surface_normal, chain_terms, hypothesis_margin, make_params,
     phi_slice_energy, quartic_potential, total_energy, weight_margin_profile,
 )
 from axisym.fields import random_field
@@ -35,7 +35,7 @@ print(f"\nrandom field:  dirichlet={bd.dirichlet:.4f}  "
       f"total={bd.total:.4f}")
 
 phi_e = phi_slice_energy(m, params)
-phi_star = argmin_phi_slice(m, params)
+phi_star = chain_terms(m, params).phi_star
 print(f"slice functional: min={phi_e.min():.4f} at phi*={phi_star:.4f}, "
       f"mean={phi_e.mean():.4f}")
 

@@ -58,9 +58,9 @@ class AnisotropyPotential:
     dg: Callable
     non_differentiable: bool = False
 
-    def check_range(self, smax, n=10_000):
-        """Scan [-smax, smax]: g must be nonnegative."""
-        s = np.linspace(-smax, smax, n)
+    def check_range(self, smax):
+        """Scan [-smax, smax] at 10000 points: g must be nonnegative."""
+        s = np.linspace(-smax, smax, 10_000)
         if np.any(self.g(s) < -1e-12):
             raise ValueError(
                 f"potential {self.kind} negative on [-{smax:g}, {smax:g}]")
@@ -387,7 +387,8 @@ def penalty_energy(field, params):
 
 def penalty_energy_raw(field, params):
     """The raw double integral omega^2 |<m_perp>|^2 over the surface; equals
-    the reduced form exactly under the rectangle rule (asserted in tests)."""
+    the reduced form exactly under the rectangle rule.  No solve uses it:
+    the tests check penalty_energy against it."""
     mesh = field.mesh
     mean = circular_average_perp(field)
     dens = params.weight.node_values ** 2 * np.sum(mean ** 2, axis=-1)[None, :]
@@ -431,7 +432,12 @@ def euclidean_gradient(field, params):
 
 
 def riemannian_gradient(field, params):
-    """Euclidean gradient followed by tangent projection at each node."""
+    """Euclidean gradient followed by tangent projection at each node.
+
+    The solvers project through their feasible set instead; the tests use
+    this as the gradient of a direct _descend run and check it against
+    finite differences.
+    """
     g = euclidean_gradient(field, params)
     return tangent_project_points(field.target, field.values, g)
 
@@ -696,9 +702,3 @@ def chain_terms(field, params):
     eq2 = dirichlet_energy(field, perp_only=True) + p + a
     return ChainTerms(eq1, eq2, EnergyBreakdown(d, a, p, d + a + p), phi_e,
                       phi_star)
-
-
-def argmin_phi_slice(field, params):
-    """Angle of the phi node minimizing the slice functional, as
-    chain_terms picks it."""
-    return chain_terms(field, params).phi_star

@@ -143,7 +143,8 @@ def build_from_triple(mesh, alpha_perp, beta_perp, eta):
     """Assemble alpha_perp cos(phi) + beta_perp sin(phi) + eta e3 on the grid.
 
     The inverse of mode_decompose on its retained modes; the result is not
-    projected to any target (used for tests and mode bookkeeping).
+    projected to any target.  No solve uses it: the tests build exact
+    first-harmonic fields with it.
     """
     cphi = np.cos(mesh.phi)[:, None]
     sphi = np.sin(mesh.phi)[:, None]
@@ -206,21 +207,19 @@ def symmetrize(field, phi_star, variant):
     return field.with_values(vals)
 
 
-def build_from_profile(mesh, profile, target=None):
+def build_from_profile(mesh, profile, target):
     """Sweep a t-profile around the axis: rotation-equivariant for the
     symmetric variant, contravariant for the antisymmetric one."""
     if len(profile.t_nodes) != mesh.n_t or np.max(np.abs(profile.t_nodes - mesh.t)) > 1e-12:
         raise ValueError("profile t nodes do not match the mesh")
     vals = sweep(mesh.phi[:, None], profile.values[None, :, :], profile.variant)
-    if target is None:
-        target = mesh.surface
     return DiscreteField(mesh, target, vals)
 
 
-def random_field(mesh, target, seed, smoothness=3):
+def random_field(mesh, target, seed):
     """Deterministic band-limited random field projected to the target.
 
-    Draws Fourier modes |k| <= smoothness in phi with low-order polynomial
+    Draws Fourier modes |k| <= 3 in phi with low-order polynomial
     t-envelopes, then projects every node to the target.  Projection may
     reintroduce high phi modes; that is acceptable for test corpora.
     """
@@ -229,7 +228,7 @@ def random_field(mesh, target, seed, smoothness=3):
     tt = (mesh.t - mesh.t[0]) / (mesh.t[-1] - mesh.t[0] + 1e-300)
     tpows = np.stack([tt ** p for p in range(4)])          # (4, n_t)
     vals = np.zeros((n_phi, n_t, 3))
-    for k in range(smoothness + 1):
+    for k in range(4):
         ck = np.cos(k * mesh.phi)[:, None]
         sk = np.sin(k * mesh.phi)[:, None]
         for c in range(3):
@@ -277,6 +276,8 @@ def profile_to_csv(profile, path_or_buf, header_comment=None):
 
 
 def profile_from_csv(path_or_buf, variant):
+    """Read back a profile written by profile_to_csv (the `reduce`
+    command's profile_<variant>.csv)."""
     t, vals = [], []
     for row in _read_csv(path_or_buf):
         t.append(float(row["t"]))

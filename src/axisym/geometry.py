@@ -294,7 +294,8 @@ class SurfaceOfRevolution:
 def surface(preset_or_curve, role=None, **kw):
     """Convenience constructor: surface('sphere'), surface(curve),
     surface('cylinder', radius=2.0), ...; role ('base' or 'target') is
-    accepted and changes nothing."""
+    accepted and changes nothing (the acceptance tests and the benchmark
+    pass it)."""
     if isinstance(preset_or_curve, GeneratingCurve):
         return SurfaceOfRevolution(preset_or_curve)
     return SurfaceOfRevolution(preset_curve(preset_or_curve, **kw))
@@ -420,22 +421,18 @@ def build_mesh(surf, n_phi, n_t):
                        weights, (end_kind(t0), end_kind(t1)), edge_weights)
 
 
-def surface_normal(mesh, i_phi=None, j_t=None):
-    """Unit normal nu = (tau_phi x tau_t)/|tau_phi x tau_t| at mesh nodes.
+def surface_normal(mesh):
+    """Unit normal nu = (tau_phi x tau_t)/|tau_phi x tau_t| at the mesh
+    nodes, an (n_phi, n_t, 3) array.
 
     With gamma = (x, 0, z) the cross product evaluates to
     A(phi)^T (x dz, 0, -x dx), so nu = A(phi)^T (dz, 0, -dx)/h2 and the
-    normal is axially symmetric by construction.  Returns the full
-    (n_phi, n_t, 3) array when no indices are given.
+    normal is axially symmetric by construction.
     """
-    curve = mesh.surface.curve
     if np.any(mesh.sqrtg < 1e-12):
         raise DegenerateTangentError("|tau_phi x tau_t| below 1e-12 at a node")
     prof = mesh.surface.normal_profile(mesh.t)            # (n_t, 3)
-    full = rotate(mesh.phi[:, None], prof[None, :, :])
-    if i_phi is None and j_t is None:
-        return full
-    return full[i_phi, j_t]
+    return rotate(mesh.phi[:, None], prof[None, :, :])
 
 
 # ---------------------------------------------------------------------------
@@ -446,18 +443,18 @@ _SCAN_POINTS = 1024
 _SCAN_BLOCK = 64
 
 
-def _bracketed_refine(curve, r, zeta, lo, hi, iters=80):
+def _bracketed_refine(curve, r, zeta, lo, hi):
     """Vectorized refinement of the squared-distance minimum on [lo, hi].
 
     Bisects on the derivative of the half-plane squared distance on the rows
     where it changes sign across the bracket, which resolves the parameter
     to machine precision; the other rows fall back to golden section on the
-    distance itself.  Both loops run at most `iters` times and stop at their
+    distance itself.  Both loops run at most 80 times and stop at their
     fixed point: once an iteration leaves the bracket arrays unchanged, no
     later one can change them, since the update depends only on the
     brackets.  Curve evaluation is pointwise, so refining each set of rows
     on its own gives, bit for bit, what refining every row with both
-    methods for all `iters` steps and keeping one result per row gives.
+    methods for all 80 steps and keeping one result per row gives.
     """
     def fdist(s, r, zeta):
         return (curve.x(s) - r) ** 2 + (curve.z(s) - zeta) ** 2
@@ -471,7 +468,7 @@ def _bracketed_refine(curve, r, zeta, lo, hi, iters=80):
 
     a, b = lo[has_root], hi[has_root]
     rr, zz = r[has_root], zeta[has_root]
-    for _ in range(iters):
+    for _ in range(80):
         mid = 0.5 * (a + b)
         take_hi = g(mid, rr, zz) <= 0
         a_next = np.where(take_hi, mid, a)
@@ -487,7 +484,7 @@ def _bracketed_refine(curve, r, zeta, lo, hi, iters=80):
         inv = 0.5 * (np.sqrt(5.0) - 1.0)
         a, b = lo[no_root], hi[no_root]
         rr, zz = r[no_root], zeta[no_root]
-        for _ in range(iters):
+        for _ in range(80):
             c = b - inv * (b - a)
             d = a + inv * (b - a)
             left = fdist(c, rr, zz) < fdist(d, rr, zz)
@@ -563,12 +560,6 @@ def project_points(target, pts):
     return out.reshape(pts.shape), s.reshape(pts.shape[:-1])
 
 
-def project_to_target(target, v):
-    """Nearest point of the target surface of revolution to a single vector v."""
-    p, _ = project_points(target, np.asarray(v, dtype=float))
-    return p
-
-
 def tangent_frame(target, pts, params=None):
     """Orthonormal tangent basis (azimuthal, meridional) at points of T.
 
@@ -602,18 +593,18 @@ def project_to_frame(frame, w):
 
 
 def tangent_project_points(target, pts, w, params=None):
-    """Project vectors w onto the tangent planes of T at the points pts."""
+    """Project vectors w onto the tangent planes of T at the points pts.
+
+    The solvers project through one _FeasibleSet frame per iterate instead;
+    this one-call form is energy.riemannian_gradient's, and the benchmark's
+    tracing wraps it under that binding.
+    """
     return project_to_frame(tangent_frame(target, pts, params), w)
 
 
-def tangent_project(target, p, w):
-    """Tangent-plane component of w at a single point p of T."""
-    return tangent_project_points(target, np.asarray(p, dtype=float),
-                                  np.asarray(w, dtype=float))
-
-
 def target_normal(target, pts, params=None):
-    """Unit normal of the target surface at points of T."""
+    """Unit normal of the target surface at points of T (no solve uses it;
+    the tests check tangent frames and projections against it)."""
     u1, u2 = tangent_frame(target, pts, params)
     return np.cross(u1, u2)
 
@@ -628,17 +619,19 @@ class NeverFlatReport:
     flat_intervals: tuple
 
 
-def never_flat_check(target, tol=1e-6, samples=4096):
+def never_flat_check(target):
     """Detect flat horizontal bands of the target's generating curve.
 
     The target fails the check iff some parameter interval of length > tol
-    has |dz| < tol while |dx| > tol throughout: its horizontal sections then
-    project to fat annuli instead of isolated circles.  Sampled at grid
-    resolution, so isolated horizontal tangents (measure zero) do not count.
+    has |dz| < tol while |dx| > tol throughout, with tol = 1e-6: its
+    horizontal sections then project to fat annuli instead of isolated
+    circles.  Sampled at 4097 nodes, so isolated horizontal tangents
+    (measure zero) do not count.
     """
+    tol = 1e-6
     curve = target.curve
     t0, t1 = curve.interval
-    ts = np.linspace(t0, t1, samples + 1)
+    ts = np.linspace(t0, t1, 4097)
     flat = (np.abs(curve.dz(ts)) < tol) & (np.abs(curve.dx(ts)) > tol)
     intervals = []
     start = None

@@ -10,7 +10,7 @@ it.  Every input error is a ConfigError naming the config location.
 
 from __future__ import annotations
 
-import csv
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +33,7 @@ from .energy import (
     weight_t_profile,
     weight_zero,
 )
+from .fields import _read_csv
 from .geometry import GeometryError, build_mesh, spline_curve, surface
 from .solvers import ANNULUS_MIN_GRID, SolveConfig
 
@@ -46,17 +47,16 @@ class ConfigError(ValueError):
 _TOP_KEYS = {"schema", "base_surface", "target_surface", "grid", "potential",
              "aniso_field", "weight", "boundary", "solver", "outputs",
              "variant", "prior_2d", "input_field", "suite"}
-_SURface_KEYS = {"preset", "params", "spline_table", "closed"}
+_SURFACE_KEYS = {"preset", "params", "spline_table", "closed"}
 _GRID_KEYS = {"n_phi", "n_t"}
 _POTENTIAL_KEYS = {"kind", "kappa", "lam", "table"}
 _ANISO_KEYS = {"kind", "vector", "table"}
 _WEIGHT_KEYS = {"kind", "lam", "margin", "table"}
 _BOUNDARY_KEYS = {"kind", "bottom", "top", "variant"}
 _BOUNDARY_SIDE_KEYS = {"variant", "vector"}
-_SOLVER_KEYS = {"max_iters", "grad_tol", "step_init", "armijo_c",
-                "armijo_shrink", "restarts", "seed"}
+_SOLVER_KEYS = {f.name for f in dataclasses.fields(SolveConfig)}
 _SUITE_KEYS = {"grid", "solver", "seeds", "chain_fields", "pw_fields",
-               "annulus", "instances", "plant_failure"}
+               "annulus", "instances"}
 _ANNULUS_KEYS = {"kappas", "n_t", "n_phi"}
 
 
@@ -80,8 +80,8 @@ def load_config(path):
     _check_keys(cfg, _TOP_KEYS, "config")
     if cfg.get("schema") != RUN_SCHEMA:
         raise ConfigError(f"config.schema: expected {RUN_SCHEMA!r}")
-    for name, allowed in (("base_surface", _SURface_KEYS),
-                          ("target_surface", _SURface_KEYS),
+    for name, allowed in (("base_surface", _SURFACE_KEYS),
+                          ("target_surface", _SURFACE_KEYS),
                           ("grid", _GRID_KEYS), ("potential", _POTENTIAL_KEYS),
                           ("aniso_field", _ANISO_KEYS), ("weight", _WEIGHT_KEYS),
                           ("boundary", _BOUNDARY_KEYS), ("solver", _SOLVER_KEYS),
@@ -141,12 +141,8 @@ def _check_annulus(section, where):
 
 
 def _read_table(path, columns):
-    rows = []
     try:
-        with open(path, newline="", encoding="utf-8") as f:
-            reader = csv.DictReader(ln for ln in f if not ln.startswith("#"))
-            for row in reader:
-                rows.append([float(row[c]) for c in columns])
+        rows = [[float(row[c]) for c in columns] for row in _read_csv(path)]
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"cannot read table {path}: {exc}") from exc
     if not rows:

@@ -68,7 +68,7 @@ from .geometry import (
     project_points,
     project_to_frame,
     ring_defect,
-    sweep,
+    rotate,
     tangent_frame,
 )
 
@@ -81,17 +81,12 @@ class SingularSystemError(RuntimeError):
 class SolveConfig:
     max_iters: int = 20_000
     grad_tol: float = 1e-6          # stop when sup|grad| <= grad_tol (1 + |E|)
-    step_init: float = 0.1
-    armijo_c: float = 1e-4
-    armijo_shrink: float = 0.5
     restarts: int = 8
     seed: int = 0
 
     def __post_init__(self):
-        if not (0 < self.armijo_c < 1 and 0 < self.armijo_shrink < 1):
-            raise ValueError("Armijo constants must lie in (0, 1)")
-        if self.grad_tol <= 0 or self.step_init <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.grad_tol <= 0:
+            raise ValueError("grad_tol must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +95,11 @@ class SolveConfig:
 
 # curvature pairs kept by the limited-memory descent
 _MEMORY = 20
+# first step length along the preconditioned gradient, Armijo sufficient
+# decrease constant and backtracking factor
+_STEP_INIT = 0.1
+_ARMIJO_C = 1e-4
+_ARMIJO_SHRINK = 0.5
 
 
 def _identity_solve(g):
@@ -196,7 +196,7 @@ def _descend(x0, value_fn, grad_fn, retract_fn, config,
     retract(x - alpha d), accepted by the Armijo test against g . d, from
     alpha = 1.  The first step, and any step whose d fails g . d > 0
     (the memory is then dropped), goes along project_fn(x, u) from
-    alpha = step_init.  The energy sequence is non-increasing by
+    alpha = _STEP_INIT.  The energy sequence is non-increasing by
     construction and checked so.
 
     Returns (x, energy, iterations, stop_reason), where stop_reason is
@@ -224,15 +224,15 @@ def _descend(x0, value_fn, grad_fn, retract_fn, config,
             memory.clear()
             d = project_fn(x, u)
             gd = float(np.sum(g * d))
-            alpha = config.step_init
+            alpha = _STEP_INIT
         accepted = False
         for _ in range(60):
             xt = retract_fn(x - alpha * d)
             et = value_fn(xt)
-            if et <= e - config.armijo_c * alpha * gd + 1e-15 * (1 + abs(e)):
+            if et <= e - _ARMIJO_C * alpha * gd + 1e-15 * (1 + abs(e)):
                 accepted = True
                 break
-            alpha *= config.armijo_shrink
+            alpha *= _ARMIJO_SHRINK
         if not accepted:
             reason = "step_collapse"
             break
@@ -470,7 +470,8 @@ def minimize_2d(mesh, target, params, config=SolveConfig(), keep_fields=False):
 # ---------------------------------------------------------------------------
 
 def profile_energy(mesh, target, params, profile):
-    """Reduced functional value: the 2D energy of the swept profile."""
+    """Reduced functional value: the 2D energy of the swept profile (the
+    acceptance tests' check of the reported 1D energy)."""
     return total_energy(build_from_profile(mesh, profile, target), params)
 
 
@@ -596,14 +597,16 @@ class AnnulusReport:
 ANNULUS_MIN_GRID = {"n_t": 3, "n_phi": 4}
 
 
-def annulus_boundary_from_vector(n_phi, vector, variant="symmetric"):
-    """Ring data b(phi) = A(phi)^T e (or A(phi) e) at uniform phi nodes."""
+def annulus_boundary_from_vector(n_phi, vector):
+    """Axially symmetric ring data b(phi) = A(phi)^T e at uniform phi nodes
+    (solve_annulus_example refuses any other)."""
     phi = 2 * np.pi * np.arange(n_phi) / n_phi
-    return sweep(phi, np.asarray(vector, dtype=float)[None, :], variant)
+    return rotate(phi, np.asarray(vector, dtype=float)[None, :])
 
 
-def solve_annulus_example(n_t, n_phi, kappa, b1, b2, r_inner=1.0, r_outer=2.0):
-    """Solve -Lap m + kappa (m.e3) e3 = 0 on the annulus with ring data.
+def solve_annulus_example(n_t, n_phi, kappa, b1, b2):
+    """Solve -Lap m + kappa (m.e3) e3 = 0 on the annulus 1 <= r <= 2 with
+    ring data.
 
     b1, b2 are (n_phi, 3) samples on the inner and outer rings and must be
     axially symmetric.  Componentwise linear solve: the horizontal parts
@@ -632,8 +635,8 @@ def solve_annulus_example(n_t, n_phi, kappa, b1, b2, r_inner=1.0, r_outer=2.0):
         if ring_defect(phi, ring) > 1e-8:
             raise ValueError("annulus boundary data must be axially symmetric")
 
-    h = (r_outer - r_inner) / n_t
-    t = r_inner + h * np.arange(n_t + 1)
+    h = 1.0 / n_t                                   # rings at r = 1 and 2
+    t = 1.0 + h * np.arange(n_t + 1)
     dphi = 2 * np.pi / n_phi
     tk = t[1:-1]                                    # interior radii
     c_up = (tk + h / 2) / (tk * h * h)              # coupling to ring k + 1

@@ -197,33 +197,34 @@ def _margin_state(margin, weight):
     return "below"
 
 
-def _form_check(diag, tols):
+def _form_check(diag):
     """(residuals, ok) of the first-harmonic form: the mass outside
     horizontal k = +-1 and vertical k = 0, and the vertical
     phi-derivative mass, each relative to the energy."""
     residuals = {"form_residual": diag["residual_over_total"],
                  "vertical_mode_residual": diag["dphi_vertical_over_total"]}
-    return residuals, all(v <= tols["form_residual"]
+    return residuals, all(v <= DEFAULT_TOLERANCES["form_residual"]
                           for v in residuals.values())
 
 
-def _line_symmetry_check(diag, tols):
+def _line_symmetry_check(diag):
     """(residuals, ok) of line symmetry: the orthogonality relations
     |alpha| = |beta| and alpha . beta = 0, and no row of neither kind."""
     residuals = {"orthogonality_norm": diag["orthogonality_norm_residual"],
                  "orthogonality_dot": diag["orthogonality_dot_residual"],
                  "neither_rows": float(diag["neither_rows"])}
-    ok = (residuals["orthogonality_norm"] <= tols["orthogonality"]
-          and residuals["orthogonality_dot"] <= tols["orthogonality"]
+    tol = DEFAULT_TOLERANCES["orthogonality"]
+    ok = (residuals["orthogonality_norm"] <= tol
+          and residuals["orthogonality_dot"] <= tol
           and diag["neither_rows"] == 0)
     return residuals, ok
 
 
-def verify_main0(instance_desc, report, params, tols=DEFAULT_TOLERANCES):
+def verify_main0(instance_desc, report, params):
     """First-harmonic form of the best found field under the strict margin."""
     state = _margin_state(report.margin, params.weight)
     diag = report.diagnostics
-    tolerances = {k: tols[k] for k in
+    tolerances = {k: DEFAULT_TOLERANCES[k] for k in
                   ("form_residual", "null_average", "defect", "energy_gap")}
     if state in ("zero", "below"):
         return TheoremCertificate(
@@ -231,52 +232,52 @@ def verify_main0(instance_desc, report, params, tols=DEFAULT_TOLERANCES):
             tolerances, f"inapplicable: margin {state}")
     u, chain = symmetrize_and_certify(report.best_field, params,
                                       params.aniso.variant)
-    residuals, ok = _form_check(diag, tols)
+    residuals, ok = _form_check(diag)
     residuals["companion_energy_gap"] = \
         abs(chain.energy_u.total - chain.energy_m.total) \
         / (1 + abs(chain.energy_m.total))
     residuals["companion_defect"] = symmetry_defect(u, params.aniso.variant)
-    ok = (ok and residuals["companion_energy_gap"] <= tols["energy_gap"]
-          and residuals["companion_defect"] <= tols["defect"])
+    ok = (ok and residuals["companion_energy_gap"] <= tolerances["energy_gap"]
+          and residuals["companion_defect"] <= tolerances["defect"])
     note = ""
     if state == "strict":
         residuals["null_average"] = (diag["null_average_norm"]
                                      / max(diag["field_scale"], 1e-9))
-        ok = ok and residuals["null_average"] <= tols["null_average"]
+        ok = ok and residuals["null_average"] <= tolerances["null_average"]
     else:
         note = "borderline margin: ring-mean term retained in the form"
     return TheoremCertificate("main0_form", instance_desc, True, bool(ok),
                               residuals, tolerances, note)
 
 
-def verify_main1(main0, report, params, target, tols=DEFAULT_TOLERANCES):
+def verify_main1(main0, report, params, target):
     """Adds line-symmetry labels and orthogonality under never-flat targets.
 
     main0 is verify_main0's certificate of the same report; this one
     extends its residuals and passes only where it passed.
     """
     state = _margin_state(report.margin, params.weight)
-    tolerances = {k: tols[k] for k in ("form_residual", "orthogonality")}
+    tolerances = {k: DEFAULT_TOLERANCES[k]
+                  for k in ("form_residual", "orthogonality")}
     if state != "strict" or not never_flat_check(target).ok:
         why = "margin not strict" if state != "strict" else "target has flat bands"
         return TheoremCertificate("main1_line_symmetry", main0.instance,
                                   False, True, {}, tolerances,
                                   f"inapplicable: {why}")
-    residuals, ok = _line_symmetry_check(report.diagnostics, tols)
+    residuals, ok = _line_symmetry_check(report.diagnostics)
     return TheoremCertificate("main1_line_symmetry", main0.instance, True,
                               bool(main0.passed and ok),
                               dict(main0.residuals, **residuals), tolerances)
 
 
-def verify_main3(instance_desc, report, params, target,
-                 tols=DEFAULT_TOLERANCES):
+def verify_main3(instance_desc, report, params, target):
     """No-penalty functional: null-average minimizers must have the form.
 
     The null-average property is the gate: when the found minimizer is not
     null-average the certificate records that the hypothesis is unmet (the
     claim is conditional), without failing.
     """
-    tolerances = {k: tols[k] for k in
+    tolerances = {k: DEFAULT_TOLERANCES[k] for k in
                   ("null_average_strict", "form_residual", "orthogonality")}
     if float(np.max(params.weight.W2)) != 0.0:
         return TheoremCertificate("main3_null_average", instance_desc,
@@ -285,16 +286,16 @@ def verify_main3(instance_desc, report, params, target,
     diag = report.diagnostics
     residuals = {"null_average": diag["null_average_norm"]
                  / max(diag["field_scale"], 1e-9)}
-    if residuals["null_average"] > tols["null_average_strict"]:
+    if residuals["null_average"] > tolerances["null_average_strict"]:
         return TheoremCertificate("main3_null_average", instance_desc,
                                   False, True, residuals, tolerances,
                                   "hypothesis unmet: found minimizer is not "
                                   "axially null-average")
-    form, ok = _form_check(diag, tols)
+    form, ok = _form_check(diag)
     residuals.update(form)
     note = ""
     if never_flat_check(target).ok:
-        line, line_ok = _line_symmetry_check(diag, tols)
+        line, line_ok = _line_symmetry_check(diag)
         residuals.update(line)
         ok = ok and line_ok
     else:
@@ -303,12 +304,12 @@ def verify_main3(instance_desc, report, params, target,
                               bool(ok), residuals, tolerances, note)
 
 
-def verify_chain(desc, seeds, n_fields, tols=DEFAULT_TOLERANCES):
+def verify_chain(desc, seeds, n_fields):
     """Symmetrization chain on a seeded random-field corpus of one instance
     (desc as made by instance())."""
     mesh, target, params, _ = build_run(desc["config"])
     margin = hypothesis_margin(mesh, params.weight)
-    tolerances = {"chain_slack": tols["chain_slack"]}
+    tolerances = {"chain_slack": DEFAULT_TOLERANCES["chain_slack"]}
     if not margin.strict:
         return TheoremCertificate("chain_monotonicity", desc, False, True,
                                   {}, tolerances, "inapplicable: margin not strict")
@@ -329,12 +330,12 @@ def verify_chain(desc, seeds, n_fields, tols=DEFAULT_TOLERANCES):
                                   "inapplicable: empty corpus, no field checked")
     residuals = {f"min_{k}": v for k, v in worst.items()}
     residuals["fields_checked"] = float(count)
-    ok = all(v >= -tols["chain_slack"] for v in worst.values())
+    ok = all(v >= -tolerances["chain_slack"] for v in worst.values())
     return TheoremCertificate("chain_monotonicity", desc, True, bool(ok),
                               residuals, tolerances)
 
 
-def verify_pw(desc, seeds, n_fields, tols=DEFAULT_TOLERANCES):
+def verify_pw(desc, seeds, n_fields):
     """Row-wise Poincare-Wirtinger inequality with equality detection.
 
     Both sides are Parseval sums of the horizontal components; the equality
@@ -342,7 +343,7 @@ def verify_pw(desc, seeds, n_fields, tols=DEFAULT_TOLERANCES):
     where the inequality is tight.  desc as made by instance().
     """
     mesh, target, params, _ = build_run(desc["config"])
-    tolerances = {"pw_slack": tols["pw_slack"]}
+    tolerances = {"pw_slack": DEFAULT_TOLERANCES["pw_slack"]}
     worst_violation = -np.inf
     mismatches = 0
     rows = 0
@@ -373,12 +374,12 @@ def verify_pw(desc, seeds, n_fields, tols=DEFAULT_TOLERANCES):
     residuals = {"max_violation": worst_violation,
                  "equality_detector_mismatches": float(mismatches),
                  "rows_checked": float(rows)}
-    ok = worst_violation <= tols["pw_slack"] and mismatches == 0
+    ok = worst_violation <= tolerances["pw_slack"] and mismatches == 0
     return TheoremCertificate("pw_inequality", desc, True, bool(ok),
                               residuals, tolerances)
 
 
-def verify_annulus(kappas, n_t, n_phi, seed, tols=DEFAULT_TOLERANCES):
+def verify_annulus(kappas, n_t, n_phi, seed):
     """Ring averages of the annulus solutions vanish for symmetric data."""
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -389,13 +390,13 @@ def verify_annulus(kappas, n_t, n_phi, seed, tols=DEFAULT_TOLERANCES):
         worst = max(worst, rep.max_mean_perp)
     desc = {"name": "annulus_pde", "kappas": [float(k) for k in kappas],
             "grid": [int(n_phi), int(n_t)], "seed": int(seed)}
-    tolerances = {"annulus_mean": tols["annulus_mean"]}
+    tolerances = {"annulus_mean": DEFAULT_TOLERANCES["annulus_mean"]}
     if not kappas:
         return TheoremCertificate("annulus_null_average", desc, False, True,
                                   {}, tolerances,
                                   "inapplicable: no kappa, nothing solved")
     return TheoremCertificate("annulus_null_average", desc, True,
-                              bool(worst <= tols["annulus_mean"]),
+                              bool(worst <= tolerances["annulus_mean"]),
                               {"max_mean_perp": worst}, tolerances)
 
 
@@ -413,7 +414,6 @@ DEFAULT_SUITE_CONFIG = {
     "pw_fields": 6,
     "annulus": {"kappas": [0.0, 0.5, 1.0, 5.0], "n_t": 48, "n_phi": 32},
     "instances": None,        # optional name filter
-    "plant_failure": False,   # synthetic failing certificate (harness test)
 }
 
 # suite sections whose keys merge one by one over the defaults
@@ -429,7 +429,7 @@ def suite_config(config=None):
     return cfg
 
 
-def run_suite(config=None, out_dir=None, tols=DEFAULT_TOLERANCES):
+def run_suite(config=None, out_dir=None):
     """Run the registered instance matrix and emit certificates.
 
     config is merged over DEFAULT_SUITE_CONFIG by suite_config.  Returns
@@ -457,10 +457,10 @@ def run_suite(config=None, out_dir=None, tols=DEFAULT_TOLERANCES):
             mesh, target, params, sc = build_run(desc["config"])
             report = minimize_2d(mesh, target, params, sc)
             key = f"{name}_s{seed}"
-            main0 = verify_main0(desc, report, params, tols)
+            main0 = verify_main0(desc, report, params)
             emit(key, main0)
-            emit(key, verify_main1(main0, report, params, target, tols))
-            emit(key, verify_main3(desc, report, params, target, tols))
+            emit(key, verify_main1(main0, report, params, target))
+            emit(key, verify_main3(desc, report, params, target))
 
     first_seed = cfg["seeds"][0] if cfg["seeds"] else 0
     for kind, check, pool, n_fields in (
@@ -469,17 +469,11 @@ def run_suite(config=None, out_dir=None, tols=DEFAULT_TOLERANCES):
         for name in pool:
             if names is None or name in names:
                 desc = instance(name, *grid, cfg["solver"], first_seed)
-                emit(f"{kind}_{name}", check(desc, cfg["seeds"], n_fields, tols))
+                emit(f"{kind}_{name}", check(desc, cfg["seeds"], n_fields))
     if names is None or "annulus_pde" in (names or []):
         ann = cfg["annulus"]
         emit("annulus_pde", verify_annulus(ann["kappas"], ann["n_t"],
-                                           ann["n_phi"], first_seed, tols))
-
-    if cfg.get("plant_failure"):
-        emit("planted_failure", TheoremCertificate(
-            "chain_monotonicity", {"name": "planted_failure"}, True, False,
-            {"planted": -1.0}, {"chain_slack": tols["chain_slack"]},
-            "synthetic failing certificate for harness tests"))
+                                           ann["n_phi"], first_seed))
 
     applicable = [c for c in certs if c.applicable]
     summary = {

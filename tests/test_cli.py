@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from axisym import fields, ioutil
+from axisym import fields, ioutil, verify
 from axisym.cli import main
 from conftest import count_calls
 
@@ -191,7 +191,7 @@ def test_reduce_variant_mismatch_warning(tmp_path):
     assert "symmetric_warning" in rep
 
 
-def test_verify_subset_and_planted_failure(tmp_path):
+def test_verify_subset_and_planted_failure(tmp_path, monkeypatch):
     cfg_path = tmp_path / "verify.json"
     cfg = {"schema": "axisym-run/1",
            "suite": {"instances": ["cylinder2_quadratic_const1"],
@@ -203,9 +203,14 @@ def test_verify_subset_and_planted_failure(tmp_path):
     assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 0
     assert (out / "summary.json").exists()
 
-    cfg["suite"]["plant_failure"] = True
+    # a tolerance no residual meets: the annulus certificate really fails
+    monkeypatch.setitem(verify.DEFAULT_TOLERANCES, "annulus_mean", -1.0)
+    cfg["suite"]["instances"] = ["annulus_pde"]
     cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
-    assert main(["verify", "--config", str(cfg_path)]) == 1
+    out = tmp_path / "failed"
+    assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 1
+    summary = ioutil.loads((out / "summary.json").read_text())
+    assert summary["n_failed"] == 1 and not summary["all_pass"]
 
 
 def test_verify_inapplicable_only_suite(tmp_path):
@@ -348,12 +353,26 @@ def test_non_integer_grid_exits_3(tmp_path, capsys):
                 in capsys.readouterr().err)
 
 
-def test_verify_unknown_solver_key_exits_3(tmp_path, capsys):
+# the first step and the Armijo constants are fixed, not settings
+UNKNOWN_SOLVER_KEYS = ["max_iter", "step_init", "armijo_c", "armijo_shrink"]
+
+
+@pytest.mark.parametrize("key", UNKNOWN_SOLVER_KEYS)
+def test_verify_unknown_solver_key_exits_3(tmp_path, capsys, key):
     cfg_path = tmp_path / "verify.json"
     write_config(cfg_path, suite={"instances": ["cylinder2_quadratic_const1"],
-                                  "solver": {"max_iter": 10}})
+                                  "solver": {key: 10}})
     assert main(["verify", "--config", str(cfg_path)]) == 3
-    assert "config.suite.solver.max_iter" in capsys.readouterr().err
+    assert (f"config.suite.solver.{key}: unknown key"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("key", UNKNOWN_SOLVER_KEYS)
+def test_minimize_unknown_solver_key_exits_3(tmp_path, capsys, key):
+    cfg_path = tmp_path / "run.json"
+    write_config(cfg_path, solver={"restarts": 1, key: 0.5})
+    assert main(["minimize", "--config", str(cfg_path)]) == 3
+    assert f"config.solver.{key}: unknown key" in capsys.readouterr().err
 
 
 def test_verify_bad_suite_sections_exit_3(tmp_path, capsys):
@@ -361,6 +380,10 @@ def test_verify_bad_suite_sections_exit_3(tmp_path, capsys):
     write_config(cfg_path, suite={"solver": {"max_iters": "abc"}})
     assert main(["verify", "--config", str(cfg_path)]) == 3
     assert "config error: config.suite.solver: " in capsys.readouterr().err
+    write_config(cfg_path, suite={"solver": {"grad_tol": 0}})
+    assert main(["verify", "--config", str(cfg_path)]) == 3
+    assert ("config.suite.solver: grad_tol must be positive"
+            in capsys.readouterr().err)
     write_config(cfg_path, suite={"annulus": {"n_r": 16}})
     assert main(["verify", "--config", str(cfg_path)]) == 3
     assert "config.suite.annulus.n_r: unknown key" in capsys.readouterr().err

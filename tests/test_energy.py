@@ -16,7 +16,6 @@ from axisym.energy import (
     aniso_constant_e3,
     aniso_surface_normal,
     anisotropy_energy,
-    argmin_phi_slice,
     chain_terms,
     dirichlet_energy,
     easy_normal_potential,
@@ -300,8 +299,8 @@ def test_riemannian_gradient_directional_fd():
         i = rng.integers(mesh.n_phi)
         j = rng.integers(mesh.n_t)
         w = rng.normal(size=3)
-        from axisym.geometry import tangent_project
-        tw = tangent_project(tgt, f.values[i, j], w)
+        from axisym.geometry import tangent_project_points
+        tw = tangent_project_points(tgt, f.values[i, j], w)
         if np.linalg.norm(tw) < 1e-8:
             continue
         tw = tw / np.linalg.norm(tw)
@@ -579,7 +578,7 @@ def test_argmin_phi_slice():
     mesh, tgt, params = make_instance(n_phi=16, n_t=12)
     prof = np.stack([np.sin(mesh.t), np.zeros_like(mesh.t), np.cos(mesh.t)], -1)
     f = build_from_profile(mesh, ProfileField(mesh.t, prof, "symmetric"), tgt)
-    assert argmin_phi_slice(f, params) == 0.0
+    assert chain_terms(f, params).phi_star == 0.0
     # plant a strictly lowest slice: axis-directed values have no
     # horizontal part and no variation along t
     mesh0, tgt0, params0 = make_instance(n_phi=16, n_t=12,
@@ -593,7 +592,7 @@ def test_argmin_phi_slice():
     phi_e = phi_slice_energy(planted, params0)
     # brute-force comparison of all slices
     assert int(np.argmin(phi_e)) == k
-    assert argmin_phi_slice(planted, params0) == pytest.approx(mesh0.phi[k])
+    assert chain_terms(planted, params0).phi_star == pytest.approx(mesh0.phi[k])
     assert phi_e.min() <= phi_e.mean() + 1e-15
 
 
@@ -649,7 +648,7 @@ def test_chain_inequalities_on_corpus(inst_kw):
             assert ct.energy_m == total_energy(g, params)
             assert np.array_equal(ct.slice_energies, phi_slice_energy(g, params))
             slack = 1e-9 * (1 + abs(ct.energy_m.total))
-            u = symmetrize(g, argmin_phi_slice(g, params), variant)
+            u = symmetrize(g, ct.phi_star, variant)
             e_u = total_energy(u, params).total
             assert ct.eq1 - e_u >= -slack
             assert ct.eq2 - ct.eq1 >= -slack
@@ -696,7 +695,7 @@ def test_chain_inequalities_on_spline_curves(base, target, margin, kappa,
             tgt, swept + blend * (f.values - swept))[0])
         ct = chain_terms(f, params)
         slack = 1e-9 * (1 + abs(ct.energy_m.total))
-        u = symmetrize(f, argmin_phi_slice(f, params), "symmetric")
+        u = symmetrize(f, ct.phi_star, "symmetric")
         e_u = total_energy(u, params).total
         assert ct.eq1 - e_u >= -slack
         assert ct.eq2 - ct.eq1 >= -slack
@@ -707,9 +706,9 @@ def test_chain_equalities_for_symmetric_input(sphere_instance):
     mesh, tgt, params = sphere_instance
     prof = np.stack([np.sin(mesh.t), np.zeros_like(mesh.t), np.cos(mesh.t)], -1)
     f = build_from_profile(mesh, ProfileField(mesh.t, prof, "symmetric"), tgt)
-    u = symmetrize(f, argmin_phi_slice(f, params), "symmetric")
-    assert np.max(np.abs(u.values - f.values)) < 1e-12
     ct = chain_terms(f, params)
+    u = symmetrize(f, ct.phi_star, "symmetric")
+    assert np.max(np.abs(u.values - f.values)) < 1e-12
     e_u = total_energy(u, params).total
     tol = 1e-10 * (1 + abs(ct.energy_m.total))
     assert abs(ct.eq1 - e_u) < tol

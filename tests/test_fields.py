@@ -229,8 +229,6 @@ def test_random_field_determinism_and_constraint(sphere_mesh, sphere_target):
     f2 = random_field(sphere_mesh, sphere_target, seed=42)
     assert np.array_equal(f1.values, f2.values)
     assert f1.constraint_defect() < 1e-8
-    f0 = random_field(sphere_mesh, sphere_target, seed=42, smoothness=0)
-    assert np.max(np.abs(f0.values - f0.values[0][None])) < 1e-14
 
 
 def test_mode_roundtrip_identity(sphere_mesh, sphere_target):

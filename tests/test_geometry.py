@@ -18,7 +18,6 @@ from axisym.geometry import (
     preset_curve,
     project_points,
     project_to_frame,
-    project_to_target,
     ring_defect,
     rotate,
     rotate_inverse,
@@ -26,7 +25,7 @@ from axisym.geometry import (
     surface,
     surface_normal,
     sweep,
-    tangent_project,
+    tangent_project_points,
     target_normal,
 )
 from axisym.runconfig import _build_surface
@@ -207,8 +206,8 @@ def test_surface_normal_axially_symmetric():
 
 def test_project_sphere_examples():
     sph = surface("sphere")
-    assert np.allclose(project_to_target(sph, [0, 0, 2.0]), [0, 0, 1.0], atol=1e-12)
-    assert np.allclose(project_to_target(sph, [0.3, 0.4, 0.0]), [0.6, 0.8, 0.0],
+    assert np.allclose(project_points(sph, [0, 0, 2.0])[0], [0, 0, 1.0], atol=1e-12)
+    assert np.allclose(project_points(sph, [0.3, 0.4, 0.0])[0], [0.6, 0.8, 0.0],
                        atol=1e-12)
 
 
@@ -224,7 +223,7 @@ def test_project_sphere_is_normalization():
 
 def test_project_torus_example():
     tor = surface("torus_band")
-    assert np.allclose(project_to_target(tor, [4.0, 0, 0]), [3.0, 0, 0], atol=1e-10)
+    assert np.allclose(project_points(tor, [4.0, 0, 0])[0], [3.0, 0, 0], atol=1e-10)
 
 
 def test_project_generic_matches_analytic_on_sphere():
@@ -283,7 +282,7 @@ def test_project_idempotent():
 
 def test_project_axis_tiebreak_uses_e1():
     cyl = surface("cylinder")
-    p = project_to_target(cyl, [0.0, 0.0, 0.5])
+    p = project_points(cyl, [0.0, 0.0, 0.5])[0]
     assert np.allclose(p, [1.0, 0.0, 0.5], atol=1e-14)
 
 
@@ -411,14 +410,14 @@ def test_closest_parameter_evaluation_count():
 
 def test_tangent_project_examples():
     sph = surface("sphere")
-    assert np.allclose(tangent_project(sph, [0, 0, 1.0], [1.0, 2.0, 3.0]),
+    assert np.allclose(tangent_project_points(sph, [0, 0, 1.0], [1.0, 2.0, 3.0]),
                        [1, 2, 0], atol=1e-12)
-    assert np.max(np.abs(tangent_project(sph, [1.0, 0, 0], [5.0, 0, 0]))) < 1e-12
+    assert np.max(np.abs(tangent_project_points(sph, [1.0, 0, 0], [5.0, 0, 0]))) < 1e-12
     # removing the normal component leaves 0
     tor = surface("torus_band")
-    p = project_to_target(tor, [2.7, 0.4, 0.8])
+    p = project_points(tor, [2.7, 0.4, 0.8])[0]
     nu = target_normal(tor, p)
-    assert np.max(np.abs(tangent_project(tor, p, nu))) < 1e-10
+    assert np.max(np.abs(tangent_project_points(tor, p, nu))) < 1e-10
 
 
 def test_tangent_orthogonal_to_normal():
@@ -428,7 +427,7 @@ def test_tangent_orthogonal_to_normal():
         v = rng.normal(size=(50, 3)) + np.array([1.5, 0, 0])
         p, s = project_points(tgt, v)
         w = rng.normal(size=(50, 3))
-        tp = tangent_project(tgt, p, w)
+        tp = tangent_project_points(tgt, p, w)
         nu = target_normal(tgt, p, s)
         assert np.max(np.abs(np.sum(tp * nu, axis=-1))) < 1e-10
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from axisym import ioutil
+from axisym import ioutil, verify
 from axisym.runconfig import build_run, load_config
 from axisym.solvers import SolveConfig, minimize_2d, symmetrize_and_certify
 from conftest import count_calls
@@ -108,8 +108,12 @@ def test_empty_matrix():
     assert summary["n_certificates"] == 0
 
 
-def test_planted_failure_fails_suite():
-    certs, summary = run_suite({"instances": [], "plant_failure": True})
+def test_planted_failure_fails_suite(monkeypatch):
+    # a tolerance no residual meets: the annulus certificate really fails
+    monkeypatch.setitem(verify.DEFAULT_TOLERANCES, "annulus_mean", -1.0)
+    certs, summary = run_suite({"instances": ["annulus_pde"]})
+    assert [c.theorem for c in certs] == ["annulus_null_average"]
+    assert certs[0].applicable and not certs[0].passed
     assert not summary["all_pass"]
     assert summary["n_failed"] == 1
 
