@@ -44,7 +44,8 @@ from .fields import (
     grid_to_csv,
     profile_to_csv,
 )
-from .runconfig import RUN_SCHEMA, ConfigError, _check_grid, build_run, load_config
+from .runconfig import (RUN_SCHEMA, ConfigError, _check_grid, _variant,
+                        build_run, load_config)
 from .solvers import (
     SingularSystemError,
     annulus_boundary_from_vector,
@@ -229,9 +230,8 @@ def cmd_symmetrize(args):
         field = field_from_csv(src, mesh, target)
     except (OSError, ValueError, KeyError) as exc:
         raise ConfigError(f"config.input_field: {exc}") from exc
-    variant = cfg.get("variant", params.aniso.variant)
-    if variant not in ("symmetric", "antisymmetric"):
-        raise ConfigError("config.variant: must be symmetric or antisymmetric")
+    variant = _variant(cfg.get("variant", params.aniso.variant),
+                       "config.variant")
     u, chain = symmetrize_and_certify(field, params, variant)
     out = Path(args.out or cfg.get("outputs", "out"))
     out.mkdir(parents=True, exist_ok=True)

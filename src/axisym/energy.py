@@ -26,6 +26,8 @@ transpose are array slices along the t axis (t_diff, t_diff_transpose);
 no matrix is assembled.
 
 All reductions are fixed-order numpy sums, so reruns are bit-identical.
+Everything here runs in numpy, the H^1 preconditioner included; only
+table_potential loads scipy (scipy.interpolate, for its cubic spline).
 """
 
 from __future__ import annotations
@@ -511,14 +513,6 @@ class ProfileFunctional:
 # H^1 preconditioner
 # ---------------------------------------------------------------------------
 
-# rows up to which SobolevPreconditioner keeps dense per-mode inverses.
-# Up to here a stacked product with them takes 0.3-0.8 of the time of the
-# banded Cholesky solve, and they hold n_t/6 fields' worth of doubles, at
-# most 11 against the 60 of the descent's curvature pairs.  Beyond it the
-# time evens out by 128-192 rows while the memory grows with n_t.
-DENSE_MAX_ROWS = 64
-
-
 def tridiagonal_solve(lower, diag, upper, rhs):
     """x with A x = rhs for tridiagonal A, by one forward elimination and
     one back substitution over the rows (the Thomas algorithm, no
@@ -573,14 +567,13 @@ class SobolevPreconditioner:
     fields, scale 2 pi dt: the vertical component is the k = 0 block, the
     horizontal ones the k = 1 block.
 
-    Up to DENSE_MAX_ROWS rows every block is eliminated once
-    (tridiagonal_solve on the identity) into its dense inverse, and a solve
-    is one stacked matrix product.  Above it the dense inverses would hold
-    n_t/6 fields' worth of doubles and cost O(n_t^2) per mode and solve, so
-    all blocks sit in one banded matrix with zero coupling between them,
-    Cholesky-factored by scipy.linalg, which is imported only then.  On
-    either path a non-finite or non-positive pivot, which a positive
-    definite block cannot have, raises LinAlgError.
+    Every block is eliminated once (tridiagonal_solve on the identity) into
+    its dense inverse, and a solve is one stacked matrix product.  The
+    inverses hold n_t/6 fields' worth of doubles and cost O(n_t^2) per mode
+    and solve: up to about 256 rows that is as fast as a banded Cholesky
+    solve, above about 300 rows it is slower and the memory grows with n_t
+    (75 MB at 16 x 1024).  A non-finite or non-positive pivot, which a
+    positive definite block cannot have, raises LinAlgError.
     """
 
     def __init__(self, mesh, profile=False, frozen_rows=()):
@@ -599,45 +592,25 @@ class SobolevPreconditioner:
                         + 2 * k2 * mesh.sqrtg / mesh.h1 ** 2)
         for r in frozen_rows:
             off[:, max(r - 1, 0):r + 1] = 0.0   # edges r-1 -> r and r -> r+1
-        singular = "H^1 operator has a non-finite or non-positive pivot"
-        if n_t <= DENSE_MAX_ROWS:
-            inverse, pivots = tridiagonal_solve(off.T[..., None],
-                                                diag.T[..., None],
-                                                off.T[..., None],
-                                                np.eye(n_t)[:, None, :])
-            if not np.all(np.isfinite(pivots) & (pivots > 0)):
-                raise np.linalg.LinAlgError(singular)
-            self._factor = None
-            # (n_modes, n_t, n_t) as a view: the rows of each block stay
-            # contiguous, which is all the BLAS products below need
-            self._inverse = inverse.transpose(1, 0, 2)
-        else:
-            from scipy.linalg import cholesky_banded
-            band = np.zeros((2, n_modes, n_t))  # upper banded storage
-            band[0, :, 1:], band[1] = off, diag
-            if not np.all(np.isfinite(band)):
-                raise np.linalg.LinAlgError(singular)
-            # raises LinAlgError itself on a non-positive pivot
-            self._factor = cholesky_banded(band.reshape(2, -1),
-                                           check_finite=False)
-
-    def _solve_blocks(self, rhs):
-        """Every mode's block applied to its (n_t, cols) slice of rhs."""
-        if self._factor is None:
-            return self._inverse @ rhs
-        from scipy.linalg import cho_solve_banded
-        flat = rhs.reshape(-1, rhs.shape[-1])
-        return cho_solve_banded((self._factor, False), flat,
-                                check_finite=False).reshape(rhs.shape)
+        inverse, pivots = tridiagonal_solve(off.T[..., None],
+                                            diag.T[..., None],
+                                            off.T[..., None],
+                                            np.eye(n_t)[:, None, :])
+        if not np.all(np.isfinite(pivots) & (pivots > 0)):
+            raise np.linalg.LinAlgError(
+                "H^1 operator has a non-finite or non-positive pivot")
+        # (n_modes, n_t, n_t) as a view: the rows of each block stay
+        # contiguous, which is all the BLAS products below need
+        self._inverse = inverse.transpose(1, 0, 2)
 
     def solve(self, g):
         """H^-1 g for a field (n_phi, n_t, 3) or a profile (n_t, 3)."""
         if self.profile:
-            sol = self._solve_blocks(np.stack([g, g]))
+            sol = self._inverse @ np.stack([g, g])
             return np.concatenate([sol[1, :, :2], sol[0, :, 2:]], axis=-1)
         coeff = np.fft.rfft(g, axis=0)
-        sol = self._solve_blocks(np.concatenate([coeff.real, coeff.imag],
-                                                axis=-1))
+        sol = self._inverse @ np.concatenate([coeff.real, coeff.imag],
+                                             axis=-1)
         return np.fft.irfft(sol[..., :3] + 1j * sol[..., 3:], n=self.n_phi,
                             axis=0)
 

@@ -184,6 +184,25 @@ def _check_grid(n_phi, n_t, where):
     return n_phi, n_t
 
 
+def _vector(value, where):
+    """value as an array of three floats, or ConfigError naming `where`."""
+    try:
+        vector = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    if vector.shape != (3,):
+        raise ConfigError(f"{where}: expected three numbers, got {value!r}")
+    return vector
+
+
+def _variant(value, where):
+    """value if it names a symmetry variant, or ConfigError naming `where`."""
+    if value not in ("symmetric", "antisymmetric"):
+        raise ConfigError(f"{where}: must be 'symmetric' or 'antisymmetric', "
+                          f"got {value!r}")
+    return value
+
+
 def _build_anisotropy_potential(section):
     kind = section.get("kind", "quartic")
     try:
@@ -196,7 +215,7 @@ def _build_anisotropy_potential(section):
         if kind == "table":
             tab = _read_table(section["table"], ["s", "g"])
             return table_potential(tab[:, 0], tab[:, 1])
-    except (ValueError, KeyError) as exc:
+    except (ValueError, TypeError, KeyError) as exc:
         raise ConfigError(f"config.potential: {exc}") from exc
     raise ConfigError(f"config.potential.kind: unknown kind {kind!r}")
 
@@ -210,8 +229,7 @@ def _build_aniso(section, mesh):
     if kind in ("symmetric_profile", "antisymmetric_profile"):
         variant = kind.split("_")[0]
         if "vector" in section:
-            prof = np.broadcast_to(np.asarray(section["vector"], dtype=float),
-                                   (mesh.n_t, 3)).copy()
+            prof = _vector(section["vector"], "config.aniso_field.vector")
         elif "table" in section:
             tab = _read_table(section["table"], ["t", "ax", "ay", "az"])
             prof = np.stack([np.interp(mesh.t, tab[:, 0], tab[:, c])
@@ -240,7 +258,7 @@ def _build_weight(section, mesh):
             return weight_general(
                 mesh, lambda phi, t: np.broadcast_to(
                     np.interp(t, tab[:, 0], tab[:, 1]), (mesh.n_phi, mesh.n_t)))
-    except (ValueError, KeyError) as exc:
+    except (ValueError, TypeError, KeyError) as exc:
         raise ConfigError(f"config.weight: {exc}") from exc
     raise ConfigError(f"config.weight.kind: unknown kind {kind!r}")
 
@@ -251,7 +269,8 @@ def _build_boundary(section, mesh):
     if section.get("kind") != "dirichlet":
         raise ConfigError("config.boundary.kind: must be 'free' or 'dirichlet'")
     sides = {}
-    variant = section.get("variant", "symmetric")
+    variant = _variant(section.get("variant", "symmetric"),
+                       "config.boundary.variant")
     for side in ("bottom", "top"):
         spec = section.get(side)
         if spec is None:
@@ -261,7 +280,9 @@ def _build_boundary(section, mesh):
         if v is None:
             raise ConfigError(f"config.boundary.{side}.vector: required")
         sides[side] = dirichlet_rows_from_vector(
-            mesh, v, spec.get("variant", variant))
+            mesh, _vector(v, f"config.boundary.{side}.vector"),
+            _variant(spec.get("variant", variant),
+                     f"config.boundary.{side}.variant"))
     return BoundaryCondition("dirichlet", sides["bottom"], sides["top"], variant)
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from axisym import fields, ioutil, verify
 from axisym.cli import main
+from axisym.runconfig import build_run
 from conftest import count_calls
 
 
@@ -514,6 +515,62 @@ def test_overflowing_config_number_exits_3(tmp_path, capsys, section, key,
     assert f"config error: {key}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key", [
+    ({"aniso_field": {"kind": "symmetric_profile", "vector": [1, 2]}},
+     "config.aniso_field.vector"),
+    ({"aniso_field": {"kind": "symmetric_profile", "vector": "abc"}},
+     "config.aniso_field.vector"),
+    ({"aniso_field": {"kind": "symmetric_profile", "vector": [1, 2, [3]]}},
+     "config.aniso_field.vector"),
+    ({"boundary": {"kind": "dirichlet", "top": {"vector": [1, 2]}}},
+     "config.boundary.top.vector"),
+    ({"boundary": {"kind": "dirichlet", "top": {"vector": "abc"}}},
+     "config.boundary.top.vector"),
+    ({"boundary": {"kind": "dirichlet", "variant": "sideways",
+                   "top": {"vector": [0, 0, 1]}}}, "config.boundary.variant"),
+    ({"boundary": {"kind": "dirichlet",
+                   "bottom": {"vector": [0, 0, 1], "variant": "sideways"}}},
+     "config.boundary.bottom.variant"),
+    ({"potential": {"kind": "quartic", "lam": [1]}}, "config.potential"),
+    ({"weight": {"kind": "constant", "lam": [1]}}, "config.weight"),
+], ids=["aniso_short", "aniso_string", "aniso_nested", "top_short",
+        "top_string", "variant", "side_variant", "potential_list",
+        "weight_list"])
+def test_bad_config_value_exits_3(tmp_path, capsys, section, key):
+    # a malformed value is a config error naming its key, never a traceback
+    # (exit 1 is a failed certificate) and never run as something else
+    cfg_path = tmp_path / "run.json"
+    write_config(cfg_path, **section)
+    assert main(["minimize", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "o")]) == 3
+    assert f"config error: {key}: " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def _omega_table(path, omega):
+    t = np.linspace(-0.5, 1.5, 41)     # covers the cylinder's t in (0, 1)
+    path.write_text("t,omega\n" + "".join(
+        "%.17g,%.17g\n" % row for row in zip(t, omega(t))), encoding="utf-8")
+
+
+@pytest.mark.parametrize("kind", ["t_profile", "general"])
+def test_weight_table_kinds(tmp_path, capsys, kind):
+    # both table kinds read one (t, omega) CSV: W2 = 2 pi omega(t)^2 at the
+    # mesh nodes, whichever way the circular integral is taken
+    table = tmp_path / "omega.csv"
+    _omega_table(table, lambda t: 1.0 + 0.3 * np.sin(3 * t))
+    cfg = write_config(tmp_path / "run.json",
+                       weight={"kind": kind, "table": str(table)})
+    mesh, _, params, _ = build_run(cfg)
+    expected = 2 * np.pi * np.interp(mesh.t, *np.loadtxt(
+        table, delimiter=",", skiprows=1).T) ** 2
+    np.testing.assert_allclose(params.weight.W2, expected, rtol=1e-14, atol=0)
+    _omega_table(table, lambda t: 0.5 - t)       # negative above t = 0.5
+    assert main(["minimize", "--config", str(tmp_path / "run.json"),
+                 "--out", str(tmp_path / "o")]) == 3
+    assert "config error: config.weight: " in capsys.readouterr().err
+
+
 _STARTUP_SCRIPT = """
 import sys
 from pathlib import Path
@@ -577,6 +634,39 @@ def test_scipy_interpolate_loads_only_for_splines(tmp_path):
     proc = subprocess.run([sys.executable, "-c", _STARTUP_SCRIPT, str(tmp_path)],
                           capture_output=True, text=True, env=env, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+_NO_SCIPY_SCRIPT = """
+import sys
+sys.modules["scipy"] = None          # any scipy import now fails
+from axisym.cli import main
+for command in ("minimize", "reduce"):
+    rc = main([command, "--config", "run.json", "--out", command])
+    assert rc in (0, 2), (command, rc)
+"""
+
+
+def test_preset_solves_need_no_scipy_above_64_rows(tmp_path):
+    # minimize and reduce on a preset sphere at 72 meridian rows: the H^1
+    # solves of both run in numpy, with scipy blocked from loading
+    write_config(tmp_path / "run.json", base_surface={"preset": "sphere"},
+                 grid={"n_phi": 16, "n_t": 72},
+                 potential={"kind": "quartic", "lam": 5.0},
+                 aniso_field={"kind": "surface_normal"},
+                 weight={"kind": "margin", "margin": 1.5},
+                 solver={"restarts": 0, "max_iters": 60, "seed": 0})
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    for name in ("minimize/field.csv", "minimize/report.json",
+                 "reduce/profile_symmetric.csv",
+                 "reduce/profile_antisymmetric.csv",
+                 "reduce/reduce_report.json"):
+        assert (tmp_path / name).exists(), name
 
 
 def test_module_entry_point_has_no_runpy_warning():

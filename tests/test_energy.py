@@ -7,9 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-import axisym.energy as energy_mod
 from axisym.energy import (
-    DENSE_MAX_ROWS,
     NonDifferentiableError,
     ProfileFunctional,
     SobolevPreconditioner,
@@ -427,7 +425,6 @@ def dirichlet_plus_mass(mesh, tgt, params, v):
                                              ("sphere", False),
                                              ("cylinder", True)])
 def test_preconditioner_inverts_dirichlet_plus_mass(base, dirichlet):
-    # 16 x 12 and 64 x 64 take the dense path, 128 x 128 the banded one
     for n_phi, n_t in ((16, 12), (64, 64), (128, 128)):
         mesh, tgt, params = make_instance(base=base, n_phi=n_phi, n_t=n_t,
                                           potential=("quadratic", 0.0),
@@ -458,10 +455,10 @@ def test_preconditioner_inverts_dirichlet_plus_mass(base, dirichlet):
 _PRECONDITIONER_SCRIPT = """
 import hashlib
 import numpy as np
-from axisym.energy import DENSE_MAX_ROWS, SobolevPreconditioner
+from axisym.energy import SobolevPreconditioner
 from axisym.geometry import build_mesh, surface
 digest = hashlib.sha256()
-for n in (DENSE_MAX_ROWS, 128):
+for n in (64, 128):
     mesh = build_mesh(surface("sphere"), n, n)
     g = np.random.default_rng(0).normal(size=mesh.shape + (3,))
     digest.update(SobolevPreconditioner(mesh).solve(g).tobytes())
@@ -472,9 +469,9 @@ print(digest.hexdigest())
 
 
 def test_preconditioner_independent_of_blas_threads():
-    # the largest grid of the dense path and one of the banded path: the
-    # bits of neither may depend on the BLAS thread count (those of
-    # np.linalg.inv in place of the elimination sweep do, at 128 x 128)
+    # the bits of the dense solve may not depend on the BLAS thread count
+    # (those of np.linalg.inv in place of the elimination sweep do, at
+    # 128 x 128)
     runs = set()
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
@@ -485,7 +482,7 @@ def test_preconditioner_independent_of_blas_threads():
     assert len(runs) == 1
 
 
-@pytest.mark.parametrize("n_t", [8, DENSE_MAX_ROWS + 8])
+@pytest.mark.parametrize("n_t", [8, 72])
 def test_preconditioner_refuses_non_positive_pivot(n_t):
     mesh = build_mesh(surface("cylinder", radius=2.0), 8, n_t)
     SobolevPreconditioner(mesh)
@@ -495,20 +492,6 @@ def test_preconditioner_refuses_non_positive_pivot(n_t):
     mesh.sqrtg[3] = np.nan
     with pytest.raises(np.linalg.LinAlgError):
         SobolevPreconditioner(mesh)
-
-
-def test_preconditioner_dense_and_banded_paths_agree(monkeypatch):
-    mesh = build_mesh(surface("sphere"), 16, 40)
-    g = np.random.default_rng(5).normal(size=mesh.shape + (3,))
-    cases = [({}, g), ({"frozen_rows": [0, 39]}, g),
-             ({"profile": True}, g[0])]
-    dense = [SobolevPreconditioner(mesh, **kw).solve(x) for kw, x in cases]
-    monkeypatch.setattr(energy_mod, "DENSE_MAX_ROWS", 0)
-    for (kw, x), ref in zip(cases, dense):
-        precond = SobolevPreconditioner(mesh, **kw)
-        assert precond._factor is not None
-        err = np.max(np.abs(precond.solve(x) - ref))
-        assert err <= 1e-12 * np.max(np.abs(ref)), kw
 
 
 def test_preconditioner_symmetric_positive_definite_on_closed_curve():

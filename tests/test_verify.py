@@ -229,6 +229,15 @@ def test_default_suite_all_pass(tmp_path):
     assert (tmp_path / "summary.json").exists()
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "known defect: the default suite fails at seeds 2-11, main0_form and "
+    "main1_line_symmetry on torus_band_self_margin"))
+def test_default_suite_torus_band_passes_at_seed_2():
+    _, summary = run_suite({"instances": ["torus_band_self_margin"],
+                            "seeds": [2]})
+    assert summary["all_pass"], summary["failed"]
+
+
 @pytest.mark.parametrize("name", list(DEFAULT_INSTANCES))
 def test_registered_instance_is_a_run_config(tmp_path, name):
     # every suite instance is a plain axisym-run/1 config: it passes the
