@@ -2,8 +2,9 @@
 
 Subcommands:
     minimize    2D energy minimization; writes field/mode CSVs + JSON reports
-    reduce      1D profile minimization (both variants) + optional 2D
-                comparison
+    reduce      1D profile minimization (both variants, Dirichlet rows
+                pinned; a variant whose sweep cannot meet the ring data is
+                skipped and named in the report) + optional 2D comparison
     verify      certificate suite; exit 1 on any failed applicable
                 certificate
     annulus     the linear annulus boundary-value problem (flag-driven)
@@ -19,11 +20,14 @@ the config hash and seed.
 Exit codes: 0 ok/converged (of a solve: its winning restart met the
 gradient tolerance; report.json's stop_reasons gives every restart), 1
 failed certificate, 2 not converged (the winning restart did not meet the
-tolerance) or singular system, 3 input error (including grids outside
-[8, 4096] or with odd n_phi, NaN or Infinity in a config or an annulus
-flag, a config number beyond the range of a double such as 1e400, and
-kinked potential tables where a gradient is needed).  Restarts run one
-after another in one thread.
+tolerance) or singular system, 3 input error (including a config file
+that is not UTF-8, grids outside [8, 4096] or with odd n_phi, NaN or
+Infinity in a config or an annulus flag, a config number beyond the range
+of a double such as 1e400, solver max_iters, restarts or seed (or --seed)
+that are not non-negative integers, suite seeds, chain_fields or
+pw_fields that are not, unknown suite instance names, and kinked
+potential tables where a gradient is needed).  Restarts run one after
+another in one thread.
 """
 
 from __future__ import annotations
@@ -44,9 +48,10 @@ from .fields import (
     grid_to_csv,
     profile_to_csv,
 )
-from .runconfig import (RUN_SCHEMA, ConfigError, _check_grid, _variant,
-                        build_run, load_config)
+from .runconfig import (RUN_SCHEMA, SUITE_NAMES, ConfigError, build_run,
+                        load_config, suite_config)
 from .solvers import (
+    BoundaryVariantError,
     SingularSystemError,
     annulus_boundary_from_vector,
     minimize_1d_profile,
@@ -54,7 +59,7 @@ from .solvers import (
     solve_annulus_example,
     symmetrize_and_certify,
 )
-from .verify import SUITE_NAMES, run_suite, suite_config
+from .verify import run_suite
 
 EXIT_OK = 0
 EXIT_CERT_FAILED = 1
@@ -84,10 +89,6 @@ def _write_mode_csv(path, t, dec, comment):
                       "eta", "mean_perp_norm"], rows, comment)
 
 
-def _write_json(path, payload):
-    Path(path).write_text(ioutil.dumps(payload, indent=2), encoding="utf-8")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -101,11 +102,11 @@ def cmd_minimize(args):
     comment, digest = _provenance(cfg, sc.seed)
     field_to_csv(report.best_field, out / "field.csv", comment)
     _write_mode_csv(out / "mode.csv", mesh.t, report.mode, comment)
-    _write_json(out / "breakdown.json",
-                dict(report.best_energy.to_dict(), config_sha256=digest,
-                     seed=sc.seed))
-    _write_json(out / "report.json",
-                dict(report.to_dict(), config_sha256=digest))
+    ioutil.write_json(out / "breakdown.json",
+                      dict(report.best_energy.to_dict(), config_sha256=digest,
+                           seed=sc.seed))
+    ioutil.write_json(out / "report.json",
+                      dict(report.to_dict(), config_sha256=digest))
     print(f"minimize: total={report.best_energy.total:.12g} "
           f"converged={report.converged} -> {out}")
     return EXIT_OK if report.converged else EXIT_NOT_CONVERGED
@@ -121,7 +122,12 @@ def cmd_reduce(args):
     converged = True
     fields_by_variant = {}
     for variant in ("symmetric", "antisymmetric"):
-        rep = minimize_1d_profile(mesh, target, params, variant, sc)
+        try:
+            rep = minimize_1d_profile(mesh, target, params, variant, sc)
+        except BoundaryVariantError as exc:
+            # its swept fields would break the Dirichlet rows: no profile
+            payload[f"{variant}_skipped"] = str(exc)
+            continue
         profile_to_csv(rep.best_profile, out / f"profile_{variant}.csv", comment)
         payload[variant] = rep.to_dict()
         converged &= rep.converged
@@ -132,8 +138,7 @@ def cmd_reduce(args):
     prior = cfg.get("prior_2d")
     if prior:
         try:
-            prior_report = ioutil.loads(
-                (Path(prior) / "report.json").read_text(encoding="utf-8"))
+            prior_report = ioutil.read_json(Path(prior) / "report.json")
             prior_field = field_from_csv(Path(prior) / "field.csv", mesh, target)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"config.prior_2d: {exc}") from exc
@@ -149,26 +154,20 @@ def cmd_reduce(args):
                                  "energy_1d": rep.best_energy.total,
                                  "relative_gap": gap,
                                  "l2_distance": l2}
-    _write_json(out / "reduce_report.json", payload)
+    ioutil.write_json(out / "reduce_report.json", payload)
     print(f"reduce: wrote profiles -> {out}")
     return EXIT_OK if converged else EXIT_NOT_CONVERGED
 
 
 def cmd_verify(args):
     cfg = load_config(args.config) if args.config else {"schema": RUN_SCHEMA}
-    suite_cfg = suite_config(cfg.get("suite"))
-    grid, where = suite_cfg["grid"], "config.suite.grid"
-    if args.grid:
-        grid, where = dict(zip(("n_phi", "n_t"), _parse_grid(args.grid))), "--grid"
-    n_phi, n_t = _check_grid(grid["n_phi"], grid["n_t"], where)
-    suite_cfg["grid"] = {"n_phi": n_phi, "n_t": n_t}
-    if args.seed is not None:
-        suite_cfg["seeds"] = [int(args.seed)]
+    suite_cfg = suite_config(cfg.get("suite"), args.seed,
+                             _parse_grid(args.grid))
+    # run_suite would run a suite that checks nothing; the command refuses it
     if not suite_cfg["seeds"]:
         raise ConfigError("config.suite.seeds: needs at least one seed")
     names = suite_cfg["instances"]
-    if names is not None and not (isinstance(names, list)
-                                  and any(n in names for n in SUITE_NAMES)):
+    if names is not None and not any(n in SUITE_NAMES for n in names):
         raise ConfigError("config.suite.instances: selects no instance")
     out = args.out or cfg.get("outputs")
     certs, summary = run_suite(suite_cfg, out_dir=out)
@@ -214,7 +213,7 @@ def cmd_annulus(args):
                (("%.17g" % t, "%.17g" % np.linalg.norm(m))
                 for t, m in zip(rep.t_grid, rep.mean_perp)), None)
     grid_to_csv(rep.phi, rep.t_grid, rep.solution, out / "solution.csv")
-    _write_json(out / "annulus_report.json", rep.to_dict())
+    ioutil.write_json(out / "annulus_report.json", rep.to_dict())
     print(f"annulus: kappa={args.kappa:g} max|<m_perp>|={rep.max_mean_perp:.3e} "
           f"-> {out}")
     return EXIT_OK
@@ -230,15 +229,14 @@ def cmd_symmetrize(args):
         field = field_from_csv(src, mesh, target)
     except (OSError, ValueError, KeyError) as exc:
         raise ConfigError(f"config.input_field: {exc}") from exc
-    variant = _variant(cfg.get("variant", params.aniso.variant),
-                       "config.variant")
+    variant = cfg.get("variant", params.aniso.variant)   # checked on load
     u, chain = symmetrize_and_certify(field, params, variant)
     out = Path(args.out or cfg.get("outputs", "out"))
     out.mkdir(parents=True, exist_ok=True)
     comment, digest = _provenance(cfg, sc.seed)
     field_to_csv(u, out / "symmetrized.csv", comment)
-    _write_json(out / "chain_report.json",
-                dict(chain.to_dict(), config_sha256=digest))
+    ioutil.write_json(out / "chain_report.json",
+                      dict(chain.to_dict(), config_sha256=digest))
     print(f"symmetrize: certified={chain.certified} "
           f"hypothesis_violation={chain.hypothesis_violation} -> {out}")
     return EXIT_OK

@@ -86,6 +86,9 @@ class ModeDecomposition:
     residual_energy  quadrature-weighted L2 mass of everything else
     coeff          the one-sided DFT rfft(values) / n_phi along phi, all
                    modes k = 0..n_phi/2: (n_phi/2 + 1, n_t, 3)
+    mass           parseval_weights(n_phi) |coeff|^2 per mode, row and
+                   component: 2 pi mass.sum(axis=0) is the integral of
+                   |m|^2 dphi on each row, component by component
     """
 
     mean_perp: np.ndarray
@@ -94,6 +97,7 @@ class ModeDecomposition:
     eta: np.ndarray
     residual_energy: float
     coeff: np.ndarray
+    mass: np.ndarray
 
 
 def circular_average_perp(field):
@@ -136,7 +140,7 @@ def mode_decompose(field):
     residual = 2 * np.pi * float(
         np.sum((resid_perp + resid_vert) * mesh.sqrtg * mesh.dt))
     return ModeDecomposition(mean_perp, alpha_perp, beta_perp, eta, residual,
-                             coeff)
+                             coeff, mass)
 
 
 def build_from_triple(mesh, alpha_perp, beta_perp, eta):

@@ -5,6 +5,7 @@ serialization must be fully deterministic: keys sorted, floats rendered
 with %.17g (which round-trips IEEE doubles exactly), LF line endings.
 Every artifact is strict JSON: non-finite floats are refused, never
 written as bare inf/nan, and loads refuses NaN and Infinity on input.
+write_json and read_json are the package's only JSON file I/O.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -83,6 +85,17 @@ def _refuse_constant(name):
 def loads(text):
     """Parse strict JSON: NaN, Infinity and -Infinity raise ValueError."""
     return json.loads(text, parse_constant=_refuse_constant)
+
+
+def write_json(path, obj):
+    """Write obj to path as dumps(obj, indent=2), UTF-8."""
+    Path(path).write_text(dumps(obj, indent=2), encoding="utf-8")
+
+
+def read_json(path):
+    """Parse the UTF-8 JSON file at path with loads.  Raises OSError when it
+    cannot be read and ValueError when it is not UTF-8 or not strict JSON."""
+    return loads(Path(path).read_text(encoding="utf-8"))
 
 
 def sha256_of(obj):

@@ -5,13 +5,16 @@ location (load_config).  build_run turns a config (a dict, loaded or
 built in code) into (mesh, target, params, SolveConfig); the command line,
 the certificate suite (whose certificates record the config of each
 instance they checked) and the test fixtures all build instances through
-it.  Every input error is a ConfigError naming the config location.
+it.  DEFAULT_INSTANCES names the suite's registered instances as partial
+configs, and suite_config owns the suite section: its defaults, its merge
+rule and its checks.  Every input error is a ConfigError naming the
+config location.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
-from pathlib import Path
 
 import numpy as np
 
@@ -55,9 +58,109 @@ _WEIGHT_KEYS = {"kind", "lam", "margin", "table"}
 _BOUNDARY_KEYS = {"kind", "bottom", "top", "variant"}
 _BOUNDARY_SIDE_KEYS = {"variant", "vector"}
 _SOLVER_KEYS = {f.name for f in dataclasses.fields(SolveConfig)}
-_SUITE_KEYS = {"grid", "solver", "seeds", "chain_fields", "pw_fields",
-               "annulus", "instances"}
+_SOLVER_INTEGERS = ("max_iters", "restarts", "seed")
 _ANNULUS_KEYS = {"kappas", "n_t", "n_phi"}
+
+# largest grid size along either axis
+_MAX_SIZE = 4096
+
+
+# ---------------------------------------------------------------------------
+# the certificate suite's instance registry and defaults
+# ---------------------------------------------------------------------------
+
+_SPHERE = {"preset": "sphere"}
+_CYLINDER2 = {"preset": "cylinder", "params": {"radius": 2.0}}
+_NORMAL = {"kind": "surface_normal"}
+_E3 = {"kind": "constant_e3"}
+_NO_WEIGHT = {"kind": "zero"}
+_UNIT_WEIGHT = {"kind": "constant", "lam": 1.0}
+_QUADRATIC1 = {"kind": "quadratic", "kappa": 1.0}
+
+# name -> partial axisym-run/1 config (surfaces, potential, anisotropy,
+# weight, boundary); verify.instance() adds the grid and the solver settings
+DEFAULT_INSTANCES = {
+    "sphere_quartic_margin": {
+        "base_surface": _SPHERE, "target_surface": _SPHERE,
+        "potential": {"kind": "quartic", "lam": 5.0}, "aniso_field": _NORMAL,
+        "weight": {"kind": "margin", "margin": 1.5}},
+    "sphere_quartic_margin_weak": {
+        "base_surface": _SPHERE, "target_surface": _SPHERE,
+        "potential": {"kind": "quartic", "lam": 5.0}, "aniso_field": _NORMAL,
+        "weight": {"kind": "margin", "margin": 1.1}},
+    "sphere_quadratic_margin": {
+        "base_surface": _SPHERE, "target_surface": _SPHERE,
+        "potential": _QUADRATIC1, "aniso_field": _NORMAL,
+        "weight": {"kind": "margin", "margin": 1.5}},
+    "sphere_easy_normal_free": {
+        "base_surface": _SPHERE, "target_surface": _SPHERE,
+        "potential": {"kind": "quartic", "lam": 20.0}, "aniso_field": _NORMAL,
+        "weight": _NO_WEIGHT},
+    "cylinder2_quadratic_const1": {
+        "base_surface": _CYLINDER2, "target_surface": _SPHERE,
+        "potential": _QUADRATIC1, "aniso_field": _E3, "weight": _UNIT_WEIGHT},
+    "cylinder2_quartic_const1": {
+        "base_surface": _CYLINDER2, "target_surface": _SPHERE,
+        "potential": {"kind": "quartic", "lam": 3.0}, "aniso_field": _E3,
+        "weight": _UNIT_WEIGHT},
+    "cylinder2_inplane_free": {
+        "base_surface": _CYLINDER2, "target_surface": _SPHERE,
+        "potential": _QUADRATIC1, "aniso_field": _E3, "weight": _NO_WEIGHT},
+    "cylinder1_borderline": {
+        "base_surface": {"preset": "cylinder", "params": {"radius": 1.0}},
+        "target_surface": _SPHERE,
+        "potential": _QUADRATIC1, "aniso_field": _E3, "weight": _UNIT_WEIGHT},
+    "annulus_quartic_const": {
+        "base_surface": {"preset": "annulus"}, "target_surface": _SPHERE,
+        "potential": {"kind": "quartic", "lam": 2.0}, "aniso_field": _E3,
+        "weight": {"kind": "constant", "lam": 1.3}},
+    "torus_band_self_margin": {
+        "base_surface": {"preset": "torus_band"},
+        "target_surface": {"preset": "torus_band"},
+        "potential": {"kind": "quadratic", "kappa": 0.5},
+        "aniso_field": _NORMAL, "weight": {"kind": "margin", "margin": 1.2}},
+    "ellipsoid_band_sphere": {
+        "base_surface": {"preset": "ellipsoid_band"}, "target_surface": _SPHERE,
+        "potential": {"kind": "easy_normal", "kappa": 3.0},
+        "aniso_field": _NORMAL, "weight": {"kind": "constant", "lam": 3.0}},
+    "disk_target_flat": {
+        "base_surface": _CYLINDER2, "target_surface": {"preset": "disk"},
+        "potential": _QUADRATIC1, "aniso_field": _E3, "weight": _UNIT_WEIGHT},
+    "disk_base_inplane_free": {
+        "base_surface": {"preset": "disk"}, "target_surface": _SPHERE,
+        "potential": {"kind": "quadratic", "kappa": 2.0}, "aniso_field": _E3,
+        "weight": _NO_WEIGHT},
+    "cylinder2_antisym_profile": {
+        "base_surface": _CYLINDER2, "target_surface": _SPHERE,
+        "potential": _QUADRATIC1,
+        "aniso_field": {"kind": "antisymmetric_profile",
+                        "vector": [0.6, 0.0, 0.8]},
+        "weight": _UNIT_WEIGHT},
+    "cylinder2_dirichlet_top": {
+        "base_surface": _CYLINDER2, "target_surface": _SPHERE,
+        "potential": _QUADRATIC1, "aniso_field": _E3, "weight": _UNIT_WEIGHT,
+        "boundary": {"kind": "dirichlet", "top": {"vector": [0.0, 0.0, 1.0]}}},
+}
+
+# every name a suite's "instances" filter can select
+SUITE_NAMES = tuple(DEFAULT_INSTANCES) + ("annulus_pde",)
+
+DEFAULT_SUITE_CONFIG = {
+    "grid": {"n_phi": 32, "n_t": 24},
+    # grad_tol well below 1e-6 keeps solver noise out of the 1e-6
+    # qualifying-row threshold of the orthogonality checks
+    "solver": {"restarts": 2, "max_iters": 4000, "grad_tol": 1e-9},
+    "seeds": [0],
+    "chain_fields": 12,
+    "pw_fields": 6,
+    "annulus": {"kappas": [0.0, 0.5, 1.0, 5.0], "n_t": 48, "n_phi": 32},
+    "instances": None,        # optional name filter
+}
+
+# suite sections whose keys merge one by one over the defaults, with the
+# keys each allows
+_SUITE_SECTIONS = {"grid": _GRID_KEYS, "solver": _SOLVER_KEYS,
+                   "annulus": _ANNULUS_KEYS}
 
 
 def _check_keys(section, allowed, where):
@@ -70,12 +173,10 @@ def _check_keys(section, allowed, where):
 
 def load_config(path):
     try:
-        raw = Path(path).read_text(encoding="utf-8")
+        cfg = ioutil.read_json(path)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    try:
-        cfg = ioutil.loads(raw)
-    except ValueError as exc:
+    except ValueError as exc:           # not UTF-8 included
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     _check_keys(cfg, _TOP_KEYS, "config")
     if cfg.get("schema") != RUN_SCHEMA:
@@ -84,8 +185,7 @@ def load_config(path):
                           ("target_surface", _SURFACE_KEYS),
                           ("grid", _GRID_KEYS), ("potential", _POTENTIAL_KEYS),
                           ("aniso_field", _ANISO_KEYS), ("weight", _WEIGHT_KEYS),
-                          ("boundary", _BOUNDARY_KEYS), ("solver", _SOLVER_KEYS),
-                          ("suite", _SUITE_KEYS)):
+                          ("boundary", _BOUNDARY_KEYS), ("solver", _SOLVER_KEYS)):
         if name in cfg:
             _check_keys(cfg[name], allowed, f"config.{name}")
     _check_finite(cfg, "config")
@@ -94,16 +194,57 @@ def load_config(path):
             if cfg["boundary"].get(side) is not None:
                 _check_keys(cfg["boundary"][side], _BOUNDARY_SIDE_KEYS,
                             f"config.boundary.{side}")
-    suite = cfg.get("suite", {})
-    for name, allowed in (("grid", _GRID_KEYS), ("solver", _SOLVER_KEYS),
-                          ("annulus", _ANNULUS_KEYS)):
-        if name in suite:
-            _check_keys(suite[name], allowed, f"config.suite.{name}")
-    if "solver" in suite:
-        # the suite builds its instances with build_run from these settings
-        _solve_config(suite["solver"], "config.suite.solver")
-    if "annulus" in suite:
-        _check_annulus(suite["annulus"], "config.suite.annulus")
+    if "variant" in cfg:
+        _variant(cfg["variant"], "config.variant")
+    if "suite" in cfg:
+        suite_config(cfg["suite"])
+    return cfg
+
+
+def suite_config(section=None, seed_override=None, grid_override=None):
+    """The certificate suite's settings: DEFAULT_SUITE_CONFIG with section
+    (a config's "suite" object) laid over it, every value checked.
+
+    The grid, solver and annulus sections merge key by key, the other keys
+    replace the default; seed_override (the --seed flag) replaces the seeds
+    and grid_override (the --grid flag's (n_phi, n_t)) the grid.  A bad key
+    or value is a ConfigError naming it.  A suite that checks nothing
+    passes: empty seeds, or an instance list that names no registered
+    instance (run_suite then runs nothing, and the command line refuses
+    it); a list that names some is refused for any unknown name.
+    """
+    where = "config.suite"
+    section = {} if section is None else section
+    _check_keys(section, DEFAULT_SUITE_CONFIG, where)
+    cfg = copy.deepcopy(DEFAULT_SUITE_CONFIG)
+    for key, value in section.items():
+        if key in _SUITE_SECTIONS:
+            _check_keys(value, _SUITE_SECTIONS[key], f"{where}.{key}")
+            value = dict(cfg[key], **value)
+        cfg[key] = value
+    n_phi, n_t = _grid(cfg["grid"], grid_override, f"{where}.grid")
+    cfg["grid"] = {"n_phi": n_phi, "n_t": n_t}
+    _solve_config(cfg["solver"], f"{where}.solver")
+    _check_annulus(cfg["annulus"], f"{where}.annulus")
+    if seed_override is not None:
+        cfg["seeds"] = [_integer(seed_override, "--seed")]
+    if not isinstance(cfg["seeds"], list):
+        raise ConfigError(f"{where}.seeds: expected a list of seeds, "
+                          f"got {cfg['seeds']!r}")
+    for seed in cfg["seeds"]:
+        _integer(seed, f"{where}.seeds")
+    for key in ("chain_fields", "pw_fields"):
+        _integer(cfg[key], f"{where}.{key}")
+    names = cfg["instances"]
+    if names is not None:
+        if not (isinstance(names, list)
+                and all(isinstance(n, str) for n in names)):
+            raise ConfigError(f"{where}.instances: expected a list of "
+                              f"instance names, got {names!r}")
+        unknown = [n for n in names if n not in SUITE_NAMES]
+        if unknown and len(unknown) < len(names):
+            raise ConfigError(f"{where}.instances: unknown instance "
+                              f"{unknown[0]!r}")
     return cfg
 
 
@@ -125,19 +266,16 @@ def _check_finite(node, where):
 
 def _check_annulus(section, where):
     """ConfigError naming `where`.<key> unless n_t and n_phi are integers
-    from the solver's minimum to 4096 and kappas is a non-empty list of
-    numbers (_check_finite has refused infinite ones); keys the section
-    leaves out keep the suite defaults."""
+    from the solver's minimum to _MAX_SIZE and kappas is a non-empty list
+    of numbers (_check_finite has refused infinite ones)."""
     for key, low in ANNULUS_MIN_GRID.items():
-        if key in section:
-            _check_size(section[key], low, f"{where}.{key}")
-    if "kappas" in section:
-        kappas = section["kappas"]
-        if not (isinstance(kappas, list) and kappas
-                and all(isinstance(k, (int, float)) and not isinstance(k, bool)
-                        for k in kappas)):
-            raise ConfigError(f"{where}.kappas: expected a non-empty list of "
-                              f"finite numbers, got {kappas!r}")
+        _integer(section[key], f"{where}.{key}", low, _MAX_SIZE)
+    kappas = section["kappas"]
+    if not (isinstance(kappas, list) and kappas
+            and all(isinstance(k, (int, float)) and not isinstance(k, bool)
+                    for k in kappas)):
+        raise ConfigError(f"{where}.kappas: expected a non-empty list of "
+                          f"finite numbers, got {kappas!r}")
 
 
 def _read_table(path, columns):
@@ -164,21 +302,29 @@ def _build_surface(section, where):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _check_size(n, low, where):
-    """ConfigError naming `where` unless n is an integer in [low, 4096];
-    floats, strings and booleans are refused, not truncated."""
+def _integer(n, where, low=0, high=None):
+    """n if it is an integer from low (up to high, when given), or
+    ConfigError naming `where`; floats, strings and booleans are refused,
+    not truncated."""
     if not isinstance(n, int) or isinstance(n, bool):
         raise ConfigError(f"{where}: expected an integer, got {n!r}")
-    if not low <= n <= 4096:
-        raise ConfigError(f"{where}: must lie in [{low}, 4096]")
+    if n < low or (high is not None and n > high):
+        bound = f"lie in [{low}, {high}]" if high is not None \
+            else f"be at least {low}"
+        raise ConfigError(f"{where}: must {bound}, got {n}")
+    return n
 
 
-def _check_grid(n_phi, n_t, where):
-    """(n_phi, n_t) if both are grid sizes (_check_size, from 8) with n_phi
-    even, or ConfigError naming `where` (the config section or the flag
-    they came from)."""
-    _check_size(n_phi, 8, f"{where}.n_phi")
-    _check_size(n_t, 8, f"{where}.n_t")
+def _grid(section, override, where):
+    """(n_phi, n_t) from a grid section, or from override (the --grid
+    flag's pair) when given: integers in [8, _MAX_SIZE] with n_phi even, or
+    ConfigError naming `where` or the flag."""
+    if override:
+        (n_phi, n_t), where = override, "--grid"
+    else:
+        n_phi, n_t = section["n_phi"], section["n_t"]
+    _integer(n_phi, f"{where}.n_phi", 8, _MAX_SIZE)
+    _integer(n_t, f"{where}.n_t", 8, _MAX_SIZE)
     if n_phi % 2 != 0:
         raise ConfigError(f"{where}.n_phi: must be even")
     return n_phi, n_t
@@ -287,30 +433,36 @@ def _build_boundary(section, mesh):
 
 
 def _solve_config(section, where):
-    """SolveConfig from a solver section, or ConfigError naming `where`."""
+    """SolveConfig from a solver section, or ConfigError naming `where`:
+    max_iters, restarts and seed are non-negative integers (_integer),
+    grad_tol a positive number."""
+    values = {}
+    for key, value in section.items():
+        if key in _SOLVER_INTEGERS:
+            values[key] = _integer(value, f"{where}: {key}")
+        elif isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{where}: {key}: expected a number, "
+                              f"got {value!r}")
+        else:
+            values[key] = float(value)
     try:
-        return SolveConfig(**{k: (int(v) if k in ("max_iters", "restarts", "seed")
-                                  else float(v)) for k, v in section.items()})
+        return SolveConfig(**values)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
 def build_run(cfg, seed_override=None, grid_override=None):
     """Instantiate (mesh, target, params, solve_config) from config."""
-    if grid_override:
-        n_phi, n_t = _check_grid(*grid_override, "--grid")
-    else:
-        grid = cfg.get("grid", {})
-        n_phi, n_t = _check_grid(grid.get("n_phi", 64), grid.get("n_t", 64),
-                                 "config.grid")
+    n_phi, n_t = _grid(dict({"n_phi": 64, "n_t": 64}, **cfg.get("grid", {})),
+                       grid_override, "config.grid")
     base = _build_surface(cfg.get("base_surface", {"preset": "sphere"}),
                           "config.base_surface")
     target = _build_surface(cfg.get("target_surface", {"preset": "sphere"}),
                             "config.target_surface")
     try:
         mesh = build_mesh(base, n_phi, n_t)
-    except (GeometryError, ValueError) as exc:
-        raise ConfigError(f"config.grid: {exc}") from exc
+    except GeometryError as exc:        # the grid passed _grid: the curve
+        raise ConfigError(f"config.base_surface: {exc}") from exc
     pot = _build_anisotropy_potential(cfg.get("potential", {}))
     an = _build_aniso(cfg.get("aniso_field", {}), mesh)
     w = _build_weight(cfg.get("weight", {}), mesh)
@@ -321,5 +473,5 @@ def build_run(cfg, seed_override=None, grid_override=None):
         raise ConfigError(f"config: {exc}") from exc
     solver_cfg = dict(cfg.get("solver", {}))
     if seed_override is not None:
-        solver_cfg["seed"] = int(seed_override)
+        solver_cfg["seed"] = _integer(seed_override, "--seed")
     return mesh, target, params, _solve_config(solver_cfg, "config.solver")

@@ -36,7 +36,7 @@ once, and an irfft.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Optional
 
 import numpy as np
@@ -59,7 +59,6 @@ from .fields import (
     circular_average_perp,
     line_symmetry_classify,
     mode_decompose,
-    parseval_weights,
     random_field,
     symmetrize,
     symmetry_defect,
@@ -75,6 +74,14 @@ from .geometry import (
 
 class SingularSystemError(RuntimeError):
     """The discrete annulus operator is singular (kappa at an eigenvalue)."""
+
+
+class BoundaryVariantError(ValueError):
+    """No profile of this variant sweeps onto the Dirichlet ring data."""
+
+
+# largest ring_defect of ring data that obeys a rotation law
+RING_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -251,18 +258,21 @@ def _descend(x0, value_fn, grad_fn, retract_fn, config,
 class _FeasibleSet:
     """Values on the target surface with optional pinned Dirichlet rows.
 
-    retract is the closest-point projection followed by resetting the
-    pinned rows.  project maps vectors to the tangent space at the last
-    retracted point: the target's tangent planes on free rows, zero on
-    pinned rows.  It reuses one tangent frame per point, built from the
-    profile parameters the retraction computed, so the gradient and the
-    descent direction of an iterate cost one frame and no re-projection.
+    Points are fields (n_phi, n_t, 3) or profiles (n_t, 3): t is axis -2
+    in both.  retract is the closest-point projection followed by
+    resetting the pinned rows.  project maps vectors to the tangent space
+    at the last retracted point: the target's tangent planes on free rows,
+    zero on pinned rows.  It reuses one tangent frame per point, built
+    from the profile parameters the retraction computed, so the gradient
+    and the descent direction of an iterate cost one frame and no
+    re-projection.
     One instance serves one descent (it holds the last retracted point).
     """
 
-    def __init__(self, target, boundary=None):
+    def __init__(self, target, boundary):
         self.target = target
-        self.boundary = boundary
+        # a free boundary pins no row
+        self.boundary = boundary if boundary.kind == "dirichlet" else None
         self._x = self._params = self._frame = None
 
     def retract(self, y):
@@ -279,8 +289,8 @@ class _FeasibleSet:
             self._frame = tangent_frame(self.target, x, self._params)
         out = project_to_frame(self._frame, w)
         if self.boundary is not None:
-            rows = self.boundary.frozen_rows(x.shape[1])
-            out[:, rows, :] = 0.0
+            rows = self.boundary.frozen_rows(x.shape[-2])
+            out[..., rows, :] = 0.0
         return out
 
 
@@ -334,7 +344,7 @@ def field_diagnostics(field, energy):
 
     energy is the field's EnergyBreakdown.  Returns (ModeDecomposition,
     diagnostics dict); the vertical phi-derivative mass is read from the
-    decomposition's DFT coefficients.
+    decomposition's mode masses.
     """
     dec = mode_decompose(field)
     scale = max(float(np.max(np.linalg.norm(field.values, axis=-1))), 1e-30)
@@ -356,11 +366,9 @@ def field_diagnostics(field, energy):
             np.sum(alpha[active] * beta[active], axis=1)))) / amax ** 2
     else:
         orth_norm = orth_dot = 0.0
-    n_phi = field.mesh.n_phi
-    w = parseval_weights(n_phi)
-    k2 = np.arange(n_phi // 2 + 1, dtype=float) ** 2
+    k2 = np.arange(len(dec.mass), dtype=float) ** 2
     dphi_vert_mass = 2 * np.pi * float(
-        np.sum((w * k2)[:, None] * np.abs(dec.coeff[..., 2]) ** 2
+        np.sum(k2[:, None] * dec.mass[..., 2]
                * (field.mesh.sqrtg * field.mesh.dt)[None, :]))
     return dec, {
         "residual_energy": dec.residual_energy,
@@ -411,13 +419,15 @@ def _rank_restarts(results, params, seed):
 # ---------------------------------------------------------------------------
 
 def _apply_boundary(values, boundary):
+    """values with the pinned end rows (t is axis -2) reset to the
+    boundary's data."""
     if boundary.kind != "dirichlet":
         return values
     out = values.copy()
     if boundary.bottom is not None:
-        out[:, 0, :] = boundary.bottom
+        out[..., 0, :] = boundary.bottom
     if boundary.top is not None:
-        out[:, -1, :] = boundary.top
+        out[..., -1, :] = boundary.top
     return out
 
 
@@ -475,20 +485,44 @@ def profile_energy(mesh, target, params, profile):
     return total_energy(build_from_profile(mesh, profile, target), params)
 
 
+def _profile_boundary(mesh, boundary, variant):
+    """The boundary of a variant's profiles: each Dirichlet ring pinned by
+    its value at phi = 0, which the variant's sweep carries onto the ring.
+    BoundaryVariantError when a ring is off the sweep by more than
+    RING_TOL (ring_defect)."""
+    if boundary.kind != "dirichlet":
+        return boundary
+    ends = {}
+    for side in ("bottom", "top"):
+        ring = getattr(boundary, side)
+        if ring is not None:
+            defect = ring_defect(mesh.phi, ring, variant)
+            if defect > RING_TOL:
+                raise BoundaryVariantError(
+                    f"the {side} ring data is not {variant} "
+                    f"(ring_defect {defect:.3g})")
+            ends[side] = ring[0]
+    return replace(boundary, **ends)
+
+
 def minimize_1d_profile(mesh, target, params, variant, config=SolveConfig()):
     """Minimize the reduced functional over target-valued t-profiles.
 
     The descent evaluates ProfileFunctional: the 2D energy of the swept
     field m_i = R(phi_i) gamma and its exact pullback gradient
     dF/dgamma = sum_i R(phi_i)^T grad2d[i], in closed form on the profile,
-    and descends with the profile H^1 preconditioner.  Restart energies, the
-    choice of the best restart and every reported energy come from
-    total_energy of the built 2D field.  A warning is recorded when the
-    anisotropy variant differs from the requested profile variant (the
-    symmetry pairing is then broken).
+    and descends with the profile H^1 preconditioner.  Dirichlet rows pin
+    the profile's end rows (_profile_boundary; BoundaryVariantError when
+    the variant cannot meet the ring data) and are frozen in the
+    preconditioner.  Restart energies, the choice of the best restart and
+    every reported energy come from total_energy of the built 2D field.  A
+    warning is recorded when the anisotropy variant differs from the
+    requested profile variant (the symmetry pairing is then broken).
     """
+    boundary = _profile_boundary(mesh, params.boundary, variant)
     reduced = ProfileFunctional(mesh, params, variant)
-    precond = SobolevPreconditioner(mesh, profile=True)
+    precond = SobolevPreconditioner(
+        mesh, profile=True, frozen_rows=boundary.frozen_rows(mesh.n_t))
 
     prof0, _ = project_points(target, mesh.surface.normal_profile(mesh.t))
     inits = [prof0]
@@ -499,7 +533,8 @@ def minimize_1d_profile(mesh, target, params, variant, config=SolveConfig()):
     for g0 in inits:
         gamma, _, iters, reason = _h1_descent(g0, reduced.value,
                                               reduced.gradient, precond,
-                                              _FeasibleSet(target), config)
+                                              _FeasibleSet(target, boundary),
+                                              config)
         profile = ProfileField(mesh.t, gamma, variant)
         field = build_from_profile(mesh, profile, target)
         profiles.append(profile)
@@ -632,7 +667,7 @@ def solve_annulus_example(n_t, n_phi, kappa, b1, b2):
         raise ValueError("boundary data must have shape (n_phi, 3)")
     phi = 2 * np.pi * np.arange(n_phi) / n_phi
     for ring in (b1, b2):
-        if ring_defect(phi, ring) > 1e-8:
+        if ring_defect(phi, ring) > RING_TOL:
             raise ValueError("annulus boundary data must be axially symmetric")
 
     h = 1.0 / n_t                                   # rings at r = 1 and 2

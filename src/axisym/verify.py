@@ -18,8 +18,8 @@ Each certificate records one conditional claim checked on one instance:
     annulus_null_average  the ring averages of the annulus boundary-value
                           problem vanish for symmetric ring data
 
-Instances are axisym-run/1 configs (DEFAULT_INSTANCES, built with
-runconfig.build_run), and each certificate records its instance as
+Instances are axisym-run/1 configs (runconfig.DEFAULT_INSTANCES, built
+with runconfig.build_run), and each certificate records its instance as
 {"name", "config"}, so `axisym minimize --config` reruns it.
 Hypothesis gating happens before conclusions: an instance that fails a
 hypothesis yields an *inapplicable* certificate, never a failed one.
@@ -37,9 +37,10 @@ import numpy as np
 
 from . import ioutil
 from .energy import hypothesis_margin
-from .fields import parseval_weights, random_field, symmetry_defect
+from .fields import mode_decompose, random_field, symmetry_defect
 from .geometry import never_flat_check
-from .runconfig import RUN_SCHEMA, build_run
+from .runconfig import (DEFAULT_INSTANCES, RUN_SCHEMA, build_run,
+                        suite_config)
 from .solvers import (
     annulus_boundary_from_vector,
     minimize_2d,
@@ -86,82 +87,8 @@ class TheoremCertificate:
 
 
 # ---------------------------------------------------------------------------
-# instance registry
+# instances
 # ---------------------------------------------------------------------------
-
-_SPHERE = {"preset": "sphere"}
-_CYLINDER2 = {"preset": "cylinder", "params": {"radius": 2.0}}
-_NORMAL = {"kind": "surface_normal"}
-_E3 = {"kind": "constant_e3"}
-_NO_WEIGHT = {"kind": "zero"}
-_UNIT_WEIGHT = {"kind": "constant", "lam": 1.0}
-_QUADRATIC1 = {"kind": "quadratic", "kappa": 1.0}
-
-# name -> partial axisym-run/1 config (surfaces, potential, anisotropy,
-# weight, boundary); instance() adds the grid and the solver settings
-DEFAULT_INSTANCES = {
-    "sphere_quartic_margin": {
-        "base_surface": _SPHERE, "target_surface": _SPHERE,
-        "potential": {"kind": "quartic", "lam": 5.0}, "aniso_field": _NORMAL,
-        "weight": {"kind": "margin", "margin": 1.5}},
-    "sphere_quartic_margin_weak": {
-        "base_surface": _SPHERE, "target_surface": _SPHERE,
-        "potential": {"kind": "quartic", "lam": 5.0}, "aniso_field": _NORMAL,
-        "weight": {"kind": "margin", "margin": 1.1}},
-    "sphere_quadratic_margin": {
-        "base_surface": _SPHERE, "target_surface": _SPHERE,
-        "potential": _QUADRATIC1, "aniso_field": _NORMAL,
-        "weight": {"kind": "margin", "margin": 1.5}},
-    "sphere_easy_normal_free": {
-        "base_surface": _SPHERE, "target_surface": _SPHERE,
-        "potential": {"kind": "quartic", "lam": 20.0}, "aniso_field": _NORMAL,
-        "weight": _NO_WEIGHT},
-    "cylinder2_quadratic_const1": {
-        "base_surface": _CYLINDER2, "target_surface": _SPHERE,
-        "potential": _QUADRATIC1, "aniso_field": _E3, "weight": _UNIT_WEIGHT},
-    "cylinder2_quartic_const1": {
-        "base_surface": _CYLINDER2, "target_surface": _SPHERE,
-        "potential": {"kind": "quartic", "lam": 3.0}, "aniso_field": _E3,
-        "weight": _UNIT_WEIGHT},
-    "cylinder2_inplane_free": {
-        "base_surface": _CYLINDER2, "target_surface": _SPHERE,
-        "potential": _QUADRATIC1, "aniso_field": _E3, "weight": _NO_WEIGHT},
-    "cylinder1_borderline": {
-        "base_surface": {"preset": "cylinder", "params": {"radius": 1.0}},
-        "target_surface": _SPHERE,
-        "potential": _QUADRATIC1, "aniso_field": _E3, "weight": _UNIT_WEIGHT},
-    "annulus_quartic_const": {
-        "base_surface": {"preset": "annulus"}, "target_surface": _SPHERE,
-        "potential": {"kind": "quartic", "lam": 2.0}, "aniso_field": _E3,
-        "weight": {"kind": "constant", "lam": 1.3}},
-    "torus_band_self_margin": {
-        "base_surface": {"preset": "torus_band"},
-        "target_surface": {"preset": "torus_band"},
-        "potential": {"kind": "quadratic", "kappa": 0.5},
-        "aniso_field": _NORMAL, "weight": {"kind": "margin", "margin": 1.2}},
-    "ellipsoid_band_sphere": {
-        "base_surface": {"preset": "ellipsoid_band"}, "target_surface": _SPHERE,
-        "potential": {"kind": "easy_normal", "kappa": 3.0},
-        "aniso_field": _NORMAL, "weight": {"kind": "constant", "lam": 3.0}},
-    "disk_target_flat": {
-        "base_surface": _CYLINDER2, "target_surface": {"preset": "disk"},
-        "potential": _QUADRATIC1, "aniso_field": _E3, "weight": _UNIT_WEIGHT},
-    "disk_base_inplane_free": {
-        "base_surface": {"preset": "disk"}, "target_surface": _SPHERE,
-        "potential": {"kind": "quadratic", "kappa": 2.0}, "aniso_field": _E3,
-        "weight": _NO_WEIGHT},
-    "cylinder2_antisym_profile": {
-        "base_surface": _CYLINDER2, "target_surface": _SPHERE,
-        "potential": _QUADRATIC1,
-        "aniso_field": {"kind": "antisymmetric_profile",
-                        "vector": [0.6, 0.0, 0.8]},
-        "weight": _UNIT_WEIGHT},
-    "cylinder2_dirichlet_top": {
-        "base_surface": _CYLINDER2, "target_surface": _SPHERE,
-        "potential": _QUADRATIC1, "aniso_field": _E3, "weight": _UNIT_WEIGHT,
-        "boundary": {"kind": "dirichlet", "top": {"vector": [0.0, 0.0, 1.0]}}},
-}
-
 
 def instance(name, n_phi, n_t, solver=None, seed=0):
     """A certificate's instance: {"name", "config"}, with config the
@@ -173,9 +100,6 @@ def instance(name, n_phi, n_t, solver=None, seed=0):
                   solver=dict(solver or {}, seed=int(seed)))
     return {"name": name, "config": config}
 
-
-# every name a suite's "instances" filter can select
-SUITE_NAMES = tuple(DEFAULT_INSTANCES) + ("annulus_pde",)
 
 CHAIN_INSTANCES = ("sphere_quartic_margin", "cylinder2_quadratic_const1",
                    "annulus_quartic_const")
@@ -338,33 +262,31 @@ def verify_chain(desc, seeds, n_fields):
 def verify_pw(desc, seeds, n_fields):
     """Row-wise Poincare-Wirtinger inequality with equality detection.
 
-    Both sides are Parseval sums of the horizontal components; the equality
-    detector (mode mass outside k in {0, +-1}) must coincide with the rows
-    where the inequality is tight.  desc as made by instance().
+    Both sides are Parseval sums of the horizontal components, read from
+    the mode masses of mode_decompose; the equality detector (mode mass
+    outside k in {0, +-1}) must coincide with the rows where the inequality
+    is tight.  desc as made by instance().
     """
     mesh, target, params, _ = build_run(desc["config"])
     tolerances = {"pw_slack": DEFAULT_TOLERANCES["pw_slack"]}
+    k2 = np.arange(mesh.n_phi // 2 + 1, dtype=float)[:, None, None] ** 2
     worst_violation = -np.inf
     mismatches = 0
     rows = 0
     for seed in seeds:
         for k in range(n_fields):
-            f = random_field(mesh, target, seed=seed * 10_000 + 77 * k)
-            n = mesh.n_phi
-            coeff = np.fft.rfft(f.values[..., :2], axis=0) / n
-            w = parseval_weights(n)
-            k2 = np.arange(n // 2 + 1, dtype=float) ** 2
-            lhs = 2 * np.pi * np.sum(w[1:, None, None] * np.abs(coeff[1:]) ** 2,
-                                     axis=(0, 2))
-            rhs = 2 * np.pi * np.sum((w * k2)[:, None, None] * np.abs(coeff) ** 2,
-                                     axis=(0, 2))
+            dec = mode_decompose(
+                random_field(mesh, target, seed=seed * 10_000 + 77 * k))
+            mass = dec.mass[..., :2]
+            lhs = 2 * np.pi * np.sum(mass[1:], axis=(0, 2))
+            rhs = 2 * np.pi * np.sum(k2 * mass, axis=(0, 2))
             scale = 1 + rhs
             worst_violation = max(worst_violation,
                                   float(np.max((lhs - rhs) / scale)))
             tight = (rhs - lhs) <= 1e-9 * scale
-            high_mass = np.sum(w[2:, None, None] * np.abs(coeff[2:]) ** 2,
-                               axis=(0, 2))
-            pure = high_mass <= 1e-9 * (1 + np.sum(np.abs(coeff) ** 2, axis=(0, 2)))
+            high_mass = np.sum(mass[2:], axis=(0, 2))
+            pure = high_mass <= 1e-9 * (
+                1 + np.sum(np.abs(dec.coeff[..., :2]) ** 2, axis=(0, 2)))
             mismatches += int(np.sum(tight != pure))
             rows += lhs.size
     if rows == 0:
@@ -404,35 +326,11 @@ def verify_annulus(kappas, n_t, n_phi, seed):
 # suite driver
 # ---------------------------------------------------------------------------
 
-DEFAULT_SUITE_CONFIG = {
-    "grid": {"n_phi": 32, "n_t": 24},
-    # grad_tol well below 1e-6 keeps solver noise out of the 1e-6
-    # qualifying-row threshold of the orthogonality checks
-    "solver": {"restarts": 2, "max_iters": 4000, "grad_tol": 1e-9},
-    "seeds": [0],
-    "chain_fields": 12,
-    "pw_fields": 6,
-    "annulus": {"kappas": [0.0, 0.5, 1.0, 5.0], "n_t": 48, "n_phi": 32},
-    "instances": None,        # optional name filter
-}
-
-# suite sections whose keys merge one by one over the defaults
-_SUITE_SECTIONS = ("grid", "solver", "annulus")
-
-
-def suite_config(config=None):
-    """DEFAULT_SUITE_CONFIG with config laid over it: the grid, solver and
-    annulus sections merge key by key, other keys replace the default."""
-    cfg = copy.deepcopy(DEFAULT_SUITE_CONFIG)
-    for key, value in (config or {}).items():
-        cfg[key] = dict(cfg[key], **value) if key in _SUITE_SECTIONS else value
-    return cfg
-
-
 def run_suite(config=None, out_dir=None):
     """Run the registered instance matrix and emit certificates.
 
-    config is merged over DEFAULT_SUITE_CONFIG by suite_config.  Returns
+    config is merged over runconfig.DEFAULT_SUITE_CONFIG and checked by
+    runconfig.suite_config (a bad value raises its ConfigError).  Returns
     (certificates, summary); summary["all_pass"] needs at least one
     certificate and no failed applicable one.  With out_dir set, writes
     one JSON file per instance (its certificate list) plus summary.json.
@@ -493,12 +391,10 @@ def run_suite(config=None, out_dir=None):
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         for key, group in sorted(per_instance.items()):
-            payload = {"schema": CERT_SCHEMA, "instance_key": key,
-                       "certificates": [c.to_dict() for c in group]}
-            (out / f"cert_{key}.json").write_text(ioutil.dumps(payload, indent=2),
-                                                  encoding="utf-8")
-        (out / "summary.json").write_text(ioutil.dumps(summary, indent=2),
-                                          encoding="utf-8")
+            ioutil.write_json(out / f"cert_{key}.json", {
+                "schema": CERT_SCHEMA, "instance_key": key,
+                "certificates": [c.to_dict() for c in group]})
+        ioutil.write_json(out / "summary.json", summary)
     return certs, summary
 
 

@@ -675,3 +675,130 @@ def test_module_entry_point_has_no_runpy_warning():
          "annulus", "--help"], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "RuntimeWarning" not in proc.stderr
+
+
+# a suite that runs one small annulus solve: its other settings are only
+# checked, so a bad value that slips through runs in well under a second
+_ANNULUS_SUITE = {"instances": ["annulus_pde"],
+                  "annulus": {"kappas": [0.0], "n_t": 8, "n_phi": 8}}
+
+
+@pytest.mark.parametrize("command, section, argv, where", [
+    ("minimize", {"solver": {"max_iters": -5}}, [], "config.solver: "),
+    ("minimize", {"solver": {"seed": -1}}, [], "config.solver: "),
+    ("minimize", {"solver": {"restarts": 1.7}}, [], "config.solver: "),
+    ("minimize", {"solver": {"max_iters": True}}, [], "config.solver: "),
+    ("minimize", {"solver": {"restarts": "2"}}, [], "config.solver: "),
+    ("minimize", {}, ["--seed", "-3"], "--seed: "),
+    ("verify", {"suite": dict(_ANNULUS_SUITE, solver={"max_iters": -5})}, [],
+     "config.suite.solver: "),
+    ("verify", {"suite": dict(_ANNULUS_SUITE, solver={"seed": -1})}, [],
+     "config.suite.solver: "),
+    ("verify", {"suite": dict(_ANNULUS_SUITE, solver={"restarts": 1.7})}, [],
+     "config.suite.solver: "),
+    ("verify", {"suite": _ANNULUS_SUITE}, ["--seed", "-3"], "--seed: "),
+], ids=["max_iters_negative", "seed_negative", "restarts_float",
+        "max_iters_bool", "restarts_string", "seed_flag_minimize",
+        "suite_max_iters_negative", "suite_seed_negative",
+        "suite_restarts_float", "seed_flag_verify"])
+def test_solver_integers_refused_exit_3(tmp_path, capsys, command, section,
+                                        argv, where):
+    # max_iters, restarts and seed are non-negative integers: a float is
+    # not truncated, -5 does not lift the iteration cap, and a negative
+    # seed is a config error, not a numpy traceback
+    cfg_path = tmp_path / "run.json"
+    write_config(cfg_path, **section)
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]
+                + argv) == 3
+    assert f"config error: {where}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("suite, key", [
+    ({"seeds": ["x"]}, "seeds"),
+    ({"seeds": [1.5]}, "seeds"),
+    ({"seeds": [-1]}, "seeds"),
+    ({"seeds": 3}, "seeds"),
+    ({"seeds": [True]}, "seeds"),
+    ({"chain_fields": "a"}, "chain_fields"),
+    ({"chain_fields": -1}, "chain_fields"),
+    ({"pw_fields": 2.5}, "pw_fields"),
+    ({"instances": ["annulus_pde", 5]}, "instances"),
+    ({"instances": ["annulus_pde", "sphere_quartic_margn"]}, "instances"),
+], ids=["seed_string", "seed_float", "seed_negative", "seeds_not_list",
+        "seed_bool", "chain_fields_string", "chain_fields_negative",
+        "pw_fields_float", "instance_number", "instance_misspelt"])
+def test_verify_bad_suite_values_exit_3(tmp_path, capsys, suite, key):
+    cfg_path = tmp_path / "verify.json"
+    cfg_path.write_text(json.dumps({"schema": "axisym-run/1",
+                                    "suite": dict(_ANNULUS_SUITE, **suite)}),
+                        encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 3
+    assert f"config error: config.suite.{key}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_not_utf8_exits_3(tmp_path, capsys):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_bytes(b'{"schema": "axisym-run/1", "outputs": "\xff"}')
+    assert main(["minimize", "--config", str(cfg_path)]) == 3
+    assert "config error: config is not valid JSON" in capsys.readouterr().err
+
+
+def test_base_curve_through_axis_names_base_surface(tmp_path, capsys):
+    # x = (t - 1)^2 meets the axis inside [0, 2]: the curve is at fault,
+    # not the grid
+    t = np.linspace(0.0, 2.0, 21)
+    table = tmp_path / "curve.csv"
+    table.write_text("t,x,z\n" + "".join(
+        "%.17g,%.17g,%.17g\n" % (v, (v - 1) ** 2, v) for v in t),
+        encoding="utf-8")
+    cfg_path = tmp_path / "run.json"
+    write_config(cfg_path, base_surface={"spline_table": str(table)})
+    assert main(["minimize", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "o")]) == 3
+    assert ("config error: config.base_surface: curve meets the e3-axis"
+            in capsys.readouterr().err)
+
+
+def _dirichlet_reduce(tmp_path, top):
+    """minimize, then reduce against it, on the cylinder with the top ring
+    pinned to the sweep of `top`; returns the reduce report."""
+    boundary = {"kind": "dirichlet", "top": {"vector": top}}
+    write_config(tmp_path / "min.json", boundary=boundary)
+    assert main(["minimize", "--config", str(tmp_path / "min.json"),
+                 "--out", str(tmp_path / "min")]) == 0
+    write_config(tmp_path / "red.json", boundary=boundary,
+                 prior_2d=str(tmp_path / "min"))
+    assert main(["reduce", "--config", str(tmp_path / "red.json"),
+                 "--out", str(tmp_path / "red")]) == 0
+    return ioutil.loads((tmp_path / "red" / "reduce_report.json").read_text())
+
+
+def test_reduce_honours_dirichlet_rows(tmp_path):
+    # top pinned to e3: the swept minimum is the 2D one, E = 4 pi (a free
+    # top would let the profile lie flat at E = pi)
+    report = _dirichlet_reduce(tmp_path, [0.0, 0.0, 1.0])
+    comparison = report["comparison"]
+    assert comparison["relative_gap"] < 1e-9
+    assert abs(comparison["energy_1d"] - 4 * np.pi) < 1e-6
+    for variant in ("symmetric", "antisymmetric"):
+        profile = fields.profile_from_csv(
+            tmp_path / "red" / f"profile_{variant}.csv", variant)
+        assert profile.values[-1].tolist() == [0.0, 0.0, 1.0]
+
+
+def test_reduce_skips_variant_that_misses_the_ring(tmp_path):
+    # e1 swept by the symmetric law: no antisymmetric profile reaches it,
+    # so that variant is flagged, writes no profile and is not compared
+    report = _dirichlet_reduce(tmp_path, [1.0, 0.0, 0.0])
+    assert "antisymmetric" not in report
+    assert "not antisymmetric" in report["antisymmetric_skipped"]
+    assert report["comparison"]["best_variant"] == "symmetric"
+    assert report["comparison"]["relative_gap"] < 1e-9
+    assert not (tmp_path / "red" / "profile_antisymmetric.csv").exists()
+    profile = fields.profile_from_csv(
+        tmp_path / "red" / "profile_symmetric.csv", "symmetric")
+    assert profile.values[-1].tolist() == [1.0, 0.0, 0.0]

@@ -261,3 +261,16 @@ def test_profile_csv_roundtrip(sphere_mesh):
     back = profile_from_csv(buf, "symmetric")
     assert np.array_equal(prof.values, back.values)
     assert np.array_equal(prof.t_nodes, back.t_nodes)
+
+
+@pytest.mark.parametrize("n_phi", [8, 32])
+def test_mode_mass_parseval(sphere_target, n_phi):
+    # 2 pi sum_k mass = the integral of |m|^2 dphi, row by row and
+    # component by component
+    mesh = build_mesh(surface("sphere"), n_phi, 12)
+    f = random_field(mesh, sphere_target, seed=n_phi)
+    mass = mode_decompose(f).mass
+    assert mass.shape == (n_phi // 2 + 1, 12, 3)
+    direct = np.sum(f.values ** 2, axis=0) * mesh.dphi
+    assert np.allclose(2 * np.pi * mass.sum(axis=0), direct,
+                       rtol=1e-12, atol=0)

@@ -28,3 +28,14 @@ def test_dumps_strict_round_trip():
 def test_dumps_refuses_non_finite(bad):
     with pytest.raises(ValueError):
         ioutil.dumps({"x": [1.0, bad]})
+
+
+def test_json_file_round_trip(tmp_path):
+    obj = {"b": [1, 0.1, None], "a": {"x": True}}
+    path = tmp_path / "obj.json"
+    ioutil.write_json(path, obj)
+    assert path.read_bytes() == ioutil.dumps(obj, indent=2).encode("utf-8")
+    assert ioutil.read_json(path) == obj
+    path.write_bytes(b'{"x": "\xff"}')
+    with pytest.raises(ValueError):
+        ioutil.read_json(path)
