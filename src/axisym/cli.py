@@ -25,7 +25,8 @@ that is not UTF-8, grids outside [8, 4096] or with odd n_phi, NaN or
 Infinity in a config or an annulus flag, a config number beyond the range
 of a double such as 1e400, solver max_iters, restarts or seed (or --seed)
 that are not non-negative integers, suite seeds, chain_fields or
-pw_fields that are not, unknown suite instance names, and kinked
+pw_fields that are not, a suite solver seed (the suite's seeds come only
+from suite.seeds or --seed), unknown suite instance names, and kinked
 potential tables where a gradient is needed).  Restarts run one after
 another in one thread.
 """
@@ -41,6 +42,7 @@ import numpy as np
 
 from . import ioutil
 from .energy import NonDifferentiableError
+from .geometry import VARIANTS
 from .fields import (
     _write_csv,
     field_from_csv,
@@ -121,7 +123,7 @@ def cmd_reduce(args):
     payload = {"config_sha256": digest, "seed": sc.seed}
     converged = True
     fields_by_variant = {}
-    for variant in ("symmetric", "antisymmetric"):
+    for variant in VARIANTS:
         try:
             rep = minimize_1d_profile(mesh, target, params, variant, sc)
         except BoundaryVariantError as exc:

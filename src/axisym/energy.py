@@ -244,14 +244,22 @@ class BoundaryCondition:
     top: Optional[np.ndarray] = None
     variant: str = "symmetric"
 
+    @property
+    def pinned(self):
+        """{row: data} of the pinned end rows, the top row as -1: t is axis
+        -2 of fields (n_phi, n_t, 3) and profiles (n_t, 3) alike."""
+        ends = {0: self.bottom, -1: self.top} if self.kind == "dirichlet" else {}
+        return {row: data for row, data in ends.items() if data is not None}
+
     def frozen_rows(self, n_t):
-        rows = []
-        if self.kind == "dirichlet":
-            if self.bottom is not None:
-                rows.append(0)
-            if self.top is not None:
-                rows.append(n_t - 1)
-        return rows
+        return [row % n_t for row in self.pinned]
+
+    def apply(self, values):
+        """values with the pinned rows reset to their data."""
+        out = values.copy() if self.pinned else values
+        for row, data in self.pinned.items():
+            out[..., row, :] = data
+        return out
 
 
 def dirichlet_rows_from_vector(mesh, vector, variant="symmetric"):
@@ -315,7 +323,7 @@ def t_diff(values, mesh):
     curve adds the seam difference a[0] - a[n_t-1] last.  Callers scale
     by 1/dt first: t_diff(c * m) is c m[j+1] - c m[j].
     """
-    if mesh.t_ends[0] == "periodic":
+    if mesh.surface.curve.closed:
         return np.roll(values, -1, axis=-2) - values
     return values[..., 1:, :] - values[..., :-1, :]
 
@@ -323,7 +331,7 @@ def t_diff(values, mesh):
 def t_diff_transpose(flux, mesh):
     """Transpose of t_diff: each edge adds +flux to its upper node and
     -flux to its lower one (edges along axis -2, nodes out)."""
-    if mesh.t_ends[0] == "periodic":
+    if mesh.surface.curve.closed:
         return np.roll(flux, 1, axis=-2) - flux
     out = np.zeros(flux.shape[:-2] + (mesh.n_t, flux.shape[-1]))
     out[..., 1:, :] = flux
@@ -436,7 +444,7 @@ def euclidean_gradient(field, params):
 def riemannian_gradient(field, params):
     """Euclidean gradient followed by tangent projection at each node.
 
-    The solvers project through their feasible set instead; the tests use
+    The solvers project through their retraction instead; the tests use
     this as the gradient of a direct _descend run and check it against
     finite differences.
     """
@@ -468,8 +476,6 @@ class ProfileFunctional:
     """
 
     def __init__(self, mesh, params, variant):
-        if variant not in ("symmetric", "antisymmetric"):
-            raise ValueError("variant must be 'symmetric' or 'antisymmetric'")
         self.potential = params.potential
         # b = R(phi)^T a, the sweep by -phi; component-major (3, n_phi,
         # n_t): the dot products stay contiguous

@@ -21,11 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
+    VARIANTS,
     SurfaceMesh,
     SurfaceOfRevolution,
     project_points,
-    rotate,
-    rotate_inverse,
+    ring_defect,
     sweep,
 )
 
@@ -69,8 +69,9 @@ class ProfileField:
     variant: str  # "symmetric" | "antisymmetric"
 
     def __post_init__(self):
-        if self.variant not in ("symmetric", "antisymmetric"):
-            raise ValueError("variant must be 'symmetric' or 'antisymmetric'")
+        if self.variant not in VARIANTS:
+            raise ValueError(f"variant must be one of {', '.join(VARIANTS)}, "
+                             f"got {self.variant!r}")
         if self.values.shape != (len(self.t_nodes), 3):
             raise ValueError("profile values must have shape (n_t, 3)")
 
@@ -175,11 +176,8 @@ def line_symmetry_classify(field, tol):
     axis-directed values match both laws).  The field has line symmetry
     iff no row is labeled 'neither'.
     """
-    mesh = field.mesh
-    ref_s = rotate(mesh.phi[:, None], field.values[0][None, :, :])
-    ref_a = rotate_inverse(mesh.phi[:, None], field.values[0][None, :, :])
-    d_s = np.sqrt(np.mean(np.sum((field.values - ref_s) ** 2, axis=-1), axis=0))
-    d_a = np.sqrt(np.mean(np.sum((field.values - ref_a) ** 2, axis=-1), axis=0))
+    d_s, d_a = (ring_defect(field.mesh.phi, field.values, variant)
+                for variant in VARIANTS)
     labels = np.where(d_s < tol, "symmetric",
                       np.where(d_a < tol, "antisymmetric", "neither"))
     return [str(v) for v in labels]
@@ -199,16 +197,9 @@ def symmetrize(field, phi_star, variant):
     idx = int(np.argmin(np.abs(mesh.phi - float(phi_star) % (2 * np.pi))))
     if abs(mesh.phi[idx] - float(phi_star) % (2 * np.pi)) > 1e-9:
         raise ValueError("phi_star must coincide with a mesh phi node")
-    slice_vals = field.values[idx]                        # (n_t, 3)
-    if variant == "symmetric":
-        seed = rotate_inverse(mesh.phi[idx], slice_vals)
-        vals = rotate(mesh.phi[:, None], seed[None, :, :])
-    elif variant == "antisymmetric":
-        seed = rotate(mesh.phi[idx], slice_vals)
-        vals = rotate_inverse(mesh.phi[:, None], seed[None, :, :])
-    else:
-        raise ValueError("variant must be 'symmetric' or 'antisymmetric'")
-    return field.with_values(vals)
+    # the sweep by -phi* is the inverse of the sweep by phi*
+    seed = sweep(-mesh.phi[idx], field.values[idx], variant)     # (n_t, 3)
+    return field.with_values(sweep(mesh.phi[:, None], seed[None], variant))
 
 
 def build_from_profile(mesh, profile, target):

@@ -67,17 +67,28 @@ def dot3(a, b):
             + a[..., 2] * b[..., 2])
 
 
+# each symmetry variant's rotation law
+_LAWS = {"symmetric": rotate, "antisymmetric": rotate_inverse}
+VARIANTS = tuple(_LAWS)
+
+
 def sweep(phi, v, variant):
     """Sweep v around the e3-axis by the variant's rotation law: rotate for
-    "symmetric", rotate_inverse for any other variant (antisymmetric)."""
-    return (rotate if variant == "symmetric" else rotate_inverse)(phi, v)
+    "symmetric", rotate_inverse for "antisymmetric"; ValueError for any
+    other name."""
+    if variant not in _LAWS:
+        raise ValueError(f"unknown variant {variant!r} "
+                         f"(expected one of {', '.join(VARIANTS)})")
+    return _LAWS[variant](phi, v)
 
 
 def ring_defect(phi, rows, variant="symmetric"):
-    """RMS distance of ring values rows (n_phi, 3) at the angles phi from
-    the sweep of rows[0]; zero iff the ring obeys the rotation law."""
-    ref = sweep(phi, rows[0][None, :], variant)
-    return float(np.sqrt(np.mean(np.sum((rows - ref) ** 2, axis=-1))))
+    """RMS distance of ring values rows (n_phi, ..., 3) at the angles phi
+    (n_phi,) from the sweep of rows[0], one value per ring (shape
+    rows.shape[1:-1]); zero iff the ring obeys the rotation law."""
+    phi = np.reshape(phi, (-1,) + (1,) * (np.ndim(rows) - 2))
+    ref = sweep(phi, rows[0][None], variant)
+    return np.sqrt(np.mean(np.sum((rows - ref) ** 2, axis=-1), axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -311,15 +322,13 @@ class SurfaceMesh:
     is the rectangle rule in phi times the midpoint rule in t, so
     quad_weights sum to the surface area up to O(dt^2).
 
-    t_ends classifies each end of the t-range: "axis" (curve touches the
-    e3-axis there, chart continues through the pole), "periodic" (closed
-    curve), or "free" (genuine boundary circle).
-
     edge_weights holds sqrt(g)/h2^2 at the meridian cell edges between
-    adjacent t nodes, t_min + (j + 1) dt; a closed curve adds its seam edge
-    at t_min as the last one.  Free ends get no edge (natural boundary
-    condition), and at an axis-touching end the would-be pole edge has
-    weight sqrt(g) = 0, so it is omitted too.
+    adjacent t nodes, t_min + (j + 1) dt; a closed curve (endpoints
+    identified) adds its seam edge at t_min as the last one.  The ends of
+    an open curve get no edge: at a free end (a genuine boundary circle)
+    that is the natural boundary condition, and at an end where the curve
+    touches the e3-axis (the chart continues through the pole) the
+    would-be pole edge has weight sqrt(g) = 0.
     """
 
     surface: SurfaceOfRevolution
@@ -333,7 +342,6 @@ class SurfaceMesh:
     h2: np.ndarray
     sqrtg: np.ndarray
     quad_weights: np.ndarray
-    t_ends: tuple[str, str]
     edge_weights: np.ndarray
 
     @property
@@ -408,17 +416,12 @@ def build_mesh(surf, n_phi, n_t):
         raise RegularityError("area element vanishes at a mesh node")
     weights = np.broadcast_to(dphi * dt * sqrtg, (n_phi, n_t)).copy()
 
-    def end_kind(ta):
-        if curve.closed:
-            return "periodic"
-        return "axis" if any(abs(ta - a) < 1e-12 for a in curve.touches_axis_at) else "free"
-
     t_edges = t0 + dt * np.arange(1, n_t)
     if curve.closed:
         t_edges = np.append(t_edges, t0)
     edge_weights = surf.sqrtg(t_edges) / surf.h2(t_edges) ** 2
     return SurfaceMesh(surf, n_phi, n_t, phi, t, dphi, dt, h1, h2, sqrtg,
-                       weights, (end_kind(t0), end_kind(t1)), edge_weights)
+                       weights, edge_weights)
 
 
 def surface_normal(mesh):
@@ -595,9 +598,10 @@ def project_to_frame(frame, w):
 def tangent_project_points(target, pts, w, params=None):
     """Project vectors w onto the tangent planes of T at the points pts.
 
-    The solvers project through one _FeasibleSet frame per iterate instead;
-    this one-call form is energy.riemannian_gradient's, and the benchmark's
-    tracing wraps it under that binding.
+    The solvers' retraction builds one tangent frame per iterate and
+    projects through it instead; this one-call form is
+    energy.riemannian_gradient's, and the benchmark's tracing wraps it
+    under that binding.
     """
     return project_to_frame(tangent_frame(target, pts, params), w)
 

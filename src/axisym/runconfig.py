@@ -37,7 +37,7 @@ from .energy import (
     weight_zero,
 )
 from .fields import _read_csv
-from .geometry import GeometryError, build_mesh, spline_curve, surface
+from .geometry import VARIANTS, GeometryError, build_mesh, spline_curve, surface
 from .solvers import ANNULUS_MIN_GRID, SolveConfig
 
 RUN_SCHEMA = "axisym-run/1"
@@ -56,7 +56,7 @@ _POTENTIAL_KEYS = {"kind", "kappa", "lam", "table"}
 _ANISO_KEYS = {"kind", "vector", "table"}
 _WEIGHT_KEYS = {"kind", "lam", "margin", "table"}
 _BOUNDARY_KEYS = {"kind", "bottom", "top", "variant"}
-_BOUNDARY_SIDE_KEYS = {"variant", "vector"}
+_BOUNDARY_SIDE_KEYS = {"vector"}
 _SOLVER_KEYS = {f.name for f in dataclasses.fields(SolveConfig)}
 _SOLVER_INTEGERS = ("max_iters", "restarts", "seed")
 _ANNULUS_KEYS = {"kappas", "n_t", "n_phi"}
@@ -158,8 +158,8 @@ DEFAULT_SUITE_CONFIG = {
 }
 
 # suite sections whose keys merge one by one over the defaults, with the
-# keys each allows
-_SUITE_SECTIONS = {"grid": _GRID_KEYS, "solver": _SOLVER_KEYS,
+# keys each allows; the suite's seeds set every solve's seed
+_SUITE_SECTIONS = {"grid": _GRID_KEYS, "solver": _SOLVER_KEYS - {"seed"},
                    "annulus": _ANNULUS_KEYS}
 
 
@@ -206,7 +206,8 @@ def suite_config(section=None, seed_override=None, grid_override=None):
     (a config's "suite" object) laid over it, every value checked.
 
     The grid, solver and annulus sections merge key by key, the other keys
-    replace the default; seed_override (the --seed flag) replaces the seeds
+    replace the default; the solver section takes no seed (the seeds set
+    it).  seed_override (the --seed flag) replaces the seeds
     and grid_override (the --grid flag's (n_phi, n_t)) the grid.  A bad key
     or value is a ConfigError naming it.  A suite that checks nothing
     passes: empty seeds, or an instance list that names no registered
@@ -218,6 +219,9 @@ def suite_config(section=None, seed_override=None, grid_override=None):
     _check_keys(section, DEFAULT_SUITE_CONFIG, where)
     cfg = copy.deepcopy(DEFAULT_SUITE_CONFIG)
     for key, value in section.items():
+        if key == "solver" and isinstance(value, dict) and "seed" in value:
+            raise ConfigError(f"{where}.solver: seed: the suite's seeds set "
+                              f"it ({where}.seeds)")
         if key in _SUITE_SECTIONS:
             _check_keys(value, _SUITE_SECTIONS[key], f"{where}.{key}")
             value = dict(cfg[key], **value)
@@ -343,8 +347,8 @@ def _vector(value, where):
 
 def _variant(value, where):
     """value if it names a symmetry variant, or ConfigError naming `where`."""
-    if value not in ("symmetric", "antisymmetric"):
-        raise ConfigError(f"{where}: must be 'symmetric' or 'antisymmetric', "
+    if value not in VARIANTS:
+        raise ConfigError(f"{where}: must be one of {', '.join(VARIANTS)}, "
                           f"got {value!r}")
     return value
 
@@ -426,9 +430,7 @@ def _build_boundary(section, mesh):
         if v is None:
             raise ConfigError(f"config.boundary.{side}.vector: required")
         sides[side] = dirichlet_rows_from_vector(
-            mesh, _vector(v, f"config.boundary.{side}.vector"),
-            _variant(spec.get("variant", variant),
-                     f"config.boundary.{side}.variant"))
+            mesh, _vector(v, f"config.boundary.{side}.vector"), variant)
     return BoundaryCondition("dirichlet", sides["bottom"], sides["top"], variant)
 
 

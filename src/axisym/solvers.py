@@ -6,7 +6,9 @@ discrete Dirichlet operator plus mass (energy.SobolevPreconditioner) and
 tangent-projected again, so iteration counts do not grow with the grid.
 Limited-memory BFGS on top of that preconditioner takes up the soft modes
 it leaves (unit trial steps), with Armijo backtracking (monotone) and
-closest-point retraction after every step.  It makes one H^1 solve per
+closest-point retraction after every step, which returns the tangent
+projection at the point it returns (_retraction); the gradient and every
+direction are projected through it.  It makes one H^1 solve per
 iteration: the solve of each accepted gradient is kept, each
 curvature pair stores the difference of two of them, and the pairs are
 rows of stacked arrays, so the two-loop recursion is a few matrix-vector
@@ -64,6 +66,7 @@ from .fields import (
     symmetry_defect,
 )
 from .geometry import (
+    VARIANTS,
     project_points,
     project_to_frame,
     ring_defect,
@@ -107,14 +110,6 @@ _MEMORY = 20
 _STEP_INIT = 0.1
 _ARMIJO_C = 1e-4
 _ARMIJO_SHRINK = 0.5
-
-
-def _identity_solve(g):
-    return g
-
-
-def _identity_project(x, v):
-    return v
 
 
 class _PairMemory:
@@ -185,34 +180,33 @@ class _PairMemory:
         return (r + c @ self.S).reshape(g.shape)
 
 
-def _descend(x0, value_fn, grad_fn, retract_fn, config,
-             solve_fn=_identity_solve, project_fn=_identity_project):
+def _descend(x0, value_fn, egrad_fn, retract_fn, solve_fn, config):
     """Projected limited-memory BFGS descent with Armijo backtracking.
 
-    grad_fn(x) is the tangent-projected Euclidean gradient g; the descent
-    stops when sup|g| <= grad_tol (1 + |E|).  The preconditioner is
-    v -> project_fn(x, solve_fn(v)): solve_fn a linear, symmetric positive
-    definite map (the identity by default; the solvers pass the H^1
-    solve), project_fn(x, v) the tangent projection at the current point
-    (the identity by default).  solve_fn runs once per accepted iterate,
-    u = solve_fn(g), and each pair (s, y) = (x_k+1 - x_k, g_k+1 - g_k)
-    keeps z = u_k+1 - u_k with it.  The direction d applies the L-BFGS
-    inverse-Hessian approximation of the last _MEMORY pairs to g, with
-    the preconditioner as its initial approximation (_PairMemory); pairs
-    with s . y not positive are skipped.  Trial points are
-    retract(x - alpha d), accepted by the Armijo test against g . d, from
-    alpha = 1.  The first step, and any step whose d fails g . d > 0
-    (the memory is then dropped), goes along project_fn(x, u) from
-    alpha = _STEP_INIT.  The energy sequence is non-increasing by
-    construction and checked so.
+    retract_fn(y) returns (x, project): the retracted point and the
+    tangent projection at x.  The gradient is g = project(egrad_fn(x)),
+    the Euclidean gradient projected, and the descent stops when
+    sup|g| <= grad_tol (1 + |E|).  The preconditioner is
+    v -> project(solve_fn(v)), with solve_fn a linear, symmetric positive
+    definite map (the solvers pass the H^1 solve).  solve_fn runs once per
+    accepted iterate, u = solve_fn(g), and each pair (s, y) =
+    (x_k+1 - x_k, g_k+1 - g_k) keeps z = u_k+1 - u_k with it.  The
+    direction d applies the L-BFGS inverse-Hessian approximation of the
+    last _MEMORY pairs to g, with the preconditioner as its initial
+    approximation (_PairMemory); pairs with s . y not positive are
+    skipped.  Trial points are retract_fn(x - alpha d), accepted by the
+    Armijo test against g . d, from alpha = 1.  The first step, and any
+    step whose d fails g . d > 0 (the memory is then dropped), goes along
+    project(u) from alpha = _STEP_INIT.  The energy sequence is
+    non-increasing by construction and checked so.
 
     Returns (x, energy, iterations, stop_reason), where stop_reason is
     "grad_tol" (converged), "max_iters" or "step_collapse" (no trial step
     above rounding level decreased the energy).
     """
-    x = retract_fn(x0)
+    x, project = retract_fn(x0)
     e = value_fn(x)
-    g = grad_fn(x)
+    g = project(egrad_fn(x))
     u = solve_fn(g)
     memory = _PairMemory(g.size)
     iters = 0
@@ -224,17 +218,17 @@ def _descend(x0, value_fn, grad_fn, retract_fn, config,
             reason = "max_iters"
             break
         iters += 1
-        d = memory.direction(g, u, lambda v: project_fn(x, v))
+        d = memory.direction(g, u, project)
         gd = float(np.sum(g * d)) if d is not None else 0.0
         alpha = 1.0
         if not gd > 0:
             memory.clear()
-            d = project_fn(x, u)
+            d = project(u)
             gd = float(np.sum(g * d))
             alpha = _STEP_INIT
         accepted = False
         for _ in range(60):
-            xt = retract_fn(x - alpha * d)
+            xt, project_t = retract_fn(x - alpha * d)
             et = value_fn(xt)
             if et <= e - _ARMIJO_C * alpha * gd + 1e-15 * (1 + abs(e)):
                 accepted = True
@@ -245,62 +239,48 @@ def _descend(x0, value_fn, grad_fn, retract_fn, config,
             break
         if et > e + 1e-12 * (1 + abs(e)):
             raise RuntimeError("descent must be monotone")
-        gt = grad_fn(xt)
+        gt = project_t(egrad_fn(xt))
         ut = solve_fn(gt)
         s, y = xt - x, gt - g
         sy = float(np.sum(s * y))
         if sy > 1e-12 * float(np.sqrt(np.sum(s * s) * np.sum(y * y))):
             memory.push(s, y, ut - u, sy)
-        x, e, g, u = xt, et, gt, ut
+        x, project, e, g, u = xt, project_t, et, gt, ut
     return x, e, iters, reason
 
 
-class _FeasibleSet:
-    """Values on the target surface with optional pinned Dirichlet rows.
+def _retraction(target, boundary):
+    """retract_fn of _descend for values on the target surface with the
+    boundary's pinned rows.
 
     Points are fields (n_phi, n_t, 3) or profiles (n_t, 3): t is axis -2
-    in both.  retract is the closest-point projection followed by
-    resetting the pinned rows.  project maps vectors to the tangent space
-    at the last retracted point: the target's tangent planes on free rows,
-    zero on pinned rows.  It reuses one tangent frame per point, built
-    from the profile parameters the retraction computed, so the gradient
-    and the descent direction of an iterate cost one frame and no
-    re-projection.
-    One instance serves one descent (it holds the last retracted point).
+    in both.  retract(y) is the closest-point projection followed by
+    resetting the pinned rows (BoundaryCondition.apply); its project maps
+    vectors to the tangent space at the retracted point: the target's
+    tangent planes on free rows, zero on pinned rows.  The tangent frame is
+    built on the first projection at a point, from the profile parameters
+    the retraction computed, so a rejected trial point costs no frame and
+    an accepted one costs one frame and no re-projection.
     """
+    rows = list(boundary.pinned)
 
-    def __init__(self, target, boundary):
-        self.target = target
-        # a free boundary pins no row
-        self.boundary = boundary if boundary.kind == "dirichlet" else None
-        self._x = self._params = self._frame = None
+    def retract(y):
+        x, params = project_points(target, y)
+        x = boundary.apply(x)
+        frame = None
 
-    def retract(self, y):
-        x, params = project_points(self.target, y)
-        if self.boundary is not None:
-            x = _apply_boundary(x, self.boundary)
-        self._x, self._params, self._frame = x, params, None
-        return x
+        def project(w):
+            nonlocal frame
+            if frame is None:
+                frame = tangent_frame(target, x, params)
+            out = project_to_frame(frame, w)
+            if rows:
+                out[..., rows, :] = 0.0
+            return out
 
-    def project(self, x, w):
-        if x is not self._x:
-            raise RuntimeError("project() needs the last retracted point")
-        if self._frame is None:
-            self._frame = tangent_frame(self.target, x, self._params)
-        out = project_to_frame(self._frame, w)
-        if self.boundary is not None:
-            rows = self.boundary.frozen_rows(x.shape[-2])
-            out[..., rows, :] = 0.0
-        return out
+        return x, project
 
-
-def _h1_descent(x0, value_fn, egrad_fn, precond, feasible, config):
-    """_descend on a feasible set for the tangent-projected gradient
-    g = P_T(egrad), preconditioned with the tangent-projected H^1 solve
-    v -> P_T(H^-1 v)."""
-    return _descend(x0, value_fn,
-                    lambda x: feasible.project(x, egrad_fn(x)),
-                    feasible.retract, config, precond.solve, feasible.project)
+    return retract
 
 
 # ---------------------------------------------------------------------------
@@ -418,23 +398,10 @@ def _rank_restarts(results, params, seed):
 # 2D minimization
 # ---------------------------------------------------------------------------
 
-def _apply_boundary(values, boundary):
-    """values with the pinned end rows (t is axis -2) reset to the
-    boundary's data."""
-    if boundary.kind != "dirichlet":
-        return values
-    out = values.copy()
-    if boundary.bottom is not None:
-        out[..., 0, :] = boundary.bottom
-    if boundary.top is not None:
-        out[..., -1, :] = boundary.top
-    return out
-
-
 def _structured_inits(mesh, target):
     prof_on_t, _ = project_points(target, mesh.surface.normal_profile(mesh.t))
     return [build_from_profile(mesh, ProfileField(mesh.t, prof_on_t, variant), target)
-            for variant in ("symmetric", "antisymmetric")]
+            for variant in VARIANTS]
 
 
 def minimize_2d(mesh, target, params, config=SolveConfig(), keep_fields=False):
@@ -461,13 +428,12 @@ def minimize_2d(mesh, target, params, config=SolveConfig(), keep_fields=False):
     inits = [random_field(mesh, target, seed=config.seed + r).values
              for r in range(config.restarts)]
     inits += [f.values for f in _structured_inits(mesh, target)]
-    inits = [_apply_boundary(v, boundary) for v in inits]
+    retract = _retraction(target, boundary)
 
     results = []
     for v0 in inits:
-        vals, e, iters, reason = _h1_descent(v0, value_fn, egrad_fn, precond,
-                                             _FeasibleSet(target, boundary),
-                                             config)
+        vals, e, iters, reason = _descend(v0, value_fn, egrad_fn, retract,
+                                          precond.solve, config)
         results.append((DiscreteField(mesh, target, vals), e, iters, reason))
     _, report = _rank_restarts(results, params, config.seed)
     if keep_fields:
@@ -529,12 +495,11 @@ def minimize_1d_profile(mesh, target, params, variant, config=SolveConfig()):
     for r in range(config.restarts):
         inits.append(random_field(mesh, target, seed=config.seed + 500 + r).values[0])
 
+    retract = _retraction(target, boundary)
     profiles, results = [], []
     for g0 in inits:
-        gamma, _, iters, reason = _h1_descent(g0, reduced.value,
-                                              reduced.gradient, precond,
-                                              _FeasibleSet(target, boundary),
-                                              config)
+        gamma, _, iters, reason = _descend(g0, reduced.value, reduced.gradient,
+                                           retract, precond.solve, config)
         profile = ProfileField(mesh.t, gamma, variant)
         field = build_from_profile(mesh, profile, target)
         profiles.append(profile)

@@ -531,11 +531,14 @@ def test_overflowing_config_number_exits_3(tmp_path, capsys, section, key,
     ({"boundary": {"kind": "dirichlet",
                    "bottom": {"vector": [0, 0, 1], "variant": "sideways"}}},
      "config.boundary.bottom.variant"),
+    ({"boundary": {"kind": "dirichlet",
+                   "top": {"vector": [0, 0, 1], "variant": "antisymmetric"}}},
+     "config.boundary.top.variant"),
     ({"potential": {"kind": "quartic", "lam": [1]}}, "config.potential"),
     ({"weight": {"kind": "constant", "lam": [1]}}, "config.weight"),
 ], ids=["aniso_short", "aniso_string", "aniso_nested", "top_short",
-        "top_string", "variant", "side_variant", "potential_list",
-        "weight_list"])
+        "top_string", "variant", "side_variant", "side_variant_axial",
+        "potential_list", "weight_list"])
 def test_bad_config_value_exits_3(tmp_path, capsys, section, key):
     # a malformed value is a config error naming its key, never a traceback
     # (exit 1 is a failed certificate) and never run as something else
@@ -726,9 +729,11 @@ def test_solver_integers_refused_exit_3(tmp_path, capsys, command, section,
     ({"pw_fields": 2.5}, "pw_fields"),
     ({"instances": ["annulus_pde", 5]}, "instances"),
     ({"instances": ["annulus_pde", "sphere_quartic_margn"]}, "instances"),
+    ({"solver": {"seed": 5}}, "solver"),
 ], ids=["seed_string", "seed_float", "seed_negative", "seeds_not_list",
         "seed_bool", "chain_fields_string", "chain_fields_negative",
-        "pw_fields_float", "instance_number", "instance_misspelt"])
+        "pw_fields_float", "instance_number", "instance_misspelt",
+        "solver_seed"])
 def test_verify_bad_suite_values_exit_3(tmp_path, capsys, suite, key):
     cfg_path = tmp_path / "verify.json"
     cfg_path.write_text(json.dumps({"schema": "axisym-run/1",

@@ -71,6 +71,24 @@ def test_sweep_and_ring_defect():
         assert ring_defect(phi, ring, other) > 0.1
 
 
+def test_rotation_law_refuses_unknown_variant_and_ring_defect_per_ring():
+    from axisym.fields import symmetrize
+    mesh = build_mesh(surface("sphere"), 8, 6)
+    field = random_field(mesh, surface("sphere"), seed=4)
+    with pytest.raises(ValueError, match="sideways"):
+        sweep(mesh.phi, field.values[0, :1], "sideways")
+    with pytest.raises(ValueError, match="sideways"):
+        ring_defect(mesh.phi, field.values[:, 0], "sideways")
+    with pytest.raises(ValueError, match="sideways"):
+        symmetrize(field, 0.0, "sideways")
+    for variant in ("symmetric", "antisymmetric"):
+        rows = ring_defect(mesh.phi, field.values, variant)
+        assert rows.shape == (mesh.n_t,)
+        each = [ring_defect(mesh.phi, field.values[:, j], variant)
+                for j in range(mesh.n_t)]
+        np.testing.assert_allclose(rows, each, rtol=0, atol=1e-14)
+
+
 _FINITE = st.floats(-1e6, 1e6)
 
 

@@ -30,7 +30,7 @@ from axisym.solvers import (
     solve_annulus_example,
     symmetrize_and_certify,
 )
-from conftest import make_instance
+from conftest import count_calls, make_instance
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +110,9 @@ def test_minimize_huge_weight_suppresses_penalty():
         return project_points(tgt, w)[0]
 
     vals, e0, _, _ = _descend(random_field(mesh, tgt, seed=3).values,
-                              value_fn, grad_fn, retract_fn,
+                              value_fn, grad_fn,
+                              lambda v: (retract_fn(v), lambda w: w),
+                              lambda w: w,
                               SolveConfig(restarts=1, max_iters=4000))
     unpenalized = rep.best_energy.dirichlet + rep.best_energy.anisotropy
     assert unpenalized <= e0 * 1.05 + 1e-9
@@ -220,7 +222,10 @@ def test_pair_direction_independent_of_blas_threads():
 
 
 def test_one_preconditioner_solve_per_iteration(monkeypatch):
+    # one H^1 solve and one tangent frame per accepted iterate: rejected
+    # Armijo trials build no frame
     from axisym.energy import SobolevPreconditioner
+    from axisym.geometry import tangent_frame
     calls = []
     solve = SobolevPreconditioner.solve
 
@@ -229,15 +234,19 @@ def test_one_preconditioner_solve_per_iteration(monkeypatch):
         return solve(self, g)
 
     monkeypatch.setattr(SobolevPreconditioner, "solve", counting)
+    frames = count_calls(monkeypatch, tangent_frame)
     mesh, tgt, params = make_instance(n_phi=16, n_t=12)
     cfg = SolveConfig(restarts=2, seed=1, max_iters=200)
     rep = minimize_2d(mesh, tgt, params, cfg)
     assert sum(rep.iterations) > len(rep.iterations)
     assert 0 < len(calls) <= sum(i + 1 for i in rep.iterations)
+    assert 0 < len(frames) <= sum(i + 1 for i in rep.iterations)
     calls.clear()
+    frames.clear()
     rep = minimize_1d_profile(mesh, tgt, params, "symmetric", cfg)
     assert sum(rep.iterations) > len(rep.iterations)
     assert 0 < len(calls) <= sum(i + 1 for i in rep.iterations)
+    assert 0 < len(frames) <= sum(i + 1 for i in rep.iterations)
 
 
 def test_dirichlet_boundary_rows_frozen():
