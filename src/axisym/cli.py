@@ -26,9 +26,10 @@ Infinity in a config or an annulus flag, a config number beyond the range
 of a double such as 1e400, solver max_iters, restarts or seed (or --seed)
 that are not non-negative integers, suite seeds, chain_fields or
 pw_fields that are not, a suite solver seed (the suite's seeds come only
-from suite.seeds or --seed), unknown suite instance names, and kinked
-potential tables where a gradient is needed).  Restarts run one after
-another in one thread.
+from suite.seeds or --seed), unknown suite instance names, kinked
+potential tables where a gradient is needed, non-finite table values, and
+prior_2d or input_field CSVs that do not cover the grid).  Restarts run
+one after another in one thread.
 """
 
 from __future__ import annotations

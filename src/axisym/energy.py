@@ -98,7 +98,8 @@ def table_potential(s_samples, g_samples):
     """Cubic-spline potential through (s, g) samples.
 
     Kinks are flagged when the largest second difference exceeds 1e3 times
-    the median one; gradients then refuse to differentiate the table.
+    the median one; the derivative of a kinked table then raises
+    NonDifferentiableError, so every gradient refuses it.
     """
     # imported here for the reason given in geometry.spline_curve
     from scipy.interpolate import CubicSpline
@@ -106,12 +107,17 @@ def table_potential(s_samples, g_samples):
     s = np.asarray(s_samples, dtype=float)
     gv = np.asarray(g_samples, dtype=float)
     spl = CubicSpline(s, gv)
-    dspl = spl.derivative()
     d2 = np.abs(np.diff(gv, 2))
     denom = max(float(np.median(d2)), 1e-12 * (float(np.max(np.abs(gv))) + 1.0))
     kinked = bool(np.max(d2, initial=0.0) > 1e3 * denom)
-    return AnisotropyPotential("custom_table", spl, dspl,
+    return AnisotropyPotential("custom_table", spl,
+                               _refuse_kinked if kinked else spl.derivative(),
                                non_differentiable=kinked)
+
+
+def _refuse_kinked(s):
+    raise NonDifferentiableError(
+        "custom potential table has kinks; gradient refused")
 
 
 # ---------------------------------------------------------------------------
@@ -126,34 +132,25 @@ class AnisotropyField:
     node_values: np.ndarray      # (n_phi, n_t, 3)
 
 
-def _sweep_aniso(mesh, profile0, variant):
-    vals = sweep(mesh.phi[:, None], profile0[None, :, :], variant)
-    return AnisotropyField(variant, vals)
-
-
 def aniso_surface_normal(mesh):
     """a = unit normal of the base surface (axially symmetric)."""
-    return _sweep_aniso(mesh, mesh.surface.normal_profile(mesh.t), "symmetric")
+    return aniso_profile(mesh, mesh.surface.normal_profile(mesh.t), "symmetric")
 
 
 def aniso_constant_e3(mesh):
-    prof = np.zeros((mesh.n_t, 3))
-    prof[:, 2] = 1.0
-    return _sweep_aniso(mesh, prof, "symmetric")
+    return aniso_profile(mesh, [0.0, 0.0, 1.0], "symmetric")
 
 
 def aniso_profile(mesh, profile0, variant):
-    """a swept from a user profile a0(t): symmetric uses A(phi)^T a0,
-    antisymmetric uses A(phi) a0."""
-    if callable(profile0):
-        prof = np.stack([np.asarray(profile0(tj), dtype=float) for tj in mesh.t])
-    else:
-        prof = np.asarray(profile0, dtype=float)
-        if prof.shape == (3,):
-            prof = np.broadcast_to(prof, (mesh.n_t, 3)).copy()
+    """a swept from a profile a0, (n_t, 3) or one 3-vector for every t:
+    symmetric uses A(phi)^T a0, antisymmetric uses A(phi) a0."""
+    prof = np.asarray(profile0, dtype=float)
+    if prof.shape == (3,):
+        prof = np.broadcast_to(prof, (mesh.n_t, 3)).copy()
     if prof.shape != (mesh.n_t, 3):
         raise ValueError("anisotropy profile must have shape (n_t, 3)")
-    return _sweep_aniso(mesh, prof, variant)
+    return AnisotropyField(
+        variant, sweep(mesh.phi[:, None], prof[None, :, :], variant))
 
 
 # ---------------------------------------------------------------------------
@@ -418,9 +415,6 @@ def total_energy(field, params):
 
 def euclidean_gradient(field, params):
     """Exact gradient of the discrete total energy wrt every node value."""
-    if params.potential.non_differentiable:
-        raise NonDifferentiableError(
-            "custom potential table has kinks; gradient refused")
     mesh = field.mesh
     vals = field.values
     scale = mesh.dphi * mesh.dt
@@ -503,9 +497,6 @@ class ProfileFunctional:
 
     def gradient(self, gamma):
         """Euclidean gradient of value() with respect to gamma, (n_t, 3)."""
-        if self.potential.non_differentiable:
-            raise NonDifferentiableError(
-                "custom potential table has kinks; gradient refused")
         diffs = t_diff(self.c * gamma, self.mesh)
         flux = 2 * self.c * self.w_edges[:, None] * diffs
         grad = t_diff_transpose(flux, self.mesh)
@@ -655,7 +646,7 @@ class ChainTerms:
     eq1 integrates the slice functional over phi; eq2 replaces |m_perp|^2
     by |d_phi m_perp|^2 and adds the penalty.  Under the hypothesis
     h1 W >= sqrt(2 pi), each step is nonnegative for every sampled field.
-    energy_m is the breakdown of E(m), equal to total_energy's;
+    energy_m is total_energy(m), whose terms eq2 reuses;
     slice_energies holds the slice functional per phi node and phi_star
     the angle of the node minimizing it.
     """
@@ -675,9 +666,7 @@ def chain_terms(field, params):
     # index, so exactly symmetric fields report phi* = 0
     lo = float(np.min(phi_e))
     phi_star = float(mesh.phi[np.argmax(phi_e <= lo + 1e-12 * (1 + abs(lo)))])
-    d = dirichlet_energy(field)
-    a = anisotropy_energy(field, params)
-    p = penalty_energy(field, params)
-    eq2 = dirichlet_energy(field, perp_only=True) + p + a
-    return ChainTerms(eq1, eq2, EnergyBreakdown(d, a, p, d + a + p), phi_e,
-                      phi_star)
+    energy_m = total_energy(field, params)
+    eq2 = (dirichlet_energy(field, perp_only=True) + energy_m.penalty
+           + energy_m.anisotropy)
+    return ChainTerms(eq1, eq2, energy_m, phi_e, phi_star)

@@ -255,10 +255,17 @@ def grid_to_csv(phi, t, values, path_or_buf, header_comment=None):
 
 
 def field_from_csv(path_or_buf, mesh, target):
-    vals = np.zeros((mesh.n_phi, mesh.n_t, 3))
+    """Read back a field written by field_to_csv on mesh's grid.
+    ValueError for a row off the grid or a node left without a value."""
+    n_phi, n_t = mesh.shape
+    vals = np.full((n_phi, n_t, 3), np.nan)
     for row in _read_csv(path_or_buf):
         i, j = int(row["phi_index"]), int(row["t_index"])
+        if not (0 <= i < n_phi and 0 <= j < n_t):
+            raise ValueError(f"node ({i}, {j}) is off the {n_phi}x{n_t} grid")
         vals[i, j] = [float(row["mx"]), float(row["my"]), float(row["mz"])]
+    if np.isnan(vals).any():
+        raise ValueError(f"the rows do not cover the {n_phi}x{n_t} grid")
     return DiscreteField(mesh, target, vals)
 
 

@@ -289,7 +289,10 @@ def _read_table(path, columns):
         raise ConfigError(f"cannot read table {path}: {exc}") from exc
     if not rows:
         raise ConfigError(f"table {path} is empty")
-    return np.array(rows)
+    table = np.array(rows)
+    if not np.all(np.isfinite(table)):
+        raise ConfigError(f"table {path} has a non-finite value")
+    return table
 
 
 def _build_surface(section, where):

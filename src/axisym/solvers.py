@@ -15,18 +15,18 @@ rows of stacked arrays, so the two-loop recursion is a few matrix-vector
 products (_PairMemory).  The stop test bounds the sup of the
 tangent-projected Euclidean gradient.  Several restarts from seeded random
 fields plus two structured initializations (the rotation-swept normal
-profile, both symmetry variants) mitigate non-convexity; only the best
-found field is reported, with symmetry diagnostics and every restart's
-stop reason attached.
+profile, both symmetry variants) mitigate non-convexity.
 
 1D solver: minimizes over t-profiles gamma the energy of the swept field
 A(phi)^T gamma(t) (or A(phi) gamma(t)).  The descent only handles (n_t, 3)
 arrays: energy.ProfileFunctional gives the 2D energy of the swept field and
 the pullback sum over slices of its 2D gradient in closed form, exact for
 the discrete scheme, and the same H^1 descent uses the k = 0 (vertical) and
-k = 1 (horizontal) blocks of the preconditioner.  Restarts are ranked and
-reported by the 2D energy of the built field, so the reduced and full
-functionals agree to rounding at matched discretization.
+k = 1 (horizontal) blocks of the preconditioner.
+
+Both solvers run one restart loop (_solve_restarts), which ranks every
+end by total_energy of its built 2D field and reports the best one, with
+symmetry diagnostics and every restart's energy and stop reason.
 
 Annulus solver: the linear equations -Lap m + kappa (m.e3) e3 = 0 on the
 flat annulus in polar coordinates with Dirichlet ring data, discretized
@@ -367,30 +367,46 @@ def field_diagnostics(field, energy):
     }
 
 
-def _rank_restarts(results, params, seed):
-    """Rank the restarts and report the best one.
+def _normal_profile(mesh, target):
+    """The base surface's normal profile projected onto the target: the
+    profile of every structured start."""
+    prof, _ = project_points(target, mesh.surface.normal_profile(mesh.t))
+    return prof
 
-    results lists (field, energy, iterations, stop_reason) per restart in
-    restart order, where energy is the total_energy of the restart's final
-    2D field.  The lowest energy wins, ties going to the lowest index.
-    Returns (index of the winner, its SolveReport).
+
+def _solve_restarts(mesh, target, params, boundary, inits, value_fn, egrad_fn,
+                    to_field, config):
+    """Descend from every init and report the best end.
+
+    inits are fields (n_phi, n_t, 3) or profiles (n_t, 3); every restart
+    shares one retraction and one H^1 preconditioner (its profile blocks
+    for profiles), with the boundary's pinned rows frozen.  Each end x is
+    ranked by total_energy of its 2D field to_field(x): the lowest wins,
+    ties going to the lowest index.  The report carries every restart's
+    field, energy, iterations and stop reason, and the winner's
+    diagnostics.  Returns (the winner's point, its SolveReport).
     """
-    best = min(range(len(results)), key=lambda i: (results[i][1], i))
-    field, e, _, reason = results[best]
-    breakdown = total_energy(field, params)
-    assert abs(breakdown.total - e) <= 1e-12 * (1 + abs(e))
-    mode, diagnostics = field_diagnostics(field, breakdown)
-    return best, SolveReport(
-        best_field=field,
-        best_energy=breakdown,
-        iterations=[r[2] for r in results],
-        converged=reason == "grad_tol",
-        stop_reasons=[r[3] for r in results],
+    precond = SobolevPreconditioner(mesh, profile=inits[0].ndim == 2,
+                                    frozen_rows=boundary.frozen_rows(mesh.n_t))
+    retract = _retraction(target, boundary)
+    ends = [_descend(x0, value_fn, egrad_fn, retract, precond.solve, config)
+            for x0 in inits]
+    fields = [to_field(x) for x, *_ in ends]
+    energies = [total_energy(f, params) for f in fields]
+    best = min(range(len(ends)), key=lambda i: (energies[i].total, i))
+    mode, diagnostics = field_diagnostics(fields[best], energies[best])
+    return ends[best][0], SolveReport(
+        best_field=fields[best],
+        best_energy=energies[best],
+        iterations=[end[2] for end in ends],
+        converged=ends[best][3] == "grad_tol",
+        stop_reasons=[end[3] for end in ends],
         mode=mode,
-        margin=hypothesis_margin(field.mesh, params.weight),
+        margin=hypothesis_margin(mesh, params.weight),
         diagnostics=diagnostics,
-        restart_energies=[r[1] for r in results],
-        seed=seed,
+        restart_energies=[e.total for e in energies],
+        restart_fields=fields,
+        seed=config.seed,
     )
 
 
@@ -398,46 +414,36 @@ def _rank_restarts(results, params, seed):
 # 2D minimization
 # ---------------------------------------------------------------------------
 
-def _structured_inits(mesh, target):
-    prof_on_t, _ = project_points(target, mesh.surface.normal_profile(mesh.t))
-    return [build_from_profile(mesh, ProfileField(mesh.t, prof_on_t, variant), target)
-            for variant in VARIANTS]
-
-
 def minimize_2d(mesh, target, params, config=SolveConfig(), keep_fields=False):
     """Best-of-restarts projected descent on the full 2D field.
 
     Runs `restarts` seeded random initializations plus the two swept
     normal-profile fields, descends each monotonically with the H^1
     preconditioner, and reports the lowest-energy result with symmetry
-    diagnostics.  A NotConverged state (converged=False) is reported when
-    the winning restart did not meet the gradient tolerance; it is not an
-    exception.  stop_reasons records, per restart, why its descent stopped.
-    keep_fields retains every restart's final field in the report.
+    diagnostics (_solve_restarts).  A NotConverged state (converged=False)
+    is reported when the winning restart did not meet the gradient
+    tolerance; it is not an exception.  stop_reasons records, per restart,
+    why its descent stopped.  keep_fields retains every restart's final
+    field in the report.
     """
-    boundary = params.boundary
-    precond = SobolevPreconditioner(mesh,
-                                    frozen_rows=boundary.frozen_rows(mesh.n_t))
+    def to_field(vals):
+        return DiscreteField(mesh, target, vals)
 
     def value_fn(vals):
-        return total_energy(DiscreteField(mesh, target, vals), params).total
+        return total_energy(to_field(vals), params).total
 
     def egrad_fn(vals):
-        return euclidean_gradient(DiscreteField(mesh, target, vals), params)
+        return euclidean_gradient(to_field(vals), params)
 
+    prof = _normal_profile(mesh, target)
     inits = [random_field(mesh, target, seed=config.seed + r).values
              for r in range(config.restarts)]
-    inits += [f.values for f in _structured_inits(mesh, target)]
-    retract = _retraction(target, boundary)
-
-    results = []
-    for v0 in inits:
-        vals, e, iters, reason = _descend(v0, value_fn, egrad_fn, retract,
-                                          precond.solve, config)
-        results.append((DiscreteField(mesh, target, vals), e, iters, reason))
-    _, report = _rank_restarts(results, params, config.seed)
-    if keep_fields:
-        report.restart_fields = [r[0] for r in results]
+    inits += [build_from_profile(mesh, ProfileField(mesh.t, prof, variant),
+                                 target).values for variant in VARIANTS]
+    _, report = _solve_restarts(mesh, target, params, params.boundary, inits,
+                                value_fn, egrad_fn, to_field, config)
+    if not keep_fields:
+        report.restart_fields = None
     return report
 
 
@@ -477,9 +483,11 @@ def minimize_1d_profile(mesh, target, params, variant, config=SolveConfig()):
     The descent evaluates ProfileFunctional: the 2D energy of the swept
     field m_i = R(phi_i) gamma and its exact pullback gradient
     dF/dgamma = sum_i R(phi_i)^T grad2d[i], in closed form on the profile,
-    and descends with the profile H^1 preconditioner.  Dirichlet rows pin
-    the profile's end rows (_profile_boundary; BoundaryVariantError when
-    the variant cannot meet the ring data) and are frozen in the
+    and descends with the profile H^1 preconditioner (_solve_restarts).
+    The starts are the normal profile, then `restarts` seeded random
+    profiles.  Dirichlet rows pin the profile's end rows
+    (_profile_boundary; BoundaryVariantError, before any descent, when the
+    variant cannot meet the ring data) and are frozen in the
     preconditioner.  Restart energies, the choice of the best restart and
     every reported energy come from total_energy of the built 2D field.  A
     warning is recorded when the anisotropy variant differs from the
@@ -487,26 +495,18 @@ def minimize_1d_profile(mesh, target, params, variant, config=SolveConfig()):
     """
     boundary = _profile_boundary(mesh, params.boundary, variant)
     reduced = ProfileFunctional(mesh, params, variant)
-    precond = SobolevPreconditioner(
-        mesh, profile=True, frozen_rows=boundary.frozen_rows(mesh.n_t))
 
-    prof0, _ = project_points(target, mesh.surface.normal_profile(mesh.t))
-    inits = [prof0]
-    for r in range(config.restarts):
-        inits.append(random_field(mesh, target, seed=config.seed + 500 + r).values[0])
+    def to_field(gamma):
+        return build_from_profile(mesh, ProfileField(mesh.t, gamma, variant),
+                                  target)
 
-    retract = _retraction(target, boundary)
-    profiles, results = [], []
-    for g0 in inits:
-        gamma, _, iters, reason = _descend(g0, reduced.value, reduced.gradient,
-                                           retract, precond.solve, config)
-        profile = ProfileField(mesh.t, gamma, variant)
-        field = build_from_profile(mesh, profile, target)
-        profiles.append(profile)
-        results.append((field, total_energy(field, params).total, iters,
-                        reason))
-    best, report = _rank_restarts(results, params, config.seed)
-    report.best_profile = profiles[best]
+    inits = [_normal_profile(mesh, target)]
+    inits += [random_field(mesh, target, seed=config.seed + 500 + r).values[0]
+              for r in range(config.restarts)]
+    gamma, report = _solve_restarts(mesh, target, params, boundary, inits,
+                                    reduced.value, reduced.gradient, to_field,
+                                    config)
+    report.best_profile = ProfileField(mesh.t, gamma, variant)
     report.diagnostics["variant_mismatch_warning"] = \
         params.aniso.variant != variant
     return report

@@ -568,10 +568,12 @@ def test_weight_table_kinds(tmp_path, capsys, kind):
     expected = 2 * np.pi * np.interp(mesh.t, *np.loadtxt(
         table, delimiter=",", skiprows=1).T) ** 2
     np.testing.assert_allclose(params.weight.W2, expected, rtol=1e-14, atol=0)
-    _omega_table(table, lambda t: 0.5 - t)       # negative above t = 0.5
-    assert main(["minimize", "--config", str(tmp_path / "run.json"),
-                 "--out", str(tmp_path / "o")]) == 3
-    assert "config error: config.weight: " in capsys.readouterr().err
+    for omega in (lambda t: 0.5 - t,             # negative above t = 0.5
+                  lambda t: np.where(t > 0.5, np.nan, 1.0)):
+        _omega_table(table, omega)
+        assert main(["minimize", "--config", str(tmp_path / "run.json"),
+                     "--out", str(tmp_path / "o")]) == 3
+        assert "config error: config.weight: " in capsys.readouterr().err
 
 
 _STARTUP_SCRIPT = """
@@ -807,3 +809,31 @@ def test_reduce_skips_variant_that_misses_the_ring(tmp_path):
     profile = fields.profile_from_csv(
         tmp_path / "red" / "profile_symmetric.csv", "symmetric")
     assert profile.values[-1].tolist() == [1.0, 0.0, 0.0]
+
+
+@pytest.fixture(scope="module")
+def minimize_16x12(tmp_path_factory):
+    """The artifact directory of a minimize on write_config's 16x12 grid."""
+    work = tmp_path_factory.mktemp("min16x12")
+    write_config(work / "run.json")
+    assert main(["minimize", "--config", str(work / "run.json"),
+                 "--out", str(work / "min")]) == 0
+    return work / "min"
+
+
+@pytest.mark.parametrize("grid", [{"n_phi": 8, "n_t": 8},
+                                  {"n_phi": 32, "n_t": 24}])
+@pytest.mark.parametrize("command, key", [("reduce", "prior_2d"),
+                                          ("symmetrize", "input_field")])
+def test_field_csv_from_another_grid_exits_3(tmp_path, capsys, minimize_16x12,
+                                             grid, command, key):
+    # a smaller grid's rows ran off the array (IndexError); a larger grid
+    # was compared against nodes left at zero
+    source = minimize_16x12 if key == "prior_2d" \
+        else minimize_16x12 / "field.csv"
+    write_config(tmp_path / "run.json", grid=grid,
+                 solver={"restarts": 0, "max_iters": 200, "seed": 0},
+                 **{key: str(source)})
+    assert main([command, "--config", str(tmp_path / "run.json"),
+                 "--out", str(tmp_path / "o")]) == 3
+    assert f"config error: config.{key}: " in capsys.readouterr().err

@@ -223,30 +223,40 @@ def test_pair_direction_independent_of_blas_threads():
 
 def test_one_preconditioner_solve_per_iteration(monkeypatch):
     # one H^1 solve and one tangent frame per accepted iterate: rejected
-    # Armijo trials build no frame
+    # Armijo trials build no frame; one preconditioner and one
+    # field_diagnostics call per solve, whatever the restart count
     from axisym.energy import SobolevPreconditioner
     from axisym.geometry import tangent_frame
-    calls = []
-    solve = SobolevPreconditioner.solve
+    from axisym.solvers import field_diagnostics
+    calls, builds = [], []
+    solve, init = SobolevPreconditioner.solve, SobolevPreconditioner.__init__
 
     def counting(self, g):
         calls.append(1)
         return solve(self, g)
 
+    def counting_init(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
     monkeypatch.setattr(SobolevPreconditioner, "solve", counting)
+    monkeypatch.setattr(SobolevPreconditioner, "__init__", counting_init)
     frames = count_calls(monkeypatch, tangent_frame)
+    diagnostics = count_calls(monkeypatch, field_diagnostics)
     mesh, tgt, params = make_instance(n_phi=16, n_t=12)
     cfg = SolveConfig(restarts=2, seed=1, max_iters=200)
     rep = minimize_2d(mesh, tgt, params, cfg)
     assert sum(rep.iterations) > len(rep.iterations)
     assert 0 < len(calls) <= sum(i + 1 for i in rep.iterations)
     assert 0 < len(frames) <= sum(i + 1 for i in rep.iterations)
-    calls.clear()
-    frames.clear()
+    assert len(builds) == len(diagnostics) == 1
+    for counts in (calls, frames, builds, diagnostics):
+        counts.clear()
     rep = minimize_1d_profile(mesh, tgt, params, "symmetric", cfg)
     assert sum(rep.iterations) > len(rep.iterations)
     assert 0 < len(calls) <= sum(i + 1 for i in rep.iterations)
     assert 0 < len(frames) <= sum(i + 1 for i in rep.iterations)
+    assert len(builds) == len(diagnostics) == 1
 
 
 def test_dirichlet_boundary_rows_frozen():
