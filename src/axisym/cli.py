@@ -10,26 +10,26 @@ Subcommands:
     annulus     the linear annulus boundary-value problem (flag-driven)
     symmetrize  field CSV in -> symmetrized field CSV + chain report
 
-Configs are strict JSON ("axisym-run/1"): unknown keys are rejected with
-their location.  axisym.runconfig loads and builds them (load_config,
-build_run, ConfigError and RUN_SCHEMA are re-exported here).  Each verify
-certificate names its instance as {"name", "config"}: the run config it
-was built from, which `minimize --config` reruns.  All artifacts are
-deterministic (sorted keys, 17 significant digits, LF endings) and carry
-the config hash and seed.
+Configs are strict JSON ("axisym-run/1").  axisym.runconfig loads and
+builds them (load_config, build_run, ConfigError and RUN_SCHEMA are
+re-exported here).  Each verify certificate names its instance as
+{"name", "config"}: the run config it was built from, which `minimize
+--config` reruns.  All artifacts are deterministic (sorted keys, 17
+significant digits, LF endings) and carry the config hash and seed.
 Exit codes: 0 ok/converged (of a solve: its winning restart met the
 gradient tolerance; report.json's stop_reasons gives every restart), 1
 failed certificate, 2 not converged (the winning restart did not meet the
-tolerance) or singular system, 3 input error (including a config file
-that is not UTF-8, grids outside [8, 4096] or with odd n_phi, NaN or
-Infinity in a config or an annulus flag, a config number beyond the range
-of a double such as 1e400, solver max_iters, restarts or seed (or --seed)
-that are not non-negative integers, suite seeds, chain_fields or
-pw_fields that are not, a suite solver seed (the suite's seeds come only
-from suite.seeds or --seed), unknown suite instance names, kinked
-potential tables where a gradient is needed, non-finite table values, and
-prior_2d or input_field CSVs that do not cover the grid).  Restarts run
-one after another in one thread.
+tolerance) or singular system, 3 input error (including a config file that
+is not UTF-8, a key that its section or the section's kind does not take,
+grids outside [8, 4096] or with odd n_phi, NaN or Infinity in a config or
+an annulus flag, a config number beyond the range of a double such as
+1e400, a number given as "5" or true, a "closed" that is not a boolean,
+solver max_iters, restarts or seed (or --seed) that are not non-negative
+integers, suite seeds, chain_fields or pw_fields that are not, a suite
+solver seed (the suite's seeds come only from suite.seeds or --seed),
+unknown suite instance names, kinked potential tables where a gradient is
+needed, non-finite table values, and prior_2d or input_field CSVs that do
+not cover the grid).  Restarts run one after another in one thread.
 """
 
 from __future__ import annotations

@@ -221,6 +221,16 @@ class MarginReport:
     def borderline(self):
         return (not self.strict) and self.min_h1w >= SQRT_2PI * (1 - 1e-9)
 
+    @property
+    def state(self):
+        """The hypothesis state: "zero" iff W vanishes (h1 > 0 at every
+        node, so iff sup h1 W = 0), else "strict", "borderline" or "below"."""
+        if self.sup_h1w == 0:
+            return "zero"
+        if self.strict:
+            return "strict"
+        return "borderline" if self.borderline else "below"
+
 
 def hypothesis_margin(mesh, weight):
     h1w = mesh.h1 * np.sqrt(weight.W2)

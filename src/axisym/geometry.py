@@ -11,7 +11,7 @@ Everything here is immutable after construction; operations are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -95,17 +95,23 @@ def ring_defect(phi, rows, variant="symmetric"):
 # generating curves
 # ---------------------------------------------------------------------------
 
+# equispaced parameters at which a curve's regularity is checked
+_CHECK_POINTS = 4096
+
+
 @dataclass(frozen=True)
 class GeneratingCurve:
     """Planar regular curve t -> (x(t), 0, z(t)) seeding a surface of revolution.
 
     x, z, dx, dz are vectorized callables on the closed interval.  ``closed``
-    marks loops (endpoints identified).  ``touches_axis_at`` lists endpoint
-    parameters where x vanishes; there the curve must meet the axis
-    perpendicularly (dz = 0) so the swept surface is smooth.  ``closest``,
-    when set, is the closed form of curve_parameter_of_closest: closest(r,
-    zeta) is the parameter of the curve point nearest to (r, zeta) in the
-    half-plane, ties broken toward the smallest one.
+    marks loops (endpoints identified).  ``closest``, when set, is the
+    closed form of curve_parameter_of_closest: closest(r, zeta) is the
+    parameter of the curve point nearest to (r, zeta) in the half-plane,
+    ties broken toward the smallest one.
+
+    Construction checks regularity (x >= 0, (dx, dz) != 0) at _CHECK_POINTS
+    equispaced parameters.  Where x vanishes, only a base surface's chart
+    constrains the curve (build_mesh).
     """
 
     interval: tuple[float, float]
@@ -114,27 +120,17 @@ class GeneratingCurve:
     dx: Callable
     dz: Callable
     closed: bool = False
-    touches_axis_at: frozenset = field(default_factory=frozenset)
     closest: Optional[Callable] = None
 
     def __post_init__(self):
         t0, t1 = self.interval
         if not t1 > t0:
             raise RegularityError("curve interval must have positive length")
-        ts = np.linspace(t0, t1, 512)
+        ts = np.linspace(t0, t1, _CHECK_POINTS)
         if np.any(self.x(ts) < -1e-12):
             raise RegularityError("x(t) must be nonnegative")
-        speed = np.hypot(self.dx(ts), self.dz(ts))
-        if np.any(speed <= 1e-12):
+        if np.any(self.speed(ts) <= 1e-12):
             raise RegularityError("curve must be regular: (dx, dz) != 0")
-        if len(self.touches_axis_at) > 2:
-            raise AxisError("at most two axis-touching points")
-        for ta in self.touches_axis_at:
-            if abs(float(self.x(ta))) > 1e-10:
-                raise AxisError(f"declared axis point t={ta} has x != 0")
-            if abs(float(self.dz(ta))) > 1e-10:
-                raise AxisError(
-                    f"curve does not meet the axis perpendicularly at t={ta}")
 
     def point(self, t):
         t = np.asarray(t, dtype=float)
@@ -164,7 +160,7 @@ def _sphere_closest(r, zeta):
     return np.arctan2(r, zeta)                            # in [0, pi]
 
 
-def _flat_ring(r0, r1, touches_axis_at=frozenset()):
+def _flat_ring(r0, r1):
     """x = t, z = 0 on [r0, r1]; the nearest parameter is r clipped."""
     return GeneratingCurve(
         (r0, r1),
@@ -172,7 +168,6 @@ def _flat_ring(r0, r1, touches_axis_at=frozenset()):
         z=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
         dx=lambda t: np.ones_like(np.asarray(t, dtype=float)),
         dz=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-        touches_axis_at=touches_axis_at,
         closest=lambda r, zeta: np.clip(r, r0, r1))
 
 
@@ -205,7 +200,7 @@ def preset_curve(name, **kw):
         return GeneratingCurve(
             (0.0, np.pi),
             x=np.sin, z=np.cos, dx=np.cos, dz=lambda t: -np.sin(t),
-            touches_axis_at=frozenset((0.0, np.pi)), closest=_sphere_closest)
+            closest=_sphere_closest)
     if name == "cylinder":
         radius, height = p["radius"], p["height"]
         return GeneratingCurve(
@@ -216,10 +211,9 @@ def preset_curve(name, **kw):
             dz=lambda t: np.ones_like(np.asarray(t, dtype=float)),
             closest=lambda r, zeta: np.clip(zeta, 0.0, height))
     if name == "annulus":
-        r0, r1 = p["r_inner"], p["r_outer"]
-        return _flat_ring(r0, r1)
+        return _flat_ring(p["r_inner"], p["r_outer"])
     if name == "disk":
-        return _flat_ring(0.0, p["radius"], frozenset((0.0,)))
+        return _flat_ring(0.0, p["radius"])
     if name == "torus_band":
         R, r = p["R"], p["r"]
         if not R > r > 0:
@@ -263,11 +257,7 @@ def spline_curve(t_samples, x_samples, z_samples, closed=False):
 
         return GeneratingCurve((t0, t1), x=wrap(sx), z=wrap(sz),
                                dx=wrap(dsx), dz=wrap(dsz), closed=True)
-    touches = frozenset(
-        ta for ta in (t0, t1)
-        if abs(float(sx(ta))) <= 1e-10 and abs(float(dsz(ta))) <= 1e-10)
-    return GeneratingCurve((t0, t1), x=sx, z=sz, dx=dsx, dz=dsz,
-                           touches_axis_at=touches)
+    return GeneratingCurve((t0, t1), x=sx, z=sz, dx=dsx, dz=dsz)
 
 
 # ---------------------------------------------------------------------------
@@ -353,28 +343,34 @@ class SurfaceMesh:
 
     def nodes(self):
         """All mesh points xi(phi_i, t_j) as an (n_phi, n_t, 3) array."""
-        gamma = self.surface.curve.point(self.t)          # (n_t, 3)
-        return rotate(self.phi[:, None], gamma[None, :, :])
+        return self.surface.point(self.phi[:, None], self.t[None, :])
+
+
+def _golden(f, a, b):
+    """Vectorized golden section for the minima of f on the brackets [a, b]
+    (their final midpoints).  At most 80 steps, stopping at the fixed point:
+    a step that leaves the brackets unchanged leaves them so for good."""
+    inv = 0.5 * (np.sqrt(5.0) - 1.0)
+    for _ in range(80):
+        c = b - inv * (b - a)
+        d = a + inv * (b - a)
+        left = f(c) < f(d)
+        a_next = np.where(left, a, c)
+        b_next = np.where(left, d, b)
+        if np.array_equal(a_next, a) and np.array_equal(b_next, b):
+            break
+        a, b = a_next, b_next
+    return 0.5 * (a + b)
 
 
 def _interior_axis_touch(curve, ts, xs):
-    """True if x attains (numerically) zero strictly inside the interval.
-
-    Sampled minima can sit between grid nodes, so every interior local
-    minimum of the scan is sharpened by golden section before testing.
-    """
+    """True if x attains (numerically) zero strictly inside the interval;
+    each interior local minimum of the scan xs is sharpened by _golden
+    first, since it can sit between the scan's nodes."""
     k = np.where((xs[1:-1] <= xs[:-2]) & (xs[1:-1] <= xs[2:]) & (xs[1:-1] < 0.1))[0] + 1
     if k.size == 0:
         return False
-    lo, hi = ts[k - 1].copy(), ts[k + 1].copy()
-    inv = 0.5 * (np.sqrt(5.0) - 1.0)
-    for _ in range(60):
-        c = hi - inv * (hi - lo)
-        d = lo + inv * (hi - lo)
-        left = np.abs(curve.x(c)) < np.abs(curve.x(d))
-        hi = np.where(left, d, hi)
-        lo = np.where(left, lo, c)
-    smin = 0.5 * (lo + hi)
+    smin = _golden(lambda s: np.abs(curve.x(s)), ts[k - 1], ts[k + 1])
     t0, t1 = curve.interval
     pad = 1e-9 * (t1 - t0)
     inside = (smin > t0 + pad) & (smin < t1 - pad)
@@ -382,7 +378,13 @@ def _interior_axis_touch(curve, ts, xs):
 
 
 def build_mesh(surf, n_phi, n_t):
-    """Build a SurfaceMesh; validates regularity at a resolution-independent level."""
+    """Build a SurfaceMesh on the base surface surf (or its curve).
+
+    Beyond the curve's own regularity the chart needs, at _CHECK_POINTS
+    parameters whatever the grid: no axis crossing inside the interval, and
+    a perpendicular meeting (dz = 0) at an end where x vanishes.  A target
+    needs neither.
+    """
     if isinstance(surf, GeneratingCurve):
         surf = SurfaceOfRevolution(surf)
     if n_phi < 4 or n_phi % 2 != 0:
@@ -392,13 +394,8 @@ def build_mesh(surf, n_phi, n_t):
     curve = surf.curve
     t0, t1 = curve.interval
 
-    # scan for interior axis crossings and degenerate speed
-    ts = np.linspace(t0, t1, 4096)
+    ts = np.linspace(t0, t1, _CHECK_POINTS)
     xs = np.abs(curve.x(ts))
-    if np.any(curve.x(ts) < -1e-12):
-        raise RegularityError("x(t) < 0 detected on the curve")
-    if np.any(curve.speed(ts) <= 1e-12):
-        raise RegularityError("h2 vanishes on the curve")
     if _interior_axis_touch(curve, ts, xs):
         raise AxisError("curve meets the e3-axis at an interior parameter")
     for ta, hit in ((t0, xs[0] <= 1e-10), (t1, xs[-1] <= 1e-10)):
@@ -452,12 +449,10 @@ def _bracketed_refine(curve, r, zeta, lo, hi):
     Bisects on the derivative of the half-plane squared distance on the rows
     where it changes sign across the bracket, which resolves the parameter
     to machine precision; the other rows fall back to golden section on the
-    distance itself.  Both loops run at most 80 times and stop at their
-    fixed point: once an iteration leaves the bracket arrays unchanged, no
-    later one can change them, since the update depends only on the
-    brackets.  Curve evaluation is pointwise, so refining each set of rows
-    on its own gives, bit for bit, what refining every row with both
-    methods for all 80 steps and keeping one result per row gives.
+    distance itself (_golden).  Both loops run at most 80 times and stop at
+    their fixed point.  Curve evaluation is pointwise, so refining each set
+    of rows on its own gives, bit for bit, what refining every row with
+    both methods for all 80 steps and keeping one result per row gives.
     """
     def fdist(s, r, zeta):
         return (curve.x(s) - r) ** 2 + (curve.z(s) - zeta) ** 2
@@ -484,19 +479,9 @@ def _bracketed_refine(curve, r, zeta, lo, hi):
     # golden-section fallback where no sign change was available
     no_root = ~has_root
     if no_root.any():
-        inv = 0.5 * (np.sqrt(5.0) - 1.0)
-        a, b = lo[no_root], hi[no_root]
         rr, zz = r[no_root], zeta[no_root]
-        for _ in range(80):
-            c = b - inv * (b - a)
-            d = a + inv * (b - a)
-            left = fdist(c, rr, zz) < fdist(d, rr, zz)
-            a_next = np.where(left, a, c)
-            b_next = np.where(left, d, b)
-            if np.array_equal(a_next, a) and np.array_equal(b_next, b):
-                break
-            a, b = a_next, b_next
-        s[no_root] = 0.5 * (a + b)
+        s[no_root] = _golden(lambda u: fdist(u, rr, zz), lo[no_root],
+                             hi[no_root])
 
     # keep whichever of {refined, bracket ends} is best; ties -> smallest s
     cands = np.stack([lo, s, hi])
@@ -530,16 +515,24 @@ def curve_parameter_of_closest(curve, r, zeta):
         d2 = (xg - r[blk, None]) ** 2 + (zg - zeta[blk, None]) ** 2
         k[blk] = np.argmin(d2, axis=1)                    # first minimum wins
     step = (t1 - t0) / _SCAN_POINTS
-    lo = np.maximum(grid[k] - step, t0)
-    hi = np.minimum(grid[k] + step, t1)
-    if curve.closed:
-        lo = grid[k] - step
-        hi = grid[k] + step
+    lo, hi = grid[k] - step, grid[k] + step
+    if not curve.closed:
+        lo, hi = np.maximum(lo, t0), np.minimum(hi, t1)
     s = _bracketed_refine(curve, r, zeta, lo, hi)
     if curve.closed:
         period = t1 - t0
         s = (s - t0) % period + t0
     return s
+
+
+def _azimuth(flat):
+    """(r, cos, sin) of points flat (N, 3): r = |p_perp| and the cosine and
+    sine of their azimuth (those of e1 where r = 0)."""
+    r = np.hypot(flat[:, 0], flat[:, 1])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cos_t = np.where(r > 0, flat[:, 0] / np.where(r > 0, r, 1.0), 1.0)
+        sin_t = np.where(r > 0, flat[:, 1] / np.where(r > 0, r, 1.0), 0.0)
+    return r, cos_t, sin_t
 
 
 def project_points(target, pts):
@@ -551,14 +544,9 @@ def project_points(target, pts):
     """
     pts = np.asarray(pts, dtype=float)
     flat = pts.reshape(-1, 3)
-    r = np.hypot(flat[:, 0], flat[:, 1])
-    zeta = flat[:, 2]
-    s = curve_parameter_of_closest(target.curve, r, zeta)
-    xs = target.curve.x(s)
-    zs = target.curve.z(s)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cos_t = np.where(r > 0, flat[:, 0] / np.where(r > 0, r, 1.0), 1.0)
-        sin_t = np.where(r > 0, flat[:, 1] / np.where(r > 0, r, 1.0), 0.0)
+    r, cos_t, sin_t = _azimuth(flat)
+    s = curve_parameter_of_closest(target.curve, r, flat[:, 2])
+    xs, zs = target.curve.x(s), target.curve.z(s)
     out = np.stack([xs * cos_t, xs * sin_t, zs], axis=-1)
     return out.reshape(pts.shape), s.reshape(pts.shape[:-1])
 
@@ -575,10 +563,7 @@ def tangent_frame(target, pts, params=None):
     if params is None:
         _, params = project_points(target, flat)
     params = np.asarray(params).reshape(-1)
-    r = np.hypot(flat[:, 0], flat[:, 1])
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cos_t = np.where(r > 0, flat[:, 0] / np.where(r > 0, r, 1.0), 1.0)
-        sin_t = np.where(r > 0, flat[:, 1] / np.where(r > 0, r, 1.0), 0.0)
+    r, cos_t, sin_t = _azimuth(flat)
     u1 = np.stack([-sin_t, cos_t, np.zeros_like(r)], axis=-1)
     h2 = target.h2(params)
     dx = target.curve.dx(params)
@@ -637,14 +622,9 @@ def never_flat_check(target):
     t0, t1 = curve.interval
     ts = np.linspace(t0, t1, 4097)
     flat = (np.abs(curve.dz(ts)) < tol) & (np.abs(curve.dx(ts)) > tol)
-    intervals = []
-    start = None
-    for k, f in enumerate(np.append(flat, False)):
-        if f and start is None:
-            start = k
-        elif not f and start is not None:
-            a, b = ts[start], ts[k - 1]
-            if b - a > tol:
-                intervals.append((float(a), float(b)))
-            start = None
-    return NeverFlatReport(len(intervals) == 0, tuple(intervals))
+    # runs of flat samples: first and last node of each
+    step = np.diff(np.concatenate(([0], flat.view(np.int8), [0])))
+    a, b = ts[np.flatnonzero(step == 1)], ts[np.flatnonzero(step == -1) - 1]
+    keep = b - a > tol
+    intervals = tuple(zip(a[keep].tolist(), b[keep].tolist()))
+    return NeverFlatReport(len(intervals) == 0, intervals)

@@ -1,14 +1,14 @@
 """The "axisym-run/1" config: the one description of an instance.
 
-A run config is strict JSON: unknown keys are rejected with their
-location (load_config).  build_run turns a config (a dict, loaded or
-built in code) into (mesh, target, params, SolveConfig); the command line,
-the certificate suite (whose certificates record the config of each
-instance they checked) and the test fixtures all build instances through
-it.  DEFAULT_INSTANCES names the suite's registered instances as partial
-configs, and suite_config owns the suite section: its defaults, its merge
-rule and its checks.  Every input error is a ConfigError naming the
-config location.
+A run config is strict JSON: a key that its section, or the section's
+kind, does not take is rejected with its location (load_config).
+build_run turns a config (a dict, loaded or built in code) into (mesh,
+target, params, SolveConfig); the command line, the certificate suite
+(whose certificates record the config of each instance they checked) and
+the test fixtures all build instances through it.  DEFAULT_INSTANCES
+names the suite's registered instances as partial configs, and
+suite_config owns the suite section: its defaults, its merge rule and its
+checks.  Every input error is a ConfigError naming the config location.
 """
 
 from __future__ import annotations
@@ -50,16 +50,27 @@ class ConfigError(ValueError):
 _TOP_KEYS = {"schema", "base_surface", "target_surface", "grid", "potential",
              "aniso_field", "weight", "boundary", "solver", "outputs",
              "variant", "prior_2d", "input_field", "suite"}
-_SURFACE_KEYS = {"preset", "params", "spline_table", "closed"}
 _GRID_KEYS = {"n_phi", "n_t"}
-_POTENTIAL_KEYS = {"kind", "kappa", "lam", "table"}
-_ANISO_KEYS = {"kind", "vector", "table"}
-_WEIGHT_KEYS = {"kind", "lam", "margin", "table"}
-_BOUNDARY_KEYS = {"kind", "bottom", "top", "variant"}
 _BOUNDARY_SIDE_KEYS = {"vector"}
 _SOLVER_KEYS = {f.name for f in dataclasses.fields(SolveConfig)}
 _SOLVER_INTEGERS = ("max_iters", "restarts", "seed")
 _ANNULUS_KEYS = {"kappas", "n_t", "n_phi"}
+
+# section -> kind -> the keys it takes besides "kind", the builders' default
+# kind first; a surface's kind is the key naming its curve (a table wins)
+_SURFACE_KINDS = {"spline_table": {"spline_table", "closed"},
+                  "preset": {"preset", "params"}}
+_KIND_KEYS = {
+    "base_surface": _SURFACE_KINDS, "target_surface": _SURFACE_KINDS,
+    "potential": {"quartic": {"lam"}, "quadratic": {"kappa"},
+                  "easy_normal": {"kappa"}, "table": {"table"}},
+    "aniso_field": {"surface_normal": set(), "constant_e3": set(),
+                    "symmetric_profile": {"vector", "table"},
+                    "antisymmetric_profile": {"vector", "table"}},
+    "weight": {"zero": set(), "constant": {"lam"}, "margin": {"margin"},
+               "t_profile": {"table"}, "general": {"table"}},
+    "boundary": {"free": set(), "dirichlet": {"bottom", "top", "variant"}},
+}
 
 # largest grid size along either axis
 _MAX_SIZE = 4096
@@ -171,6 +182,20 @@ def _check_keys(section, allowed, where):
             raise ConfigError(f"{where}.{key}: unknown key")
 
 
+def _check_kind_keys(section, kinds, where):
+    """ConfigError naming `where`.<key> for a key of no kind of the section
+    or not of its own kind; build_run names an unknown kind or curve."""
+    surface = kinds is _SURFACE_KINDS
+    extra = set() if surface else {"kind"}
+    _check_keys(section, extra.union(*kinds.values()), where)
+    kind = (next((k for k in kinds if k in section), None) if surface
+            else section.get("kind", next(iter(kinds))))
+    if isinstance(kind, str) and kind in kinds:
+        for key in section:
+            if key not in kinds[kind] | extra:
+                raise ConfigError(f"{where}.{key}: not a key of kind {kind!r}")
+
+
 def load_config(path):
     try:
         cfg = ioutil.read_json(path)
@@ -181,13 +206,12 @@ def load_config(path):
     _check_keys(cfg, _TOP_KEYS, "config")
     if cfg.get("schema") != RUN_SCHEMA:
         raise ConfigError(f"config.schema: expected {RUN_SCHEMA!r}")
-    for name, allowed in (("base_surface", _SURFACE_KEYS),
-                          ("target_surface", _SURFACE_KEYS),
-                          ("grid", _GRID_KEYS), ("potential", _POTENTIAL_KEYS),
-                          ("aniso_field", _ANISO_KEYS), ("weight", _WEIGHT_KEYS),
-                          ("boundary", _BOUNDARY_KEYS), ("solver", _SOLVER_KEYS)):
+    for name, allowed in (("grid", _GRID_KEYS), ("solver", _SOLVER_KEYS)):
         if name in cfg:
             _check_keys(cfg[name], allowed, f"config.{name}")
+    for name, kinds in _KIND_KEYS.items():
+        if name in cfg:
+            _check_kind_keys(cfg[name], kinds, f"config.{name}")
     _check_finite(cfg, "config")
     if "boundary" in cfg:
         for side in ("bottom", "top"):
@@ -298,12 +322,14 @@ def _read_table(path, columns):
 def _build_surface(section, where):
     if "spline_table" not in section and not section.get("preset"):
         raise ConfigError(f"{where}: needs 'preset' or 'spline_table'")
+    closed = section.get("closed", False)
+    if not isinstance(closed, bool):
+        raise ConfigError(f"{where}.closed: expected a boolean, got {closed!r}")
     try:
         if "spline_table" in section:
             tab = _read_table(section["spline_table"], ["t", "x", "z"])
-            return surface(spline_curve(
-                tab[:, 0], tab[:, 1], tab[:, 2],
-                closed=bool(section.get("closed", False))))
+            return surface(spline_curve(tab[:, 0], tab[:, 1], tab[:, 2],
+                                        closed=closed))
         return surface(section["preset"], **section.get("params", {}))
     except (ValueError, TypeError) as exc:      # GeometryError included
         raise ConfigError(f"{where}: {exc}") from exc
@@ -320,6 +346,14 @@ def _integer(n, where, low=0, high=None):
             else f"be at least {low}"
         raise ConfigError(f"{where}: must {bound}, got {n}")
     return n
+
+
+def _number(value, where):
+    """value as a float, or ConfigError naming `where` unless it is a
+    number; strings and booleans are refused, not converted."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    return float(value)
 
 
 def _grid(section, override, where):
@@ -356,15 +390,18 @@ def _variant(value, where):
     return value
 
 
+# a bad number is named by its key; the except clause adds the section
 def _build_anisotropy_potential(section):
     kind = section.get("kind", "quartic")
     try:
         if kind == "quartic":
-            return quartic_potential(float(section.get("lam", 1.0)))
+            return quartic_potential(_number(section.get("lam", 1.0), "lam"))
         if kind == "quadratic":
-            return quadratic_potential(float(section.get("kappa", 1.0)))
+            return quadratic_potential(
+                _number(section.get("kappa", 1.0), "kappa"))
         if kind == "easy_normal":
-            return easy_normal_potential(float(section.get("kappa", -1.0)))
+            return easy_normal_potential(
+                _number(section.get("kappa", -1.0), "kappa"))
         if kind == "table":
             tab = _read_table(section["table"], ["s", "g"])
             return table_potential(tab[:, 0], tab[:, 1])
@@ -384,7 +421,10 @@ def _build_aniso(section, mesh):
         if "vector" in section:
             prof = _vector(section["vector"], "config.aniso_field.vector")
         elif "table" in section:
-            tab = _read_table(section["table"], ["t", "ax", "ay", "az"])
+            try:
+                tab = _read_table(section["table"], ["t", "ax", "ay", "az"])
+            except ConfigError as exc:
+                raise ConfigError(f"config.aniso_field: {exc}") from exc
             prof = np.stack([np.interp(mesh.t, tab[:, 0], tab[:, c])
                              for c in (1, 2, 3)], axis=-1)
         else:
@@ -400,9 +440,10 @@ def _build_weight(section, mesh):
         if kind == "zero":
             return weight_zero(mesh)
         if kind == "constant":
-            return weight_constant(mesh, float(section.get("lam", 1.0)))
+            return weight_constant(mesh, _number(section.get("lam", 1.0), "lam"))
         if kind == "margin":
-            return weight_margin_profile(mesh, float(section.get("margin", 1.5)))
+            return weight_margin_profile(
+                mesh, _number(section.get("margin", 1.5), "margin"))
         if kind == "t_profile":
             tab = _read_table(section["table"], ["t", "omega"])
             return weight_t_profile(mesh, np.interp(mesh.t, tab[:, 0], tab[:, 1]))
@@ -443,13 +484,8 @@ def _solve_config(section, where):
     grad_tol a positive number."""
     values = {}
     for key, value in section.items():
-        if key in _SOLVER_INTEGERS:
-            values[key] = _integer(value, f"{where}: {key}")
-        elif isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{where}: {key}: expected a number, "
-                              f"got {value!r}")
-        else:
-            values[key] = float(value)
+        check = _integer if key in _SOLVER_INTEGERS else _number
+        values[key] = check(value, f"{where}: {key}")
     try:
         return SolveConfig(**values)
     except (TypeError, ValueError) as exc:

@@ -111,16 +111,6 @@ PW_INSTANCES = ("sphere_quartic_margin", "cylinder2_quadratic_const1")
 # certificate builders
 # ---------------------------------------------------------------------------
 
-def _margin_state(margin, weight):
-    if float(np.max(weight.W2)) == 0.0:
-        return "zero"
-    if margin.strict:
-        return "strict"
-    if margin.borderline:
-        return "borderline"
-    return "below"
-
-
 def _form_check(diag):
     """(residuals, ok) of the first-harmonic form: the mass outside
     horizontal k = +-1 and vertical k = 0, and the vertical
@@ -146,7 +136,7 @@ def _line_symmetry_check(diag):
 
 def verify_main0(instance_desc, report, params):
     """First-harmonic form of the best found field under the strict margin."""
-    state = _margin_state(report.margin, params.weight)
+    state = report.margin.state
     diag = report.diagnostics
     tolerances = {k: DEFAULT_TOLERANCES[k] for k in
                   ("form_residual", "null_average", "defect", "energy_gap")}
@@ -180,7 +170,7 @@ def verify_main1(main0, report, params, target):
     main0 is verify_main0's certificate of the same report; this one
     extends its residuals and passes only where it passed.
     """
-    state = _margin_state(report.margin, params.weight)
+    state = report.margin.state
     tolerances = {k: DEFAULT_TOLERANCES[k]
                   for k in ("form_residual", "orthogonality")}
     if state != "strict" or not never_flat_check(target).ok:
@@ -203,7 +193,7 @@ def verify_main3(instance_desc, report, params, target):
     """
     tolerances = {k: DEFAULT_TOLERANCES[k] for k in
                   ("null_average_strict", "form_residual", "orthogonality")}
-    if float(np.max(params.weight.W2)) != 0.0:
+    if report.margin.state != "zero":
         return TheoremCertificate("main3_null_average", instance_desc,
                                   False, True, {}, tolerances,
                                   "inapplicable: instance has a penalty term")

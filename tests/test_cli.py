@@ -536,9 +536,14 @@ def test_overflowing_config_number_exits_3(tmp_path, capsys, section, key,
      "config.boundary.top.variant"),
     ({"potential": {"kind": "quartic", "lam": [1]}}, "config.potential"),
     ({"weight": {"kind": "constant", "lam": [1]}}, "config.weight"),
+    ({"potential": {"kind": "quartic", "lam": "5"}}, "config.potential"),
+    ({"weight": {"kind": "margin", "margin": True}}, "config.weight"),
+    ({"target_surface": {"spline_table": "curve.csv", "closed": "no"}},
+     "config.target_surface.closed"),
 ], ids=["aniso_short", "aniso_string", "aniso_nested", "top_short",
         "top_string", "variant", "side_variant", "side_variant_axial",
-        "potential_list", "weight_list"])
+        "potential_list", "weight_list", "potential_string",
+        "weight_boolean", "closed_string"])
 def test_bad_config_value_exits_3(tmp_path, capsys, section, key):
     # a malformed value is a config error naming its key, never a traceback
     # (exit 1 is a failed certificate) and never run as something else
@@ -548,6 +553,44 @@ def test_bad_config_value_exits_3(tmp_path, capsys, section, key):
                  "--out", str(tmp_path / "o")]) == 3
     assert f"config error: {key}: " in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("section, key", [
+    ({"potential": {"kind": "quartic", "kappa": 5}}, "config.potential.kappa"),
+    ({"weight": {"kind": "margin", "lam": 3}}, "config.weight.lam"),
+    ({"aniso_field": {"kind": "surface_normal", "vector": [1, 0, 0]}},
+     "config.aniso_field.vector"),
+    ({"boundary": {"kind": "free", "top": {"vector": [0, 0, 1]}}},
+     "config.boundary.top"),
+    ({"base_surface": {"preset": "sphere", "closed": True}},
+     "config.base_surface.closed"),
+    ({"target_surface": {"preset": "sphere", "spline_table": "curve.csv"}},
+     "config.target_surface.preset"),
+], ids=["potential", "weight", "aniso", "boundary", "preset_closed",
+        "preset_and_spline"])
+def test_key_of_another_kind_exits_3(tmp_path, capsys, section, key):
+    # a key that another kind of its section takes would be ignored, so
+    # the run would not be the one the config describes
+    cfg_path = tmp_path / "run.json"
+    write_config(cfg_path, **section)
+    assert main(["minimize", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "o")]) == 3
+    assert (f"config error: {key}: not a key of kind "
+            in capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
+
+
+def test_anisotropy_table_error_names_section(tmp_path, capsys):
+    table = tmp_path / "a.csv"
+    table.write_text("t,ax,ay,az\n0,1,0,0\n0.5,nan,0,0\n1,1,0,0\n",
+                     encoding="utf-8")
+    cfg_path = tmp_path / "run.json"
+    write_config(cfg_path, aniso_field={"kind": "symmetric_profile",
+                                        "table": str(table)})
+    assert main(["minimize", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "o")]) == 3
+    assert (f"config error: config.aniso_field: table {table} has a "
+            f"non-finite value" in capsys.readouterr().err)
 
 
 def _omega_table(path, omega):

@@ -595,6 +595,9 @@ def test_hypothesis_margin_cylinder():
     rep0 = hypothesis_margin(mesh1, weight_zero(mesh1))
     assert rep0.min_h1w == 0.0 and not rep0.strict and not rep0.borderline
     assert rep.sup_finite
+    low = hypothesis_margin(mesh1, weight_constant(mesh1, 0.5))
+    assert [r.state for r in (rep, rep1, rep0, low)] == \
+        ["strict", "borderline", "zero", "below"]
 
 
 # ---------------------------------------------------------------------------

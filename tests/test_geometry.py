@@ -187,6 +187,21 @@ def test_mesh_validation_errors():
         build_mesh(surface(interior), 8, 8)
 
 
+def test_curve_dipping_below_axis_between_coarse_samples_refused():
+    # x = (t - c)^2 - 5.6e-7 is negative only within 7.5e-4 of c, and c sits
+    # halfway between two of 512 equispaced samples, where every sample
+    # still reads x > 0; the construction check's finer scan catches it
+    c = 200.5 / 511
+    from axisym.geometry import GeneratingCurve
+    with pytest.raises(RegularityError, match="nonnegative"):
+        GeneratingCurve(
+            (0.0, 1.0),
+            x=lambda t: (np.asarray(t, dtype=float) - c) ** 2 - 5.6e-7,
+            z=lambda t: np.asarray(t, dtype=float),
+            dx=lambda t: 2 * (np.asarray(t, dtype=float) - c),
+            dz=lambda t: np.ones_like(np.asarray(t, dtype=float)))
+
+
 def test_mesh_nodes_avoid_axis():
     mesh = build_mesh(surface("sphere"), 8, 16)
     assert np.all(mesh.h1 > 0)
@@ -457,6 +472,34 @@ def test_never_flat_presets():
     rep = never_flat_check(surface("disk"))
     assert not rep.ok and len(rep.flat_intervals) >= 1
     assert not never_flat_check(surface("annulus")).ok
+
+
+def test_never_flat_runs_match_sample_loop():
+    # the flat runs, found with array ops, against a loop over the samples:
+    # runs that touch either end, and a one-sample run (length 0) that drops
+    from axisym.geometry import GeneratingCurve
+
+    def dz(t):
+        t = np.asarray(t, dtype=float)
+        return np.where((np.cos(5 * t) > 0.3) | (t == 0.5), 0.0, 1.0)
+
+    curve = GeneratingCurve(
+        (0.0, 4.0), x=lambda t: 1 + np.asarray(t, dtype=float),
+        z=lambda t: np.asarray(t, dtype=float),
+        dx=lambda t: np.ones_like(np.asarray(t, dtype=float)), dz=dz)
+    ts = np.linspace(0.0, 4.0, 4097)
+    runs, start = [], None
+    for k, flat in enumerate(np.append(dz(ts) == 0, False)):
+        if flat and start is None:
+            start = k
+        elif not flat and start is not None:
+            if ts[k - 1] - ts[start] > 1e-6:
+                runs.append((float(ts[start]), float(ts[k - 1])))
+            start = None
+    rep = never_flat_check(surface(curve))
+    assert rep.flat_intervals == tuple(runs) and not rep.ok
+    assert runs[0][0] == 0.0 and runs[-1][1] == 4.0
+    assert not any(a <= 0.5 <= b for a, b in runs)
 
 
 def test_spline_curve_roundtrip():
