@@ -21,14 +21,16 @@ gradient tolerance; report.json's stop_reasons gives every restart), 1
 failed certificate, 2 not converged (the winning restart did not meet the
 tolerance) or singular system, 3 input error (including a config file that
 is not UTF-8, a key that its section or the section's kind does not take,
-grids outside [8, 4096] or with odd n_phi, NaN or Infinity in a config or
-an annulus flag, a config number beyond the range of a double such as
-1e400, a number given as "5" or true, a "closed" that is not a boolean,
-solver max_iters, restarts or seed (or --seed) that are not non-negative
-integers, suite seeds, chain_fields or pw_fields that are not, a suite
-solver seed (the suite's seeds come only from suite.seeds or --seed),
-unknown suite instance names, kinked potential tables where a gradient is
-needed, non-finite table values, and prior_2d or input_field CSVs that do
+an unknown kind, a missing required key, a profile anisotropy with both or
+neither of vector and table, a table that is missing, empty or not finite,
+grids outside [8, 4096] or with odd n_phi, annulus --n-t (--n-phi) outside
+[3 (4), 4096], NaN or Infinity in a config or an annulus flag, a config
+number beyond the range of a double such as 1e400, a number given as "5" or
+true, a "closed" that is not a boolean, solver max_iters, restarts or seed
+(or --seed) that are not non-negative integers, suite seeds, chain_fields
+or pw_fields that are not, a suite solver seed (the suite's seeds come only
+from suite.seeds or --seed), unknown suite instance names, kinked potential
+tables where a gradient is needed, and prior_2d or input_field CSVs that do
 not cover the grid).  Restarts run one after another in one thread.
 """
 
@@ -51,8 +53,8 @@ from .fields import (
     grid_to_csv,
     profile_to_csv,
 )
-from .runconfig import (RUN_SCHEMA, SUITE_NAMES, ConfigError, build_run,
-                        load_config, suite_config)
+from .runconfig import (RUN_SCHEMA, SUITE_NAMES, ConfigError, annulus_grid,
+                        build_run, load_config, suite_config)
 from .solvers import (
     BoundaryVariantError,
     SingularSystemError,
@@ -198,6 +200,7 @@ def _ring_vector(text, flag):
 def cmd_annulus(args):
     if not math.isfinite(args.kappa):
         raise ConfigError(f"--kappa: must be finite, got {args.kappa!r}")
+    annulus_grid(args.n_t, args.n_phi)
     inner = _ring_vector(args.inner, "--inner")
     outer = _ring_vector(args.outer, "--outer")
     b1 = annulus_boundary_from_vector(args.n_phi, inner)

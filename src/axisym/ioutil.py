@@ -29,7 +29,7 @@ def dumps(obj, indent=0):
     """Serialize dict/list/str/int/float/bool/None deterministically.
 
     numpy scalars render like their Python counterparts; a non-finite float
-    raises ValueError.
+    raises ValueError and any other object (an array included) TypeError.
     """
     out = []
     _render(obj, out, indent, 0)
@@ -64,18 +64,12 @@ def _render(obj, out, indent, level):
         out.append(json.dumps(obj if obj is None else bool(obj)))
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
-    elif isinstance(obj, float):
-        out.append(float17(obj))
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
+    elif isinstance(obj, (float, np.generic)):  # other numpy scalars too
+        out.append(float17(obj))
     else:
-        # other numpy scalars and the like
-        try:
-            value = float(obj)
-        except (TypeError, ValueError):
-            out.append(json.dumps(str(obj)))
-        else:
-            out.append(float17(value))
+        raise TypeError(f"{type(obj).__name__} has no JSON rendering")
 
 
 def _refuse_constant(name):

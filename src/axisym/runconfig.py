@@ -1,14 +1,14 @@
 """The "axisym-run/1" config: the one description of an instance.
 
-A run config is strict JSON: a key that its section, or the section's
-kind, does not take is rejected with its location (load_config).
-build_run turns a config (a dict, loaded or built in code) into (mesh,
-target, params, SolveConfig); the command line, the certificate suite
-(whose certificates record the config of each instance they checked) and
-the test fixtures all build instances through it.  DEFAULT_INSTANCES
-names the suite's registered instances as partial configs, and
-suite_config owns the suite section: its defaults, its merge rule and its
-checks.  Every input error is a ConfigError naming the config location.
+A run config is strict JSON.  _KIND_KEYS declares each kind section once,
+and _section reads it for load_config and build_run alike.  build_run turns
+a config (a dict, loaded or built in code) into (mesh, target, params,
+SolveConfig); the command line, the certificate suite (whose certificates
+record the config of each instance they checked) and the test fixtures all
+build instances through it.  DEFAULT_INSTANCES names the suite's registered
+instances as partial configs, and suite_config owns the suite section: its
+defaults, its merge rule and its checks.  Every input error is a
+ConfigError naming the config location.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .energy import (
     quartic_potential,
     table_potential,
     weight_constant,
-    weight_general,
     weight_margin_profile,
     weight_t_profile,
     weight_zero,
@@ -51,25 +50,31 @@ _TOP_KEYS = {"schema", "base_surface", "target_surface", "grid", "potential",
              "aniso_field", "weight", "boundary", "solver", "outputs",
              "variant", "prior_2d", "input_field", "suite"}
 _GRID_KEYS = {"n_phi", "n_t"}
-_BOUNDARY_SIDE_KEYS = {"vector"}
 _SOLVER_KEYS = {f.name for f in dataclasses.fields(SolveConfig)}
 _SOLVER_INTEGERS = ("max_iters", "restarts", "seed")
 _ANNULUS_KEYS = {"kappas", "n_t", "n_phi"}
 
-# section -> kind -> the keys it takes besides "kind", the builders' default
-# kind first; a surface's kind is the key naming its curve (a table wins)
-_SURFACE_KINDS = {"spline_table": {"spline_table", "closed"},
-                  "preset": {"preset", "params"}}
+_REQUIRED = object()            # the default of a key that has none
+
+# section -> kind -> {key: default} of the keys it takes besides "kind", the
+# section's default kind first; a surface's kind is the key naming its curve.
+# A key with a number (boolean) default takes only a number (boolean); a
+# profile anisotropy takes exactly one of "vector" and "table"
+_SURFACE_KINDS = {"spline_table": {"spline_table": _REQUIRED, "closed": False},
+                  "preset": {"preset": _REQUIRED, "params": {}}}
+_PROFILE = {"vector": None, "table": None}
 _KIND_KEYS = {
     "base_surface": _SURFACE_KINDS, "target_surface": _SURFACE_KINDS,
-    "potential": {"quartic": {"lam"}, "quadratic": {"kappa"},
-                  "easy_normal": {"kappa"}, "table": {"table"}},
-    "aniso_field": {"surface_normal": set(), "constant_e3": set(),
-                    "symmetric_profile": {"vector", "table"},
-                    "antisymmetric_profile": {"vector", "table"}},
-    "weight": {"zero": set(), "constant": {"lam"}, "margin": {"margin"},
-               "t_profile": {"table"}, "general": {"table"}},
-    "boundary": {"free": set(), "dirichlet": {"bottom", "top", "variant"}},
+    "potential": {"quartic": {"lam": 1.0}, "quadratic": {"kappa": 1.0},
+                  "easy_normal": {"kappa": -1.0},
+                  "table": {"table": _REQUIRED}},
+    "aniso_field": {"surface_normal": {}, "constant_e3": {},
+                    "symmetric_profile": _PROFILE,
+                    "antisymmetric_profile": _PROFILE},
+    "weight": {"zero": {}, "constant": {"lam": 1.0}, "margin": {"margin": 1.5},
+               "t_profile": {"table": _REQUIRED}},
+    "boundary": {"free": {}, "dirichlet": {"bottom": None, "top": None,
+                                           "variant": "symmetric"}},
 }
 
 # largest grid size along either axis
@@ -182,18 +187,40 @@ def _check_keys(section, allowed, where):
             raise ConfigError(f"{where}.{key}: unknown key")
 
 
-def _check_kind_keys(section, kinds, where):
-    """ConfigError naming `where`.<key> for a key of no kind of the section
-    or not of its own kind; build_run names an unknown kind or curve."""
-    surface = kinds is _SURFACE_KINDS
-    extra = set() if surface else {"kind"}
-    _check_keys(section, extra.union(*kinds.values()), where)
-    kind = (next((k for k in kinds if k in section), None) if surface
-            else section.get("kind", next(iter(kinds))))
-    if isinstance(kind, str) and kind in kinds:
-        for key in section:
-            if key not in kinds[kind] | extra:
-                raise ConfigError(f"{where}.{key}: not a key of kind {kind!r}")
+def _section(section, where):
+    """(kind, values) of the kind section at `where` (config.<name>): its
+    kind and every key of that kind (_KIND_KEYS), given or defaulted; or a
+    ConfigError naming an unknown kind, a key the kind does not take, a
+    missing required key or a value of the wrong type."""
+    kinds = _KIND_KEYS[where.removeprefix("config.")]
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where}: expected an object")
+    if kinds is _SURFACE_KINDS:
+        kind, extra = next((k for k in kinds if k in section), None), ()
+        if kind is None:
+            raise ConfigError(f"{where}: needs 'spline_table' or 'preset'")
+    else:
+        kind, extra = section.get("kind", next(iter(kinds))), ("kind",)
+        if not isinstance(kind, str) or kind not in kinds:
+            raise ConfigError(f"{where}.kind: unknown kind {kind!r}")
+    keys = kinds[kind]
+    for key in section:
+        if key not in keys and key not in extra:
+            raise ConfigError(f"{where}.{key}: not a key of kind {kind!r}")
+    values = {}
+    for key, default in keys.items():
+        value = section.get(key, default)
+        if value is _REQUIRED:
+            raise ConfigError(f"{where}.{key}: required")
+        if isinstance(default, float):
+            value = _number(value, f"{where}: {key}")
+        elif isinstance(default, bool) and not isinstance(value, bool):
+            raise ConfigError(f"{where}.{key}: expected a boolean, "
+                              f"got {value!r}")
+        values[key] = value
+    if keys is _PROFILE and sum(v is not None for v in values.values()) != 1:
+        raise ConfigError(f"{where}: needs 'vector' or 'table', not both")
+    return kind, values
 
 
 def load_config(path):
@@ -209,14 +236,14 @@ def load_config(path):
     for name, allowed in (("grid", _GRID_KEYS), ("solver", _SOLVER_KEYS)):
         if name in cfg:
             _check_keys(cfg[name], allowed, f"config.{name}")
-    for name, kinds in _KIND_KEYS.items():
-        if name in cfg:
-            _check_kind_keys(cfg[name], kinds, f"config.{name}")
     _check_finite(cfg, "config")
+    for name in _KIND_KEYS:
+        if name in cfg:
+            _section(cfg[name], f"config.{name}")
     if "boundary" in cfg:
         for side in ("bottom", "top"):
             if cfg["boundary"].get(side) is not None:
-                _check_keys(cfg["boundary"][side], _BOUNDARY_SIDE_KEYS,
+                _check_keys(cfg["boundary"][side], {"vector"},
                             f"config.boundary.{side}")
     if "variant" in cfg:
         _variant(cfg["variant"], "config.variant")
@@ -253,7 +280,14 @@ def suite_config(section=None, seed_override=None, grid_override=None):
     n_phi, n_t = _grid(cfg["grid"], grid_override, f"{where}.grid")
     cfg["grid"] = {"n_phi": n_phi, "n_t": n_t}
     _solve_config(cfg["solver"], f"{where}.solver")
-    _check_annulus(cfg["annulus"], f"{where}.annulus")
+    annulus, at = cfg["annulus"], f"{where}.annulus"
+    annulus_grid(annulus["n_t"], annulus["n_phi"], at)
+    kappas = annulus["kappas"]      # _check_finite refused infinite ones
+    if not (isinstance(kappas, list) and kappas
+            and all(isinstance(k, (int, float)) and not isinstance(k, bool)
+                    for k in kappas)):
+        raise ConfigError(f"{at}.kappas: expected a non-empty list of "
+                          f"finite numbers, got {kappas!r}")
     if seed_override is not None:
         cfg["seeds"] = [_integer(seed_override, "--seed")]
     if not isinstance(cfg["seeds"], list):
@@ -292,18 +326,12 @@ def _check_finite(node, where):
         raise ConfigError(f"{where}: number out of the range of a double")
 
 
-def _check_annulus(section, where):
-    """ConfigError naming `where`.<key> unless n_t and n_phi are integers
-    from the solver's minimum to _MAX_SIZE and kappas is a non-empty list
-    of numbers (_check_finite has refused infinite ones)."""
-    for key, low in ANNULUS_MIN_GRID.items():
-        _integer(section[key], f"{where}.{key}", low, _MAX_SIZE)
-    kappas = section["kappas"]
-    if not (isinstance(kappas, list) and kappas
-            and all(isinstance(k, (int, float)) and not isinstance(k, bool)
-                    for k in kappas)):
-        raise ConfigError(f"{where}.kappas: expected a non-empty list of "
-                          f"finite numbers, got {kappas!r}")
+def annulus_grid(n_t, n_phi, where=None):
+    """ConfigError naming `where`.<key> (the --n-t or --n-phi flag when where
+    is None) unless n_t and n_phi lie in [ANNULUS_MIN_GRID, _MAX_SIZE]."""
+    for key, n in (("n_t", n_t), ("n_phi", n_phi)):
+        name = f"{where}.{key}" if where else "--" + key.replace("_", "-")
+        _integer(n, name, ANNULUS_MIN_GRID[key], _MAX_SIZE)
 
 
 def _read_table(path, columns):
@@ -320,17 +348,13 @@ def _read_table(path, columns):
 
 
 def _build_surface(section, where):
-    if "spline_table" not in section and not section.get("preset"):
-        raise ConfigError(f"{where}: needs 'preset' or 'spline_table'")
-    closed = section.get("closed", False)
-    if not isinstance(closed, bool):
-        raise ConfigError(f"{where}.closed: expected a boolean, got {closed!r}")
+    kind, values = _section(section, where)
     try:
-        if "spline_table" in section:
-            tab = _read_table(section["spline_table"], ["t", "x", "z"])
+        if kind == "spline_table":
+            tab = _read_table(values["spline_table"], ["t", "x", "z"])
             return surface(spline_curve(tab[:, 0], tab[:, 1], tab[:, 2],
-                                        closed=closed))
-        return surface(section["preset"], **section.get("params", {}))
+                                        closed=values["closed"]))
+        return surface(values["preset"], **values["params"])
     except (ValueError, TypeError) as exc:      # GeometryError included
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -390,91 +414,68 @@ def _variant(value, where):
     return value
 
 
-# a bad number is named by its key; the except clause adds the section
 def _build_anisotropy_potential(section):
-    kind = section.get("kind", "quartic")
+    kind, values = _section(section, "config.potential")
     try:
         if kind == "quartic":
-            return quartic_potential(_number(section.get("lam", 1.0), "lam"))
+            return quartic_potential(values["lam"])
         if kind == "quadratic":
-            return quadratic_potential(
-                _number(section.get("kappa", 1.0), "kappa"))
+            return quadratic_potential(values["kappa"])
         if kind == "easy_normal":
-            return easy_normal_potential(
-                _number(section.get("kappa", -1.0), "kappa"))
-        if kind == "table":
-            tab = _read_table(section["table"], ["s", "g"])
-            return table_potential(tab[:, 0], tab[:, 1])
-    except (ValueError, TypeError, KeyError) as exc:
+            return easy_normal_potential(values["kappa"])
+        tab = _read_table(values["table"], ["s", "g"])
+        return table_potential(tab[:, 0], tab[:, 1])
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"config.potential: {exc}") from exc
-    raise ConfigError(f"config.potential.kind: unknown kind {kind!r}")
 
 
 def _build_aniso(section, mesh):
-    kind = section.get("kind", "surface_normal")
+    kind, values = _section(section, "config.aniso_field")
     if kind == "surface_normal":
         return aniso_surface_normal(mesh)
     if kind == "constant_e3":
         return aniso_constant_e3(mesh)
-    if kind in ("symmetric_profile", "antisymmetric_profile"):
-        variant = kind.split("_")[0]
-        if "vector" in section:
-            prof = _vector(section["vector"], "config.aniso_field.vector")
-        elif "table" in section:
-            try:
-                tab = _read_table(section["table"], ["t", "ax", "ay", "az"])
-            except ConfigError as exc:
-                raise ConfigError(f"config.aniso_field: {exc}") from exc
-            prof = np.stack([np.interp(mesh.t, tab[:, 0], tab[:, c])
-                             for c in (1, 2, 3)], axis=-1)
-        else:
-            raise ConfigError("config.aniso_field: profile kinds need "
-                              "'vector' or 'table'")
-        return aniso_profile(mesh, prof, variant)
-    raise ConfigError(f"config.aniso_field.kind: unknown kind {kind!r}")
+    if values["table"] is None:
+        prof = _vector(values["vector"], "config.aniso_field.vector")
+    else:
+        try:
+            tab = _read_table(values["table"], ["t", "ax", "ay", "az"])
+        except ConfigError as exc:
+            raise ConfigError(f"config.aniso_field: {exc}") from exc
+        prof = np.stack([np.interp(mesh.t, tab[:, 0], tab[:, c])
+                         for c in (1, 2, 3)], axis=-1)
+    return aniso_profile(mesh, prof, kind.split("_")[0])
 
 
 def _build_weight(section, mesh):
-    kind = section.get("kind", "zero")
+    kind, values = _section(section, "config.weight")
     try:
         if kind == "zero":
             return weight_zero(mesh)
         if kind == "constant":
-            return weight_constant(mesh, _number(section.get("lam", 1.0), "lam"))
+            return weight_constant(mesh, values["lam"])
         if kind == "margin":
-            return weight_margin_profile(
-                mesh, _number(section.get("margin", 1.5), "margin"))
-        if kind == "t_profile":
-            tab = _read_table(section["table"], ["t", "omega"])
-            return weight_t_profile(mesh, np.interp(mesh.t, tab[:, 0], tab[:, 1]))
-        if kind == "general":
-            tab = _read_table(section["table"], ["t", "omega"])
-            return weight_general(
-                mesh, lambda phi, t: np.broadcast_to(
-                    np.interp(t, tab[:, 0], tab[:, 1]), (mesh.n_phi, mesh.n_t)))
-    except (ValueError, TypeError, KeyError) as exc:
+            return weight_margin_profile(mesh, values["margin"])
+        tab = _read_table(values["table"], ["t", "omega"])
+        return weight_t_profile(mesh, np.interp(mesh.t, tab[:, 0], tab[:, 1]))
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"config.weight: {exc}") from exc
-    raise ConfigError(f"config.weight.kind: unknown kind {kind!r}")
 
 
 def _build_boundary(section, mesh):
-    if not section or section.get("kind", "free") == "free":
+    kind, values = _section(section, "config.boundary")
+    if kind == "free":
         return None
-    if section.get("kind") != "dirichlet":
-        raise ConfigError("config.boundary.kind: must be 'free' or 'dirichlet'")
-    sides = {}
-    variant = _variant(section.get("variant", "symmetric"),
-                       "config.boundary.variant")
-    for side in ("bottom", "top"):
-        spec = section.get(side)
-        if spec is None:
-            sides[side] = None
+    variant = _variant(values["variant"], "config.boundary.variant")
+    sides = dict.fromkeys(("bottom", "top"))
+    for side in sides:
+        if values[side] is None:
             continue
-        v = spec.get("vector")
-        if v is None:
-            raise ConfigError(f"config.boundary.{side}.vector: required")
+        where = f"config.boundary.{side}.vector"
+        if values[side].get("vector") is None:
+            raise ConfigError(f"{where}: required")
         sides[side] = dirichlet_rows_from_vector(
-            mesh, _vector(v, f"config.boundary.{side}.vector"), variant)
+            mesh, _vector(values[side]["vector"], where), variant)
     return BoundaryCondition("dirichlet", sides["bottom"], sides["top"], variant)
 
 
@@ -496,10 +497,9 @@ def build_run(cfg, seed_override=None, grid_override=None):
     """Instantiate (mesh, target, params, solve_config) from config."""
     n_phi, n_t = _grid(dict({"n_phi": 64, "n_t": 64}, **cfg.get("grid", {})),
                        grid_override, "config.grid")
-    base = _build_surface(cfg.get("base_surface", {"preset": "sphere"}),
-                          "config.base_surface")
-    target = _build_surface(cfg.get("target_surface", {"preset": "sphere"}),
-                            "config.target_surface")
+    base, target = (_build_surface(cfg.get(name, {"preset": "sphere"}),
+                                   f"config.{name}")
+                    for name in ("base_surface", "target_surface"))
     try:
         mesh = build_mesh(base, n_phi, n_t)
     except GeometryError as exc:        # the grid passed _grid: the curve
@@ -507,7 +507,7 @@ def build_run(cfg, seed_override=None, grid_override=None):
     pot = _build_anisotropy_potential(cfg.get("potential", {}))
     an = _build_aniso(cfg.get("aniso_field", {}), mesh)
     w = _build_weight(cfg.get("weight", {}), mesh)
-    bc = _build_boundary(cfg.get("boundary"), mesh)
+    bc = _build_boundary(cfg.get("boundary", {}), mesh)
     try:
         params = make_params(mesh, target, pot, an, w, bc)
     except ValueError as exc:

@@ -84,6 +84,7 @@ class BoundaryVariantError(ValueError):
 
 # largest ring_defect of ring data that obeys a rotation law
 RING_TOL = 1e-8
+CHAIN_SLACK = 1e-9      # chain audit's rounding slack, relative to 1 + |E(m)|
 
 
 @dataclass(frozen=True)
@@ -555,7 +556,7 @@ def symmetrize_and_certify(field, params, variant):
     u = symmetrize(field, ct.phi_star, variant)
     bd_u = total_energy(u, params)
     e_m = ct.energy_m.total
-    slack = 1e-9 * (1 + abs(e_m))
+    slack = CHAIN_SLACK * (1 + abs(e_m))
     residuals = {
         "slice_vs_mean": ct.eq1 - bd_u.total,
         "poincare_wirtinger": ct.eq2 - ct.eq1,

@@ -42,6 +42,7 @@ from .geometry import never_flat_check
 from .runconfig import (DEFAULT_INSTANCES, RUN_SCHEMA, build_run,
                         suite_config)
 from .solvers import (
+    CHAIN_SLACK,
     annulus_boundary_from_vector,
     minimize_2d,
     solve_annulus_example,
@@ -55,7 +56,7 @@ DEFAULT_TOLERANCES = {
     "defect": 1e-10,              # symmetry defect of the companion field
     "energy_gap": 1e-6,           # relative companion energy gap
     "orthogonality": 1e-3,
-    "chain_slack": 1e-9,
+    "chain_slack": CHAIN_SLACK,
     "pw_slack": 1e-9,
     "annulus_mean": 1e-8,
 }
@@ -164,7 +165,7 @@ def verify_main0(instance_desc, report, params):
                               residuals, tolerances, note)
 
 
-def verify_main1(main0, report, params, target):
+def verify_main1(main0, report, target):
     """Adds line-symmetry labels and orthogonality under never-flat targets.
 
     main0 is verify_main0's certificate of the same report; this one
@@ -184,7 +185,7 @@ def verify_main1(main0, report, params, target):
                               dict(main0.residuals, **residuals), tolerances)
 
 
-def verify_main3(instance_desc, report, params, target):
+def verify_main3(instance_desc, report, target):
     """No-penalty functional: null-average minimizers must have the form.
 
     The null-average property is the gate: when the found minimizer is not
@@ -347,8 +348,8 @@ def run_suite(config=None, out_dir=None):
             key = f"{name}_s{seed}"
             main0 = verify_main0(desc, report, params)
             emit(key, main0)
-            emit(key, verify_main1(main0, report, params, target))
-            emit(key, verify_main3(desc, report, params, target))
+            emit(key, verify_main1(main0, report, target))
+            emit(key, verify_main3(desc, report, target))
 
     first_seed = cfg["seeds"][0] if cfg["seeds"] else 0
     for kind, check, pool, n_fields in (

@@ -5,9 +5,17 @@ import pytest
 import axisym.cli  # noqa: F401  (imports every axisym module)
 from axisym.runconfig import RUN_SCHEMA, build_run
 
-# the config key that carries each potential's and weight's value
+# the config key that carries each potential's and weight's value (a zero
+# weight takes none)
 _VALUE_KEY = {"quartic": "lam", "quadratic": "kappa", "easy_normal": "kappa",
-              "zero": "lam", "constant": "lam", "margin": "margin"}
+              "constant": "lam", "margin": "margin"}
+
+
+def _kind_section(kind, value):
+    section = {"kind": kind}
+    if kind in _VALUE_KEY:
+        section[_VALUE_KEY[kind]] = value
+    return section
 
 
 def make_instance(base="sphere", target="sphere", n_phi=32, n_t=24,
@@ -15,7 +23,6 @@ def make_instance(base="sphere", target="sphere", n_phi=32, n_t=24,
                   weight=("margin", 1.5), base_kw=None, target_kw=None):
     """Small instance factory shared across the test suite: the keyword
     arguments name an axisym-run/1 config, which build_run builds."""
-    (pkind, pval), (wkind, wval) = potential, weight
     aniso_field = {"kind": aniso}
     if aniso.endswith("_profile"):
         aniso_field["vector"] = [0.6, 0.0, 0.8]
@@ -24,9 +31,9 @@ def make_instance(base="sphere", target="sphere", n_phi=32, n_t=24,
         "base_surface": {"preset": base, "params": base_kw or {}},
         "target_surface": {"preset": target, "params": target_kw or {}},
         "grid": {"n_phi": n_phi, "n_t": n_t},
-        "potential": {"kind": pkind, _VALUE_KEY[pkind]: pval},
+        "potential": _kind_section(*potential),
         "aniso_field": aniso_field,
-        "weight": {"kind": wkind, _VALUE_KEY[wkind]: wval},
+        "weight": _kind_section(*weight),
     })
     return mesh, tgt, params
 

@@ -306,6 +306,16 @@ def test_symmetrize_command(tmp_path):
     assert (out / "symmetrized.csv").exists()
 
 
+def test_symmetrize_without_input_field_exits_3(tmp_path, capsys):
+    cfg_path = tmp_path / "run.json"
+    write_config(cfg_path)
+    assert main(["symmetrize", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "o")]) == 3
+    assert ("config error: config.input_field: required"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command", ["minimize", "reduce"])
 def test_kinked_table_potential_exits_3(tmp_path, capsys, command):
     s = np.linspace(-1.2, 1.2, 41)
@@ -320,7 +330,7 @@ def test_kinked_table_potential_exits_3(tmp_path, capsys, command):
     assert "config.potential" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("grid", ["4x4", "16x4", "9x12", "8192x16"])
+@pytest.mark.parametrize("grid", ["4x4", "16x4", "9x12", "8192x16", "8by8"])
 @pytest.mark.parametrize("command", ["minimize", "reduce", "verify", "symmetrize"])
 def test_grid_override_validated(tmp_path, capsys, command, grid):
     cfg_path = tmp_path / "run.json"
@@ -441,6 +451,22 @@ def test_verify_partial_suite_sections_merge_over_defaults(tmp_path):
         "restarts": 0, "max_iters": 4000, "grad_tol": 1e-9, "seed": 0}
 
 
+@pytest.mark.parametrize("section, key", [
+    ({"weight": {"kind": "heavy"}}, "config.weight.kind"),
+    ({"potential": {"kind": "quartic", "lam": "5"}}, "config.potential"),
+], ids=["weight_kind", "potential_string"])
+def test_verify_checks_kind_sections_exit_3(tmp_path, capsys, section, key):
+    # verify builds none of the config's kind sections: load_config must
+    # refuse them before the suite runs
+    cfg_path = tmp_path / "run.json"
+    cfg = dict({"schema": "axisym-run/1"}, **section)
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["verify", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "o")]) == 3
+    assert f"config error: {key}: " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_verify_empty_seeds_exits_3(tmp_path, capsys):
     cfg_path = tmp_path / "verify.json"
     cfg_path.write_text(json.dumps({"schema": "axisym-run/1",
@@ -460,17 +486,22 @@ def test_verify_selecting_no_instance_exits_3(tmp_path, capsys, instances):
             in capsys.readouterr().err)
 
 
-def test_annulus_bad_grid_exits_3(tmp_path):
-    assert main(["annulus", "--n-t", "2", "--n-phi", "8",
-                 "--out", str(tmp_path / "ann")]) == 3
-    # checked before the ring data, which n_phi = 0 leaves empty
-    assert main(["annulus", "--n-t", "16", "--n-phi", "0",
-                 "--out", str(tmp_path / "ann")]) == 3
+def test_annulus_bad_grid_exits_3(tmp_path, capsys):
+    # the suite's annulus section and the flags share one rule
+    for n_t, n_phi, message in (
+            (2, 8, "--n-t: must lie in [3, 4096], got 2"),
+            (4097, 8, "--n-t: must lie in [3, 4096], got 4097"),
+            # checked before the ring data, which n_phi = 0 leaves empty
+            (16, 0, "--n-phi: must lie in [4, 4096], got 0")):
+        assert main(["annulus", "--n-t", str(n_t), "--n-phi", str(n_phi),
+                     "--out", str(tmp_path / "ann")]) == 3
+        assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "ann").exists()
 
 
 @pytest.mark.parametrize("flag, value", [
     ("--kappa", "inf"), ("--kappa", "nan"), ("--inner", "nan,0,0"),
-    ("--outer", "0,0,inf"),
+    ("--outer", "0,0,inf"), ("--inner", "1,2"), ("--inner", "a,b,c"),
 ])
 def test_annulus_non_finite_flag_exits_3(tmp_path, capsys, flag, value):
     out = tmp_path / "ann"
@@ -540,10 +571,30 @@ def test_overflowing_config_number_exits_3(tmp_path, capsys, section, key,
     ({"weight": {"kind": "margin", "margin": True}}, "config.weight"),
     ({"target_surface": {"spline_table": "curve.csv", "closed": "no"}},
      "config.target_surface.closed"),
+    ({"potential": {"kind": "cubic"}}, "config.potential.kind"),
+    ({"aniso_field": {"kind": "radial"}}, "config.aniso_field.kind"),
+    ({"weight": {"kind": "heavy"}}, "config.weight.kind"),
+    ({"weight": {"kind": "general", "table": "omega.csv"}},
+     "config.weight.kind"),
+    ({"boundary": {"kind": "fixed"}}, "config.boundary.kind"),
+    ({"potential": {"kind": "table"}}, "config.potential.table"),
+    ({"weight": {"kind": "t_profile"}}, "config.weight.table"),
+    ({"boundary": {"kind": "dirichlet", "top": {}}},
+     "config.boundary.top.vector"),
+    ({"aniso_field": {"kind": "symmetric_profile", "vector": [0, 0, 1],
+                      "table": "missing.csv"}}, "config.aniso_field"),
+    ({"aniso_field": {"kind": "antisymmetric_profile"}}, "config.aniso_field"),
+    ({"base_surface": {"params": {"radius": 2.0}}}, "config.base_surface"),
+    ({"potential": {"kind": "table", "table": "no_such_table.csv"}},
+     "config.potential"),
+    ({"weight": {"kind": "t_profile", "table": os.devnull}}, "config.weight"),
 ], ids=["aniso_short", "aniso_string", "aniso_nested", "top_short",
         "top_string", "variant", "side_variant", "side_variant_axial",
         "potential_list", "weight_list", "potential_string",
-        "weight_boolean", "closed_string"])
+        "weight_boolean", "closed_string", "potential_kind", "aniso_kind",
+        "weight_kind", "weight_general", "boundary_kind", "potential_table",
+        "weight_table", "top_vector", "profile_both", "profile_neither",
+        "surface_no_curve", "table_missing", "table_empty"])
 def test_bad_config_value_exits_3(tmp_path, capsys, section, key):
     # a malformed value is a config error naming its key, never a traceback
     # (exit 1 is a failed certificate) and never run as something else
@@ -580,6 +631,19 @@ def test_key_of_another_kind_exits_3(tmp_path, capsys, section, key):
     assert not (tmp_path / "o").exists()
 
 
+def test_anisotropy_table_profile(tmp_path):
+    # a constant (t, ax, ay, az) table gives the field of its vector
+    table = tmp_path / "a.csv"
+    table.write_text("t,ax,ay,az\n-1,0.6,0,0.8\n2,0.6,0,0.8\n",
+                     encoding="utf-8")
+    fields = [build_run(write_config(
+        tmp_path / "run.json", aniso_field={"kind": "antisymmetric_profile",
+                                            key: value}))[2].aniso
+        for key, value in (("table", str(table)), ("vector", [0.6, 0, 0.8]))]
+    np.testing.assert_array_equal(fields[0].node_values, fields[1].node_values)
+    assert fields[0].variant == fields[1].variant == "antisymmetric"
+
+
 def test_anisotropy_table_error_names_section(tmp_path, capsys):
     table = tmp_path / "a.csv"
     table.write_text("t,ax,ay,az\n0,1,0,0\n0.5,nan,0,0\n1,1,0,0\n",
@@ -599,10 +663,10 @@ def _omega_table(path, omega):
         "%.17g,%.17g\n" % row for row in zip(t, omega(t))), encoding="utf-8")
 
 
-@pytest.mark.parametrize("kind", ["t_profile", "general"])
+@pytest.mark.parametrize("kind", ["t_profile"])
 def test_weight_table_kinds(tmp_path, capsys, kind):
-    # both table kinds read one (t, omega) CSV: W2 = 2 pi omega(t)^2 at the
-    # mesh nodes, whichever way the circular integral is taken
+    # a table kind reads a (t, omega) CSV: W2 = 2 pi omega(t)^2 at the mesh
+    # nodes
     table = tmp_path / "omega.csv"
     _omega_table(table, lambda t: 1.0 + 0.3 * np.sin(3 * t))
     cfg = write_config(tmp_path / "run.json",

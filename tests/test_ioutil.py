@@ -30,6 +30,15 @@ def test_dumps_refuses_non_finite(bad):
         ioutil.dumps({"x": [1.0, bad]})
 
 
+@pytest.mark.parametrize("bad", [object(), np.array([1.0, 2.0]),
+                                 np.array(1.0), {1, 2}],
+                         ids=["object", "array", "0d_array", "set"])
+def test_dumps_refuses_what_it_cannot_render(bad):
+    # a str() fallback would write a memory address or a lossy array text
+    with pytest.raises(TypeError, match="no JSON rendering"):
+        ioutil.dumps({"a": bad, "b": 1.0})
+
+
 def test_json_file_round_trip(tmp_path):
     obj = {"b": [1, 0.1, None], "a": {"x": True}}
     path = tmp_path / "obj.json"

@@ -134,7 +134,7 @@ def test_main3_pass_on_sphere_free():
     axial = minimize_2d(mesh, tgt, params,
                         SolveConfig(restarts=0, max_iters=4000, grad_tol=1e-9,
                                     seed=0))
-    cert = verify_main3(desc, axial, params, tgt)
+    cert = verify_main3(desc, axial, tgt)
     assert cert.applicable and cert.passed
     # A converged random start finds a field below the axial one (by about
     # 1e-7 relative at this grid) with a ring mean far above the strict
@@ -147,7 +147,7 @@ def test_main3_pass_on_sphere_free():
     assert rep.best_energy.total < axial.best_energy.total
     diag = rep.diagnostics
     assert diag["null_average_norm"] / diag["field_scale"] > 1e-4
-    cert = verify_main3(desc, rep, params, tgt)
+    cert = verify_main3(desc, rep, tgt)
     assert not cert.applicable and cert.passed
     assert "hypothesis unmet" in cert.note
 
@@ -156,7 +156,7 @@ def test_main3_hypothesis_unmet_on_inplane():
     desc, mesh, tgt, params = build("cylinder2_inplane_free", 16, 12)
     rep = minimize_2d(mesh, tgt, params,
                       SolveConfig(restarts=2, max_iters=2500, seed=0))
-    cert = verify_main3(desc, rep, params, tgt)
+    cert = verify_main3(desc, rep, tgt)
     assert not cert.applicable
     assert "hypothesis unmet" in cert.note
 
@@ -166,7 +166,7 @@ def test_main1_applicable_on_torus_band():
     rep = minimize_2d(mesh, tgt, params,
                       SolveConfig(restarts=1, max_iters=2500, grad_tol=1e-9, seed=0))
     main0 = verify_main0(desc, rep, params)
-    cert = verify_main1(main0, rep, params, tgt)
+    cert = verify_main1(main0, rep, tgt)
     assert cert.applicable and cert.instance == desc
     assert set(cert.residuals) >= set(main0.residuals)
 
