@@ -23,15 +23,17 @@ tolerance) or singular system, 3 input error (including a config file that
 is not UTF-8, a key that its section or the section's kind does not take,
 an unknown kind, a missing required key, a profile anisotropy with both or
 neither of vector and table, a table that is missing, empty or not finite,
+a path (a table, outputs, prior_2d, input_field) that is not a string,
 grids outside [8, 4096] or with odd n_phi, annulus --n-t (--n-phi) outside
-[3 (4), 4096], NaN or Infinity in a config or an annulus flag, a config
-number beyond the range of a double such as 1e400, a number given as "5" or
-true, a "closed" that is not a boolean, solver max_iters, restarts or seed
-(or --seed) that are not non-negative integers, suite seeds, chain_fields
-or pw_fields that are not, a suite solver seed (the suite's seeds come only
-from suite.seeds or --seed), unknown suite instance names, kinked potential
-tables where a gradient is needed, and prior_2d or input_field CSVs that do
-not cover the grid).  Restarts run one after another in one thread.
+[3 (4), 4096], NaN or Infinity in a config or an annulus flag, an annulus
+ring vector whose squared norm overflows, a config number beyond the range
+of a double such as 1e400, a number given as "5" or true, a "closed" that
+is not a boolean, solver max_iters, restarts or seed (or --seed) that are
+not non-negative integers, suite seeds, chain_fields or pw_fields that are
+not, a suite solver seed (the suite's seeds come only from suite.seeds or
+--seed), unknown suite instance names, kinked potential tables where a
+gradient is needed, and prior_2d or input_field CSVs that do not cover
+the grid).  Restarts run one after another in one thread.
 """
 
 from __future__ import annotations
@@ -192,8 +194,11 @@ def _ring_vector(text, flag):
         raise ConfigError(f"{flag}: {exc}") from exc
     if len(vector) != 3:
         raise ConfigError(f"{flag}: boundary vectors need three components")
-    if not all(math.isfinite(v) for v in vector):
-        raise ConfigError(f"{flag}: components must be finite, got {text!r}")
+    # the report holds norms of the solution, which the ring data scales
+    if not math.isfinite(sum(v * v for v in vector)):
+        raise ConfigError(f"{flag}: components must be finite, with a "
+                          f"squared norm in the range of a double, "
+                          f"got {text!r}")
     return vector
 
 

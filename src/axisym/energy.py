@@ -26,8 +26,9 @@ transpose are array slices along the t axis (t_diff, t_diff_transpose);
 no matrix is assembled.
 
 All reductions are fixed-order numpy sums, so reruns are bit-identical.
-Everything here runs in numpy, the H^1 preconditioner included; only
-table_potential loads scipy (scipy.interpolate, for its cubic spline).
+Everything here runs in numpy, the H^1 preconditioner and the table
+potential's cubic spline included (geometry.tridiagonal_solve and
+geometry.cubic_spline).
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import dot3, ring_defect, sweep, tangent_project_points
+from .geometry import (cubic_spline, dot3, ring_defect, sweep,
+                       tangent_project_points, tridiagonal_solve)
 from .fields import circular_average_perp
 
 SQRT_2PI = float(np.sqrt(2 * np.pi))
@@ -95,23 +97,24 @@ def quartic_potential(lam):
 
 
 def table_potential(s_samples, g_samples):
-    """Cubic-spline potential through (s, g) samples.
+    """Cubic-spline potential through (s, g) samples (not-a-knot ends,
+    geometry.cubic_spline).
 
     Kinks are flagged when the largest second difference exceeds 1e3 times
-    the median one; the derivative of a kinked table then raises
-    NonDifferentiableError, so every gradient refuses it.
+    the median one; a table of two rows has none.  The derivative of a
+    kinked table raises NonDifferentiableError, so every gradient refuses
+    it.
     """
-    # imported here for the reason given in geometry.spline_curve
-    from scipy.interpolate import CubicSpline
-
-    s = np.asarray(s_samples, dtype=float)
+    g, dg = cubic_spline(s_samples, g_samples)
     gv = np.asarray(g_samples, dtype=float)
-    spl = CubicSpline(s, gv)
     d2 = np.abs(np.diff(gv, 2))
-    denom = max(float(np.median(d2)), 1e-12 * (float(np.max(np.abs(gv))) + 1.0))
-    kinked = bool(np.max(d2, initial=0.0) > 1e3 * denom)
-    return AnisotropyPotential("custom_table", spl,
-                               _refuse_kinked if kinked else spl.derivative(),
+    kinked = False
+    if d2.size:
+        denom = max(float(np.median(d2)),
+                    1e-12 * (float(np.max(np.abs(gv))) + 1.0))
+        kinked = bool(np.max(d2) > 1e3 * denom)
+    return AnisotropyPotential("custom_table", g,
+                               _refuse_kinked if kinked else dg,
                                non_differentiable=kinked)
 
 
@@ -519,36 +522,6 @@ class ProfileFunctional:
 # ---------------------------------------------------------------------------
 # H^1 preconditioner
 # ---------------------------------------------------------------------------
-
-def tridiagonal_solve(lower, diag, upper, rhs):
-    """x with A x = rhs for tridiagonal A, by one forward elimination and
-    one back substitution over the rows (the Thomas algorithm, no
-    pivoting), vectorised over everything else.
-
-    The arguments are real arrays.  Rows run along axis 0 of each and the
-    other axes broadcast: diag and rhs have n rows, lower and upper n - 1,
-    with lower[i] = A[i + 1, i] and upper[i] = A[i, i + 1].  Returns x and
-    the elimination pivots, whose product is det A.  A zero or non-finite
-    pivot gives non-finite entries of x without a floating-point warning;
-    callers check.  All arithmetic is elementwise, so the bits do not
-    depend on the BLAS.
-    """
-    n = len(diag)
-    x = np.empty((n,) + np.broadcast_shapes(
-        *(a.shape[1:] for a in (lower, diag, upper, rhs))))
-    piv = np.empty((n,) + np.broadcast_shapes(
-        *(a.shape[1:] for a in (lower, diag, upper))))
-    with np.errstate(all="ignore"):
-        piv[0], x[0] = diag[0], rhs[0]
-        for i in range(1, n):
-            m = lower[i - 1] / piv[i - 1]
-            piv[i] = diag[i] - m * upper[i - 1]
-            x[i] = rhs[i] - m * x[i - 1]
-        x[-1] /= piv[-1]
-        for i in range(n - 2, -1, -1):
-            x[i] = (x[i] - upper[i] * x[i + 1]) / piv[i]
-    return x, piv
-
 
 class SobolevPreconditioner:
     """Discrete Dirichlet operator plus mass, inverted mode by mode.

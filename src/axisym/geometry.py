@@ -92,6 +92,138 @@ def ring_defect(phi, rows, variant="symmetric"):
 
 
 # ---------------------------------------------------------------------------
+# tridiagonal systems and cubic splines
+# ---------------------------------------------------------------------------
+
+def tridiagonal_solve(lower, diag, upper, rhs):
+    """x with A x = rhs for tridiagonal A, by one forward elimination and
+    one back substitution over the rows (the Thomas algorithm, no
+    pivoting), vectorised over everything else.
+
+    The arguments are real arrays.  Rows run along axis 0 of each and the
+    other axes broadcast: diag and rhs have n rows, lower and upper n - 1,
+    with lower[i] = A[i + 1, i] and upper[i] = A[i, i + 1].  Returns x and
+    the elimination pivots, whose product is det A.  A zero or non-finite
+    pivot gives non-finite entries of x without a floating-point warning;
+    callers check.  All arithmetic is elementwise, so the bits do not
+    depend on the BLAS.
+    """
+    n = len(diag)
+    x = np.empty((n,) + np.broadcast_shapes(
+        *(a.shape[1:] for a in (lower, diag, upper, rhs))))
+    piv = np.empty((n,) + np.broadcast_shapes(
+        *(a.shape[1:] for a in (lower, diag, upper))))
+    with np.errstate(all="ignore"):
+        piv[0], x[0] = diag[0], rhs[0]
+        for i in range(1, n):
+            m = lower[i - 1] / piv[i - 1]
+            piv[i] = diag[i] - m * upper[i - 1]
+            x[i] = rhs[i] - m * x[i - 1]
+        x[-1] /= piv[-1]
+        for i in range(n - 2, -1, -1):
+            x[i] = (x[i] - upper[i] * x[i + 1]) / piv[i]
+    return x, piv
+
+
+def cubic_spline(t, y, periodic=False):
+    """(value, derivative): the cubic spline through the knots (t, y) and its
+    first derivative, as vectorized callables.
+
+    The ends are not-a-knot, or periodic when periodic is set (then y[0]
+    must equal y[-1]); the slopes at the knots solve the same system as
+    scipy.interpolate.CubicSpline's, with its special cases: 2 knots give
+    the line, 3 not-a-knot knots the parabola, 3 periodic knots one common
+    slope.  The not-a-knot system is tridiagonal as it stands.  The periodic
+    one is cyclic: its first n - 2 unknowns solve a tridiagonal system with
+    two right-hand sides (the data, and the column of the last unknown),
+    and the last row then fixes the last unknown.  Outside [t[0], t[-1]]
+    the end cubics extrapolate.  Bad knots are a ValueError: fewer than 2,
+    t not finite and strictly increasing, or periodic ends that differ by
+    more than 1e-15 (absolute plus relative).
+    """
+    t = np.asarray(t, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if t.ndim != 1 or y.shape != t.shape:
+        raise ValueError(f"spline knots and values must be two 1-D arrays "
+                         f"of one length, got shapes {t.shape} and {y.shape}")
+    n = len(t)
+    if n < 2:
+        raise ValueError(f"a cubic spline needs at least 2 knots, got {n}")
+    dt = np.diff(t)
+    if not (np.all(np.isfinite(t)) and np.all(dt > 0)):
+        raise ValueError("spline knots must be finite and strictly increasing")
+    if periodic and not abs(y[0] - y[-1]) <= 1e-15 + 1e-15 * abs(y[-1]):
+        raise ValueError(f"a periodic spline needs equal end values, "
+                         f"got {y[0]:.17g} and {y[-1]:.17g}")
+    slope = np.diff(y) / dt
+    if n == 2:
+        s = np.array([slope[0], slope[0]])
+    elif periodic and n == 3:
+        s = np.full(3, (slope / dt).sum() / (1 / dt).sum())
+    elif periodic:
+        # unknowns s[0..n-2] (s[n-1] = s[0]); row i couples s[i-1], s[i],
+        # s[i+1] cyclically, with coefficients dt[i], 2 (dt[i-1] + dt[i]),
+        # dt[i-1]
+        dprev = np.roll(dt, 1)
+        diag = 2 * (dprev + dt)
+        rhs = 3 * (dt * np.roll(slope, 1) + dprev * slope)
+        # rows 0..n-3 without s[n-2]: two right-hand sides, the data and
+        # minus the column of s[n-2] (nonzero in the first and last row)
+        rhs2 = np.zeros((n - 2, 2))
+        rhs2[:, 0] = rhs[:-1]
+        rhs2[0, 1], rhs2[-1, 1] = -dt[0], -dprev[n - 3]
+        x, _ = tridiagonal_solve(dt[1:n - 2], diag[:n - 2], dprev[:n - 3],
+                                 rhs2)
+        s_last = ((rhs[-1] - dt[-2] * x[0, 0] - dt[-1] * x[-1, 0])
+                  / (diag[-1] + dt[-2] * x[0, 1] + dt[-1] * x[-1, 1]))
+        s = np.empty(n)
+        s[:-2] = x[:, 0] + s_last * x[:, 1]
+        s[-2], s[-1] = s_last, s[0]
+    else:
+        diag = np.empty(n)
+        diag[1:-1] = 2 * (dt[:-1] + dt[1:])
+        lower = np.append(dt[1:], 0.0)    # lower[i] = A[i+1, i]
+        upper = np.insert(dt[:-1], 0, 0.0)    # upper[i] = A[i, i+1]
+        rhs = np.empty(n)
+        rhs[1:-1] = 3 * (dt[1:] * slope[:-1] + dt[:-1] * slope[1:])
+        if n == 3:      # both not-a-knot rows coincide: the parabola
+            diag[0] = diag[-1] = upper[0] = lower[-1] = 1.0
+            rhs[0], rhs[-1] = 2 * slope[0], 2 * slope[-1]
+        else:
+            d0, d1 = t[2] - t[0], t[-1] - t[-3]
+            diag[0], upper[0] = dt[1], d0
+            diag[-1], lower[-1] = dt[-2], d1
+            rhs[0] = ((dt[0] + 2 * d0) * dt[1] * slope[0]
+                      + dt[0] ** 2 * slope[1]) / d0
+            rhs[-1] = (dt[-1] ** 2 * slope[-2]
+                       + (2 * d1 + dt[-1]) * dt[-2] * slope[-1]) / d1
+        s, _ = tridiagonal_solve(lower, diag, upper, rhs)
+    # on [t[i], t[i+1]] the spline is c3 h^3 + c2 h^2 + c1 h + c0, h = u - t[i]
+    w = (s[:-1] + s[1:] - 2 * slope) / dt
+    c3, c2 = w / dt, (slope - s[:-1]) / dt - w
+    # one gather per call from a table of knots and coefficients: the
+    # closest-point bisection calls a curve's four splines tens of thousands
+    # of times per solve
+    inner = t[1:-1]
+    value_table = np.stack([t[:-1], c3, c2, s[:-1], y[:-1]])
+    slope_table = np.stack([t[:-1], 3 * c3, 2 * c2, s[:-1]])
+
+    def value(u):
+        knot, a, b, c, d = value_table.take(inner.searchsorted(u, "right"),
+                                            axis=1)
+        h = u - knot
+        return ((a * h + b) * h + c) * h + d
+
+    def derivative(u):
+        knot, a, b, c = slope_table.take(inner.searchsorted(u, "right"),
+                                         axis=1)
+        h = u - knot
+        return (a * h + b) * h + c
+
+    return value, derivative
+
+
+# ---------------------------------------------------------------------------
 # generating curves
 # ---------------------------------------------------------------------------
 
@@ -237,27 +369,20 @@ def preset_curve(name, **kw):
 
 
 def spline_curve(t_samples, x_samples, z_samples, closed=False):
-    """Cubic-spline generating curve through (t, x, z) sample tables."""
-    # imported here, not at module level: scipy.interpolate also loads
-    # scipy.optimize and scipy.special, which would double the start-up of
-    # every run that builds no spline
-    from scipy.interpolate import CubicSpline
-
-    t = np.asarray(t_samples, dtype=float)
-    bc = "periodic" if closed else "not-a-knot"
-    sx = CubicSpline(t, np.asarray(x_samples, dtype=float), bc_type=bc)
-    sz = CubicSpline(t, np.asarray(z_samples, dtype=float), bc_type=bc)
-    dsx, dsz = sx.derivative(), sz.derivative()
-    t0, t1 = float(t[0]), float(t[-1])
+    """Cubic-spline generating curve through (t, x, z) sample tables, with
+    not-a-knot ends, or periodic ones when closed (cubic_spline)."""
+    x, dx = cubic_spline(t_samples, x_samples, periodic=closed)
+    z, dz = cubic_spline(t_samples, z_samples, periodic=closed)
+    t0, t1 = float(t_samples[0]), float(t_samples[-1])
     if closed:
         period = t1 - t0
 
         def wrap(f):
             return lambda s: f((np.asarray(s, dtype=float) - t0) % period + t0)
 
-        return GeneratingCurve((t0, t1), x=wrap(sx), z=wrap(sz),
-                               dx=wrap(dsx), dz=wrap(dsz), closed=True)
-    return GeneratingCurve((t0, t1), x=sx, z=sz, dx=dsx, dz=dsz)
+        return GeneratingCurve((t0, t1), x=wrap(x), z=wrap(z),
+                               dx=wrap(dx), dz=wrap(dz), closed=True)
+    return GeneratingCurve((t0, t1), x=x, z=z, dx=dx, dz=dz)
 
 
 # ---------------------------------------------------------------------------

@@ -55,24 +55,27 @@ _SOLVER_INTEGERS = ("max_iters", "restarts", "seed")
 _ANNULUS_KEYS = {"kappas", "n_t", "n_phi"}
 
 _REQUIRED = object()            # the default of a key that has none
+_PATH = object()                # that of a file path, which has none
+_OPTIONAL_PATH = object()       # that of a file path that may be left out
 
 # section -> kind -> {key: default} of the keys it takes besides "kind", the
 # section's default kind first; a surface's kind is the key naming its curve.
-# A key with a number (boolean) default takes only a number (boolean); a
-# profile anisotropy takes exactly one of "vector" and "table"
-_SURFACE_KINDS = {"spline_table": {"spline_table": _REQUIRED, "closed": False},
+# A key with a number (boolean) default takes only a number (boolean), a
+# path key only a string; a profile anisotropy takes exactly one of
+# "vector" and "table"
+_SURFACE_KINDS = {"spline_table": {"spline_table": _PATH, "closed": False},
                   "preset": {"preset": _REQUIRED, "params": {}}}
-_PROFILE = {"vector": None, "table": None}
+_PROFILE = {"vector": None, "table": _OPTIONAL_PATH}
 _KIND_KEYS = {
     "base_surface": _SURFACE_KINDS, "target_surface": _SURFACE_KINDS,
     "potential": {"quartic": {"lam": 1.0}, "quadratic": {"kappa": 1.0},
                   "easy_normal": {"kappa": -1.0},
-                  "table": {"table": _REQUIRED}},
+                  "table": {"table": _PATH}},
     "aniso_field": {"surface_normal": {}, "constant_e3": {},
                     "symmetric_profile": _PROFILE,
                     "antisymmetric_profile": _PROFILE},
     "weight": {"zero": {}, "constant": {"lam": 1.0}, "margin": {"margin": 1.5},
-               "t_profile": {"table": _REQUIRED}},
+               "t_profile": {"table": _PATH}},
     "boundary": {"free": {}, "dirichlet": {"bottom": None, "top": None,
                                            "variant": "symmetric"}},
 }
@@ -210,9 +213,13 @@ def _section(section, where):
     values = {}
     for key, default in keys.items():
         value = section.get(key, default)
-        if value is _REQUIRED:
+        if value is _REQUIRED or value is _PATH:
             raise ConfigError(f"{where}.{key}: required")
-        if isinstance(default, float):
+        if default is _OPTIONAL_PATH and (value is default or value is None):
+            value = None
+        elif default is _PATH or default is _OPTIONAL_PATH:
+            _path(value, f"{where}.{key}")
+        elif isinstance(default, float):
             value = _number(value, f"{where}: {key}")
         elif isinstance(default, bool) and not isinstance(value, bool):
             raise ConfigError(f"{where}.{key}: expected a boolean, "
@@ -247,6 +254,9 @@ def load_config(path):
                             f"config.boundary.{side}")
     if "variant" in cfg:
         _variant(cfg["variant"], "config.variant")
+    for key in ("outputs", "prior_2d", "input_field"):
+        if key in cfg:
+            _path(cfg[key], f"config.{key}")
     if "suite" in cfg:
         suite_config(cfg["suite"])
     return cfg
@@ -404,6 +414,15 @@ def _vector(value, where):
     if vector.shape != (3,):
         raise ConfigError(f"{where}: expected three numbers, got {value!r}")
     return vector
+
+
+def _path(value, where):
+    """value if it is a string, or ConfigError naming `where`: a number
+    given as a path would open a file descriptor (0 reads stdin)."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{where}: expected a file path (a string), "
+                          f"got {value!r}")
+    return value
 
 
 def _variant(value, where):

@@ -51,7 +51,6 @@ from .energy import (
     euclidean_gradient,
     hypothesis_margin,
     total_energy,
-    tridiagonal_solve,
 )
 from .fields import (
     DiscreteField,
@@ -71,6 +70,7 @@ from .geometry import (
     ring_defect,
     rotate,
     tangent_frame,
+    tridiagonal_solve,
 )
 
 
@@ -613,7 +613,7 @@ def solve_annulus_example(n_t, n_phi, kappa, b1, b2):
     are harmonic, the vertical part carries the +kappa zero-order term.
     The 3-point phi-stencil has symbol mu_k = (2 - 2 cos k dphi)/dphi^2 on
     the phi Fourier mode k, so after an rfft of the ring data every mode is
-    a tridiagonal radial problem.  One sweep (energy.tridiagonal_solve)
+    a tridiagonal radial problem.  One sweep (geometry.tridiagonal_solve)
     solves them all: modes are stacked, real and imaginary parts of each
     component are columns, and each column carries its own shift (0 for x
     and y, kappa for z).  The sweep does not pivot; a kappa at or near a

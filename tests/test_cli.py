@@ -118,15 +118,18 @@ def test_bad_preset_parameter_exits_3(tmp_path, capsys, params, message):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("rows", [
-    "0,1,0\n1,1,1\n0.5,1,2\n",
-    "0,1,0\n1,-1,1\n2,1,2\n3,1,3\n",
-], ids=["t_not_increasing", "x_negative"])
-def test_bad_spline_table_exits_3(tmp_path, capsys, rows):
+@pytest.mark.parametrize("rows, closed", [
+    ("0,1,0\n1,1,1\n0.5,1,2\n", False),
+    ("0,1,0\n1,-1,1\n2,1,2\n3,1,3\n", False),
+    ("0,1,0\n", False),
+    ("0,2,0\n1,3,1\n2,2,0\n3,1,-1\n4,2,1e-14\n", True),
+], ids=["t_not_increasing", "x_negative", "one_row", "closed_ends_differ"])
+def test_bad_spline_table_exits_3(tmp_path, capsys, rows, closed):
     table = tmp_path / "curve.csv"
     table.write_text("t,x,z\n" + rows, encoding="utf-8")
     cfg_path = tmp_path / "run.json"
-    write_config(cfg_path, target_surface={"spline_table": str(table)})
+    write_config(cfg_path, target_surface={"spline_table": str(table),
+                                           "closed": closed})
     assert main(["minimize", "--config", str(cfg_path),
                  "--out", str(tmp_path / "o")]) == 3
     assert "config.target_surface" in capsys.readouterr().err
@@ -502,6 +505,9 @@ def test_annulus_bad_grid_exits_3(tmp_path, capsys):
 @pytest.mark.parametrize("flag, value", [
     ("--kappa", "inf"), ("--kappa", "nan"), ("--inner", "nan,0,0"),
     ("--outer", "0,0,inf"), ("--inner", "1,2"), ("--inner", "a,b,c"),
+    # finite components whose squared norm overflows: the report's norms
+    # of the solution would be infinite
+    ("--inner", "1e200,0,0"), ("--outer", "1e154,1e154,1e154"),
 ])
 def test_annulus_non_finite_flag_exits_3(tmp_path, capsys, flag, value):
     out = tmp_path / "ann"
@@ -588,13 +594,28 @@ def test_overflowing_config_number_exits_3(tmp_path, capsys, section, key,
     ({"potential": {"kind": "table", "table": "no_such_table.csv"}},
      "config.potential"),
     ({"weight": {"kind": "t_profile", "table": os.devnull}}, "config.weight"),
+    # a number given as a path would open a file descriptor (0 is stdin)
+    ({"potential": {"kind": "table", "table": 5}}, "config.potential.table"),
+    ({"potential": {"kind": "table", "table": 0}}, "config.potential.table"),
+    ({"weight": {"kind": "t_profile", "table": True}}, "config.weight.table"),
+    ({"aniso_field": {"kind": "symmetric_profile", "table": 0}},
+     "config.aniso_field.table"),
+    ({"target_surface": {"spline_table": 0}},
+     "config.target_surface.spline_table"),
+    ({"prior_2d": 5}, "config.prior_2d"),
+    ({"input_field": 0}, "config.input_field"),
+    ({"outputs": ["o"]}, "config.outputs"),
 ], ids=["aniso_short", "aniso_string", "aniso_nested", "top_short",
         "top_string", "variant", "side_variant", "side_variant_axial",
         "potential_list", "weight_list", "potential_string",
         "weight_boolean", "closed_string", "potential_kind", "aniso_kind",
         "weight_kind", "weight_general", "boundary_kind", "potential_table",
         "weight_table", "top_vector", "profile_both", "profile_neither",
-        "surface_no_curve", "table_missing", "table_empty"])
+        "surface_no_curve", "table_missing", "table_empty",
+        "potential_table_number", "potential_table_stdin",
+        "weight_table_boolean", "profile_table_number",
+        "spline_table_number", "prior_2d_number", "input_field_number",
+        "outputs_list"])
 def test_bad_config_value_exits_3(tmp_path, capsys, section, key):
     # a malformed value is a config error naming its key, never a traceback
     # (exit 1 is a failed certificate) and never run as something else
@@ -683,44 +704,43 @@ def test_weight_table_kinds(tmp_path, capsys, kind):
         assert "config error: config.weight: " in capsys.readouterr().err
 
 
-_STARTUP_SCRIPT = """
+def _fresh_python(args, cwd):
+    """Run `python args` in a fresh interpreter that imports axisym from
+    this checkout's sources."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, cwd=cwd)
+
+
+_NO_SCIPY_RUNS_SCRIPT = """
 import sys
 from pathlib import Path
-
-import numpy as np
-
+sys.modules["scipy"] = None          # any scipy import now fails
 from axisym.cli import main
 
 work = Path(sys.argv[1])
-assert main(["minimize", "--config", str(work / "run.json"),
-             "--out", str(work / "min")]) == 0
-assert main(["verify", "--config", str(work / "verify.json"),
-             "--out", str(work / "verify")]) == 0
-assert main(["annulus", "--n-t", "16", "--n-phi", "8",
-             "--out", str(work / "ann")]) == 0
-assert not [m for m in sys.modules if m.split(".")[0] == "scipy"], \
-    "scipy loaded without a spline"
-
-from axisym.runconfig import build_run, load_config
-from scipy.interpolate import CubicSpline
-mesh, target, params, _ = build_run(load_config(work / "spline.json"))
-curve, pot = target.curve, params.potential
-t, x, z = np.loadtxt(work / "curve.csv", delimiter=",", skiprows=1).T
-s, g = np.loadtxt(work / "potential.csv", delimiter=",", skiprows=1).T
-sx, sz, sg = CubicSpline(t, x), CubicSpline(t, z), CubicSpline(s, g)
-tp, sp = np.linspace(t[0], t[-1], 97), np.linspace(-1.2, 1.2, 97)
-for ours, ref in ((curve.x, sx), (curve.z, sz), (curve.dx, sx.derivative()),
-                  (curve.dz, sz.derivative())):
-    np.testing.assert_array_equal(ours(tp), ref(tp))
-np.testing.assert_array_equal(pot.g(sp), sg(sp))
-np.testing.assert_array_equal(pot.dg(sp), sg.derivative()(sp))
+for argv, codes in (
+        (["minimize", "--config", "run.json", "--out", "min"], (0,)),
+        (["verify", "--config", "verify.json", "--out", "verify"], (0,)),
+        (["annulus", "--n-t", "16", "--n-phi", "8", "--out", "ann"], (0,)),
+        (["minimize", "--config", "spline.json", "--out", "spline"], (0, 2)),
+        (["reduce", "--config", "spline.json", "--out", "spline_red"], (0, 2)),
+        (["minimize", "--config", "loop.json", "--out", "loop"], (0, 2))):
+    rc = main(argv)
+    assert rc in codes, (argv, rc)
 """
 
 
-def test_scipy_interpolate_loads_only_for_splines(tmp_path):
-    # a fresh interpreter: minimize, verify and annulus runs on presets do
-    # without scipy, which spline tables and table potentials still load
-    # (scipy.interpolate), with the same cubic splines as scipy's own
+def test_no_run_loads_scipy(tmp_path):
+    # a fresh interpreter with scipy blocked runs minimize, verify and
+    # annulus on presets, and minimize and reduce on spline tables (an open
+    # target, a closed one) with a table potential; the splines agree with
+    # scipy's CubicSpline, which the tests alone use, to rounding
+    from scipy.interpolate import CubicSpline
+
     write_config(tmp_path / "run.json")
     (tmp_path / "verify.json").write_text(json.dumps({
         "schema": "axisym-run/1", "suite": {
@@ -731,21 +751,69 @@ def test_scipy_interpolate_loads_only_for_splines(tmp_path):
     (tmp_path / "curve.csv").write_text("t,x,z\n" + "".join(
         "%.17g,%.17g,%.17g\n" % row
         for row in zip(t, 1.2 + np.sin(t), 1.5 * np.cos(t))), encoding="utf-8")
+    u = np.linspace(0.0, 2 * np.pi, 25)
+    (tmp_path / "loop.csv").write_text("t,x,z\n" + "".join(
+        "%.17g,%.17g,%.17g\n" % row
+        for row in zip(u, 2 + 0.7 * np.cos(u), 0.9 * np.sin(u))),
+        encoding="utf-8")
     s = np.linspace(-3.0, 3.0, 25)
     (tmp_path / "potential.csv").write_text("s,g\n" + "".join(
         "%.17g,%.17g\n" % row for row in zip(s, (1 - s ** 2) ** 2)),
         encoding="utf-8")
+    table = {"kind": "table", "table": str(tmp_path / "potential.csv")}
     write_config(tmp_path / "spline.json",
                  target_surface={"spline_table": str(tmp_path / "curve.csv")},
-                 potential={"kind": "table",
-                            "table": str(tmp_path / "potential.csv")})
-    src = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", _STARTUP_SCRIPT, str(tmp_path)],
-                          capture_output=True, text=True, env=env, cwd=tmp_path)
+                 potential=table)
+    write_config(tmp_path / "loop.json",
+                 target_surface={"spline_table": str(tmp_path / "loop.csv"),
+                                 "closed": True},
+                 potential=table, solver={"restarts": 0, "max_iters": 100,
+                                          "seed": 0})
+    proc = _fresh_python(["-c", _NO_SCIPY_RUNS_SCRIPT, str(tmp_path)], tmp_path)
     assert proc.returncode == 0, proc.stderr
+    for name in ("min", "spline", "loop"):
+        assert (tmp_path / name / "field.csv").stat().st_size > 0, name
+
+    _, open_target, params, _ = build_run(ioutil.read_json(
+        tmp_path / "spline.json"))
+    _, loop_target, _, _ = build_run(ioutil.read_json(tmp_path / "loop.json"))
+    tp = np.linspace(t[0] - 0.3, t[-1] + 0.3, 97)      # ends extrapolate
+    up = np.linspace(u[0], u[-1], 97)
+    for curve, knots, x, z, bc, probe in (
+            (open_target.curve, t, 1.2 + np.sin(t), 1.5 * np.cos(t),
+             "not-a-knot", tp),
+            (loop_target.curve, u, 2 + 0.7 * np.cos(u), 0.9 * np.sin(u),
+             "periodic", up)):
+        sx, sz = (CubicSpline(knots, v, bc_type=bc) for v in (x, z))
+        for ours, ref in ((curve.x, sx), (curve.z, sz),
+                          (curve.dx, sx.derivative()),
+                          (curve.dz, sz.derivative())):
+            np.testing.assert_allclose(ours(probe), ref(probe), rtol=1e-13,
+                                       atol=1e-13)
+    sg = CubicSpline(s, (1 - s ** 2) ** 2)
+    sp = np.linspace(-3.3, 3.3, 97)
+    np.testing.assert_allclose(params.potential.g(sp), sg(sp), rtol=1e-13)
+    np.testing.assert_allclose(params.potential.dg(sp), sg.derivative()(sp),
+                               rtol=1e-13, atol=1e-13)
+
+
+_TWO_ROW_TABLE_SCRIPT = """
+import sys
+from axisym.cli import main
+sys.exit(main(["minimize", "--config", "run.json", "--out", "min"]))
+"""
+
+
+def test_two_row_table_potential_runs_without_warnings(tmp_path):
+    # a two-row table has no second difference to test for kinks; its
+    # median was a numpy warning (an error under -W error)
+    (tmp_path / "g.csv").write_text("s,g\n-1,1\n1,1\n", encoding="utf-8")
+    write_config(tmp_path / "run.json",
+                 potential={"kind": "table", "table": "g.csv"})
+    proc = _fresh_python(["-W", "error", "-c", _TWO_ROW_TABLE_SCRIPT],
+                         tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
 
 
 _NO_SCIPY_SCRIPT = """
@@ -767,12 +835,7 @@ def test_preset_solves_need_no_scipy_above_64_rows(tmp_path):
                  aniso_field={"kind": "surface_normal"},
                  weight={"kind": "margin", "margin": 1.5},
                  solver={"restarts": 0, "max_iters": 60, "seed": 0})
-    src = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT],
-                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    proc = _fresh_python(["-c", _NO_SCIPY_SCRIPT], tmp_path)
     assert proc.returncode == 0, proc.stderr
     for name in ("minimize/field.csv", "minimize/report.json",
                  "reduce/profile_symmetric.csv",

@@ -330,6 +330,16 @@ def test_constant_e3_on_cylinder_tangent_gradient_zero():
     assert np.max(np.abs(g)) < 1e-12
 
 
+def test_two_row_table_potential_is_the_line():
+    # no second difference, so no kink: the spline is the line through
+    # both rows, with its slope as derivative
+    pot = table_potential([-1.0, 1.0], [1.0, 2.0])
+    assert not pot.non_differentiable
+    s = np.linspace(-1.5, 1.5, 7)
+    np.testing.assert_allclose(pot.g(s), 1.5 + 0.5 * s, rtol=1e-15)
+    np.testing.assert_allclose(pot.dg(s), 0.5, rtol=1e-15)
+
+
 def test_table_potential_gradient_and_kink_refusal():
     mesh, tgt, _ = make_instance(n_phi=16, n_t=12)
     s = np.linspace(-1.2, 1.2, 41)

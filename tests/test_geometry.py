@@ -12,6 +12,7 @@ from axisym.geometry import (
     GeometryError,
     RegularityError,
     build_mesh,
+    cubic_spline,
     curve_parameter_of_closest,
     dot3,
     never_flat_check,
@@ -507,6 +508,102 @@ def test_spline_curve_roundtrip():
     spl = spline_curve(t, 1 + 0.2 * t, t**2)
     mesh = build_mesh(surface(spl), 8, 16)
     assert mesh.area() > 0
+
+
+def _spline_knots(rng, n):
+    """n increasing knots on [-2, 2], equispaced with a random jitter."""
+    return np.linspace(-2.0, 2.0, n) + rng.uniform(-0.3, 0.3, n) * 4.0 / n
+
+
+@pytest.mark.parametrize("n", [4, 5, 9, 40])
+def test_cubic_spline_reproduces_any_cubic(n):
+    # not-a-knot ends: a cubic is its own spline, extrapolation included
+    rng = np.random.default_rng(n)
+    t = _spline_knots(rng, n)
+    p = np.polynomial.Polynomial(rng.normal(size=4))
+    value, derivative = cubic_spline(t, p(t))
+    u = np.linspace(t[0] - 0.5, t[-1] + 0.5, 201)
+    np.testing.assert_allclose(value(u), p(u), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(derivative(u), p.deriv()(u), rtol=1e-12,
+                               atol=1e-12)
+
+
+def test_cubic_spline_small_tables():
+    # 3 not-a-knot knots give the parabola through them, 2 knots the line,
+    # whatever the ends
+    u = np.linspace(-1.0, 3.0, 41)
+    q = np.polynomial.Polynomial([0.7, -1.3, 2.1])
+    value, derivative = cubic_spline([-0.5, 0.2, 1.9], q([-0.5, 0.2, 1.9]))
+    np.testing.assert_allclose(value(u), q(u), rtol=1e-14, atol=1e-14)
+    np.testing.assert_allclose(derivative(u), q.deriv()(u), rtol=1e-14,
+                               atol=1e-14)
+    for periodic, y in ((False, [0.5, 2.0]), (True, [0.5, 0.5])):
+        value, derivative = cubic_spline([0.3, 1.1], y, periodic=periodic)
+        line = y[0] + (y[1] - y[0]) / 0.8 * (u - 0.3)
+        np.testing.assert_allclose(value(u), line, rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(derivative(u), (y[1] - y[0]) / 0.8,
+                                   rtol=1e-14)
+
+
+def _piece_derivatives(derivative, t):
+    """(second derivative at the left end, at the right end, third
+    derivative) of each cubic piece of a spline, exact to rounding: the
+    derivative is a quadratic on each piece, read off at its quarter
+    points."""
+    h = np.diff(t)
+    d1, d2, d3 = (derivative(t[:-1] + f * h) for f in (0.25, 0.5, 0.75))
+    third = (d1 - 2 * d2 + d3) / (h / 4) ** 2
+    mid = (d3 - d1) / (h / 2)
+    return mid - third * h / 2, mid + third * h / 2, third
+
+
+@pytest.mark.parametrize("n", [5, 12, 40])
+def test_not_a_knot_spline_is_c2_with_one_cubic_on_each_end_pair(n):
+    # C2 at every interior knot; not-a-knot: the third derivative does not
+    # jump at t[1] and t[-2]
+    rng = np.random.default_rng(n)
+    t = _spline_knots(rng, n)
+    y = rng.normal(size=n)
+    value, derivative = cubic_spline(t, y)
+    np.testing.assert_allclose(value(t), y, rtol=1e-14, atol=1e-14)
+    left, right, third = _piece_derivatives(derivative, t)
+    np.testing.assert_allclose(left[1:], right[:-1], rtol=1e-11, atol=1e-11)
+    np.testing.assert_allclose(third[[1, -2]], third[[0, -1]], rtol=1e-11,
+                               atol=1e-11)
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 25])
+def test_periodic_cubic_spline_is_c2_across_the_seam(n):
+    # every knot is interpolated, and the last cubic ends where the first
+    # begins with the same slope and curvature
+    rng = np.random.default_rng(n)
+    t = _spline_knots(rng, n)
+    y = rng.normal(size=n)
+    y[-1] = y[0]
+    value, derivative = cubic_spline(t, y, periodic=True)
+    np.testing.assert_allclose(value(t), y, rtol=1e-14, atol=1e-14)
+    # t[-1] lies in the last interval, t[0] in the first
+    assert abs(value(t[-1]) - value(t[0])) < 1e-14
+    assert abs(derivative(t[-1]) - derivative(t[0])) < 1e-12
+    left, right, _ = _piece_derivatives(derivative, t)
+    np.testing.assert_allclose(np.roll(left, -1), right, rtol=1e-11, atol=1e-11)
+
+
+@pytest.mark.parametrize("t, y, periodic, message", [
+    ([0.0], [1.0], False, "at least 2 knots"),
+    ([0.0, 1.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0], False, "strictly increasing"),
+    ([0.0, 2.0, 1.0], [0.0, 1.0, 2.0], False, "strictly increasing"),
+    ([0.0, np.nan, 2.0], [0.0, 1.0, 2.0], False, "finite"),
+    ([0.0, 1.0, 2.0], [0.0, 1.0, 1e-14], True, "equal end values"),
+])
+def test_cubic_spline_refuses_bad_knots(t, y, periodic, message):
+    with pytest.raises(ValueError, match=message):
+        cubic_spline(t, y, periodic=periodic)
+
+
+def test_periodic_cubic_spline_accepts_ends_equal_to_rounding():
+    # scipy's test: |y[0] - y[-1]| <= 1e-15 + 1e-15 |y[-1]|
+    cubic_spline([0.0, 1.0, 2.0], [1.0, 3.0, 1.0 + 1e-15], periodic=True)
 
 
 def test_project_torus_brute_force_oracle():
