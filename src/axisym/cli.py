@@ -32,8 +32,11 @@ is not a boolean, solver max_iters, restarts or seed (or --seed) that are
 not non-negative integers, suite seeds, chain_fields or pw_fields that are
 not, a suite solver seed (the suite's seeds come only from suite.seeds or
 --seed), unknown suite instance names, kinked potential tables where a
-gradient is needed, and prior_2d or input_field CSVs that do not cover
-the grid).  Restarts run one after another in one thread.
+gradient is needed, prior_2d or input_field CSVs that do not cover the
+grid, and a prior_2d report.json without a finite number at
+best_energy.total; reduce checks prior_2d before it solves or writes
+anything, and verify refuses a config's instance sections as minimize
+does).  Restarts run one after another in one thread.
 """
 
 from __future__ import annotations
@@ -119,9 +122,36 @@ def cmd_minimize(args):
     return EXIT_OK if report.converged else EXIT_NOT_CONVERGED
 
 
+def _read_prior(prior, mesh, target):
+    """(best energy, best field) of the 2D run in the directory prior: a
+    finite number at best_energy.total of its report.json, and its
+    field.csv on the grid; or ConfigError naming config.prior_2d."""
+    where = "config.prior_2d"
+    try:
+        report = ioutil.read_json(Path(prior) / "report.json")
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    try:
+        energy = report["best_energy"]["total"]
+    except (KeyError, TypeError):
+        energy = None
+    if (isinstance(energy, bool) or not isinstance(energy, (int, float))
+            or not math.isfinite(energy)):
+        raise ConfigError(f"{where}: report.json needs a finite number at "
+                          f"best_energy.total, got {energy!r}")
+    try:
+        field = field_from_csv(Path(prior) / "field.csv", mesh, target)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    return float(energy), field
+
+
 def cmd_reduce(args):
     cfg = load_config(args.config)
     mesh, target, params, sc = build_run(cfg, args.seed, _parse_grid(args.grid))
+    prior = cfg.get("prior_2d")
+    if prior:
+        e2d, prior_field = _read_prior(prior, mesh, target)
     out = Path(args.out or cfg.get("outputs", "out"))
     out.mkdir(parents=True, exist_ok=True)
     comment, digest = _provenance(cfg, sc.seed)
@@ -142,17 +172,10 @@ def cmd_reduce(args):
         if rep.diagnostics.get("variant_mismatch_warning"):
             payload[f"{variant}_warning"] = ("anisotropy variant differs from "
                                              "profile variant")
-    prior = cfg.get("prior_2d")
     if prior:
-        try:
-            prior_report = ioutil.read_json(Path(prior) / "report.json")
-            prior_field = field_from_csv(Path(prior) / "field.csv", mesh, target)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"config.prior_2d: {exc}") from exc
         best_variant = min(fields_by_variant,
                            key=lambda v: fields_by_variant[v].best_energy.total)
         rep = fields_by_variant[best_variant]
-        e2d = float(prior_report["best_energy"]["total"])
         gap = abs(rep.best_energy.total - e2d) / max(abs(e2d), 1e-30)
         diff = rep.best_field.values - prior_field.values
         l2 = float(np.sqrt(np.sum(mesh.quad_weights * np.sum(diff ** 2, -1))))
@@ -168,8 +191,10 @@ def cmd_reduce(args):
 
 def cmd_verify(args):
     cfg = load_config(args.config) if args.config else {"schema": RUN_SCHEMA}
-    suite_cfg = suite_config(cfg.get("suite"), args.seed,
-                             _parse_grid(args.grid))
+    grid = _parse_grid(args.grid)
+    # the config's instance sections are checked as minimize checks them
+    build_run(cfg, args.seed, grid)
+    suite_cfg = suite_config(cfg.get("suite"), args.seed, grid)
     # run_suite would run a suite that checks nothing; the command refuses it
     if not suite_cfg["seeds"]:
         raise ConfigError("config.suite.seeds: needs at least one seed")

@@ -38,8 +38,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import (cubic_spline, dot3, ring_defect, sweep,
-                       tangent_project_points, tridiagonal_solve)
+from .geometry import (cubic_spline, dot3, sweep, tangent_project_points,
+                       tridiagonal_solve)
 from .fields import circular_average_perp
 
 SQRT_2PI = float(np.sqrt(2 * np.pi))
@@ -55,12 +55,12 @@ class NonDifferentiableError(ValueError):
 
 @dataclass(frozen=True)
 class AnisotropyPotential:
-    """Nonnegative Lipschitz penalty g of the alignment s = m . a."""
+    """Nonnegative Lipschitz penalty g of the alignment s = m . a; the dg of
+    a kinked table raises NonDifferentiableError."""
 
     kind: str
     g: Callable
     dg: Callable
-    non_differentiable: bool = False
 
     def check_range(self, smax):
         """Scan [-smax, smax] at 10000 points: g must be nonnegative."""
@@ -114,8 +114,7 @@ def table_potential(s_samples, g_samples):
                     1e-12 * (float(np.max(np.abs(gv))) + 1.0))
         kinked = bool(np.max(d2) > 1e3 * denom)
     return AnisotropyPotential("custom_table", g,
-                               _refuse_kinked if kinked else dg,
-                               non_differentiable=kinked)
+                               _refuse_kinked if kinked else dg)
 
 
 def _refuse_kinked(s):
@@ -181,8 +180,9 @@ def weight_constant(mesh, lam):
 
 
 def weight_t_profile(mesh, omega0):
-    """omega depending on t only; W^2 = 2 pi omega0(t)^2."""
-    om = omega0(mesh.t) if callable(omega0) else np.asarray(omega0, dtype=float)
+    """omega depending on t only, sampled at the t nodes (n_t,);
+    W^2 = 2 pi omega0^2."""
+    om = np.asarray(omega0, dtype=float)
     if np.any(om < 0):
         raise ValueError("omega must be nonnegative")
     vals = np.broadcast_to(om, mesh.shape).copy()
@@ -199,26 +199,17 @@ def weight_margin_profile(mesh, margin):
     return weight_t_profile(mesh, margin / mesh.h1)
 
 
-def weight_general(mesh, omega):
-    """omega(phi, t) sampled at nodes; W^2 by the rectangle rule in phi."""
-    vals = omega(mesh.phi[:, None], mesh.t[None, :]) if callable(omega) \
-        else np.asarray(omega, dtype=float)
-    if vals.shape != mesh.shape:
-        raise ValueError("omega samples must have shape (n_phi, n_t)")
-    if np.any(vals < 0):
-        raise ValueError("omega must be nonnegative")
-    W2 = mesh.dphi * np.sum(vals ** 2, axis=0)
-    return Weight(W2, vals.copy())
-
-
 @dataclass(frozen=True)
 class MarginReport:
-    """min/sup of h1(t) W(t) over mesh nodes and the strict-hypothesis flag."""
+    """min/sup of h1(t) W(t) over mesh nodes, and the hypothesis state they
+    give."""
 
     min_h1w: float
-    strict: bool
     sup_h1w: float
-    sup_finite: bool
+
+    @property
+    def strict(self):
+        return self.min_h1w > SQRT_2PI
 
     @property
     def borderline(self):
@@ -238,7 +229,7 @@ class MarginReport:
 def hypothesis_margin(mesh, weight):
     h1w = mesh.h1 * np.sqrt(weight.W2)
     lo, hi = float(np.min(h1w)), float(np.max(h1w))
-    return MarginReport(lo, bool(lo > SQRT_2PI), hi, bool(np.isfinite(hi)))
+    return MarginReport(lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -247,19 +238,18 @@ def hypothesis_margin(mesh, weight):
 
 @dataclass(frozen=True)
 class BoundaryCondition:
-    """'free', or Dirichlet rows pinned at the ends of the t-range."""
+    """Dirichlet rows pinned at the ends of the t-range; free without
+    rows."""
 
-    kind: str = "free"
     bottom: Optional[np.ndarray] = None   # (n_phi, 3) or None
     top: Optional[np.ndarray] = None
-    variant: str = "symmetric"
 
     @property
     def pinned(self):
         """{row: data} of the pinned end rows, the top row as -1: t is axis
         -2 of fields (n_phi, n_t, 3) and profiles (n_t, 3) alike."""
-        ends = {0: self.bottom, -1: self.top} if self.kind == "dirichlet" else {}
-        return {row: data for row, data in ends.items() if data is not None}
+        return {row: data for row, data in ((0, self.bottom), (-1, self.top))
+                if data is not None}
 
     def frozen_rows(self, n_t):
         return [row % n_t for row in self.pinned]
@@ -292,18 +282,15 @@ def make_params(mesh, target, potential, aniso, weight, boundary=None):
     """Assemble and validate EnergyParams for one instance.
 
     The potential is checked for nonnegativity on the realized alignment
-    range |m . a| <= max|gamma_T| max|a|, and Dirichlet rows must match
-    their declared symmetry variant.
+    range |m . a| <= max|gamma_T| max|a|.  Dirichlet rows may take any
+    values: the 2D solve pins them as they are, and the 1D reduction
+    checks that its variant's sweep meets them.
     """
     boundary = boundary or BoundaryCondition()
-    ts = np.linspace(*target.curve.interval, 2048)
-    r_target = float(np.max(np.hypot(target.curve.x(ts), target.curve.z(ts))))
+    ts = np.linspace(*target.interval, 2048)
+    r_target = float(np.max(np.hypot(target.x(ts), target.z(ts))))
     smax = r_target * float(np.max(np.linalg.norm(aniso.node_values, axis=-1)))
     potential.check_range(max(smax, 1e-9))
-    if boundary.kind == "dirichlet":
-        for row in (boundary.bottom, boundary.top):
-            if row is not None and ring_defect(mesh.phi, row, boundary.variant) > 1e-10:
-                raise ValueError("Dirichlet data does not match its declared variant")
     return EnergyParams(potential, aniso, weight, boundary)
 
 
@@ -333,7 +320,7 @@ def t_diff(values, mesh):
     curve adds the seam difference a[0] - a[n_t-1] last.  Callers scale
     by 1/dt first: t_diff(c * m) is c m[j+1] - c m[j].
     """
-    if mesh.surface.curve.closed:
+    if mesh.surface.closed:
         return np.roll(values, -1, axis=-2) - values
     return values[..., 1:, :] - values[..., :-1, :]
 
@@ -341,7 +328,7 @@ def t_diff(values, mesh):
 def t_diff_transpose(flux, mesh):
     """Transpose of t_diff: each edge adds +flux to its upper node and
     -flux to its lower one (edges along axis -2, nodes out)."""
-    if mesh.surface.curve.closed:
+    if mesh.surface.closed:
         return np.roll(flux, 1, axis=-2) - flux
     out = np.zeros(flux.shape[:-2] + (mesh.n_t, flux.shape[-1]))
     out[..., 1:, :] = flux

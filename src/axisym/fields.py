@@ -22,8 +22,8 @@ import numpy as np
 
 from .geometry import (
     VARIANTS,
+    GeneratingCurve,
     SurfaceMesh,
-    SurfaceOfRevolution,
     project_points,
     ring_defect,
     sweep,
@@ -39,7 +39,7 @@ class DiscreteField:
     """Target-valued field sampled on the (phi, t) grid: values[n_phi, n_t, 3]."""
 
     mesh: SurfaceMesh
-    target: SurfaceOfRevolution
+    target: GeneratingCurve
     values: np.ndarray
 
     def __post_init__(self):

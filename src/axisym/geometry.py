@@ -1,7 +1,8 @@
 """Surfaces of revolution: generating curves, meshes, rotations, projections.
 
 A surface of revolution is swept by rotating a planar regular curve
-gamma(t) = (x(t), 0, z(t)), t in I, about the e3-axis.  The (phi, t) chart
+gamma(t) = (x(t), 0, z(t)), t in I, about the e3-axis, and is represented
+by that curve (GeneratingCurve): base S and target T alike.  The (phi, t) chart
 xi(phi, t) = A(phi)^T gamma(t) is orthogonal with scale factors
 h1(t) = |x(t)| (circle-of-latitude radius) and h2(t) = |(x'(t), z'(t))|,
 so the area element is sqrt(g) = h1*h2.
@@ -233,7 +234,8 @@ _CHECK_POINTS = 4096
 
 @dataclass(frozen=True)
 class GeneratingCurve:
-    """Planar regular curve t -> (x(t), 0, z(t)) seeding a surface of revolution.
+    """Planar regular curve t -> (x(t), 0, z(t)), and the surface of
+    revolution it sweeps.
 
     x, z, dx, dz are vectorized callables on the closed interval.  ``closed``
     marks loops (endpoints identified).  ``closest``, when set, is the
@@ -261,7 +263,7 @@ class GeneratingCurve:
         ts = np.linspace(t0, t1, _CHECK_POINTS)
         if np.any(self.x(ts) < -1e-12):
             raise RegularityError("x(t) must be nonnegative")
-        if np.any(self.speed(ts) <= 1e-12):
+        if np.any(self.h2(ts) <= 1e-12):
             raise RegularityError("curve must be regular: (dx, dz) != 0")
 
     def point(self, t):
@@ -271,8 +273,25 @@ class GeneratingCurve:
         out[..., 2] = self.z(t)
         return out
 
-    def speed(self, t):
+    def h1(self, t):
+        """Radius of the circle of latitude."""
+        return np.abs(self.x(t))
+
+    def h2(self, t):
+        """Meridian speed |(x'(t), z'(t))|."""
         return np.hypot(self.dx(t), self.dz(t))
+
+    def sqrtg(self, t):
+        return self.h1(t) * self.h2(t)
+
+    def normal_profile(self, t):
+        """Unit surface normal along the phi = 0 meridian: (dz, 0, -dx)/h2."""
+        t = np.asarray(t, dtype=float)
+        h2 = self.h2(t)
+        out = np.zeros(t.shape + (3,))
+        out[..., 0] = self.dz(t) / h2
+        out[..., 2] = -self.dx(t) / h2
+        return out
 
 
 # each preset's parameters and their defaults
@@ -389,42 +408,14 @@ def spline_curve(t_samples, x_samples, z_samples, closed=False):
 # surfaces and meshes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SurfaceOfRevolution:
-    """The surface swept by a generating curve (base S or target T)."""
-
-    curve: GeneratingCurve
-
-    def h1(self, t):
-        return np.abs(self.curve.x(t))
-
-    def h2(self, t):
-        return self.curve.speed(t)
-
-    def sqrtg(self, t):
-        return self.h1(t) * self.h2(t)
-
-    def point(self, phi, t):
-        return rotate(phi, self.curve.point(t))
-
-    def normal_profile(self, t):
-        """Unit surface normal along the phi = 0 meridian: (dz, 0, -dx)/h2."""
-        t = np.asarray(t, dtype=float)
-        h2 = self.h2(t)
-        out = np.zeros(t.shape + (3,))
-        out[..., 0] = self.curve.dz(t) / h2
-        out[..., 2] = -self.curve.dx(t) / h2
-        return out
-
-
 def surface(preset_or_curve, role=None, **kw):
-    """Convenience constructor: surface('sphere'), surface(curve),
-    surface('cylinder', radius=2.0), ...; role ('base' or 'target') is
-    accepted and changes nothing (the acceptance tests and the benchmark
-    pass it)."""
+    """The surface of a preset or a curve, that is its generating curve:
+    surface('sphere'), surface(curve), surface('cylinder', radius=2.0), ...;
+    role ('base' or 'target') is accepted and changes nothing (the
+    acceptance tests and the benchmark pass it)."""
     if isinstance(preset_or_curve, GeneratingCurve):
-        return SurfaceOfRevolution(preset_or_curve)
-    return SurfaceOfRevolution(preset_curve(preset_or_curve, **kw))
+        return preset_or_curve
+    return preset_curve(preset_or_curve, **kw)
 
 
 @dataclass(frozen=True, eq=False)
@@ -446,7 +437,7 @@ class SurfaceMesh:
     would-be pole edge has weight sqrt(g) = 0.
     """
 
-    surface: SurfaceOfRevolution
+    surface: GeneratingCurve
     n_phi: int
     n_t: int
     phi: np.ndarray
@@ -468,7 +459,7 @@ class SurfaceMesh:
 
     def nodes(self):
         """All mesh points xi(phi_i, t_j) as an (n_phi, n_t, 3) array."""
-        return self.surface.point(self.phi[:, None], self.t[None, :])
+        return rotate(self.phi[:, None], self.surface.point(self.t)[None])
 
 
 def _golden(f, a, b):
@@ -495,51 +486,48 @@ def _interior_axis_touch(curve, ts, xs):
     k = np.where((xs[1:-1] <= xs[:-2]) & (xs[1:-1] <= xs[2:]) & (xs[1:-1] < 0.1))[0] + 1
     if k.size == 0:
         return False
-    smin = _golden(lambda s: np.abs(curve.x(s)), ts[k - 1], ts[k + 1])
+    smin = _golden(curve.h1, ts[k - 1], ts[k + 1])
     t0, t1 = curve.interval
     pad = 1e-9 * (t1 - t0)
     inside = (smin > t0 + pad) & (smin < t1 - pad)
-    return bool(np.any(inside & (np.abs(curve.x(smin)) <= 1e-9)))
+    return bool(np.any(inside & (curve.h1(smin) <= 1e-9)))
 
 
 def build_mesh(surf, n_phi, n_t):
-    """Build a SurfaceMesh on the base surface surf (or its curve).
+    """Build a SurfaceMesh on the base surface surf (a GeneratingCurve).
 
     Beyond the curve's own regularity the chart needs, at _CHECK_POINTS
     parameters whatever the grid: no axis crossing inside the interval, and
     a perpendicular meeting (dz = 0) at an end where x vanishes.  A target
     needs neither.
     """
-    if isinstance(surf, GeneratingCurve):
-        surf = SurfaceOfRevolution(surf)
     if n_phi < 4 or n_phi % 2 != 0:
         raise ValueError("n_phi must be an even integer >= 4")
     if n_t < 2:
         raise ValueError("n_t must be >= 2")
-    curve = surf.curve
-    t0, t1 = curve.interval
+    t0, t1 = surf.interval
 
     ts = np.linspace(t0, t1, _CHECK_POINTS)
-    xs = np.abs(curve.x(ts))
-    if _interior_axis_touch(curve, ts, xs):
+    xs = surf.h1(ts)
+    if _interior_axis_touch(surf, ts, xs):
         raise AxisError("curve meets the e3-axis at an interior parameter")
     for ta, hit in ((t0, xs[0] <= 1e-10), (t1, xs[-1] <= 1e-10)):
-        if hit and abs(float(curve.dz(ta))) > 1e-8:
+        if hit and abs(float(surf.dz(ta))) > 1e-8:
             raise AxisError(f"axis touching at t={ta} without perpendicularity")
 
     dphi = 2 * np.pi / n_phi
     dt = (t1 - t0) / n_t
     phi = dphi * np.arange(n_phi)
     t = t0 + dt * (np.arange(n_t) + 0.5)
-    h1 = np.abs(curve.x(t))
-    h2 = curve.speed(t)
+    h1 = surf.h1(t)
+    h2 = surf.h2(t)
     sqrtg = h1 * h2
     if np.any(sqrtg <= 0):
         raise RegularityError("area element vanishes at a mesh node")
     weights = np.broadcast_to(dphi * dt * sqrtg, (n_phi, n_t)).copy()
 
     t_edges = t0 + dt * np.arange(1, n_t)
-    if curve.closed:
+    if surf.closed:
         t_edges = np.append(t_edges, t0)
     edge_weights = surf.sqrtg(t_edges) / surf.h2(t_edges) ** 2
     return SurfaceMesh(surf, n_phi, n_t, phi, t, dphi, dt, h1, h2, sqrtg,
@@ -670,8 +658,8 @@ def project_points(target, pts):
     pts = np.asarray(pts, dtype=float)
     flat = pts.reshape(-1, 3)
     r, cos_t, sin_t = _azimuth(flat)
-    s = curve_parameter_of_closest(target.curve, r, flat[:, 2])
-    xs, zs = target.curve.x(s), target.curve.z(s)
+    s = curve_parameter_of_closest(target, r, flat[:, 2])
+    xs, zs = target.x(s), target.z(s)
     out = np.stack([xs * cos_t, xs * sin_t, zs], axis=-1)
     return out.reshape(pts.shape), s.reshape(pts.shape[:-1])
 
@@ -691,9 +679,9 @@ def tangent_frame(target, pts, params=None):
     r, cos_t, sin_t = _azimuth(flat)
     u1 = np.stack([-sin_t, cos_t, np.zeros_like(r)], axis=-1)
     h2 = target.h2(params)
-    dx = target.curve.dx(params)
+    dx = target.dx(params)
     u2 = np.stack([dx * cos_t, dx * sin_t,
-                   target.curve.dz(params)], axis=-1) / h2[:, None]
+                   target.dz(params)], axis=-1) / h2[:, None]
     return u1.reshape(pts.shape), u2.reshape(pts.shape)
 
 
@@ -743,10 +731,8 @@ def never_flat_check(target):
     (measure zero) do not count.
     """
     tol = 1e-6
-    curve = target.curve
-    t0, t1 = curve.interval
-    ts = np.linspace(t0, t1, 4097)
-    flat = (np.abs(curve.dz(ts)) < tol) & (np.abs(curve.dx(ts)) > tol)
+    ts = np.linspace(*target.interval, 4097)
+    flat = (np.abs(target.dz(ts)) < tol) & (np.abs(target.dx(ts)) > tol)
     # runs of flat samples: first and last node of each
     step = np.diff(np.concatenate(([0], flat.view(np.int8), [0])))
     a, b = ts[np.flatnonzero(step == 1)], ts[np.flatnonzero(step == -1) - 1]

@@ -1,14 +1,15 @@
 """The "axisym-run/1" config: the one description of an instance.
 
 A run config is strict JSON.  _KIND_KEYS declares each kind section once,
-and _section reads it for load_config and build_run alike.  build_run turns
-a config (a dict, loaded or built in code) into (mesh, target, params,
-SolveConfig); the command line, the certificate suite (whose certificates
-record the config of each instance they checked) and the test fixtures all
-build instances through it.  DEFAULT_INSTANCES names the suite's registered
-instances as partial configs, and suite_config owns the suite section: its
-defaults, its merge rule and its checks.  Every input error is a
-ConfigError naming the config location.
+and _section reads it for build_run.  build_run turns a config (a dict,
+loaded or built in code) into (mesh, target, params, SolveConfig) and is
+the one check of the instance sections; load_config checks only what
+build_run does not read.  The command line, the certificate suite (whose
+certificates record the config of each instance they checked) and the
+test fixtures all build instances through it.  DEFAULT_INSTANCES names
+the suite's registered instances as partial configs, and suite_config owns
+the suite section: its defaults, its merge rule and its checks.  Every
+input error is a ConfigError naming the config location.
 """
 
 from __future__ import annotations
@@ -231,6 +232,9 @@ def _section(section, where):
 
 
 def load_config(path):
+    """The config at path, checked for what build_run does not read (its
+    JSON, schema, top-level keys, numbers, paths, variant and suite);
+    build_run checks the instance sections."""
     try:
         cfg = ioutil.read_json(path)
     except OSError as exc:
@@ -240,18 +244,7 @@ def load_config(path):
     _check_keys(cfg, _TOP_KEYS, "config")
     if cfg.get("schema") != RUN_SCHEMA:
         raise ConfigError(f"config.schema: expected {RUN_SCHEMA!r}")
-    for name, allowed in (("grid", _GRID_KEYS), ("solver", _SOLVER_KEYS)):
-        if name in cfg:
-            _check_keys(cfg[name], allowed, f"config.{name}")
     _check_finite(cfg, "config")
-    for name in _KIND_KEYS:
-        if name in cfg:
-            _section(cfg[name], f"config.{name}")
-    if "boundary" in cfg:
-        for side in ("bottom", "top"):
-            if cfg["boundary"].get(side) is not None:
-                _check_keys(cfg["boundary"][side], {"vector"},
-                            f"config.boundary.{side}")
     if "variant" in cfg:
         _variant(cfg["variant"], "config.variant")
     for key in ("outputs", "prior_2d", "input_field"):
@@ -391,13 +384,15 @@ def _number(value, where):
 
 
 def _grid(section, override, where):
-    """(n_phi, n_t) from a grid section, or from override (the --grid
-    flag's pair) when given: integers in [8, _MAX_SIZE] with n_phi even, or
-    ConfigError naming `where` or the flag."""
+    """(n_phi, n_t) from a grid section (each size 64 when left out), or
+    from override (the --grid flag's pair) when given: integers in
+    [8, _MAX_SIZE] with n_phi even, or ConfigError naming `where` or the
+    flag."""
+    _check_keys(section, _GRID_KEYS, where)
     if override:
         (n_phi, n_t), where = override, "--grid"
     else:
-        n_phi, n_t = section["n_phi"], section["n_t"]
+        n_phi, n_t = section.get("n_phi", 64), section.get("n_t", 64)
     _integer(n_phi, f"{where}.n_phi", 8, _MAX_SIZE)
     _integer(n_t, f"{where}.n_t", 8, _MAX_SIZE)
     if n_phi % 2 != 0:
@@ -490,18 +485,20 @@ def _build_boundary(section, mesh):
     for side in sides:
         if values[side] is None:
             continue
+        _check_keys(values[side], {"vector"}, f"config.boundary.{side}")
         where = f"config.boundary.{side}.vector"
         if values[side].get("vector") is None:
             raise ConfigError(f"{where}: required")
         sides[side] = dirichlet_rows_from_vector(
             mesh, _vector(values[side]["vector"], where), variant)
-    return BoundaryCondition("dirichlet", sides["bottom"], sides["top"], variant)
+    return BoundaryCondition(sides["bottom"], sides["top"])
 
 
 def _solve_config(section, where):
     """SolveConfig from a solver section, or ConfigError naming `where`:
     max_iters, restarts and seed are non-negative integers (_integer),
     grad_tol a positive number."""
+    _check_keys(section, _SOLVER_KEYS, where)
     values = {}
     for key, value in section.items():
         check = _integer if key in _SOLVER_INTEGERS else _number
@@ -513,9 +510,9 @@ def _solve_config(section, where):
 
 
 def build_run(cfg, seed_override=None, grid_override=None):
-    """Instantiate (mesh, target, params, solve_config) from config."""
-    n_phi, n_t = _grid(dict({"n_phi": 64, "n_t": 64}, **cfg.get("grid", {})),
-                       grid_override, "config.grid")
+    """Instantiate (mesh, target, params, solve_config) from config, or
+    ConfigError naming the first bad value of an instance section."""
+    n_phi, n_t = _grid(cfg.get("grid", {}), grid_override, "config.grid")
     base, target = (_build_surface(cfg.get(name, {"preset": "sphere"}),
                                    f"config.{name}")
                     for name in ("base_surface", "target_surface"))
@@ -531,7 +528,8 @@ def build_run(cfg, seed_override=None, grid_override=None):
         params = make_params(mesh, target, pot, an, w, bc)
     except ValueError as exc:
         raise ConfigError(f"config: {exc}") from exc
-    solver_cfg = dict(cfg.get("solver", {}))
+    solve_config = _solve_config(cfg.get("solver", {}), "config.solver")
     if seed_override is not None:
-        solver_cfg["seed"] = _integer(seed_override, "--seed")
-    return mesh, target, params, _solve_config(solver_cfg, "config.solver")
+        solve_config = dataclasses.replace(
+            solve_config, seed=_integer(seed_override, "--seed"))
+    return mesh, target, params, solve_config

@@ -462,8 +462,6 @@ def _profile_boundary(mesh, boundary, variant):
     its value at phi = 0, which the variant's sweep carries onto the ring.
     BoundaryVariantError when a ring is off the sweep by more than
     RING_TOL (ring_defect)."""
-    if boundary.kind != "dirichlet":
-        return boundary
     ends = {}
     for side in ("bottom", "top"):
         ring = getattr(boundary, side)

@@ -9,6 +9,7 @@ import pytest
 from axisym import fields, ioutil, verify
 from axisym.cli import main
 from axisym.runconfig import build_run
+from axisym.solvers import minimize_1d_profile
 from conftest import count_calls
 
 
@@ -459,8 +460,7 @@ def test_verify_partial_suite_sections_merge_over_defaults(tmp_path):
     ({"potential": {"kind": "quartic", "lam": "5"}}, "config.potential"),
 ], ids=["weight_kind", "potential_string"])
 def test_verify_checks_kind_sections_exit_3(tmp_path, capsys, section, key):
-    # verify builds none of the config's kind sections: load_config must
-    # refuse them before the suite runs
+    # verify builds the config's instance (build_run) before the suite runs
     cfg_path = tmp_path / "run.json"
     cfg = dict({"schema": "axisym-run/1"}, **section)
     cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
@@ -468,6 +468,41 @@ def test_verify_checks_kind_sections_exit_3(tmp_path, capsys, section, key):
                  "--out", str(tmp_path / "o")]) == 3
     assert f"config error: {key}: " in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("section, key", [
+    ({"grid": {"n_phi": 7, "n_t": 12}}, "config.grid.n_phi"),
+    ({"solver": {"max_iters": -1}}, "config.solver: max_iters"),
+    ({"boundary": {"kind": "dirichlet", "top": {"vector": [1, 2]}}},
+     "config.boundary.top.vector"),
+    ({"boundary": {"kind": "dirichlet", "variant": "sideways",
+                   "top": {"vector": [0, 0, 1]}}}, "config.boundary.variant"),
+    ({"aniso_field": {"kind": "symmetric_profile", "vector": [1, 2]}},
+     "config.aniso_field.vector"),
+    ({"base_surface": {"preset": "torus_band", "params": {"R": 1, "r": 2}}},
+     "config.base_surface"),
+    ({"potential": {"kind": "quartic", "lam": -1}}, "config.potential"),
+], ids=["odd_n_phi", "negative_max_iters", "short_ring_vector",
+        "ring_variant", "short_aniso_vector", "torus_R_below_r",
+        "negative_lam"])
+def test_verify_refuses_instance_values_as_minimize_does(tmp_path, capsys,
+                                                         section, key):
+    # verify and minimize read one config; each refuses it with one message
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(dict(
+        {"schema": "axisym-run/1",
+         "suite": {"instances": ["annulus_pde"],
+                   "annulus": {"kappas": [1.0], "n_t": 8, "n_phi": 8}}},
+        **section)), encoding="utf-8")
+    errors = []
+    for command in ("verify", "minimize"):
+        out = tmp_path / command
+        assert main([command, "--config", str(cfg_path),
+                     "--out", str(out)]) == 3, command
+        errors.append(capsys.readouterr().err)
+        assert not out.exists(), command
+    assert errors[0] == errors[1]
+    assert f"config error: {key}: " in errors[0]
 
 
 def test_verify_empty_seeds_exits_3(tmp_path, capsys):
@@ -780,9 +815,9 @@ def test_no_run_loads_scipy(tmp_path):
     tp = np.linspace(t[0] - 0.3, t[-1] + 0.3, 97)      # ends extrapolate
     up = np.linspace(u[0], u[-1], 97)
     for curve, knots, x, z, bc, probe in (
-            (open_target.curve, t, 1.2 + np.sin(t), 1.5 * np.cos(t),
+            (open_target, t, 1.2 + np.sin(t), 1.5 * np.cos(t),
              "not-a-knot", tp),
-            (loop_target.curve, u, 2 + 0.7 * np.cos(u), 0.9 * np.sin(u),
+            (loop_target, u, 2 + 0.7 * np.cos(u), 0.9 * np.sin(u),
              "periodic", up)):
         sx, sz = (CubicSpline(knots, v, bc_type=bc) for v in (x, z))
         for ours, ref in ((curve.x, sx), (curve.z, sz),
@@ -1007,3 +1042,26 @@ def test_field_csv_from_another_grid_exits_3(tmp_path, capsys, minimize_16x12,
     assert main([command, "--config", str(tmp_path / "run.json"),
                  "--out", str(tmp_path / "o")]) == 3
     assert f"config error: config.{key}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("report", [{}, [1, 2],
+                                    {"best_energy": {"total": "x"}}],
+                         ids=["empty", "list", "string_total"])
+def test_malformed_prior_report_exits_3_before_solving(tmp_path, capsys,
+                                                        minimize_16x12,
+                                                        report, monkeypatch):
+    # the prior is read before any solve, so nothing is written
+    prior = tmp_path / "prior"
+    prior.mkdir()
+    (prior / "field.csv").write_bytes((minimize_16x12 / "field.csv")
+                                      .read_bytes())
+    (prior / "report.json").write_text(json.dumps(report), encoding="utf-8")
+    write_config(tmp_path / "run.json", prior_2d=str(prior))
+    calls = count_calls(monkeypatch, minimize_1d_profile)
+    assert main(["reduce", "--config", str(tmp_path / "run.json"),
+                 "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "config error: config.prior_2d: " in err
+    assert "best_energy.total" in err
+    assert not (tmp_path / "o").exists()
+    assert not calls

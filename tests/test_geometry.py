@@ -287,7 +287,7 @@ def test_spline_named_like_a_preset_projects_generically(tmp_path, name):
         for row in zip(t, np.sin(t), 1.5 * np.cos(t))), encoding="utf-8")
     named = _build_surface({"spline_table": str(table)}, "config.target_surface")
     plain = surface(spline_curve(t, np.sin(t), 1.5 * np.cos(t)))
-    assert named.curve.closest is None
+    assert named.closest is None
     v = np.random.default_rng(4).normal(size=(200, 3)) * 1.5
     p_named, s_named = project_points(named, v)
     p_plain, s_plain = project_points(plain, v)
@@ -430,9 +430,9 @@ def test_closest_parameter_evaluation_count():
 
     def x(s):
         sizes.append(np.size(s))
-        return target.curve.x(s)
+        return target.x(s)
 
-    counted = dataclasses.replace(target.curve, x=x)
+    counted = dataclasses.replace(target, x=x)
     sizes.clear()                     # the curve's own checks sampled x
     s = curve_parameter_of_closest(counted, np.hypot(pts[:, 0], pts[:, 1]),
                                    pts[:, 2])
@@ -611,9 +611,8 @@ def test_project_torus_brute_force_oracle():
     # the default torus and on one with its own R and r
     for params in ({}, {"R": 3.0, "r": 0.7}):
         tor = surface("torus_band", **params)
-        curve = tor.curve
-        s = np.linspace(*curve.interval, 100_001)
-        xs, zs = curve.x(s), curve.z(s)
+        s = np.linspace(*tor.interval, 100_001)
+        xs, zs = tor.x(s), tor.z(s)
         rng = np.random.default_rng(8)
         pts = rng.normal(size=(25, 3)) * 2.0 + np.array([2.0, 0, 0])
         proj, _ = project_points(tor, pts)

@@ -266,13 +266,37 @@ def test_dirichlet_boundary_rows_frozen():
     tgt = surface("sphere")
     bottom = dirichlet_rows_from_vector(mesh, [0.6, 0.0, 0.8], "symmetric")
     top = dirichlet_rows_from_vector(mesh, [0.0, 0.0, 1.0], "symmetric")
-    bc = BoundaryCondition("dirichlet", bottom, top, "symmetric")
+    bc = BoundaryCondition(bottom, top)
     params = make_params(mesh, tgt, quadratic_potential(0.5), ac3(mesh),
                          weight_constant(mesh, 1.0), bc)
     cfg = SolveConfig(restarts=1, seed=0, max_iters=1500)
     rep = minimize_2d(mesh, tgt, params, cfg)
     assert np.max(np.abs(rep.best_field.values[:, 0, :] - bottom)) < 1e-14
     assert np.max(np.abs(rep.best_field.values[:, -1, :] - top)) < 1e-14
+
+
+def test_dirichlet_rows_of_any_symmetry_are_pinned():
+    # rows carry no symmetry label: the 2D solve pins whatever rows it is
+    # given, and the 1D reduction refuses a variant whose sweep misses them
+    from axisym.energy import BoundaryCondition, dirichlet_rows_from_vector
+    from axisym.solvers import BoundaryVariantError
+    mesh = build_mesh(surface("cylinder", radius=2.0), 16, 12)
+    tgt = surface("sphere")
+    bottom = dirichlet_rows_from_vector(mesh, [0.6, 0.0, 0.8], "symmetric")
+    top = random_field(mesh, tgt, seed=3).values[:, -1]     # neither law
+    params = make_params(mesh, tgt, quadratic_potential(0.5),
+                         aniso_constant_e3(mesh), weight_constant(mesh, 1.0),
+                         BoundaryCondition(bottom, top))
+    cfg = SolveConfig(restarts=1, seed=0, max_iters=200)
+    rep = minimize_2d(mesh, tgt, params, cfg)
+    assert np.max(np.abs(rep.best_field.values[:, 0, :] - bottom)) < 1e-14
+    assert np.max(np.abs(rep.best_field.values[:, -1, :] - top)) < 1e-14
+    with pytest.raises(BoundaryVariantError, match="top ring data is not "
+                                                   "symmetric"):
+        minimize_1d_profile(mesh, tgt, params, "symmetric", cfg)
+    with pytest.raises(BoundaryVariantError, match="bottom ring data is not "
+                                                   "antisymmetric"):
+        minimize_1d_profile(mesh, tgt, params, "antisymmetric", cfg)
 
 
 @pytest.mark.parametrize("n", [16, 32, 48])
