@@ -33,7 +33,7 @@ not non-negative integers, suite seeds, chain_fields or pw_fields that are
 not, a suite solver seed (the suite's seeds come only from suite.seeds or
 --seed), unknown suite instance names, kinked potential tables where a
 gradient is needed, prior_2d or input_field CSVs that do not cover the
-grid, and a prior_2d report.json without a finite number at
+grid or have a missing or non-finite cell, and a prior_2d report.json without a finite number at
 best_energy.total; reduce checks prior_2d before it solves or writes
 anything, and verify refuses a config's instance sections as minimize
 does).  Restarts run one after another in one thread.
@@ -141,7 +141,7 @@ def _read_prior(prior, mesh, target):
                           f"best_energy.total, got {energy!r}")
     try:
         field = field_from_csv(Path(prior) / "field.csv", mesh, target)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
     return float(energy), field
 
@@ -263,7 +263,7 @@ def cmd_symmetrize(args):
         raise ConfigError("config.input_field: required for symmetrize")
     try:
         field = field_from_csv(src, mesh, target)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"config.input_field: {exc}") from exc
     variant = cfg.get("variant", params.aniso.variant)   # checked on load
     u, chain = symmetrize_and_certify(field, params, variant)

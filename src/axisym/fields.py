@@ -16,6 +16,7 @@ contravariant) fields live exactly there.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -237,6 +238,62 @@ def random_field(mesh, target, seed):
 
 
 # ---------------------------------------------------------------------------
+# transfer between grids of one base surface
+# ---------------------------------------------------------------------------
+
+def resample(field, mesh):
+    """The field's values on another grid of its base surface (resample_phi,
+    then resample_t), not projected to the target: callers retract."""
+    vals = resample_t(resample_phi(field.values, mesh.n_phi), field.mesh, mesh)
+    return DiscreteField(mesh, field.target, vals)
+
+
+def resample_phi(values, n):
+    """values (phi on axis 0, even length) at n uniform phi nodes by
+    trigonometric interpolation.
+
+    A finer grid gets the zero-padded rfft, with the old Nyquist mode split
+    between +-k, so every mode prolongs exactly.  A grid whose nodes are
+    among the old ones gets the sub-sample, which is what the interpolant
+    takes there.  Any other coarser grid gets the truncated rfft, the
+    modes k < n/2 as they are and the new Nyquist mode merged from +-k:
+    exact for fields without modes |k| >= n/2.
+    """
+    m = values.shape[0]
+    if n <= m and m % n == 0:
+        return values[::m // n].copy()
+    coeff = np.fft.rfft(values, axis=0) * (n / m)
+    k = min(m, n) // 2
+    out = np.zeros((n // 2 + 1,) + coeff.shape[1:], dtype=complex)
+    out[:k + 1] = coeff[:k + 1]
+    out[k] *= 0.5 if n > m else 2.0
+    return np.fft.irfft(out, n=n, axis=0)
+
+
+def resample_t(values, mesh, to_mesh):
+    """values (t on axis 1, at mesh.t) linearly interpolated at to_mesh.t.
+
+    The position of every new node among the old ones comes from np.interp:
+    on a closed curve the old nodes wrap across the seam (period = the
+    interval's length), so rows near the seam mix the first and the last
+    old row; at an open end it clamps, so a new node beyond the outermost
+    old one takes that row.  Either way every value lies between two old
+    ones.
+    """
+    n = mesh.n_t
+    xp, fp, t = mesh.t, np.arange(n, dtype=float), to_mesh.t
+    if mesh.surface.closed:
+        t0, t1 = mesh.surface.interval
+        xp, fp = np.append(xp, xp[0] + (t1 - t0)), np.append(fp, n)
+        t = xp[0] + (t - xp[0]) % (t1 - t0)
+    pos = np.interp(t, xp, fp)
+    lo = np.minimum(np.floor(pos).astype(int), n - 1)
+    w = (pos - lo).reshape((1, -1) + (1,) * (values.ndim - 2))
+    return (1 - w) * np.take(values, lo, axis=1) \
+        + w * np.take(values, (lo + 1) % n, axis=1)
+
+
+# ---------------------------------------------------------------------------
 # CSV serialization (17 significant digits; bit-exact round trip)
 # ---------------------------------------------------------------------------
 
@@ -256,17 +313,30 @@ def grid_to_csv(phi, t, values, path_or_buf, header_comment=None):
 
 def field_from_csv(path_or_buf, mesh, target):
     """Read back a field written by field_to_csv on mesh's grid.
-    ValueError for a row off the grid or a node left without a value."""
+    ValueError for a missing or non-finite cell, a row off the grid or a
+    node left without a value."""
     n_phi, n_t = mesh.shape
     vals = np.full((n_phi, n_t, 3), np.nan)
-    for row in _read_csv(path_or_buf):
-        i, j = int(row["phi_index"]), int(row["t_index"])
+    for k, row in enumerate(_read_csv(path_or_buf), start=1):
+        i, j = (_cell(row, k, key, int) for key in ("phi_index", "t_index"))
         if not (0 <= i < n_phi and 0 <= j < n_t):
             raise ValueError(f"node ({i}, {j}) is off the {n_phi}x{n_t} grid")
-        vals[i, j] = [float(row["mx"]), float(row["my"]), float(row["mz"])]
+        vals[i, j] = [_cell(row, k, key) for key in ("mx", "my", "mz")]
     if np.isnan(vals).any():
         raise ValueError(f"the rows do not cover the {n_phi}x{n_t} grid")
     return DiscreteField(mesh, target, vals)
+
+
+def _cell(row, k, key, kind=float):
+    """The key cell of the k-th data row as kind; ValueError when the row
+    has no such cell or its value is not finite."""
+    text = row.get(key)
+    if text is None:
+        raise ValueError(f"data row {k} has no {key} cell")
+    value = kind(text)
+    if not math.isfinite(value):
+        raise ValueError(f"data row {k}: {key} {text!r} is not finite")
+    return value
 
 
 def profile_to_csv(profile, path_or_buf, header_comment=None):

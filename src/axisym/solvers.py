@@ -15,7 +15,12 @@ rows of stacked arrays, so the two-loop recursion is a few matrix-vector
 products (_PairMemory).  The stop test bounds the sup of the
 tangent-projected Euclidean gradient.  Several restarts from seeded random
 fields plus two structured initializations (the rotation-swept normal
-profile, both symmetry variants) mitigate non-convexity.
+profile, both symmetry variants) mitigate non-convexity.  Each random
+restart starts on a ladder of halved grids, no grid below
+_LADDER_FLOOR = 16 meridians or rows, and descends on each in turn before
+the requested grid (nested iteration, the first step of full multigrid):
+the iteration count per grid hardly depends on the grid, so the coarse
+descents do most of the work at a fraction of its cost.
 
 1D solver: minimizes over t-profiles gamma the energy of the swept field
 A(phi)^T gamma(t) (or A(phi) gamma(t)).  The descent only handles (n_t, 3)
@@ -39,14 +44,16 @@ once, and an irfft.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .energy import (
+    BoundaryCondition,
     EnergyBreakdown,
     ProfileFunctional,
     SobolevPreconditioner,
+    Weight,
     chain_terms,
     euclidean_gradient,
     hypothesis_margin,
@@ -60,11 +67,16 @@ from .fields import (
     line_symmetry_classify,
     mode_decompose,
     random_field,
+    resample,
+    resample_phi,
+    resample_t,
     symmetrize,
     symmetry_defect,
 )
 from .geometry import (
     VARIANTS,
+    SurfaceMesh,
+    build_mesh,
     project_points,
     project_to_frame,
     ring_defect,
@@ -105,6 +117,8 @@ class SolveConfig:
 
 # curvature pairs kept by the limited-memory descent
 _MEMORY = 20
+# smallest n_phi and n_t of a coarse grid of a random restart's ladder
+_LADDER_FLOOR = 16
 # first step length along the preconditioned gradient, Armijo sufficient
 # decrease constant and backtracking factor
 _STEP_INIT = 0.1
@@ -301,9 +315,10 @@ class SolveReport:
     restart_fields: Optional[list] = None
     seed: int = 0
     stop_reasons: list = dc_field(default_factory=list)
+    coarse_iterations: Optional[list] = None
 
     def to_dict(self):
-        return {
+        out = {
             "best_energy": self.best_energy.to_dict(),
             "iterations": list(self.iterations),
             "restart_energies": [float(v) for v in self.restart_energies],
@@ -317,6 +332,9 @@ class SolveReport:
             },
             "diagnostics": dict(self.diagnostics),
         }
+        if self.coarse_iterations is not None:
+            out["coarse_iterations"] = list(self.coarse_iterations)
+        return out
 
 
 def field_diagnostics(field, energy):
@@ -374,23 +392,61 @@ def _normal_profile(mesh, target):
     return prof
 
 
-def _solve_restarts(mesh, target, params, boundary, inits, value_fn, egrad_fn,
-                    to_field, config):
+@dataclass(frozen=True)
+class _Level:
+    """One grid of a solve: the functional on it, and the retraction and
+    H^1 solve that every restart descending there shares."""
+
+    mesh: SurfaceMesh
+    value_fn: Callable
+    egrad_fn: Callable
+    retract: Callable
+    solve: Callable
+
+
+def _level(mesh, target, boundary, value_fn, egrad_fn, profile=False):
+    """The _Level of fields (profiles when profile) on mesh, with the
+    boundary's pinned rows frozen in the preconditioner."""
+    precond = SobolevPreconditioner(mesh, profile=profile,
+                                    frozen_rows=boundary.frozen_rows(mesh.n_t))
+    return _Level(mesh, value_fn, egrad_fn, _retraction(target, boundary),
+                  precond.solve)
+
+
+def _solve_restarts(level, target, params, inits, to_field, config,
+                    ladder=(), ladder_inits=()):
     """Descend from every init and report the best end.
 
-    inits are fields (n_phi, n_t, 3) or profiles (n_t, 3); every restart
-    shares one retraction and one H^1 preconditioner (its profile blocks
-    for profiles), with the boundary's pinned rows frozen.  Each end x is
-    ranked by total_energy of its 2D field to_field(x): the lowest wins,
-    ties going to the lowest index.  The report carries every restart's
-    field, energy, iterations and stop reason, and the winner's
-    diagnostics.  Returns (the winner's point, its SolveReport).
+    inits are fields (n_phi, n_t, 3) or profiles (n_t, 3) on level.mesh.
+    The ladder holds coarse levels, coarsest first, and the ladder_inits
+    are fields on its first level (on level.mesh without a ladder); their
+    restarts come first.  Each descends on every level of the ladder in
+    turn and is prolonged one level up (fields.resample) after each; the
+    retraction that starts the next descent puts it back on the target and
+    its pinned rows.  Each end x on level.mesh is ranked by total_energy
+    of its 2D field to_field(x): the lowest wins, ties going to the lowest
+    index.  The report carries every restart's field, energy, iterations
+    and stop reason on level.mesh, and the winner's diagnostics; with a
+    ladder it also carries every restart's [n_phi, n_t, iterations] per
+    coarse level ([] for the others).  Returns (the winner's point, its
+    SolveReport).
     """
-    precond = SobolevPreconditioner(mesh, profile=inits[0].ndim == 2,
-                                    frozen_rows=boundary.frozen_rows(mesh.n_t))
-    retract = _retraction(target, boundary)
-    ends = [_descend(x0, value_fn, egrad_fn, retract, precond.solve, config)
-            for x0 in inits]
+    def descend(x0, lv):
+        return _descend(x0, lv.value_fn, lv.egrad_fn, lv.retract, lv.solve,
+                        config)
+
+    meshes = [lv.mesh for lv in ladder] + [level.mesh]
+
+    def climb(x0):
+        counts = []
+        for lv, up in zip(ladder, meshes[1:]):
+            x, _, iters, _ = descend(x0, lv)
+            counts.append([lv.mesh.n_phi, lv.mesh.n_t, iters])
+            x0 = resample(DiscreteField(lv.mesh, target, x), up).values
+        return x0, counts
+
+    starts = [climb(x0) for x0 in ladder_inits] + [(x0, []) for x0 in inits]
+    ends = [descend(x0, level) for x0, _ in starts]
     fields = [to_field(x) for x, *_ in ends]
     energies = [total_energy(f, params) for f in fields]
     best = min(range(len(ends)), key=lambda i: (energies[i].total, i))
@@ -402,11 +458,12 @@ def _solve_restarts(mesh, target, params, boundary, inits, value_fn, egrad_fn,
         converged=ends[best][3] == "grad_tol",
         stop_reasons=[end[3] for end in ends],
         mode=mode,
-        margin=hypothesis_margin(mesh, params.weight),
+        margin=hypothesis_margin(level.mesh, params.weight),
         diagnostics=diagnostics,
         restart_energies=[e.total for e in energies],
         restart_fields=fields,
         seed=config.seed,
+        coarse_iterations=[c for _, c in starts] if ladder else None,
     )
 
 
@@ -414,18 +471,42 @@ def _solve_restarts(mesh, target, params, boundary, inits, value_fn, egrad_fn,
 # 2D minimization
 # ---------------------------------------------------------------------------
 
-def minimize_2d(mesh, target, params, config=SolveConfig(), keep_fields=False):
-    """Best-of-restarts projected descent on the full 2D field.
+def _ladder_shapes(mesh):
+    """The (n_phi, n_t) of a random restart's coarse grids, coarsest first:
+    both halved while the halves stay >= _LADDER_FLOOR, n_phi divisible by
+    4 and n_t even; none for grids that cannot be halved so."""
+    shapes = []
+    n_phi, n_t = mesh.shape
+    while (n_phi % 4 == 0 and n_t % 2 == 0
+           and min(n_phi, n_t) // 2 >= _LADDER_FLOOR):
+        n_phi, n_t = n_phi // 2, n_t // 2
+        shapes.append((n_phi, n_t))
+    return shapes[::-1]
 
-    Runs `restarts` seeded random initializations plus the two swept
-    normal-profile fields, descends each monotonically with the H^1
-    preconditioner, and reports the lowest-energy result with symmetry
-    diagnostics (_solve_restarts).  A NotConverged state (converged=False)
-    is reported when the winning restart did not meet the gradient
-    tolerance; it is not an exception.  stop_reasons records, per restart,
-    why its descent stopped.  keep_fields retains every restart's final
-    field in the report.
-    """
+
+def _coarse_params(params, mesh, coarse):
+    """params restricted to the grid coarse (fields.resample_phi,
+    resample_t): the anisotropy's and the weight's node values sub-sampled
+    in phi (halving nests the phi nodes) and interpolated in t, W^2
+    interpolated in t, the Dirichlet rows sub-sampled, and the potential
+    as it is."""
+    def restrict(values):
+        return resample_t(resample_phi(values, coarse.n_phi), mesh, coarse)
+
+    rows = (params.boundary.bottom, params.boundary.top)
+    return replace(
+        params,
+        aniso=replace(params.aniso,
+                      node_values=restrict(params.aniso.node_values)),
+        weight=Weight(resample_t(params.weight.W2[None], mesh, coarse)[0],
+                      restrict(params.weight.node_values)),
+        boundary=BoundaryCondition(*(None if r is None else
+                                     resample_phi(r, coarse.n_phi)
+                                     for r in rows)))
+
+
+def _field_level(mesh, target, params):
+    """(_Level, to_field) of the 2D energy under params on mesh."""
     def to_field(vals):
         return DiscreteField(mesh, target, vals)
 
@@ -435,13 +516,43 @@ def minimize_2d(mesh, target, params, config=SolveConfig(), keep_fields=False):
     def egrad_fn(vals):
         return euclidean_gradient(to_field(vals), params)
 
+    return _level(mesh, target, params.boundary, value_fn, egrad_fn), to_field
+
+
+def minimize_2d(mesh, target, params, config=SolveConfig(), keep_fields=False):
+    """Best-of-restarts projected descent on the full 2D field.
+
+    Runs `restarts` seeded random initializations plus the two swept
+    normal-profile fields, descends each monotonically with the H^1
+    preconditioner, and reports the lowest-energy result with symmetry
+    diagnostics (_solve_restarts).  Each random restart starts on a ladder
+    of halved grids (_ladder_shapes: 64 x 64 descends on 16 x 16, then
+    32 x 32; no grid below _LADDER_FLOOR = 16 rows or meridians, so
+    32 x 24 and 16 x 16 get none): its random field is drawn on the
+    coarsest grid, whose draws do not depend on the grid, and each coarse
+    level has the params restricted from the caller's (_coarse_params),
+    the same stop test and max_iters.  The structured starts and the
+    requested grid keep the caller's params.  iterations and stop_reasons
+    describe the requested grid; coarse_iterations gives every restart's
+    [n_phi, n_t, iterations] per coarse level, [] for the structured
+    ones, and is None when no ladder ran.  A NotConverged state
+    (converged=False) is reported when the winning restart did not meet
+    the gradient tolerance; it is not an exception.  keep_fields retains
+    every restart's final field in the report.
+    """
+    level, to_field = _field_level(mesh, target, params)
+    coarse = [build_mesh(mesh.surface, *shape)
+              for shape in (_ladder_shapes(mesh) if config.restarts else [])]
+    ladder = [_field_level(c, target, _coarse_params(params, mesh, c))[0]
+              for c in coarse]
+    randoms = [random_field((coarse + [mesh])[0], target,
+                            seed=config.seed + r).values
+               for r in range(config.restarts)]
     prof = _normal_profile(mesh, target)
-    inits = [random_field(mesh, target, seed=config.seed + r).values
-             for r in range(config.restarts)]
-    inits += [build_from_profile(mesh, ProfileField(mesh.t, prof, variant),
-                                 target).values for variant in VARIANTS]
-    _, report = _solve_restarts(mesh, target, params, params.boundary, inits,
-                                value_fn, egrad_fn, to_field, config)
+    inits = [build_from_profile(mesh, ProfileField(mesh.t, prof, variant),
+                                target).values for variant in VARIANTS]
+    _, report = _solve_restarts(level, target, params, inits, to_field,
+                                config, ladder, randoms)
     if not keep_fields:
         report.restart_fields = None
     return report
@@ -493,6 +604,8 @@ def minimize_1d_profile(mesh, target, params, variant, config=SolveConfig()):
     """
     boundary = _profile_boundary(mesh, params.boundary, variant)
     reduced = ProfileFunctional(mesh, params, variant)
+    level = _level(mesh, target, boundary, reduced.value, reduced.gradient,
+                   profile=True)
 
     def to_field(gamma):
         return build_from_profile(mesh, ProfileField(mesh.t, gamma, variant),
@@ -501,8 +614,7 @@ def minimize_1d_profile(mesh, target, params, variant, config=SolveConfig()):
     inits = [_normal_profile(mesh, target)]
     inits += [random_field(mesh, target, seed=config.seed + 500 + r).values[0]
               for r in range(config.restarts)]
-    gamma, report = _solve_restarts(mesh, target, params, boundary, inits,
-                                    reduced.value, reduced.gradient, to_field,
+    gamma, report = _solve_restarts(level, target, params, inits, to_field,
                                     config)
     report.best_profile = ProfileField(mesh.t, gamma, variant)
     report.diagnostics["variant_mismatch_warning"] = \

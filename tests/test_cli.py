@@ -1065,3 +1065,51 @@ def test_malformed_prior_report_exits_3_before_solving(tmp_path, capsys,
     assert "best_energy.total" in err
     assert not (tmp_path / "o").exists()
     assert not calls
+
+
+def _mutated_field_csv(source, dest, mutation):
+    """source's field.csv with its fifth data row cut short or its mx cell
+    overflowing to inf."""
+    lines = source.read_text(encoding="utf-8").splitlines()
+    row = next(k for k, ln in enumerate(lines) if ln[0].isdigit()) + 4
+    cells = lines[row].split(",")
+    lines[row] = ",".join(cells[:-1] if mutation == "short"
+                          else cells[:4] + ["1e400"] + cells[5:])
+    dest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+_BAD_CELLS = [("short", "data row 5 has no mz cell"),
+              ("overflow", "data row 5: mx '1e400' is not finite")]
+
+
+@pytest.mark.parametrize("mutation, message", _BAD_CELLS)
+def test_symmetrize_bad_input_field_cell_exits_3(tmp_path, capsys,
+                                                  minimize_16x12, mutation,
+                                                  message):
+    # a short row handed None to float() (TypeError, exit 1); a 1e400 cell
+    # was read as inf and symmetrized
+    _mutated_field_csv(minimize_16x12 / "field.csv", tmp_path / "in.csv",
+                       mutation)
+    write_config(tmp_path / "run.json", input_field=str(tmp_path / "in.csv"))
+    assert main(["symmetrize", "--config", str(tmp_path / "run.json"),
+                 "--out", str(tmp_path / "o")]) == 3
+    assert (f"config error: config.input_field: {message}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("mutation, message", _BAD_CELLS)
+def test_reduce_bad_prior_field_cell_exits_3(tmp_path, capsys, minimize_16x12,
+                                             mutation, message):
+    prior = tmp_path / "prior"
+    prior.mkdir()
+    (prior / "report.json").write_bytes((minimize_16x12 / "report.json")
+                                        .read_bytes())
+    _mutated_field_csv(minimize_16x12 / "field.csv", prior / "field.csv",
+                       mutation)
+    write_config(tmp_path / "run.json", prior_2d=str(prior))
+    assert main(["reduce", "--config", str(tmp_path / "run.json"),
+                 "--out", str(tmp_path / "o")]) == 3
+    assert (f"config error: config.prior_2d: {message}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()

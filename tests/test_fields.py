@@ -18,6 +18,9 @@ from axisym.fields import (
     profile_from_csv,
     profile_to_csv,
     random_field,
+    resample,
+    resample_phi,
+    resample_t,
     symmetrize,
     symmetry_defect,
 )
@@ -274,3 +277,70 @@ def test_mode_mass_parseval(sphere_target, n_phi):
     direct = np.sum(f.values ** 2, axis=0) * mesh.dphi
     assert np.allclose(2 * np.pi * mass.sum(axis=0), direct,
                        rtol=1e-12, atol=0)
+
+
+def _phi_modes(n, coeffs):
+    """(n, 3) samples at n uniform phi nodes of the field with cos and sin
+    coefficients coeffs (2, k_max + 1, 3) of the modes k = 0..k_max."""
+    phi = 2 * np.pi * np.arange(n) / n
+    k = np.arange(coeffs.shape[1])[:, None, None]
+    return np.sum(coeffs[0, :, None] * np.cos(k * phi[:, None])
+                  + coeffs[1, :, None] * np.sin(k * phi[:, None]), axis=0)
+
+
+@pytest.mark.parametrize("n_coarse, n_fine", [(8, 32), (16, 32), (16, 64)])
+def test_resample_phi_exact_for_resolved_modes(n_coarse, n_fine):
+    # modes |k| < n_coarse / 2 prolong exactly; restriction onto nested
+    # nodes is the sub-sample, and so is the truncated rfft of such a field
+    # onto nodes that do not nest
+    coeffs = np.random.default_rng(n_coarse).normal(size=(2, n_coarse // 2, 3))
+    v_c = _phi_modes(n_coarse, coeffs)
+    fine = resample_phi(v_c, n_fine)
+    assert np.max(np.abs(fine - _phi_modes(n_fine, coeffs))) < 1e-13
+    assert np.array_equal(resample_phi(fine, n_coarse),
+                          fine[::n_fine // n_coarse])
+    assert np.max(np.abs(resample_phi(fine, n_coarse) - v_c)) < 1e-13
+    assert np.max(np.abs(resample_phi(_phi_modes(24, coeffs), n_coarse)
+                         - v_c)) < 1e-13
+    # the Nyquist mode cos(n phi / 2) prolongs as the cosine
+    nyq = np.zeros((2, n_coarse // 2 + 1, 3))
+    nyq[0, -1] = 1.0
+    assert np.max(np.abs(resample_phi(_phi_modes(n_coarse, nyq), n_fine)
+                         - _phi_modes(n_fine, nyq))) < 1e-13
+
+
+def test_resample_t_wraps_across_the_seam_of_a_closed_base():
+    torus = surface("torus_band")
+    coarse, fine = build_mesh(torus, 16, 16), build_mesh(torus, 16, 32)
+    f = random_field(coarse, surface("sphere"), seed=4)
+    g = resample(f, fine)
+    assert g.mesh is fine and g.values.shape == (16, 32, 3)
+    # fine row 0 sits a quarter coarse cell above the seam, between coarse
+    # rows -1 (below the seam) and 0; fine row -1 mirrors it
+    assert np.allclose(g.values[:, 0], 0.25 * f.values[:, -1]
+                       + 0.75 * f.values[:, 0], rtol=0, atol=1e-14)
+    assert np.allclose(g.values[:, -1], 0.75 * f.values[:, -1]
+                       + 0.25 * f.values[:, 0], rtol=0, atol=1e-14)
+    # a smooth periodic field has no jump at the seam: its error there is
+    # the interpolation error of every other row
+    vals = np.cos(coarse.t)[None, :, None] + np.zeros((16, 1, 3))
+    err = np.abs(resample_t(vals, coarse, fine)[0, :, 0] - np.cos(fine.t))
+    assert err[0] == pytest.approx(err[15]) and err[-1] == pytest.approx(err[16])
+    assert np.max(err) < 0.02
+
+
+def test_resample_t_stays_inside_the_interval_of_an_axis_touching_base():
+    # on the sphere the coarse nodes end further from the poles than the
+    # fine ones: the fine end rows clamp to the coarse end rows, so a field
+    # holding its own t stays inside the coarse nodes' range and never
+    # reaches past a pole
+    sphere = surface("sphere")
+    coarse, fine = build_mesh(sphere, 16, 16), build_mesh(sphere, 16, 32)
+    vals = coarse.t[None, :, None] + np.zeros((16, 1, 3))
+    t_new = resample(DiscreteField(coarse, sphere, vals), fine).values
+    assert np.all(t_new[:, 0] == coarse.t[0])
+    assert np.all(t_new[:, -1] == coarse.t[-1])
+    assert coarse.t[0] <= t_new.min() and t_new.max() <= coarse.t[-1]
+    inner = (fine.t >= coarse.t[0]) & (fine.t <= coarse.t[-1])
+    assert np.allclose(t_new[:, inner], fine.t[inner, None], rtol=0,
+                       atol=1e-14)

@@ -327,6 +327,117 @@ def test_sphere_random_restarts_clear_soft_mode():
 
 
 # ---------------------------------------------------------------------------
+# coarse-to-fine random restarts
+# ---------------------------------------------------------------------------
+
+def _ladder_instance(kind):
+    """32 x 32 instances whose random restarts descend on 16 x 16 first:
+    a spline target, a closed base and Dirichlet rows."""
+    from axisym.energy import BoundaryCondition, dirichlet_rows_from_vector
+    from axisym.geometry import spline_curve
+    base, tgt = surface("cylinder", radius=2.0), surface("sphere")
+    if kind == "spline_target":
+        t = np.linspace(0.0, np.pi, 41)
+        tgt = spline_curve(t, np.sin(t), 1.5 * np.cos(t))
+    elif kind == "closed_base":
+        base = surface("torus_band")
+    mesh = build_mesh(base, 32, 32)
+    bc = None
+    if kind == "dirichlet":
+        bc = BoundaryCondition(
+            dirichlet_rows_from_vector(mesh, [0.6, 0.0, 0.8]),
+            random_field(mesh, tgt, seed=3).values[:, -1])
+    params = make_params(mesh, tgt, quadratic_potential(1.0),
+                         aniso_constant_e3(mesh), weight_constant(mesh, 1.0),
+                         bc)
+    return mesh, tgt, params
+
+
+@pytest.mark.parametrize("kind", ["spline_target", "closed_base", "dirichlet"])
+def test_laddered_restarts_converge_on_the_requested_grid(kind):
+    mesh, tgt, params = _ladder_instance(kind)
+    rep = minimize_2d(mesh, tgt, params,
+                      SolveConfig(restarts=2, seed=0, max_iters=500,
+                                  grad_tol=1e-6), keep_fields=True)
+    assert [[c[:2] for c in cs] for cs in rep.coarse_iterations] \
+        == [[[16, 16]], [[16, 16]], [], []]
+    assert all(cs[0][2] > 0 for cs in rep.coarse_iterations[:2])
+    assert rep.stop_reasons[:2] == ["grad_tol", "grad_tol"]
+    assert rep.to_dict()["coarse_iterations"] == rep.coarse_iterations
+    assert rep.best_energy == total_energy(rep.best_field, params)
+    for f, e in zip(rep.restart_fields, rep.restart_energies):
+        assert e == total_energy(f, params).total
+        assert f.constraint_defect() < 1e-8
+        for row, data in params.boundary.pinned.items():
+            assert np.array_equal(f.values[:, row], data)
+
+
+def test_coarse_params_are_restricted_from_the_callers():
+    # halving nests the phi nodes: Dirichlet rows are exact sub-samples;
+    # node data are interpolated in t, which keeps constants and misses a
+    # smooth profile by O(dt^2); the potential is the caller's
+    from axisym.solvers import _coarse_params
+    mesh, tgt, params = _ladder_instance("dirichlet")
+    coarse = build_mesh(mesh.surface, 16, 16)
+    cp = _coarse_params(params, mesh, coarse)
+    assert cp.potential is params.potential
+    assert np.array_equal(cp.boundary.bottom, params.boundary.bottom[::2])
+    assert np.array_equal(cp.boundary.top, params.boundary.top[::2])
+    assert np.allclose(cp.aniso.node_values,
+                       aniso_constant_e3(coarse).node_values, rtol=0,
+                       atol=1e-15)
+    assert np.allclose(cp.weight.W2, weight_constant(coarse, 1.0).W2,
+                       rtol=1e-15, atol=0)
+    mesh, tgt, params = make_instance(n_phi=64, n_t=64)
+    coarse = build_mesh(mesh.surface, 32, 32)
+    exact = make_instance(n_phi=32, n_t=32)[2]
+    assert np.max(np.abs(_coarse_params(params, mesh, coarse).aniso.node_values
+                         - exact.aniso.node_values)) < 1e-3
+
+
+def test_sphere_64_random_restarts_start_coarse(monkeypatch):
+    # perfbench's sphere-64 solve: a direct descent took 51 and 53
+    # iterations from the two random starts; descending on 16^2 and 32^2
+    # first leaves at most 16 on 64^2, to the same critical energy, and
+    # the seeded hedgehog still wins, to the bit
+    from axisym.energy import SobolevPreconditioner
+    mesh, tgt, params = make_instance(n_phi=64, n_t=64)
+    builds = count_calls(monkeypatch, build_mesh)
+    init, precs = SobolevPreconditioner.__init__, []
+
+    def counting_init(self, *args, **kwargs):
+        precs.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SobolevPreconditioner, "__init__", counting_init)
+    rep = minimize_2d(mesh, tgt, params,
+                      SolveConfig(restarts=2, seed=0, max_iters=150,
+                                  grad_tol=1e-6))
+    assert rep.best_energy.total == 25.12895697947937
+    assert rep.stop_reasons[:2] == ["grad_tol", "grad_tol"]
+    assert max(rep.iterations[:2]) <= 16
+    for e in rep.restart_energies[:2]:
+        assert abs(e - 26.1149812) <= 1e-7 * 26.1149812
+    assert [[c[:2] for c in cs] for cs in rep.coarse_iterations] \
+        == [[[16, 16], [32, 32]]] * 2 + [[], []]
+    # one mesh and one preconditioner per coarse level, for both restarts
+    assert len(builds) == 2 and len(precs) == 3
+
+
+@pytest.mark.parametrize("n_phi, n_t", [(32, 24), (16, 16)])
+def test_small_grids_build_no_ladder(monkeypatch, n_phi, n_t):
+    # the default suite's 32 x 24 and spline-target's 16 x 16 descend as
+    # they did: no coarse mesh, and no coarse_iterations in report.json
+    mesh, tgt, params = make_instance(n_phi=n_phi, n_t=n_t)
+    builds = count_calls(monkeypatch, build_mesh)
+    rep = minimize_2d(mesh, tgt, params,
+                      SolveConfig(restarts=2, seed=0, max_iters=300))
+    assert not builds
+    assert rep.coarse_iterations is None
+    assert "coarse_iterations" not in rep.to_dict()
+
+
+# ---------------------------------------------------------------------------
 # 1D profile reduction
 # ---------------------------------------------------------------------------
 
