@@ -19,7 +19,8 @@ significant digits, LF endings) and carry the config hash and seed.
 Exit codes: 0 ok/converged (of a solve: its winning restart met the
 gradient tolerance; report.json's stop_reasons gives every restart), 1
 failed certificate, 2 not converged (the winning restart did not meet the
-tolerance) or singular system, 3 input error (including a config file that
+tolerance), singular system, or a solve whose energy overflows ("solve
+non-finite", nothing written), 3 input error (including a config file that
 is not UTF-8, a key that its section or the section's kind does not take,
 an unknown kind, a missing required key, a profile anisotropy with both or
 neither of vector and table, a table that is missing, empty or not finite,
@@ -27,14 +28,16 @@ a path (a table, outputs, prior_2d, input_field) that is not a string,
 grids outside [8, 4096] or with odd n_phi, annulus --n-t (--n-phi) outside
 [3 (4), 4096], NaN or Infinity in a config or an annulus flag, an annulus
 ring vector whose squared norm overflows, a config number beyond the range
-of a double such as 1e400, a number given as "5" or true, a "closed" that
-is not a boolean, solver max_iters, restarts or seed (or --seed) that are
-not non-negative integers, suite seeds, chain_fields or pw_fields that are
-not, a suite solver seed (the suite's seeds come only from suite.seeds or
---seed), unknown suite instance names, kinked potential tables where a
-gradient is needed, prior_2d or input_field CSVs that do not cover the
-grid or have a missing or non-finite cell, and a prior_2d report.json without a finite number at
-best_energy.total; reduce checks prior_2d before it solves or writes
+of a double such as 1e400, a finite one that overflows once built such as
+a margin of 1e160 (named by its section), a number given as "5" or true,
+a "closed" that is not a boolean, solver max_iters, restarts or seed (or
+--seed) that are not non-negative integers, suite seeds, chain_fields or
+pw_fields that are not, a suite solver seed (the suite's seeds come only
+from suite.seeds or --seed), unknown suite instance names, kinked
+potential tables where a gradient is needed, prior_2d or input_field CSVs
+that do not cover the grid or have a missing or non-finite cell, and a
+prior_2d report.json without a finite number at best_energy.total;
+reduce checks prior_2d before it solves or writes
 anything, and verify refuses a config's instance sections as minimize
 does).  Restarts run one after another in one thread.
 """
@@ -62,6 +65,7 @@ from .runconfig import (RUN_SCHEMA, SUITE_NAMES, ConfigError, annulus_grid,
                         build_run, load_config, suite_config)
 from .solvers import (
     BoundaryVariantError,
+    NonFiniteSolveError,
     SingularSystemError,
     annulus_boundary_from_vector,
     minimize_1d_profile,
@@ -106,9 +110,9 @@ def _write_mode_csv(path, t, dec, comment):
 def cmd_minimize(args):
     cfg = load_config(args.config)
     mesh, target, params, sc = build_run(cfg, args.seed, _parse_grid(args.grid))
+    report = minimize_2d(mesh, target, params, sc)
     out = Path(args.out or cfg.get("outputs", "out"))
     out.mkdir(parents=True, exist_ok=True)
-    report = minimize_2d(mesh, target, params, sc)
     comment, digest = _provenance(cfg, sc.seed)
     field_to_csv(report.best_field, out / "field.csv", comment)
     _write_mode_csv(out / "mode.csv", mesh.t, report.mode, comment)
@@ -152,30 +156,30 @@ def cmd_reduce(args):
     prior = cfg.get("prior_2d")
     if prior:
         e2d, prior_field = _read_prior(prior, mesh, target)
-    out = Path(args.out or cfg.get("outputs", "out"))
-    out.mkdir(parents=True, exist_ok=True)
     comment, digest = _provenance(cfg, sc.seed)
     payload = {"config_sha256": digest, "seed": sc.seed}
     converged = True
-    fields_by_variant = {}
+    reports = {}
+    # both solves first: a solve that fails leaves no artifact behind
     for variant in VARIANTS:
         try:
-            rep = minimize_1d_profile(mesh, target, params, variant, sc)
+            reports[variant] = minimize_1d_profile(
+                mesh, target, params, variant, sc)
         except BoundaryVariantError as exc:
             # its swept fields would break the Dirichlet rows: no profile
             payload[f"{variant}_skipped"] = str(exc)
-            continue
+    out = Path(args.out or cfg.get("outputs", "out"))
+    out.mkdir(parents=True, exist_ok=True)
+    for variant, rep in reports.items():
         profile_to_csv(rep.best_profile, out / f"profile_{variant}.csv", comment)
         payload[variant] = rep.to_dict()
         converged &= rep.converged
-        fields_by_variant[variant] = rep
         if rep.diagnostics.get("variant_mismatch_warning"):
             payload[f"{variant}_warning"] = ("anisotropy variant differs from "
                                              "profile variant")
     if prior:
-        best_variant = min(fields_by_variant,
-                           key=lambda v: fields_by_variant[v].best_energy.total)
-        rep = fields_by_variant[best_variant]
+        best_variant = min(reports, key=lambda v: reports[v].best_energy.total)
+        rep = reports[best_variant]
         gap = abs(rep.best_energy.total - e2d) / max(abs(e2d), 1e-30)
         diff = rep.best_field.values - prior_field.values
         l2 = float(np.sqrt(np.sum(mesh.quad_weights * np.sum(diff ** 2, -1))))
@@ -333,6 +337,9 @@ def main(argv=None):
     except NonDifferentiableError as exc:
         print(f"config error: config.potential.table: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except NonFiniteSolveError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NOT_CONVERGED
 
 
 if __name__ == "__main__":

@@ -126,22 +126,12 @@ def tridiagonal_solve(lower, diag, upper, rhs):
     return x, piv
 
 
-def cubic_spline(t, y, periodic=False):
-    """(value, derivative): the cubic spline through the knots (t, y) and its
-    first derivative, as vectorized callables.
-
-    The ends are not-a-knot, or periodic when periodic is set (then y[0]
-    must equal y[-1]); the slopes at the knots solve the same system as
-    scipy.interpolate.CubicSpline's, with its special cases: 2 knots give
-    the line, 3 not-a-knot knots the parabola, 3 periodic knots one common
-    slope.  The not-a-knot system is tridiagonal as it stands.  The periodic
-    one is cyclic: its first n - 2 unknowns solve a tridiagonal system with
-    two right-hand sides (the data, and the column of the last unknown),
-    and the last row then fixes the last unknown.  Outside [t[0], t[-1]]
-    the end cubics extrapolate.  Bad knots are a ValueError: fewer than 2,
-    t not finite and strictly increasing, or periodic ends that differ by
-    more than 1e-15 (absolute plus relative).
-    """
+def _spline_table(t, y, periodic=False):
+    """(7, n - 1) table of the cubic spline through the knots (t, y), one
+    column per piece: on [t[i], t[i+1]] the spline is
+    c3 h^3 + c2 h^2 + s h + y with h = u - t[i], and column i holds t[i],
+    c3, c2, s, y, 3 c3 and 2 c2 there (the last two, with s, are the
+    derivative's).  cubic_spline says which spline and which knots."""
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
     if t.ndim != 1 or y.shape != t.shape:
@@ -199,15 +189,36 @@ def cubic_spline(t, y, periodic=False):
             rhs[-1] = (dt[-1] ** 2 * slope[-2]
                        + (2 * d1 + dt[-1]) * dt[-2] * slope[-1]) / d1
         s, _ = tridiagonal_solve(lower, diag, upper, rhs)
-    # on [t[i], t[i+1]] the spline is c3 h^3 + c2 h^2 + c1 h + c0, h = u - t[i]
     w = (s[:-1] + s[1:] - 2 * slope) / dt
     c3, c2 = w / dt, (slope - s[:-1]) / dt - w
-    # one gather per call from a table of knots and coefficients: the
-    # closest-point bisection calls a curve's four splines tens of thousands
-    # of times per solve
-    inner = t[1:-1]
-    value_table = np.stack([t[:-1], c3, c2, s[:-1], y[:-1]])
-    slope_table = np.stack([t[:-1], 3 * c3, 2 * c2, s[:-1]])
+    return np.stack([t[:-1], c3, c2, s[:-1], y[:-1], 3 * c3, 2 * c2])
+
+
+def cubic_spline(t, y, periodic=False):
+    """(value, derivative): the cubic spline through the knots (t, y) and its
+    first derivative, as vectorized callables.
+
+    The ends are not-a-knot, or periodic when periodic is set (then y[0]
+    must equal y[-1]); the slopes at the knots solve the same system as
+    scipy.interpolate.CubicSpline's, with its special cases: 2 knots give
+    the line, 3 not-a-knot knots the parabola, 3 periodic knots one common
+    slope.  The not-a-knot system is tridiagonal as it stands.  The periodic
+    one is cyclic: its first n - 2 unknowns solve a tridiagonal system with
+    two right-hand sides (the data, and the column of the last unknown),
+    and the last row then fixes the last unknown.  Outside [t[0], t[-1]]
+    the end cubics extrapolate.  Bad knots are a ValueError: fewer than 2,
+    t not finite and strictly increasing, or periodic ends that differ by
+    more than 1e-15 (absolute plus relative).
+    """
+    return _spline_callables(_spline_table(t, y, periodic))
+
+
+def _spline_callables(table):
+    """(value, derivative) of the spline of a _spline_table: each call is
+    one searchsorted and one gather from the knots and coefficients it
+    needs, then Horner."""
+    value_table, slope_table = table[:5], table[[0, 5, 6, 3]]
+    inner = table[0, 1:]
 
     def value(u):
         knot, a, b, c, d = value_table.take(inner.searchsorted(u, "right"),
@@ -241,7 +252,10 @@ class GeneratingCurve:
     marks loops (endpoints identified).  ``closest``, when set, is the
     closed form of curve_parameter_of_closest: closest(r, zeta) is the
     parameter of the curve point nearest to (r, zeta) in the half-plane,
-    ties broken toward the smallest one.
+    ties broken toward the smallest one.  ``jet``, when set, evaluates all
+    four in one call: jet(s) is (x(s), z(s), dx(s), dz(s)), each entry
+    == its own callable's value; spline curves set it, and the
+    closest-point bisection (_bracketed_refine) calls it once per step.
 
     Construction checks regularity (x >= 0, (dx, dz) != 0) at _CHECK_POINTS
     equispaced parameters.  Where x vanishes, only a base surface's chart
@@ -255,6 +269,7 @@ class GeneratingCurve:
     dz: Callable
     closed: bool = False
     closest: Optional[Callable] = None
+    jet: Optional[Callable] = None
 
     def __post_init__(self):
         t0, t1 = self.interval
@@ -387,11 +402,36 @@ def preset_curve(name, **kw):
         dz=lambda t: -c * np.sin(t))
 
 
+def _spline_jet(x_table, z_table):
+    """jet(u) = (x, z, dx, dz) at u of the two splines of the _spline_table
+    arrays x_table and z_table, which share their knots: one searchsorted
+    and one gather from their stacked coefficients, then each entry by the
+    Horner expression of its own _spline_callables, so == to it."""
+    table = np.concatenate([x_table, z_table[1:]])
+    inner = table[0, 1:]
+
+    def jet(u):
+        (knot, xa, xb, xc, xd, xa1, xb1,
+         za, zb, zc, zd, za1, zb1) = table.take(inner.searchsorted(u, "right"),
+                                                axis=1)
+        h = u - knot
+        return (((xa * h + xb) * h + xc) * h + xd,
+                ((za * h + zb) * h + zc) * h + zd,
+                (xa1 * h + xb1) * h + xc,
+                (za1 * h + zb1) * h + zc)
+
+    return jet
+
+
 def spline_curve(t_samples, x_samples, z_samples, closed=False):
     """Cubic-spline generating curve through (t, x, z) sample tables, with
-    not-a-knot ends, or periodic ones when closed (cubic_spline)."""
-    x, dx = cubic_spline(t_samples, x_samples, periodic=closed)
-    z, dz = cubic_spline(t_samples, z_samples, periodic=closed)
+    not-a-knot ends, or periodic ones when closed (cubic_spline), and the
+    jet of both splines (_spline_jet).  A closed curve wraps its parameter
+    into the interval once per call."""
+    x_table = _spline_table(t_samples, x_samples, periodic=closed)
+    z_table = _spline_table(t_samples, z_samples, periodic=closed)
+    (x, dx), (z, dz) = _spline_callables(x_table), _spline_callables(z_table)
+    jet = _spline_jet(x_table, z_table)
     t0, t1 = float(t_samples[0]), float(t_samples[-1])
     if closed:
         period = t1 - t0
@@ -399,9 +439,9 @@ def spline_curve(t_samples, x_samples, z_samples, closed=False):
         def wrap(f):
             return lambda s: f((np.asarray(s, dtype=float) - t0) % period + t0)
 
-        return GeneratingCurve((t0, t1), x=wrap(x), z=wrap(z),
-                               dx=wrap(dx), dz=wrap(dz), closed=True)
-    return GeneratingCurve((t0, t1), x=x, z=z, dx=dx, dz=dz)
+        return GeneratingCurve((t0, t1), x=wrap(x), z=wrap(z), dx=wrap(dx),
+                               dz=wrap(dz), closed=True, jet=wrap(jet))
+    return GeneratingCurve((t0, t1), x=x, z=z, dx=dx, dz=dz, jet=jet)
 
 
 # ---------------------------------------------------------------------------
@@ -553,26 +593,35 @@ def surface_normal(mesh):
 # ---------------------------------------------------------------------------
 
 _SCAN_POINTS = 1024
-_SCAN_BLOCK = 64
+# rows of the scan's distance table per block: two (16, 1025) float buffers
+# of 131 kB each, reused by every block, stay in a core's L2 cache
+_SCAN_BLOCK = 16
 
 
 def _bracketed_refine(curve, r, zeta, lo, hi):
     """Vectorized refinement of the squared-distance minimum on [lo, hi].
 
-    Bisects on the derivative of the half-plane squared distance on the rows
-    where it changes sign across the bracket, which resolves the parameter
-    to machine precision; the other rows fall back to golden section on the
-    distance itself (_golden).  Both loops run at most 80 times and stop at
-    their fixed point.  Curve evaluation is pointwise, so refining each set
-    of rows on its own gives, bit for bit, what refining every row with
-    both methods for all 80 steps and keeping one result per row gives.
+    Bisects on the derivative of the half-plane squared distance,
+    g(s) = (x - r) dx + (z - zeta) dz, on the rows where it changes sign
+    across the bracket, which resolves the parameter to machine precision;
+    the other rows fall back to golden section on the distance itself
+    (_golden).  g evaluates the curve's jet once, or its four callables
+    when it has none.  Both loops run at most 80 times and stop at their
+    fixed point: the bisection at the first step whose midpoint equals, on
+    every row, the end it would replace.  Curve evaluation is pointwise,
+    so refining each set of rows on its own gives, bit for bit, what
+    refining every row with both methods for all 80 steps and keeping one
+    result per row gives.
     """
+    jet = curve.jet or (lambda s: (curve.x(s), curve.z(s),
+                                   curve.dx(s), curve.dz(s)))
+
     def fdist(s, r, zeta):
         return (curve.x(s) - r) ** 2 + (curve.z(s) - zeta) ** 2
 
     def g(s, r, zeta):
-        return ((curve.x(s) - r) * curve.dx(s)
-                + (curve.z(s) - zeta) * curve.dz(s))
+        x, z, dx, dz = jet(s)
+        return (x - r) * dx + (z - zeta) * dz
 
     has_root = (g(lo, r, zeta) <= 0) & (g(hi, r, zeta) >= 0)
     s = np.empty_like(lo)
@@ -582,11 +631,10 @@ def _bracketed_refine(curve, r, zeta, lo, hi):
     for _ in range(80):
         mid = 0.5 * (a + b)
         take_hi = g(mid, rr, zz) <= 0
-        a_next = np.where(take_hi, mid, a)
-        b_next = np.where(take_hi, b, mid)
-        if np.array_equal(a_next, a) and np.array_equal(b_next, b):
+        if (mid == np.where(take_hi, a, b)).all():
             break
-        a, b = a_next, b_next
+        a = np.where(take_hi, mid, a)
+        b = np.where(take_hi, b, mid)
     s[has_root] = 0.5 * (a + b)
 
     # golden-section fallback where no sign change was available
@@ -611,9 +659,10 @@ def curve_parameter_of_closest(curve, r, zeta):
     it.  Any other curve is scanned at _SCAN_POINTS + 1 equispaced nodes,
     and the bracket of one node step on either side of each point's
     nearest node (the first one on ties) is refined by _bracketed_refine.
-    The scan runs over _SCAN_BLOCK points at a time, so its distance table
-    stays in cache; each point's argmin is computed from its own row only,
-    so blocking changes no result.
+    The scan computes its squared distances _SCAN_BLOCK points at a time
+    into two buffers that every block reuses, so they stay in cache; each
+    point's argmin is computed from its own row only, so blocking changes
+    no result.
     """
     r = np.atleast_1d(np.asarray(r, dtype=float))
     zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
@@ -623,10 +672,14 @@ def curve_parameter_of_closest(curve, r, zeta):
     grid = np.linspace(t0, t1, _SCAN_POINTS + 1)
     xg, zg = curve.x(grid), curve.z(grid)
     k = np.empty(r.shape, dtype=np.intp)
+    x_buf, z_buf = np.empty((2, min(_SCAN_BLOCK, r.size), grid.size))
     for i in range(0, r.size, _SCAN_BLOCK):
         blk = slice(i, i + _SCAN_BLOCK)
-        d2 = (xg - r[blk, None]) ** 2 + (zg - zeta[blk, None]) ** 2
-        k[blk] = np.argmin(d2, axis=1)                    # first minimum wins
+        dx2, dz2 = x_buf[:len(r[blk])], z_buf[:len(r[blk])]
+        # (xg - r)^2 + (zg - zeta)^2, operation for operation, in place
+        np.square(np.subtract(xg, r[blk, None], out=dx2), out=dx2)
+        np.square(np.subtract(zg, zeta[blk, None], out=dz2), out=dz2)
+        k[blk] = np.argmin(np.add(dx2, dz2, out=dx2), axis=1)  # first min wins
     step = (t1 - t0) / _SCAN_POINTS
     lo, hi = grid[k] - step, grid[k] + step
     if not curve.closed:

@@ -472,7 +472,7 @@ def _build_weight(section, mesh):
             return weight_margin_profile(mesh, values["margin"])
         tab = _read_table(values["table"], ["t", "omega"])
         return weight_t_profile(mesh, np.interp(mesh.t, tab[:, 0], tab[:, 1]))
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"config.weight: {exc}") from exc
 
 
@@ -509,6 +509,23 @@ def _solve_config(section, where):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+def _check_built(mesh, params):
+    """ConfigError naming the section whose built arrays (those of the mesh
+    and the params) hold a value that is not finite: a finite config
+    number can overflow on the way, as a margin of 1e160 does in W^2."""
+    built = {
+        "config.base_surface": (mesh.h1, mesh.h2, mesh.sqrtg,
+                                mesh.quad_weights, mesh.edge_weights),
+        "config.aniso_field": (params.aniso.node_values,),
+        "config.weight": (params.weight.W2, params.weight.node_values),
+        "config.boundary": tuple(params.boundary.pinned.values()),
+    }
+    for where, arrays in built.items():
+        if not all(np.all(np.isfinite(a)) for a in arrays):
+            raise ConfigError(f"{where}: a value overflows a double once "
+                              f"built on the grid")
+
+
 def build_run(cfg, seed_override=None, grid_override=None):
     """Instantiate (mesh, target, params, solve_config) from config, or
     ConfigError naming the first bad value of an instance section."""
@@ -528,6 +545,7 @@ def build_run(cfg, seed_override=None, grid_override=None):
         params = make_params(mesh, target, pot, an, w, bc)
     except ValueError as exc:
         raise ConfigError(f"config: {exc}") from exc
+    _check_built(mesh, params)
     solve_config = _solve_config(cfg.get("solver", {}), "config.solver")
     if seed_override is not None:
         solve_config = dataclasses.replace(

@@ -94,6 +94,11 @@ class BoundaryVariantError(ValueError):
     """No profile of this variant sweeps onto the Dirichlet ring data."""
 
 
+class NonFiniteSolveError(ArithmeticError):
+    """A descent ended at a non-finite energy: the instance's energy
+    overflows a double (a finite but extreme config value)."""
+
+
 # largest ring_defect of ring data that obeys a rotation law
 RING_TOL = 1e-8
 CHAIN_SLACK = 1e-9      # chain audit's rounding slack, relative to 1 + |E(m)|
@@ -425,10 +430,11 @@ def _solve_restarts(level, target, params, inits, to_field, config,
     retraction that starts the next descent puts it back on the target and
     its pinned rows.  Each end x on level.mesh is ranked by total_energy
     of its 2D field to_field(x): the lowest wins, ties going to the lowest
-    index.  The report carries every restart's field, energy, iterations
-    and stop reason on level.mesh, and the winner's diagnostics; with a
-    ladder it also carries every restart's [n_phi, n_t, iterations] per
-    coarse level ([] for the others).  Returns (the winner's point, its
+    index; an end whose energy is not finite is a NonFiniteSolveError.
+    The report carries every restart's field, energy, iterations and stop
+    reason on level.mesh, and the winner's diagnostics; with a ladder it
+    also carries every restart's [n_phi, n_t, iterations] per coarse
+    level ([] for the others).  Returns (the winner's point, its
     SolveReport).
     """
     def descend(x0, lv):
@@ -449,6 +455,10 @@ def _solve_restarts(level, target, params, inits, to_field, config,
     ends = [descend(x0, level) for x0, _ in starts]
     fields = [to_field(x) for x, *_ in ends]
     energies = [total_energy(f, params) for f in fields]
+    for i, energy in enumerate(energies):
+        if not np.isfinite(energy.total):
+            raise NonFiniteSolveError(f"solve non-finite: restart {i} ends "
+                                      f"at energy {energy.total}")
     best = min(range(len(ends)), key=lambda i: (energies[i].total, i))
     mode, diagnostics = field_diagnostics(fields[best], energies[best])
     return ends[best][0], SolveReport(

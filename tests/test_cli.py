@@ -587,6 +587,38 @@ def test_overflowing_config_number_exits_3(tmp_path, capsys, section, key,
     assert f"config error: {key}: " in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("weight", [{"kind": "margin", "margin": 1e160},
+                                    {"kind": "constant", "lam": 1e160}])
+@pytest.mark.parametrize("command", ["minimize", "reduce"])
+def test_weight_that_overflows_once_built_exits_3(tmp_path, capsys, command,
+                                                  weight):
+    # a finite weight whose W^2 (2 pi (margin / h1)^2, 2 pi lam^2) is not:
+    # refused before any solve, with nothing written
+    cfg_path = tmp_path / "run.json"
+    write_config(cfg_path, weight=weight)
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 3
+    assert "config error: config.weight: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", ["minimize", "reduce"])
+def test_energy_that_overflows_in_the_solve_exits_2(tmp_path, capsys,
+                                                    command):
+    # kappa s^2 is finite at every node, but the energy of a random start
+    # overflows: the solve fails as the annulus solve does, and no artifact
+    # is written
+    cfg_path = tmp_path / "run.json"
+    write_config(cfg_path, potential={"kind": "quadratic", "kappa": 1e308},
+                 solver={"restarts": 1, "max_iters": 20, "seed": 0})
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "error: solve non-finite: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("section, key", [
     ({"aniso_field": {"kind": "symmetric_profile", "vector": [1, 2]}},
      "config.aniso_field.vector"),

@@ -428,18 +428,47 @@ def test_closest_parameter_evaluation_count():
     pts = random_field(mesh, target, seed=0).values.reshape(-1, 3)
     sizes = []
 
-    def x(s):
-        sizes.append(np.size(s))
-        return target.x(s)
+    def counting(f):
+        def counted(s):
+            sizes.append(np.size(s))
+            return f(s)
+        return counted
 
-    counted = dataclasses.replace(target, x=x)
+    # the scan evaluates x, the bisection the jet: count both
+    counted = dataclasses.replace(target, x=counting(target.x),
+                                  jet=counting(target.jet))
     sizes.clear()                     # the curve's own checks sampled x
     s = curve_parameter_of_closest(counted, np.hypot(pts[:, 0], pts[:, 1]),
                                    pts[:, 2])
     assert s.shape == (256,)
     scan = sizes.count(_SCAN_POINTS + 1)
     assert scan == 1
-    assert len(sizes) - scan <= 64
+    assert 0 < len(sizes) - scan <= 64
+
+
+@pytest.mark.parametrize("n, closed", [(2, False), (3, False), (3, True),
+                                       (4, True), (9, False), (25, True)])
+def test_spline_jet_equals_the_four_callables(n, closed):
+    # one gather, the same Horner expressions: == at the knots, between
+    # them, beyond the ends (the end cubics extrapolate) and, for a loop,
+    # across the seam and periods away
+    rng = np.random.default_rng(n)
+    t = np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 1.5, n - 1))])
+    x, z = 2.0 + rng.uniform(-0.5, 0.5, n), rng.normal(size=n)
+    if closed:
+        x[-1], z[-1] = x[0], z[0]
+    curve = spline_curve(t, x, z, closed=closed)
+    span = t[-1]
+    s = np.concatenate([
+        t, 0.5 * (t[1:] + t[:-1]),
+        [-0.3 * span, -1e-12, 1e-12, span - 1e-12, span + 1e-12, 1.7 * span,
+         2.5 * span, -2.2 * span, np.nextafter(span, 0.0),
+         np.nextafter(0.0, -1.0)],
+        rng.uniform(-1.5 * span, 2.5 * span, 200)])
+    for u in (s, s[:40].reshape(4, 10), s[7]):
+        got = curve.jet(u)
+        for value, f in zip(got, (curve.x, curve.z, curve.dx, curve.dz)):
+            np.testing.assert_array_equal(value, f(u))
 
 
 def test_tangent_project_examples():
