@@ -29,7 +29,9 @@ grids outside [8, 4096] or with odd n_phi, annulus --n-t (--n-phi) outside
 [3 (4), 4096], NaN or Infinity in a config or an annulus flag, an annulus
 ring vector whose squared norm overflows, a config number beyond the range
 of a double such as 1e400, a finite one that overflows once built such as
-a margin of 1e160 (named by its section), a number given as "5" or true,
+a margin of 1e160 (named by its section), a base surface whose size over-
+or underflows its H^1 operator such as a cylinder height of 1e-300 or
+1e160 (named as config.base_surface), a number given as "5" or true,
 a "closed" that is not a boolean, solver max_iters, restarts or seed (or
 --seed) that are not non-negative integers, suite seeds, chain_fields or
 pw_fields that are not, a suite solver seed (the suite's seeds come only
@@ -52,7 +54,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ioutil
-from .energy import NonDifferentiableError
+from .energy import H1OperatorError, NonDifferentiableError
 from .geometry import VARIANTS
 from .fields import (
     _write_csv,
@@ -336,6 +338,9 @@ def main(argv=None):
         return EXIT_CONFIG
     except NonDifferentiableError as exc:
         print(f"config error: config.potential.table: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except H1OperatorError as exc:
+        print(f"config error: config.base_surface: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NonFiniteSolveError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -49,6 +49,11 @@ class NonDifferentiableError(ValueError):
     """Custom potential table has kinks; no analytic gradient available."""
 
 
+class H1OperatorError(np.linalg.LinAlgError):
+    """The H^1 operator of a base mesh has a non-finite or non-positive
+    pivot: the base surface's size over- or underflows it."""
+
+
 # ---------------------------------------------------------------------------
 # anisotropy potentials g
 # ---------------------------------------------------------------------------
@@ -288,7 +293,8 @@ def make_params(mesh, target, potential, aniso, weight, boundary=None):
     """
     boundary = boundary or BoundaryCondition()
     ts = np.linspace(*target.interval, 2048)
-    r_target = float(np.max(np.hypot(target.x(ts), target.z(ts))))
+    x, z, _, _ = target.jet(ts)
+    r_target = float(np.max(np.hypot(x, z)))
     smax = r_target * float(np.max(np.linalg.norm(aniso.node_values, axis=-1)))
     potential.check_range(max(smax, 1e-9))
     return EnergyParams(potential, aniso, weight, boundary)
@@ -540,16 +546,26 @@ class SobolevPreconditioner:
     and solve: up to about 256 rows that is as fast as a banded Cholesky
     solve, above about 300 rows it is slower and the memory grows with n_t
     (75 MB at 16 x 1024).  A non-finite or non-positive pivot, which a
-    positive definite block cannot have, raises LinAlgError.
+    positive definite block cannot have, raises H1OperatorError, and so
+    does a dt^2 outside the range of a double: a base surface whose size
+    over- or underflows the operator ends there, without a floating-point
+    warning.
     """
 
+    @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, mesh, profile=False, frozen_rows=()):
         n_t = mesh.n_t
         self.n_phi = mesh.n_phi
         self.profile = profile
         n_modes = 2 if profile else mesh.n_phi // 2 + 1
         scale = (2 * np.pi if profile else mesh.dphi) * mesh.dt
-        w = mesh.edge_weights[:n_t - 1] / mesh.dt ** 2
+        # numpy's scalar power is libm's pow, as Python's float power is
+        # (the same bits), but it overflows to inf, not to an exception
+        dt2 = np.float64(mesh.dt) ** 2
+        if not 0 < dt2 < np.inf:
+            raise H1OperatorError(f"H^1 operator: dt^2 = {mesh.dt!r}^2 is "
+                                  f"out of the range of a double")
+        w = mesh.edge_weights[:n_t - 1] / dt2
         stiff = np.zeros(n_t)
         stiff[:-1] += w
         stiff[1:] += w
@@ -564,7 +580,7 @@ class SobolevPreconditioner:
                                             off.T[..., None],
                                             np.eye(n_t)[:, None, :])
         if not np.all(np.isfinite(pivots) & (pivots > 0)):
-            raise np.linalg.LinAlgError(
+            raise H1OperatorError(
                 "H^1 operator has a non-finite or non-positive pivot")
         # (n_modes, n_t, n_t) as a view: the rows of each block stay
         # contiguous, which is all the BLAS products below need

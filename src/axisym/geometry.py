@@ -248,64 +248,56 @@ class GeneratingCurve:
     """Planar regular curve t -> (x(t), 0, z(t)), and the surface of
     revolution it sweeps.
 
-    x, z, dx, dz are vectorized callables on the closed interval.  ``closed``
-    marks loops (endpoints identified).  ``closest``, when set, is the
-    closed form of curve_parameter_of_closest: closest(r, zeta) is the
-    parameter of the curve point nearest to (r, zeta) in the half-plane,
-    ties broken toward the smallest one.  ``jet``, when set, evaluates all
-    four in one call: jet(s) is (x(s), z(s), dx(s), dz(s)), each entry
-    == its own callable's value; spline curves set it, and the
-    closest-point bisection (_bracketed_refine) calls it once per step.
+    Every curve is its jet: jet(t) is (x, z, x', z') at the parameters t
+    (any shape, a scalar included), the one evaluator that everything
+    reading the curve calls, once per parameter array.  ``closed`` marks
+    loops (endpoints identified).  ``closest``, when set, is the closed
+    form of curve_parameter_of_closest: closest(r, zeta) is the parameter
+    of the curve point nearest to (r, zeta) in the half-plane, ties broken
+    toward the smallest one.
 
-    Construction checks regularity (x >= 0, (dx, dz) != 0) at _CHECK_POINTS
+    Construction checks regularity (x >= 0, (x', z') != 0) at _CHECK_POINTS
     equispaced parameters.  Where x vanishes, only a base surface's chart
     constrains the curve (build_mesh).
     """
 
     interval: tuple[float, float]
-    x: Callable
-    z: Callable
-    dx: Callable
-    dz: Callable
+    jet: Callable
     closed: bool = False
     closest: Optional[Callable] = None
-    jet: Optional[Callable] = None
 
     def __post_init__(self):
         t0, t1 = self.interval
         if not t1 > t0:
             raise RegularityError("curve interval must have positive length")
-        ts = np.linspace(t0, t1, _CHECK_POINTS)
-        if np.any(self.x(ts) < -1e-12):
+        x, _, dx, dz = self.jet(np.linspace(t0, t1, _CHECK_POINTS))
+        if np.any(x < -1e-12):
             raise RegularityError("x(t) must be nonnegative")
-        if np.any(self.h2(ts) <= 1e-12):
+        if np.any(np.hypot(dx, dz) <= 1e-12):
             raise RegularityError("curve must be regular: (dx, dz) != 0")
 
     def point(self, t):
         t = np.asarray(t, dtype=float)
+        x, z, _, _ = self.jet(t)
         out = np.zeros(t.shape + (3,))
-        out[..., 0] = self.x(t)
-        out[..., 2] = self.z(t)
+        out[..., 0] = x
+        out[..., 2] = z
         return out
 
-    def h1(self, t):
-        """Radius of the circle of latitude."""
-        return np.abs(self.x(t))
-
-    def h2(self, t):
-        """Meridian speed |(x'(t), z'(t))|."""
-        return np.hypot(self.dx(t), self.dz(t))
-
-    def sqrtg(self, t):
-        return self.h1(t) * self.h2(t)
+    def metric(self, t):
+        """(h1, h2): the radius |x| of the circle of latitude and the
+        meridian speed |(x', z')|; the area element sqrt(g) is h1 h2."""
+        x, _, dx, dz = self.jet(t)
+        return np.abs(x), np.hypot(dx, dz)
 
     def normal_profile(self, t):
-        """Unit surface normal along the phi = 0 meridian: (dz, 0, -dx)/h2."""
+        """Unit surface normal along the phi = 0 meridian: (z', 0, -x')/h2."""
         t = np.asarray(t, dtype=float)
-        h2 = self.h2(t)
+        _, _, dx, dz = self.jet(t)
+        h2 = np.hypot(dx, dz)
         out = np.zeros(t.shape + (3,))
-        out[..., 0] = self.dz(t) / h2
-        out[..., 2] = -self.dx(t) / h2
+        out[..., 0] = dz / h2
+        out[..., 2] = -dx / h2
         return out
 
 
@@ -320,25 +312,30 @@ _PRESET_PARAMS = {
 }
 
 
+def _sphere_jet(t):
+    s, c = np.sin(t), np.cos(t)
+    return s, c, c, -s
+
+
 def _sphere_closest(r, zeta):
-    if np.any(np.hypot(r, zeta) == 0):
-        raise ValueError("projection of the origin onto the sphere is undefined")
-    return np.arctan2(r, zeta)                            # in [0, pi]
+    # in [0, pi]; every parameter ties at the origin, which takes 0
+    return np.arctan2(r, zeta)
 
 
 def _flat_ring(r0, r1):
     """x = t, z = 0 on [r0, r1]; the nearest parameter is r clipped."""
-    return GeneratingCurve(
-        (r0, r1),
-        x=lambda t: np.asarray(t, dtype=float),
-        z=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-        dx=lambda t: np.ones_like(np.asarray(t, dtype=float)),
-        dz=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-        closest=lambda r, zeta: np.clip(r, r0, r1))
+    def jet(t):
+        t = np.asarray(t, dtype=float)
+        return t, np.zeros_like(t), np.ones_like(t), np.zeros_like(t)
+
+    return GeneratingCurve((r0, r1), jet,
+                           closest=lambda r, zeta: np.clip(r, r0, r1))
 
 
-def preset_curve(name, **kw):
-    """Built-in generating curves.
+def surface(preset_or_curve, role=None, **kw):
+    """The surface of a preset or a curve, that is its generating curve:
+    surface(curve) is the curve itself, and a preset name with its keyword
+    parameters builds one:
 
     sphere           x = sin t, z = cos t on [0, pi] (unit sphere)
     cylinder         x = radius, z = t on [0, height]
@@ -350,8 +347,13 @@ def preset_curve(name, **kw):
     _PRESET_PARAMS lists each preset's keyword parameters and defaults; any
     other keyword, or a value that is not a number, is a GeometryError.
     Every preset but the ellipsoid band carries the closed form of its
-    closest-point parameter (GeneratingCurve.closest).
+    closest-point parameter (GeneratingCurve.closest).  role ('base' or
+    'target') is accepted and changes nothing (the acceptance tests and
+    the benchmark pass it).
     """
+    if isinstance(preset_or_curve, GeneratingCurve):
+        return preset_or_curve
+    name = preset_or_curve
     if name not in _PRESET_PARAMS:
         raise GeometryError(f"unknown curve preset {name!r}")
     for key, value in sorted(kw.items()):
@@ -363,18 +365,18 @@ def preset_curve(name, **kw):
                                 f"a number, got {value!r}")
     p = dict(_PRESET_PARAMS[name], **kw)
     if name == "sphere":
-        return GeneratingCurve(
-            (0.0, np.pi),
-            x=np.sin, z=np.cos, dx=np.cos, dz=lambda t: -np.sin(t),
-            closest=_sphere_closest)
+        return GeneratingCurve((0.0, np.pi), _sphere_jet,
+                               closest=_sphere_closest)
     if name == "cylinder":
         radius, height = p["radius"], p["height"]
+
+        def cylinder_jet(t):
+            t = np.asarray(t, dtype=float)
+            return (np.full_like(t, radius), t, np.zeros_like(t),
+                    np.ones_like(t))
+
         return GeneratingCurve(
-            (0.0, height),
-            x=lambda t: np.full_like(np.asarray(t, dtype=float), radius),
-            z=lambda t: np.asarray(t, dtype=float),
-            dx=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-            dz=lambda t: np.ones_like(np.asarray(t, dtype=float)),
+            (0.0, height), cylinder_jet,
             closest=lambda r, zeta: np.clip(zeta, 0.0, height))
     if name == "annulus":
         return _flat_ring(p["r_inner"], p["r_outer"])
@@ -384,22 +386,22 @@ def preset_curve(name, **kw):
         R, r = p["R"], p["r"]
         if not R > r > 0:
             raise RegularityError("torus_band needs R > r > 0")
+
+        def torus_jet(t):
+            c, s = np.cos(t), np.sin(t)
+            return R + r * c, r * s, -r * s, r * c
+
         return GeneratingCurve(
-            (0.0, 2 * np.pi),
-            x=lambda t: R + r * np.cos(t),
-            z=lambda t: r * np.sin(t),
-            dx=lambda t: -r * np.sin(t),
-            dz=lambda t: r * np.cos(t),
-            closed=True,
+            (0.0, 2 * np.pi), torus_jet, closed=True,
             # nearest tube angle seen from the center circle of radius R
             closest=lambda rr, zeta: np.arctan2(zeta, rr - R) % (2 * np.pi))
     a, c, pad = p["a"], p["c"], p["pad"]
-    return GeneratingCurve(
-        (pad, np.pi - pad),
-        x=lambda t: a * np.sin(t),
-        z=lambda t: c * np.cos(t),
-        dx=lambda t: a * np.cos(t),
-        dz=lambda t: -c * np.sin(t))
+
+    def ellipse_jet(t):
+        s, co = np.sin(t), np.cos(t)
+        return a * s, c * co, a * co, -c * s
+
+    return GeneratingCurve((pad, np.pi - pad), ellipse_jet)
 
 
 def _spline_jet(x_table, z_table):
@@ -425,38 +427,24 @@ def _spline_jet(x_table, z_table):
 
 def spline_curve(t_samples, x_samples, z_samples, closed=False):
     """Cubic-spline generating curve through (t, x, z) sample tables, with
-    not-a-knot ends, or periodic ones when closed (cubic_spline), and the
-    jet of both splines (_spline_jet).  A closed curve wraps its parameter
+    not-a-knot ends, or periodic ones when closed (cubic_spline).  Its jet
+    is _spline_jet of both splines, each entry == the cubic_spline value or
+    derivative of its own coordinate; a closed curve wraps its parameter
     into the interval once per call."""
-    x_table = _spline_table(t_samples, x_samples, periodic=closed)
-    z_table = _spline_table(t_samples, z_samples, periodic=closed)
-    (x, dx), (z, dz) = _spline_callables(x_table), _spline_callables(z_table)
-    jet = _spline_jet(x_table, z_table)
+    jet = _spline_jet(_spline_table(t_samples, x_samples, periodic=closed),
+                      _spline_table(t_samples, z_samples, periodic=closed))
     t0, t1 = float(t_samples[0]), float(t_samples[-1])
-    if closed:
-        period = t1 - t0
-
-        def wrap(f):
-            return lambda s: f((np.asarray(s, dtype=float) - t0) % period + t0)
-
-        return GeneratingCurve((t0, t1), x=wrap(x), z=wrap(z), dx=wrap(dx),
-                               dz=wrap(dz), closed=True, jet=wrap(jet))
-    return GeneratingCurve((t0, t1), x=x, z=z, dx=dx, dz=dz, jet=jet)
+    if not closed:
+        return GeneratingCurve((t0, t1), jet)
+    period = t1 - t0
+    return GeneratingCurve(
+        (t0, t1), lambda s: jet((np.asarray(s, dtype=float) - t0) % period + t0),
+        closed=True)
 
 
 # ---------------------------------------------------------------------------
 # surfaces and meshes
 # ---------------------------------------------------------------------------
-
-def surface(preset_or_curve, role=None, **kw):
-    """The surface of a preset or a curve, that is its generating curve:
-    surface('sphere'), surface(curve), surface('cylinder', radius=2.0), ...;
-    role ('base' or 'target') is accepted and changes nothing (the
-    acceptance tests and the benchmark pass it)."""
-    if isinstance(preset_or_curve, GeneratingCurve):
-        return preset_or_curve
-    return preset_curve(preset_or_curve, **kw)
-
 
 @dataclass(frozen=True, eq=False)
 class SurfaceMesh:
@@ -520,17 +508,21 @@ def _golden(f, a, b):
 
 
 def _interior_axis_touch(curve, ts, xs):
-    """True if x attains (numerically) zero strictly inside the interval;
-    each interior local minimum of the scan xs is sharpened by _golden
-    first, since it can sit between the scan's nodes."""
+    """True if |x| attains (numerically) zero strictly inside the interval;
+    each interior local minimum of the scan xs (|x| at ts) is sharpened by
+    _golden first, since it can sit between the scan's nodes."""
     k = np.where((xs[1:-1] <= xs[:-2]) & (xs[1:-1] <= xs[2:]) & (xs[1:-1] < 0.1))[0] + 1
     if k.size == 0:
         return False
-    smin = _golden(curve.h1, ts[k - 1], ts[k + 1])
+
+    def h1(s):
+        return np.abs(curve.jet(s)[0])
+
+    smin = _golden(h1, ts[k - 1], ts[k + 1])
     t0, t1 = curve.interval
     pad = 1e-9 * (t1 - t0)
     inside = (smin > t0 + pad) & (smin < t1 - pad)
-    return bool(np.any(inside & (curve.h1(smin) <= 1e-9)))
+    return bool(np.any(inside & (h1(smin) <= 1e-9)))
 
 
 def build_mesh(surf, n_phi, n_t):
@@ -547,20 +539,22 @@ def build_mesh(surf, n_phi, n_t):
         raise ValueError("n_t must be >= 2")
     t0, t1 = surf.interval
 
-    ts = np.linspace(t0, t1, _CHECK_POINTS)
-    xs = surf.h1(ts)
+    ts = np.linspace(t0, t1, _CHECK_POINTS)     # ts[0] = t0, ts[-1] = t1
+    x, _, _, dz = surf.jet(ts)
+    xs = np.abs(x)
     if _interior_axis_touch(surf, ts, xs):
         raise AxisError("curve meets the e3-axis at an interior parameter")
-    for ta, hit in ((t0, xs[0] <= 1e-10), (t1, xs[-1] <= 1e-10)):
-        if hit and abs(float(surf.dz(ta))) > 1e-8:
+    for ta, end in ((t0, 0), (t1, -1)):
+        if xs[end] <= 1e-10 and abs(float(dz[end])) > 1e-8:
             raise AxisError(f"axis touching at t={ta} without perpendicularity")
 
     dphi = 2 * np.pi / n_phi
     dt = (t1 - t0) / n_t
+    if dt == 0:
+        raise RegularityError(f"the t step {t1 - t0!r}/{n_t} underflows to 0")
     phi = dphi * np.arange(n_phi)
     t = t0 + dt * (np.arange(n_t) + 0.5)
-    h1 = surf.h1(t)
-    h2 = surf.h2(t)
+    h1, h2 = surf.metric(t)
     sqrtg = h1 * h2
     if np.any(sqrtg <= 0):
         raise RegularityError("area element vanishes at a mesh node")
@@ -569,7 +563,8 @@ def build_mesh(surf, n_phi, n_t):
     t_edges = t0 + dt * np.arange(1, n_t)
     if surf.closed:
         t_edges = np.append(t_edges, t0)
-    edge_weights = surf.sqrtg(t_edges) / surf.h2(t_edges) ** 2
+    h1_edges, h2_edges = surf.metric(t_edges)
+    edge_weights = h1_edges * h2_edges / h2_edges ** 2
     return SurfaceMesh(surf, n_phi, n_t, phi, t, dphi, dt, h1, h2, sqrtg,
                        weights, edge_weights)
 
@@ -605,22 +600,20 @@ def _bracketed_refine(curve, r, zeta, lo, hi):
     g(s) = (x - r) dx + (z - zeta) dz, on the rows where it changes sign
     across the bracket, which resolves the parameter to machine precision;
     the other rows fall back to golden section on the distance itself
-    (_golden).  g evaluates the curve's jet once, or its four callables
-    when it has none.  Both loops run at most 80 times and stop at their
-    fixed point: the bisection at the first step whose midpoint equals, on
-    every row, the end it would replace.  Curve evaluation is pointwise,
+    (_golden).  g and the distance each evaluate the curve's jet once.
+    Both loops run at most 80 times and stop at their fixed point: the
+    bisection at the first step whose midpoint equals, on every row, the
+    end it would replace.  Curve evaluation is pointwise,
     so refining each set of rows on its own gives, bit for bit, what
     refining every row with both methods for all 80 steps and keeping one
     result per row gives.
     """
-    jet = curve.jet or (lambda s: (curve.x(s), curve.z(s),
-                                   curve.dx(s), curve.dz(s)))
-
     def fdist(s, r, zeta):
-        return (curve.x(s) - r) ** 2 + (curve.z(s) - zeta) ** 2
+        x, z, _, _ = curve.jet(s)
+        return (x - r) ** 2 + (z - zeta) ** 2
 
     def g(s, r, zeta):
-        x, z, dx, dz = jet(s)
+        x, z, dx, dz = curve.jet(s)
         return (x - r) * dx + (z - zeta) * dz
 
     has_root = (g(lo, r, zeta) <= 0) & (g(hi, r, zeta) >= 0)
@@ -670,7 +663,7 @@ def curve_parameter_of_closest(curve, r, zeta):
         return np.atleast_1d(curve.closest(r, zeta))
     t0, t1 = curve.interval
     grid = np.linspace(t0, t1, _SCAN_POINTS + 1)
-    xg, zg = curve.x(grid), curve.z(grid)
+    xg, zg, _, _ = curve.jet(grid)
     k = np.empty(r.shape, dtype=np.intp)
     x_buf, z_buf = np.empty((2, min(_SCAN_BLOCK, r.size), grid.size))
     for i in range(0, r.size, _SCAN_BLOCK):
@@ -712,7 +705,7 @@ def project_points(target, pts):
     flat = pts.reshape(-1, 3)
     r, cos_t, sin_t = _azimuth(flat)
     s = curve_parameter_of_closest(target, r, flat[:, 2])
-    xs, zs = target.x(s), target.z(s)
+    xs, zs, _, _ = target.jet(s)
     out = np.stack([xs * cos_t, xs * sin_t, zs], axis=-1)
     return out.reshape(pts.shape), s.reshape(pts.shape[:-1])
 
@@ -731,10 +724,9 @@ def tangent_frame(target, pts, params=None):
     params = np.asarray(params).reshape(-1)
     r, cos_t, sin_t = _azimuth(flat)
     u1 = np.stack([-sin_t, cos_t, np.zeros_like(r)], axis=-1)
-    h2 = target.h2(params)
-    dx = target.dx(params)
-    u2 = np.stack([dx * cos_t, dx * sin_t,
-                   target.dz(params)], axis=-1) / h2[:, None]
+    _, _, dx, dz = target.jet(params)
+    h2 = np.hypot(dx, dz)
+    u2 = np.stack([dx * cos_t, dx * sin_t, dz], axis=-1) / h2[:, None]
     return u1.reshape(pts.shape), u2.reshape(pts.shape)
 
 
@@ -785,7 +777,8 @@ def never_flat_check(target):
     """
     tol = 1e-6
     ts = np.linspace(*target.interval, 4097)
-    flat = (np.abs(target.dz(ts)) < tol) & (np.abs(target.dx(ts)) > tol)
+    _, _, dx, dz = target.jet(ts)
+    flat = (np.abs(dz) < tol) & (np.abs(dx) > tol)
     # runs of flat samples: first and last node of each
     step = np.diff(np.concatenate(([0], flat.view(np.int8), [0])))
     a, b = ts[np.flatnonzero(step == 1)], ts[np.flatnonzero(step == -1) - 1]

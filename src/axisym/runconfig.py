@@ -526,9 +526,12 @@ def _check_built(mesh, params):
                               f"built on the grid")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def build_run(cfg, seed_override=None, grid_override=None):
     """Instantiate (mesh, target, params, solve_config) from config, or
-    ConfigError naming the first bad value of an instance section."""
+    ConfigError naming the first bad value of an instance section.  A
+    value that overflows on the way raises no floating-point warning:
+    _check_built names its section."""
     n_phi, n_t = _grid(cfg.get("grid", {}), grid_override, "config.grid")
     base, target = (_build_surface(cfg.get(name, {"preset": "sphere"}),
                                    f"config.{name}")

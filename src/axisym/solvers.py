@@ -529,6 +529,13 @@ def _field_level(mesh, target, params):
     return _level(mesh, target, params.boundary, value_fn, egrad_fn), to_field
 
 
+# The solvers raise no floating-point warning: a value that overflows on
+# the way ends in a non-finite pivot of the H^1 operator (H1OperatorError)
+# or a non-finite end energy (NonFiniteSolveError, _solve_restarts).
+_QUIET = np.errstate(over="ignore", invalid="ignore")
+
+
+@_QUIET
 def minimize_2d(mesh, target, params, config=SolveConfig(), keep_fields=False):
     """Best-of-restarts projected descent on the full 2D field.
 
@@ -596,6 +603,7 @@ def _profile_boundary(mesh, boundary, variant):
     return replace(boundary, **ends)
 
 
+@_QUIET
 def minimize_1d_profile(mesh, target, params, variant, config=SolveConfig()):
     """Minimize the reduced functional over target-valued t-profiles.
 

@@ -1,10 +1,15 @@
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from axisym import fields, ioutil, verify
 from axisym.cli import main
@@ -619,6 +624,112 @@ def test_energy_that_overflows_in_the_solve_exits_2(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("preset, key, value", [
+    ("cylinder", "height", 1e-300), ("cylinder", "height", 5e-324),
+    ("cylinder", "height", 1e160), ("cylinder", "height", 1e308),
+    ("cylinder", "radius", 1e308), ("torus_band", "R", 1e308),
+    ("disk", "radius", 1e-300), ("ellipsoid_band", "c", 1e308),
+    ("ellipsoid_band", "c", -1e-300), ("ellipsoid_band", "c", 0.0),
+    ("ellipsoid_band", "c", 5e-324)])
+@pytest.mark.parametrize("command", ["minimize", "reduce"])
+def test_base_surface_that_overflows_the_h1_operator_exits_3(
+        tmp_path, capsys, command, preset, key, value):
+    # finite mesh arrays, but the H^1 operator's edge_weights / dt^2 (or dt
+    # itself) over- or underflows: an input error naming the base surface,
+    # one line on stderr and nothing written
+    cfg_path = tmp_path / "run.json"
+    write_config(cfg_path, grid={"n_phi": 8, "n_t": 8},
+                 base_surface={"preset": preset, "params": {key: value}},
+                 solver={"max_iters": 2})
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config.base_surface: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("overrides, code", [
+    ({"weight": {"kind": "margin", "margin": 1e160}}, 3),
+    ({"potential": {"kind": "quadratic", "kappa": 1e308},
+      "solver": {"restarts": 1, "max_iters": 20, "seed": 0}}, 2),
+], ids=["margin", "kappa"])
+@pytest.mark.parametrize("command", ["minimize", "reduce"])
+def test_overflow_prints_its_message_and_no_warning(tmp_path, capsys,
+                                                    command, overrides, code):
+    # what overflows on the way is checked anyway (build_run's check of the
+    # built arrays, the solve's end check), so numpy prints nothing first
+    cfg_path = tmp_path / "run.json"
+    write_config(cfg_path, grid={"n_phi": 8, "n_t": 8}, **overrides)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main([command, "--config", str(cfg_path),
+                   "--out", str(tmp_path / "o")])
+    assert rc == code
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+# numeric config keys, each as (its section, the path to it): a base and a
+# target of every preset parameter's kind, every potential and weight
+# value, anisotropy and Dirichlet vector components, and the tolerance
+_FUZZ_SITES = [
+    ({"base_surface": {"preset": "cylinder"}},
+     ("base_surface", "params", "height")),
+    ({"base_surface": {"preset": "cylinder"}},
+     ("base_surface", "params", "radius")),
+    ({"base_surface": {"preset": "annulus"}},
+     ("base_surface", "params", "r_inner")),
+    ({"base_surface": {"preset": "disk"}}, ("base_surface", "params", "radius")),
+    ({"base_surface": {"preset": "torus_band"}},
+     ("base_surface", "params", "r")),
+    ({"base_surface": {"preset": "ellipsoid_band"}},
+     ("base_surface", "params", "pad")),
+    ({"target_surface": {"preset": "cylinder"}},
+     ("target_surface", "params", "radius")),
+    ({"target_surface": {"preset": "torus_band"}},
+     ("target_surface", "params", "R")),
+    ({"target_surface": {"preset": "ellipsoid_band"}},
+     ("target_surface", "params", "c")),
+    ({"potential": {"kind": "quartic"}}, ("potential", "lam")),
+    ({"potential": {"kind": "easy_normal"}}, ("potential", "kappa")),
+    ({}, ("potential", "kappa")),
+    ({}, ("weight", "lam")),
+    ({"weight": {"kind": "margin"}}, ("weight", "margin")),
+    ({"aniso_field": {"kind": "antisymmetric_profile", "vector": [0, 0, 1]}},
+     ("aniso_field", "vector", 0)),
+    ({"boundary": {"kind": "dirichlet", "top": {"vector": [0, 0, 1]}}},
+     ("boundary", "top", "vector", 2)),
+    ({}, ("solver", "grad_tol")),
+]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(site=st.sampled_from(_FUZZ_SITES),
+       value=st.sampled_from([1e308, -1e308, 1e160, 1e-300, -1e-300,
+                              5e-324, 0.0]),
+       command=st.sampled_from(["minimize", "reduce"]))
+def test_extreme_config_value_exits_0_2_or_3(tmp_path_factory, site, value,
+                                             command):
+    # one numeric key at a time at an extreme value: a result, a failed
+    # solve or an input error, never a traceback
+    section, path = site
+    cfg_path = tmp_path_factory.mktemp("fuzz") / "run.json"
+    cfg = write_config(cfg_path, grid={"n_phi": 8, "n_t": 8},
+                       solver={"restarts": 1, "max_iters": 2, "seed": 0},
+                       **copy.deepcopy(section))
+    node = cfg
+    for key in path[:-1]:
+        node = node.setdefault(key, {})
+    node[path[-1]] = value
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        rc = main([command, "--config", str(cfg_path),
+                   "--out", str(cfg_path.parent / "o")])
+    assert rc in (0, 2, 3)
+
+
 @pytest.mark.parametrize("section, key", [
     ({"aniso_field": {"kind": "symmetric_profile", "vector": [1, 2]}},
      "config.aniso_field.vector"),
@@ -852,10 +963,9 @@ def test_no_run_loads_scipy(tmp_path):
             (loop_target, u, 2 + 0.7 * np.cos(u), 0.9 * np.sin(u),
              "periodic", up)):
         sx, sz = (CubicSpline(knots, v, bc_type=bc) for v in (x, z))
-        for ours, ref in ((curve.x, sx), (curve.z, sz),
-                          (curve.dx, sx.derivative()),
-                          (curve.dz, sz.derivative())):
-            np.testing.assert_allclose(ours(probe), ref(probe), rtol=1e-13,
+        for ours, ref in zip(curve.jet(probe),
+                             (sx, sz, sx.derivative(), sz.derivative())):
+            np.testing.assert_allclose(ours, ref(probe), rtol=1e-13,
                                        atol=1e-13)
     sg = CubicSpline(s, (1 - s ** 2) ** 2)
     sp = np.linspace(-3.3, 3.3, 97)

@@ -16,7 +16,6 @@ from axisym.geometry import (
     curve_parameter_of_closest,
     dot3,
     never_flat_check,
-    preset_curve,
     project_points,
     project_to_frame,
     ring_defect,
@@ -169,21 +168,21 @@ def test_mesh_validation_errors():
     with pytest.raises(ValueError):
         build_mesh(surface("sphere"), 16, 1)
     # x < 0 somewhere
-    bad = dict(interval=(0.0, 1.0),
-               x=lambda t: np.asarray(t) - 0.5,
-               z=lambda t: np.asarray(t, dtype=float),
-               dx=lambda t: np.ones_like(np.asarray(t, dtype=float)),
-               dz=lambda t: np.ones_like(np.asarray(t, dtype=float)))
+    def bad(t):
+        t = np.asarray(t, dtype=float)
+        return t - 0.5, t, np.ones_like(t), np.ones_like(t)
+
     from axisym.geometry import GeneratingCurve
     with pytest.raises(RegularityError):
-        GeneratingCurve(**bad)
+        GeneratingCurve(interval=(0.0, 1.0), jet=bad)
+
     # touches axis at interior point
-    interior = GeneratingCurve(
-        (-1.0, 1.0),
-        x=lambda t: np.abs(np.asarray(t, dtype=float)) + 0.0,
-        z=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-        dx=lambda t: np.sign(np.asarray(t, dtype=float) + 1e-300),
-        dz=lambda t: np.ones_like(np.asarray(t, dtype=float)) * 0.5)
+    def kink(t):
+        t = np.asarray(t, dtype=float)
+        return (np.abs(t) + 0.0, np.zeros_like(t), np.sign(t + 1e-300),
+                np.ones_like(t) * 0.5)
+
+    interior = GeneratingCurve((-1.0, 1.0), kink)
     with pytest.raises(AxisError):
         build_mesh(surface(interior), 8, 8)
 
@@ -194,13 +193,13 @@ def test_curve_dipping_below_axis_between_coarse_samples_refused():
     # still reads x > 0; the construction check's finer scan catches it
     c = 200.5 / 511
     from axisym.geometry import GeneratingCurve
+
+    def jet(t):
+        t = np.asarray(t, dtype=float)
+        return (t - c) ** 2 - 5.6e-7, t, 2 * (t - c), np.ones_like(t)
+
     with pytest.raises(RegularityError, match="nonnegative"):
-        GeneratingCurve(
-            (0.0, 1.0),
-            x=lambda t: (np.asarray(t, dtype=float) - c) ** 2 - 5.6e-7,
-            z=lambda t: np.asarray(t, dtype=float),
-            dx=lambda t: 2 * (np.asarray(t, dtype=float) - c),
-            dz=lambda t: np.ones_like(np.asarray(t, dtype=float)))
+        GeneratingCurve((0.0, 1.0), jet)
 
 
 def test_mesh_nodes_avoid_axis():
@@ -297,9 +296,9 @@ def test_spline_named_like_a_preset_projects_generically(tmp_path, name):
 
 def test_preset_rejects_unknown_parameter():
     with pytest.raises(GeometryError, match="no parameter 'radus'"):
-        preset_curve("cylinder", radus=2.0)
+        surface("cylinder", radus=2.0)
     with pytest.raises(GeometryError, match="unknown curve preset"):
-        preset_curve("cone")
+        surface("cone")
 
 
 def test_project_idempotent():
@@ -318,6 +317,10 @@ def test_project_axis_tiebreak_uses_e1():
     cyl = surface("cylinder")
     p = project_points(cyl, [0.0, 0.0, 0.5])[0]
     assert np.allclose(p, [1.0, 0.0, 0.5], atol=1e-14)
+    # every point of the sphere ties for the origin: it takes the pole,
+    # t = 0, as a zero Dirichlet ring does in the retraction
+    p, s = project_points(surface("sphere"), [0.0, 0.0, 0.0])
+    assert s == 0.0 and np.array_equal(p, [0.0, 0.0, 1.0])
 
 
 def test_project_lipschitz_bound():
@@ -340,8 +343,8 @@ def _reference_closest(curve, r, zeta, iters=80):
     parameters and the rows whose bracket has a sign change."""
     t0, t1 = curve.interval
     grid = np.linspace(t0, t1, _SCAN_POINTS + 1)
-    d2 = ((curve.x(grid)[None, :] - r[:, None]) ** 2
-          + (curve.z(grid)[None, :] - zeta[:, None]) ** 2)
+    xg, zg, _, _ = curve.jet(grid)
+    d2 = (xg[None, :] - r[:, None]) ** 2 + (zg[None, :] - zeta[:, None]) ** 2
     k = np.argmin(d2, axis=1)
     step = (t1 - t0) / _SCAN_POINTS
     lo, hi = grid[k] - step, grid[k] + step
@@ -349,11 +352,12 @@ def _reference_closest(curve, r, zeta, iters=80):
         lo, hi = np.maximum(lo, t0), np.minimum(hi, t1)
 
     def fdist(s):
-        return (curve.x(s) - r) ** 2 + (curve.z(s) - zeta) ** 2
+        x, z, _, _ = curve.jet(s)
+        return (x - r) ** 2 + (z - zeta) ** 2
 
     def g(s):
-        return ((curve.x(s) - r) * curve.dx(s)
-                + (curve.z(s) - zeta) * curve.dz(s))
+        x, z, dx, dz = curve.jet(s)
+        return (x - r) * dx + (z - zeta) * dz
 
     has_root = (g(lo) <= 0) & (g(hi) >= 0)
     a, b = lo.copy(), hi.copy()
@@ -395,8 +399,7 @@ def _probe_points(curve, n, rng):
     special = [(0.0, 0.0), (0.0, 0.7), (0.0, -2.5), (0.0, 4.0)]
     if not curve.closed:
         for te, sign in zip(curve.interval, (-1.0, 1.0)):
-            x, z = float(curve.x(te)), float(curve.z(te))
-            dx, dz = float(curve.dx(te)), float(curve.dz(te))
+            x, z, dx, dz = (float(v) for v in curve.jet(te))
             for dist in (0.05, 0.6):
                 special.append((max(x + sign * dist * dx, 0.0),
                                 z + sign * dist * dz))
@@ -410,7 +413,7 @@ def test_closest_parameter_equals_fixed_iteration_reference():
     rng = np.random.default_rng(11)
     no_root = 0
     for curve in (_ellipse_spline(), _loop_spline(),
-                  preset_curve("ellipsoid_band")):
+                  surface("ellipsoid_band")):
         for n in (1, 63, 64, 65, 300):
             r, zeta = _probe_points(curve, n, rng)
             ref, has_root = _reference_closest(curve, r, zeta)
@@ -434,10 +437,9 @@ def test_closest_parameter_evaluation_count():
             return f(s)
         return counted
 
-    # the scan evaluates x, the bisection the jet: count both
-    counted = dataclasses.replace(target, x=counting(target.x),
-                                  jet=counting(target.jet))
-    sizes.clear()                     # the curve's own checks sampled x
+    # the scan and the refinement read the curve through its jet alone
+    counted = dataclasses.replace(target, jet=counting(target.jet))
+    sizes.clear()                     # the curve's own checks sampled it
     s = curve_parameter_of_closest(counted, np.hypot(pts[:, 0], pts[:, 1]),
                                    pts[:, 2])
     assert s.shape == (256,)
@@ -449,15 +451,17 @@ def test_closest_parameter_evaluation_count():
 @pytest.mark.parametrize("n, closed", [(2, False), (3, False), (3, True),
                                        (4, True), (9, False), (25, True)])
 def test_spline_jet_equals_the_four_callables(n, closed):
-    # one gather, the same Horner expressions: == at the knots, between
-    # them, beyond the ends (the end cubics extrapolate) and, for a loop,
-    # across the seam and periods away
+    # each jet entry == the cubic_spline value or derivative of its own
+    # coordinate (one gather, the same Horner expressions): at the knots,
+    # between them, beyond the ends (the end cubics extrapolate) and, for a
+    # loop, across the seam and periods away, its parameter wrapped
     rng = np.random.default_rng(n)
     t = np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 1.5, n - 1))])
     x, z = 2.0 + rng.uniform(-0.5, 0.5, n), rng.normal(size=n)
     if closed:
         x[-1], z[-1] = x[0], z[0]
     curve = spline_curve(t, x, z, closed=closed)
+    (fx, dfx), (fz, dfz) = (cubic_spline(t, y, periodic=closed) for y in (x, z))
     span = t[-1]
     s = np.concatenate([
         t, 0.5 * (t[1:] + t[:-1]),
@@ -467,7 +471,9 @@ def test_spline_jet_equals_the_four_callables(n, closed):
         rng.uniform(-1.5 * span, 2.5 * span, 200)])
     for u in (s, s[:40].reshape(4, 10), s[7]):
         got = curve.jet(u)
-        for value, f in zip(got, (curve.x, curve.z, curve.dx, curve.dz)):
+        if closed:
+            u = u % span                      # t[0] = 0
+        for value, f in zip(got, (fx, fz, dfx, dfz)):
             np.testing.assert_array_equal(value, f(u))
 
 
@@ -513,10 +519,11 @@ def test_never_flat_runs_match_sample_loop():
         t = np.asarray(t, dtype=float)
         return np.where((np.cos(5 * t) > 0.3) | (t == 0.5), 0.0, 1.0)
 
-    curve = GeneratingCurve(
-        (0.0, 4.0), x=lambda t: 1 + np.asarray(t, dtype=float),
-        z=lambda t: np.asarray(t, dtype=float),
-        dx=lambda t: np.ones_like(np.asarray(t, dtype=float)), dz=dz)
+    def jet(t):
+        t = np.asarray(t, dtype=float)
+        return 1 + t, t, np.ones_like(t), dz(t)
+
+    curve = GeneratingCurve((0.0, 4.0), jet)
     ts = np.linspace(0.0, 4.0, 4097)
     runs, start = [], None
     for k, flat in enumerate(np.append(dz(ts) == 0, False)):
@@ -641,7 +648,7 @@ def test_project_torus_brute_force_oracle():
     for params in ({}, {"R": 3.0, "r": 0.7}):
         tor = surface("torus_band", **params)
         s = np.linspace(*tor.interval, 100_001)
-        xs, zs = tor.x(s), tor.z(s)
+        xs, zs, _, _ = tor.jet(s)
         rng = np.random.default_rng(8)
         pts = rng.normal(size=(25, 3)) * 2.0 + np.array([2.0, 0, 0])
         proj, _ = project_points(tor, pts)
