@@ -23,9 +23,12 @@ tolerance), singular system, or a solve whose energy overflows ("solve
 non-finite", nothing written), 3 input error (including a config file that
 is not UTF-8, a key that its section or the section's kind does not take,
 an unknown kind, a missing required key, a profile anisotropy with both or
-neither of vector and table, a table that is missing, empty or not finite,
-a path (a table, outputs, prior_2d, input_field) that is not a string,
-grids outside [8, 4096] or with odd n_phi, annulus --n-t (--n-phi) outside
+neither of vector and table, a table that is missing or empty, a table or
+field CSV that ioutil.read_csv refuses (text that is not UTF-8, a missing
+column, a short row, or a cell that is not a finite number; the message
+names the line, the column, or the data row and cell), a path (a table,
+outputs, prior_2d, input_field) that is not a string, grids outside
+[8, 4096] or with odd n_phi, annulus --n-t (--n-phi) outside
 [3 (4), 4096], NaN or Infinity in a config or an annulus flag, an annulus
 ring vector whose squared norm overflows, a config number beyond the range
 of a double such as 1e400, a finite one that overflows once built such as
@@ -37,9 +40,10 @@ a "closed" that is not a boolean, solver max_iters, restarts or seed (or
 pw_fields that are not, a suite solver seed (the suite's seeds come only
 from suite.seeds or --seed), unknown suite instance names, kinked
 potential tables where a gradient is needed, prior_2d or input_field CSVs
-that do not cover the grid or have a missing or non-finite cell, and a
-prior_2d report.json without a finite number at best_energy.total;
-reduce checks prior_2d before it solves or writes
+that are not a field on the grid and target (a node off the grid, listed
+twice or left out, or a value farther than fields.CONSTRAINT_TOL from the
+target), and a prior_2d report.json without a finite number at
+best_energy.total; reduce checks prior_2d before it solves or writes
 anything, and verify refuses a config's instance sections as minimize
 does).  Restarts run one after another in one thread.
 """
@@ -56,13 +60,7 @@ import numpy as np
 from . import ioutil
 from .energy import H1OperatorError, NonDifferentiableError
 from .geometry import VARIANTS
-from .fields import (
-    _write_csv,
-    field_from_csv,
-    field_to_csv,
-    grid_to_csv,
-    profile_to_csv,
-)
+from .fields import field_from_csv, field_to_csv, grid_to_csv, profile_to_csv
 from .runconfig import (RUN_SCHEMA, SUITE_NAMES, ConfigError, annulus_grid,
                         build_run, load_config, suite_config)
 from .solvers import (
@@ -94,15 +92,12 @@ def _provenance(cfg, seed):
 
 def _write_mode_csv(path, t, dec, comment):
     """One row per t node of the first-harmonic decomposition dec."""
-    rows = (["%.17g" % t[j],
-             "%.17g" % np.linalg.norm(dec.alpha_perp[j]),
-             "%.17g" % np.linalg.norm(dec.beta_perp[j]),
-             "%.17g" % float(np.dot(dec.alpha_perp[j], dec.beta_perp[j])),
-             "%.17g" % dec.eta[j],
-             "%.17g" % np.linalg.norm(dec.mean_perp[j])]
-            for j in range(len(t)))
-    _write_csv(path, ["t", "alpha_perp_norm", "beta_perp_norm", "alpha_dot_beta",
-                      "eta", "mean_perp_norm"], rows, comment)
+    alpha, beta, mean = (np.fromiter(map(np.linalg.norm, v), float, len(t))
+                         for v in (dec.alpha_perp, dec.beta_perp, dec.mean_perp))
+    dots = np.fromiter(map(np.dot, dec.alpha_perp, dec.beta_perp), float, len(t))
+    ioutil.write_csv(path, ["t", "alpha_perp_norm", "beta_perp_norm",
+                            "alpha_dot_beta", "eta", "mean_perp_norm"],
+                     [t, alpha, beta, dots, dec.eta, mean], comment)
 
 
 # ---------------------------------------------------------------------------
@@ -132,23 +127,19 @@ def _read_prior(prior, mesh, target):
     """(best energy, best field) of the 2D run in the directory prior: a
     finite number at best_energy.total of its report.json, and its
     field.csv on the grid; or ConfigError naming config.prior_2d."""
-    where = "config.prior_2d"
     try:
         report = ioutil.read_json(Path(prior) / "report.json")
+        field = field_from_csv(Path(prior) / "field.csv", mesh, target)
     except (OSError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        raise ConfigError(f"config.prior_2d: {exc}") from exc
     try:
         energy = report["best_energy"]["total"]
     except (KeyError, TypeError):
         energy = None
     if (isinstance(energy, bool) or not isinstance(energy, (int, float))
             or not math.isfinite(energy)):
-        raise ConfigError(f"{where}: report.json needs a finite number at "
+        raise ConfigError(f"config.prior_2d: report.json needs a finite number at "
                           f"best_energy.total, got {energy!r}")
-    try:
-        field = field_from_csv(Path(prior) / "field.csv", mesh, target)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
     return float(energy), field
 
 
@@ -251,9 +242,9 @@ def cmd_annulus(args):
         return EXIT_CONFIG
     out = Path(args.out or "out")
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "radial_mean.csv", ["t", "mean_perp_norm"],
-               (("%.17g" % t, "%.17g" % np.linalg.norm(m))
-                for t, m in zip(rep.t_grid, rep.mean_perp)), None)
+    ioutil.write_csv(out / "radial_mean.csv", ["t", "mean_perp_norm"],
+                     [rep.t_grid, np.fromiter(map(np.linalg.norm, rep.mean_perp),
+                                              float, len(rep.t_grid))])
     grid_to_csv(rep.phi, rep.t_grid, rep.solution, out / "solution.csv")
     ioutil.write_json(out / "annulus_report.json", rep.to_dict())
     print(f"annulus: kappa={args.kappa:g} max|<m_perp>|={rep.max_mean_perp:.3e} "

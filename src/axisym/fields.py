@@ -15,12 +15,11 @@ contravariant) fields live exactly there.
 
 from __future__ import annotations
 
-import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import ioutil
 from .geometry import (
     VARIANTS,
     GeneratingCurve,
@@ -31,8 +30,6 @@ from .geometry import (
 )
 
 CONSTRAINT_TOL = 1e-8
-
-_FMT = "%.17g"  # bit-exact float round-trip in CSV artifacts
 
 
 @dataclass(frozen=True)
@@ -294,7 +291,7 @@ def resample_t(values, mesh, to_mesh):
 
 
 # ---------------------------------------------------------------------------
-# CSV serialization (17 significant digits; bit-exact round trip)
+# CSV layouts (ioutil.write_csv and read_csv do the file I/O)
 # ---------------------------------------------------------------------------
 
 def field_to_csv(field, path_or_buf, header_comment=None):
@@ -304,81 +301,59 @@ def field_to_csv(field, path_or_buf, header_comment=None):
 
 def grid_to_csv(phi, t, values, path_or_buf, header_comment=None):
     """One row per (phi_i, t_j) node of values (len(phi), len(t), 3)."""
-    rows = ((str(i), str(j), _FMT % phi[i], _FMT % t[j], _FMT % v[0],
-             _FMT % v[1], _FMT % v[2])
-            for i in range(len(phi)) for j, v in enumerate(values[i]))
-    _write_csv(path_or_buf, ["phi_index", "t_index", "phi", "t", "mx", "my", "mz"],
-               rows, header_comment)
+    ioutil.write_csv(path_or_buf, ["phi_index", "t_index", "phi", "t", "mx", "my", "mz"],
+                     [np.arange(len(phi))[:, None], np.arange(len(t)),
+                      np.asarray(phi)[:, None], t, *np.moveaxis(values, -1, 0)],
+                     header_comment)
 
 
 def field_from_csv(path_or_buf, mesh, target):
-    """Read back a field written by field_to_csv on mesh's grid.
-    ValueError for a missing or non-finite cell, a row off the grid or a
-    node left without a value."""
-    n_phi, n_t = mesh.shape
-    vals = np.full((n_phi, n_t, 3), np.nan)
-    for k, row in enumerate(_read_csv(path_or_buf), start=1):
-        i, j = (_cell(row, k, key, int) for key in ("phi_index", "t_index"))
-        if not (0 <= i < n_phi and 0 <= j < n_t):
-            raise ValueError(f"node ({i}, {j}) is off the {n_phi}x{n_t} grid")
-        vals[i, j] = [_cell(row, k, key) for key in ("mx", "my", "mz")]
-    if np.isnan(vals).any():
+    """Read back a field written by field_to_csv on mesh's grid.  ValueError
+    as ioutil.read_csv raises it, for a node off the grid, listed twice or
+    left out, or for a value farther than CONSTRAINT_TOL from the target."""
+    vals = np.empty((mesh.n_phi * mesh.n_t, 3))
+    _fill_nodes(vals, ioutil.read_csv(
+        path_or_buf, ["phi_index", "t_index", "mx", "my", "mz"]), *mesh.shape)
+    for a in range(0, len(vals), 512):      # by blocks: small temporaries
+        block = vals[a:a + 512]
+        with np.errstate(all="ignore"):     # a huge value is off target anyway
+            gap = np.linalg.norm(project_points(target, block)[0] - block, axis=-1)
+        if not np.all(gap <= CONSTRAINT_TOL):
+            k = int(np.argmin(gap <= CONSTRAINT_TOL))
+            i, j = divmod(a + k, mesh.n_t)
+            raise ValueError(f"node ({i}, {j}): (mx, my, mz) lies {gap[k]:.3g} "
+                             f"from the target, beyond {CONSTRAINT_TOL:g}")
+    return DiscreteField(mesh, target, vals.reshape(mesh.n_phi, mesh.n_t, 3))
+
+
+def _fill_nodes(vals, rows, n_phi, n_t):
+    """vals[node] = (mx, my, mz) for each (phi_index, t_index, mx, my, mz) row;
+    ValueError naming a node off the grid or listed twice, or one left out."""
+    i, j = rows[:, 0], rows[:, 1]
+    off = (i % 1 != 0) | (j % 1 != 0) | (i < 0) | (j < 0) | (i >= n_phi) | (j >= n_t)
+    if off.any():
+        k = int(np.argmax(off))
+        raise ValueError(f"data row {k + 1}: node ({i[k]:g}, {j[k]:g}) is off "
+                         f"the {n_phi}x{n_t} grid")
+    node = (i * n_t + j).astype(int)
+    if len(node) < n_phi * n_t:
         raise ValueError(f"the rows do not cover the {n_phi}x{n_t} grid")
-    return DiscreteField(mesh, target, vals)
-
-
-def _cell(row, k, key, kind=float):
-    """The key cell of the k-th data row as kind; ValueError when the row
-    has no such cell or its value is not finite."""
-    text = row.get(key)
-    if text is None:
-        raise ValueError(f"data row {k} has no {key} cell")
-    value = kind(text)
-    if not math.isfinite(value):
-        raise ValueError(f"data row {k}: {key} {text!r} is not finite")
-    return value
+    if len(node) > n_phi * n_t or np.bincount(node).max() > 1:
+        first = np.unique(node, return_index=True)[1]
+        k = int(np.setdiff1d(np.arange(len(node)), first)[0])
+        raise ValueError(f"data row {k + 1}: node ({i[k]:g}, {j[k]:g}) is "
+                         f"listed twice")
+    vals[node] = rows[:, 2:]
 
 
 def profile_to_csv(profile, path_or_buf, header_comment=None):
-    rows = ((str(j), _FMT % profile.t_nodes[j], _FMT % profile.values[j, 0],
-             _FMT % profile.values[j, 1], _FMT % profile.values[j, 2])
-            for j in range(len(profile.t_nodes)))
-    _write_csv(path_or_buf, ["t_index", "t", "gx", "gy", "gz"], rows,
-               header_comment)
+    ioutil.write_csv(path_or_buf, ["t_index", "t", "gx", "gy", "gz"],
+                     [np.arange(len(profile.t_nodes)), profile.t_nodes,
+                      *profile.values.T], header_comment)
 
 
 def profile_from_csv(path_or_buf, variant):
     """Read back a profile written by profile_to_csv (the `reduce`
     command's profile_<variant>.csv)."""
-    t, vals = [], []
-    for row in _read_csv(path_or_buf):
-        t.append(float(row["t"]))
-        vals.append([float(row["gx"]), float(row["gy"]), float(row["gz"])])
-    return ProfileField(np.array(t), np.array(vals), variant)
-
-
-def _write_csv(path_or_buf, header, rows, comment):
-    def emit(f):
-        if comment:
-            f.write("# " + comment + "\n")
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
-
-    if hasattr(path_or_buf, "write"):
-        emit(path_or_buf)
-    else:
-        with open(path_or_buf, "w", encoding="utf-8", newline="") as f:
-            emit(f)
-
-
-def _read_csv(path_or_buf):
-    def parse(f):
-        filtered = (ln for ln in f if not ln.startswith("#"))
-        yield from csv.DictReader(filtered)
-
-    if hasattr(path_or_buf, "read"):
-        yield from parse(path_or_buf)
-    else:
-        with open(path_or_buf, "r", encoding="utf-8", newline="") as f:
-            yield from parse(f)
+    rows = ioutil.read_csv(path_or_buf, ["t", "gx", "gy", "gz"])
+    return ProfileField(rows[:, 0], rows[:, 1:], variant)

@@ -1,11 +1,12 @@
-"""Deterministic JSON rendering with 17-significant-digit floats.
+"""Deterministic JSON and CSV rendering with 17-significant-digit floats.
 
 Artifacts are compared byte for byte across reruns, so
 serialization must be fully deterministic: keys sorted, floats rendered
 with %.17g (which round-trips IEEE doubles exactly), LF line endings.
-Every artifact is strict JSON: non-finite floats are refused, never
+Every JSON artifact is strict JSON: non-finite floats are refused, never
 written as bare inf/nan, and loads refuses NaN and Infinity on input.
-write_json and read_json are the package's only JSON file I/O.
+write_json and read_json are the package's only JSON file I/O, and
+write_csv and read_csv its only CSV file I/O.
 """
 
 from __future__ import annotations
@@ -95,3 +96,61 @@ def read_json(path):
 def sha256_of(obj):
     """Hash of the canonical rendering; dicts may drop volatile keys first."""
     return hashlib.sha256(dumps(obj).encode("utf-8")).hexdigest()
+
+
+def write_csv(path_or_buf, header, columns, comment=None):
+    """Write a CSV table to a path or an open text file, one row at a time: an
+    optional "# " comment line, the header, a row per entry of the columns
+    (broadcast together, in C order); integers as %d, else %.17g, LF endings."""
+    if not hasattr(path_or_buf, "write"):
+        with open(path_or_buf, "w", encoding="utf-8", newline="") as f:
+            return write_csv(f, header, columns, comment)
+    columns = np.broadcast_arrays(*columns)
+    line = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
+    if comment:
+        path_or_buf.write("# " + comment + "\n")
+    path_or_buf.write(",".join(header) + "\n")
+    path_or_buf.writelines(line % row for row in zip(*(c.flat for c in columns)))
+
+
+def read_csv(path_or_buf, names):
+    """The columns `names` of the CSV table at a path or in an open file, as a
+    finite float array (data rows, len(names)); a row is a line split at its
+    commas, and the first line that is not blank or a "#" comment the header.
+    OSError if unreadable, else ValueError naming a line, a column or a cell."""
+    if not hasattr(path_or_buf, "read"):
+        with open(path_or_buf, encoding="utf-8", errors="replace") as f:
+            return read_csv(f, names)
+    return np.fromiter(_rows(path_or_buf, names), dtype=(float, len(names)))
+
+
+def _rows(f, names):
+    """The cells `names` of each data row of f, as finite floats."""
+    cols, k = None, 0
+    for n, line in enumerate(f, start=1):
+        if "\ufffd" in line:       # the decoder's mark of bytes not UTF-8
+            raise ValueError(f"line {n} is not UTF-8 text")
+        cells = line.rstrip("\r\n").split(",")
+        if line.startswith("#") or cells == [""]:
+            continue
+        if cols is None:
+            missing = [name for name in names if name not in cells]
+            if missing:
+                raise ValueError(f"no {missing[0]} column")
+            cols = [cells.index(name) for name in names]
+        else:
+            k += 1
+            yield [_number(cells, k, name, c) for name, c in zip(names, cols)]
+
+
+def _number(cells, k, name, c):
+    if c >= len(cells):
+        raise ValueError(f"data row {k} has no {name} cell")
+    try:
+        if math.isfinite(value := float(cells[c])):
+            return value
+        problem = "finite"
+    except ValueError:
+        problem = "a number"
+    text = cells[c] if len(cells[c]) <= 40 else cells[c][:40] + "..."
+    raise ValueError(f"data row {k}: {name} {text!r} is not {problem}")

@@ -36,7 +36,6 @@ from .energy import (
     weight_t_profile,
     weight_zero,
 )
-from .fields import _read_csv
 from .geometry import VARIANTS, GeometryError, build_mesh, spline_curve, surface
 from .solvers import ANNULUS_MIN_GRID, SolveConfig
 
@@ -339,14 +338,11 @@ def annulus_grid(n_t, n_phi, where=None):
 
 def _read_table(path, columns):
     try:
-        rows = [[float(row[c]) for c in columns] for row in _read_csv(path)]
-    except (OSError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"cannot read table {path}: {exc}") from exc
-    if not rows:
+        table = ioutil.read_csv(path, columns)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"table {path}: {exc}") from exc
+    if not len(table):
         raise ConfigError(f"table {path} is empty")
-    table = np.array(rows)
-    if not np.all(np.isfinite(table)):
-        raise ConfigError(f"table {path} has a non-finite value")
     return table
 
 

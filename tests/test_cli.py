@@ -852,8 +852,8 @@ def test_anisotropy_table_error_names_section(tmp_path, capsys):
                                         "table": str(table)})
     assert main(["minimize", "--config", str(cfg_path),
                  "--out", str(tmp_path / "o")]) == 3
-    assert (f"config error: config.aniso_field: table {table} has a "
-            f"non-finite value" in capsys.readouterr().err)
+    assert (f"config error: config.aniso_field: table {table}: data row 2: "
+            f"ax 'nan' is not finite" in capsys.readouterr().err)
 
 
 def _omega_table(path, omega):
@@ -1255,3 +1255,161 @@ def test_reduce_bad_prior_field_cell_exits_3(tmp_path, capsys, minimize_16x12,
     assert (f"config error: config.prior_2d: {message}"
             in capsys.readouterr().err)
     assert not (tmp_path / "o").exists()
+
+
+# ---------------------------------------------------------------------------
+# CSV inputs: the four tables, input_field and prior_2d
+# ---------------------------------------------------------------------------
+
+def _write_table(path, header, columns):
+    path.write_text(header + "\n" + "".join(
+        ",".join("%.17g" % v for v in row) + "\n" for row in zip(*columns)),
+        encoding="utf-8")
+
+
+def _csv_input(work, name, minimize_16x12):
+    """(command, config path, CSV file, config section) of a run of the
+    16x12 config that reads one valid CSV input: the spline_table of the
+    target, a potential, anisotropy or weight table, input_field or the
+    field.csv of prior_2d."""
+    csv_path, keys = work / "in.csv", {}
+    command, section = "minimize", name
+    if name == "target_surface":
+        t = np.linspace(0, np.pi, 21)
+        _write_table(csv_path, "t,x,z", (t, 1.2 + np.sin(t), 1.5 * np.cos(t)))
+        keys = {name: {"spline_table": str(csv_path)}}
+    elif name == "potential":
+        s = np.linspace(-3, 3, 25)
+        _write_table(csv_path, "s,g", (s, (1 - s ** 2) ** 2))
+        keys = {name: {"kind": "table", "table": str(csv_path)}}
+    elif name == "aniso_field":
+        t = np.linspace(-1, 2, 5)
+        _write_table(csv_path, "t,ax,ay,az", (t, 0.6 + 0 * t, 0 * t, 0.8 + 0 * t))
+        keys = {name: {"kind": "symmetric_profile", "table": str(csv_path)}}
+    elif name == "weight":
+        t = np.linspace(-0.5, 1.5, 41)
+        _write_table(csv_path, "t,omega", (t, 1 + 0.3 * np.sin(3 * t)))
+        keys = {name: {"kind": "t_profile", "table": str(csv_path)}}
+    elif name == "input_field":
+        command = "symmetrize"
+        csv_path.write_bytes((minimize_16x12 / "field.csv").read_bytes())
+        keys = {name: str(csv_path)}
+    else:
+        command, prior = "reduce", work / "prior"
+        prior.mkdir()
+        for artifact in ("field.csv", "report.json"):
+            (prior / artifact).write_bytes((minimize_16x12 / artifact)
+                                           .read_bytes())
+        csv_path, keys = prior / "field.csv", {name: str(prior)}
+    cfg_path = work / "run.json"
+    write_config(cfg_path, solver={"restarts": 1, "max_iters": 2, "seed": 0},
+                 **keys)
+    return command, cfg_path, csv_path, f"config.{section}"
+
+
+_CSV_INPUTS = ["target_surface", "potential", "aniso_field", "weight",
+               "input_field", "prior_2d"]
+
+
+def _mutate_csv(path, mutation):
+    """path's CSV with one mutation, mostly of its second data row."""
+    lines = path.read_bytes().split(b"\n")
+    head = next(k for k, ln in enumerate(lines) if not ln.startswith(b"#"))
+    row = head + 2
+    cells = lines[row].split(b",")
+    if mutation == "short row":
+        cells = cells[:-1]
+    elif mutation == "long row":
+        cells.append(b"1")
+    elif mutation == "word":
+        cells[0] = b"word"
+    elif mutation == "nul":
+        cells[0] += b"\x00"
+    elif mutation == "long cell":
+        cells[0] = b"1" * 200_000
+    elif mutation in ("1e400", "nan"):
+        cells[-1] = mutation.encode()
+    elif mutation == "off-target value":
+        cells[-1] = b"7.5"
+    lines[row] = b",".join(cells)
+    if mutation == "header only":
+        lines = lines[:head + 1] + [b""]
+    elif mutation == "bom":
+        lines[0] = b"\xef\xbb\xbf" + lines[0]
+    elif mutation == "binary":
+        lines[row] = b"\x89PNG\r\x1a\xff\xfe\x81"
+    elif mutation == "duplicated node":
+        lines.insert(row, lines[row])
+    path.write_bytes(b"\n".join(lines))
+
+
+def _run(command, cfg_path, out):
+    """(exit code, stderr) of main, stdout discarded."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        rc = main([command, "--config", str(cfg_path), "--out", str(out)])
+    return rc, err.getvalue()
+
+
+@pytest.mark.parametrize("mutation", ["long cell", "nul"])
+@pytest.mark.parametrize("name", _CSV_INPUTS)
+def test_csv_input_with_a_long_cell_or_nul_exits_3(tmp_path, minimize_16x12,
+                                                   name, mutation):
+    # a cell beyond the csv module's field limit ended in a traceback
+    # (_csv.Error), as a NUL byte does on Python 3.10
+    command, cfg_path, csv_path, section = _csv_input(tmp_path, name,
+                                                      minimize_16x12)
+    _mutate_csv(csv_path, mutation)
+    rc, err = _run(command, cfg_path, tmp_path / "o")
+    assert rc == 3
+    assert err.startswith(f"config error: {section}: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("mutation, message", [
+    ("duplicated node", "data row 3: node (0, 1) is listed twice"),
+    ("off-target value", "node (0, 1): (mx, my, mz) lies "),
+    ("scaled", "node (0, 0): (mx, my, mz) lies 1 from the target")])
+@pytest.mark.parametrize("name", ["input_field", "prior_2d"])
+def test_field_csv_that_is_not_a_field_on_the_target_exits_3(
+        tmp_path, minimize_16x12, name, mutation, message):
+    # a node listed twice was read as its last row; a field scaled x2 on
+    # the unit sphere was symmetrized and certified
+    command, cfg_path, csv_path, section = _csv_input(tmp_path, name,
+                                                      minimize_16x12)
+    if mutation == "scaled":
+        head, body = csv_path.read_text(encoding="utf-8").split("mz\n")
+        rows = [ln.split(",") for ln in body.splitlines()]
+        csv_path.write_text(head + "mz\n" + "".join(",".join(
+            r[:4] + ["%.17g" % (2 * float(v)) for v in r[4:]]) + "\n"
+            for r in rows), encoding="utf-8")
+    else:
+        _mutate_csv(csv_path, mutation)
+    rc, err = _run(command, cfg_path, tmp_path / "o")
+    assert rc == 3
+    assert err.startswith(f"config error: {section}: {message}")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(name=st.sampled_from(_CSV_INPUTS),
+       mutation=st.sampled_from(["short row", "long row", "word", "header only",
+                                 "bom", "binary", "nul", "long cell", "1e400",
+                                 "nan", "duplicated node", "off-target value"]))
+def test_mutated_csv_input_exits_0_2_or_3(tmp_path_factory, minimize_16x12,
+                                          name, mutation):
+    # one mutation of one CSV input: a result, a failed solve or an input
+    # error with one line on stderr, never a traceback
+    work = tmp_path_factory.mktemp("csv")
+    command, cfg_path, csv_path, section = _csv_input(work, name,
+                                                      minimize_16x12)
+    _mutate_csv(csv_path, mutation)
+    rc, err = _run(command, cfg_path, work / "o")
+    assert rc in (0, 2, 3)
+    assert err.count("\n") <= 1
+    if rc == 3:
+        assert err.startswith(f"config error: {section}: ")
+        assert not (work / "o").exists()
