@@ -25,10 +25,11 @@ is not UTF-8, a key that its section or the section's kind does not take,
 an unknown kind, a missing required key, a profile anisotropy with both or
 neither of vector and table, a table that is missing or empty, a table or
 field CSV that ioutil.read_csv refuses (text that is not UTF-8, a missing
-column, a short row, or a cell that is not a finite number; the message
-names the line, the column, or the data row and cell), a path (a table,
-outputs, prior_2d, input_field) that is not a string, grids outside
-[8, 4096] or with odd n_phi, annulus --n-t (--n-phi) outside
+column, a short row, a cell that is not a finite number, or a line that
+the csv module refuses; the message names the line, the column, or the
+data row and cell), a path (a table, outputs, prior_2d, input_field)
+that is not a string, grids outside [8, 4096] or with odd n_phi, annulus
+--n-t (--n-phi) outside
 [3 (4), 4096], NaN or Infinity in a config or an annulus flag, an annulus
 ring vector whose squared norm overflows, a config number beyond the range
 of a double such as 1e400, a finite one that overflows once built such as
@@ -42,8 +43,9 @@ from suite.seeds or --seed), unknown suite instance names, kinked
 potential tables where a gradient is needed, prior_2d or input_field CSVs
 that are not a field on the grid and target (a node off the grid, listed
 twice or left out, or a value farther than fields.CONSTRAINT_TOL from the
-target), and a prior_2d report.json without a finite number at
-best_energy.total; reduce checks prior_2d before it solves or writes
+target on a row that the boundary does not pin), and a prior_2d
+report.json without a finite number at best_energy.total;
+reduce checks prior_2d before it solves or writes
 anything, and verify refuses a config's instance sections as minimize
 does).  Restarts run one after another in one thread.
 """
@@ -123,23 +125,27 @@ def cmd_minimize(args):
     return EXIT_OK if report.converged else EXIT_NOT_CONVERGED
 
 
-def _read_prior(prior, mesh, target):
+def _read_prior(prior, mesh, target, boundary):
     """(best energy, best field) of the 2D run in the directory prior: a
     finite number at best_energy.total of its report.json, and its
     field.csv on the grid; or ConfigError naming config.prior_2d."""
+    where = "config.prior_2d"
     try:
         report = ioutil.read_json(Path(prior) / "report.json")
-        field = field_from_csv(Path(prior) / "field.csv", mesh, target)
     except (OSError, ValueError) as exc:
-        raise ConfigError(f"config.prior_2d: {exc}") from exc
+        raise ConfigError(f"{where}: {exc}") from exc
     try:
         energy = report["best_energy"]["total"]
     except (KeyError, TypeError):
         energy = None
     if (isinstance(energy, bool) or not isinstance(energy, (int, float))
             or not math.isfinite(energy)):
-        raise ConfigError(f"config.prior_2d: report.json needs a finite number at "
+        raise ConfigError(f"{where}: report.json needs a finite number at "
                           f"best_energy.total, got {energy!r}")
+    try:
+        field = field_from_csv(Path(prior) / "field.csv", mesh, target, boundary)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
     return float(energy), field
 
 
@@ -148,7 +154,7 @@ def cmd_reduce(args):
     mesh, target, params, sc = build_run(cfg, args.seed, _parse_grid(args.grid))
     prior = cfg.get("prior_2d")
     if prior:
-        e2d, prior_field = _read_prior(prior, mesh, target)
+        e2d, prior_field = _read_prior(prior, mesh, target, params.boundary)
     comment, digest = _provenance(cfg, sc.seed)
     payload = {"config_sha256": digest, "seed": sc.seed}
     converged = True
@@ -259,7 +265,7 @@ def cmd_symmetrize(args):
     if not src:
         raise ConfigError("config.input_field: required for symmetrize")
     try:
-        field = field_from_csv(src, mesh, target)
+        field = field_from_csv(src, mesh, target, params.boundary)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"config.input_field: {exc}") from exc
     variant = cfg.get("variant", params.aniso.variant)   # checked on load

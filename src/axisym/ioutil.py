@@ -11,9 +11,11 @@ write_csv and read_csv its only CSV file I/O.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -115,42 +117,48 @@ def write_csv(path_or_buf, header, columns, comment=None):
 
 def read_csv(path_or_buf, names):
     """The columns `names` of the CSV table at a path or in an open file, as a
-    finite float array (data rows, len(names)); a row is a line split at its
-    commas, and the first line that is not blank or a "#" comment the header.
+    finite float array (data rows, len(names)); lines that start with "#" and
+    blank lines are skipped, and the first other line is the header.
     OSError if unreadable, else ValueError naming a line, a column or a cell."""
     if not hasattr(path_or_buf, "read"):
-        with open(path_or_buf, encoding="utf-8", errors="replace") as f:
+        # undecodable bytes become lone surrogates, which no UTF-8 text holds
+        with open(path_or_buf, encoding="utf-8", errors="surrogateescape",
+                  newline="") as f:
             return read_csv(f, names)
     return np.fromiter(_rows(path_or_buf, names), dtype=(float, len(names)))
 
 
 def _rows(f, names):
     """The cells `names` of each data row of f, as finite floats."""
-    cols, k = None, 0
-    for n, line in enumerate(f, start=1):
-        if "\ufffd" in line:       # the decoder's mark of bytes not UTF-8
-            raise ValueError(f"line {n} is not UTF-8 text")
-        cells = line.rstrip("\r\n").split(",")
-        if line.startswith("#") or cells == [""]:
-            continue
-        if cols is None:
-            missing = [name for name in names if name not in cells]
-            if missing:
-                raise ValueError(f"no {missing[0]} column")
-            cols = [cells.index(name) for name in names]
-        else:
-            k += 1
-            yield [_number(cells, k, name, c) for name, c in zip(names, cols)]
+    n = 0
+
+    def lines():
+        nonlocal n
+        for n, line in enumerate(f, start=1):
+            if re.search("[\udc80-\udcff]", line):
+                raise ValueError(f"line {n} is not UTF-8 text")
+            if line.strip() and not line.startswith("#"):
+                yield line
+
+    try:
+        reader = csv.DictReader(lines())
+        missing = [name for name in names if name not in (reader.fieldnames or names)]
+        if missing:
+            raise ValueError(f"no {missing[0]} column")
+        for k, row in enumerate(reader, start=1):
+            yield [_number(row[name], k, name) for name in names]
+    except csv.Error as exc:    # a cell over csv.field_size_limit(); NUL on 3.10
+        raise ValueError(f"line {n}: {exc}") from None
 
 
-def _number(cells, k, name, c):
-    if c >= len(cells):
+def _number(text, k, name):
+    if text is None:
         raise ValueError(f"data row {k} has no {name} cell")
     try:
-        if math.isfinite(value := float(cells[c])):
+        if math.isfinite(value := float(text)):
             return value
         problem = "finite"
     except ValueError:
         problem = "a number"
-    text = cells[c] if len(cells[c]) <= 40 else cells[c][:40] + "..."
-    raise ValueError(f"data row {k}: {name} {text!r} is not {problem}")
+    shown = text if len(text) <= 40 else text[:40] + "..."
+    raise ValueError(f"data row {k}: {name} {shown!r} is not {problem}")

@@ -1413,3 +1413,28 @@ def test_mutated_csv_input_exits_0_2_or_3(tmp_path_factory, minimize_16x12,
     if rc == 3:
         assert err.startswith(f"config error: {section}: ")
         assert not (work / "o").exists()
+
+
+@pytest.mark.parametrize("command, key", [("reduce", "prior_2d"),
+                                          ("symmetrize", "input_field")])
+def test_field_csv_with_pinned_rows_off_the_target_is_read(tmp_path, command,
+                                                           key):
+    # minimize pins Dirichlet rows as they are, here off the unit sphere, and
+    # the field.csv it writes is read back; a free row off the target is not
+    boundary = {"kind": "dirichlet", "top": {"vector": [0, 0, 2]}}
+    cfg_path = tmp_path / "run.json"
+    write_config(cfg_path, boundary=boundary,
+                 solver={"restarts": 1, "max_iters": 20, "seed": 0})
+    prior = tmp_path / "min"
+    assert _run("minimize", cfg_path, prior)[0] in (0, 2)
+    src = prior if key == "prior_2d" else prior / "field.csv"
+    write_config(cfg_path, boundary=boundary, **{key: str(src)},
+                 solver={"restarts": 1, "max_iters": 20, "seed": 0})
+    rc, err = _run(command, cfg_path, tmp_path / "o")
+    assert rc in (0, 2) and err == ""
+    _mutate_csv(prior / "field.csv", "off-target value")
+    rc, err = _run(command, cfg_path, tmp_path / "o2")
+    assert rc == 3
+    assert err.startswith(f"config error: config.{key}: node (0, 1): "
+                          f"(mx, my, mz) lies ")
+    assert not (tmp_path / "o2").exists()

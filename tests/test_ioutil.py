@@ -165,12 +165,13 @@ def test_write_csv_broadcasts_the_columns():
 
 
 def test_read_csv_layout(tmp_path):
-    # comments anywhere, blank lines, CRLF endings, spaces around numbers,
-    # rows longer than the header, and columns that are not read, whatever
-    # they hold
+    # comments anywhere, one holding U+FFFD, blank lines, CRLF endings,
+    # spaces around numbers, quoted cells, rows longer than the header, and
+    # columns that are not read, whatever they hold
     path = tmp_path / "t.csv"
-    path.write_bytes(b"# a comment\r\n\r\nx,t,extra\r\n1, 2 ,a\x00\r\n# more\r\n"
-                     b"\r\n3,4," + b"b" * 200_000 + b",c\r\n")
+    path.write_bytes("# a comment \ufffd\r\n\r\n\"x\",\"t\",extra\r\n"
+                     "1, 2 ,a\r\n# more\r\n\r\n\"3\",4,\"b,\nc\",d\r\n"
+                     .encode("utf-8"))
     np.testing.assert_array_equal(ioutil.read_csv(path, ["t", "x"]),
                                   [[2.0, 1.0], [4.0, 3.0]])
     path.write_text("# only a header\nt,x\n", encoding="utf-8")
@@ -186,22 +187,43 @@ def test_read_csv_layout(tmp_path):
     (b"t,x\n1,1e400\n", "data row 1: x '1e400' is not finite"),
     (b"t,x\nnan,1\n", "data row 1: t 'nan' is not finite"),
     (b"t,x\n1,-inf\n", "data row 1: x '-inf' is not finite"),
-    (b't,x\n1,"2"\n', "data row 1: x '\"2\"' is not a number"),
-    (b"t,x\n1,2\x00\n", "data row 1: x '2\\x00' is not a number"),
-    (b"t,x\n1,2\n3," + b"4" * 200_000 + b"\n",
+    (b't,x\n1,"2 3"\n', "data row 1: x '2 3' is not a number"),
+    (b"t,x\n1,2\n3," + b"4" * 5000 + b"\n",
      "data row 2: x '" + "4" * 40 + "...' is not finite"),
+    (b"t,x\n1,2\n3," + b"4" * 200_000 + b"\n",
+     "line 3: field larger than field limit (131072)"),
     (b"t,x\n1,2\n3," + b"7" * 5000 + b"e\n",
      "data row 2: x '" + "7" * 40 + "...' is not a number"),
-    (b"t," + b"x" * 200_000 + b"\n1,2\n", "no x column"),
+    (b"t,\"\n\n" + b"x" * 200_000 + b"\"\n1,2\n",
+     "line 3: field larger than field limit (131072)"),
 ], ids=["not_utf8", "comment_not_utf8", "missing_column", "short_row", "word",
-        "overflow", "nan", "inf", "quoted", "nul", "long_cell", "long_word",
-        "long_header"])
+        "overflow", "nan", "inf", "quoted", "long_cell", "huge_cell",
+        "long_word", "huge_quoted_header"])
 def test_read_csv_error_names_the_line_column_or_cell(tmp_path, data, message):
     path = tmp_path / "t.csv"
     path.write_bytes(data)
     with pytest.raises(ValueError) as err:
         ioutil.read_csv(path, ["t", "x"])
     assert str(err.value) == message
+
+
+def test_read_csv_nul_byte_is_not_a_number(tmp_path):
+    # the csv module refuses NUL before Python 3.11, and reads it as text
+    # from 3.11 on
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"t,x\n1,2\x00\n")
+    with pytest.raises(ValueError) as err:
+        ioutil.read_csv(path, ["t", "x"])
+    assert str(err.value) in ("line 2: line contains NUL",
+                              "data row 1: x '2\\x00' is not a number")
+
+
+def test_read_csv_not_utf8_names_its_line(tmp_path):
+    # past the decoder's first chunk, the line is still the one with the byte
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"t,x\n" + b"1,2\n" * 5000 + b"3,\xc3\n" + b"1,2\n" * 10)
+    with pytest.raises(ValueError, match="^line 5002 is not UTF-8 text$"):
+        ioutil.read_csv(path, ["t", "x"])
 
 
 def test_read_csv_missing_file_is_oserror(tmp_path):
