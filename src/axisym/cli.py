@@ -23,7 +23,8 @@ tolerance), singular system, or a solve whose energy overflows ("solve
 non-finite", nothing written), 3 input error (including a config file that
 is not UTF-8, a key that its section or the section's kind does not take,
 an unknown kind, a missing required key, a profile anisotropy with both or
-neither of vector and table, a table that is missing or empty, a table or
+neither of vector and table, a table that is missing or empty, a weight or
+anisotropy table whose t column does not strictly increase, a table or
 field CSV that ioutil.read_csv refuses (text that is not UTF-8, a missing
 column, a short row, a cell that is not a finite number, or a line that
 the csv module refuses; the message names the line, the column, or the

@@ -1,15 +1,18 @@
 """The "axisym-run/1" config: the one description of an instance.
 
-A run config is strict JSON.  _KIND_KEYS declares each kind section once,
-and _section reads it for build_run.  build_run turns a config (a dict,
-loaded or built in code) into (mesh, target, params, SolveConfig) and is
-the one check of the instance sections; load_config checks only what
-build_run does not read.  The command line, the certificate suite (whose
-certificates record the config of each instance they checked) and the
-test fixtures all build instances through it.  DEFAULT_INSTANCES names
-the suite's registered instances as partial configs, and suite_config owns
-the suite section: its defaults, its merge rule and its checks.  Every
-input error is a ConfigError naming the config location.
+A run config is strict JSON.  _KIND_KEYS declares each kind of a kind
+section once: its keys, their defaults and its constructor.  _section reads
+a kind section by it, and _build builds the section, naming it in every
+build error.  build_run builds the six kind sections through _build and
+turns a config (a dict, loaded or built in code) into (mesh, target,
+params, SolveConfig); it is the one check of the instance sections, and
+load_config checks only what build_run does not read.  The command line,
+the certificate suite (whose certificates record the config of each
+instance they checked) and the test fixtures all build instances through
+it.  DEFAULT_INSTANCES names the suite's registered instances as partial
+configs, and suite_config owns the suite section: its defaults, its merge
+rule and its checks.  Every input error is a ConfigError naming the config
+location.
 """
 
 from __future__ import annotations
@@ -58,26 +61,53 @@ _REQUIRED = object()            # the default of a key that has none
 _PATH = object()                # that of a file path, which has none
 _OPTIONAL_PATH = object()       # that of a file path that may be left out
 
-# section -> kind -> {key: default} of the keys it takes besides "kind", the
-# section's default kind first; a surface's kind is the key naming its curve.
-# A key with a number (boolean) default takes only a number (boolean), a
-# path key only a string; a profile anisotropy takes exactly one of
-# "vector" and "table"
-_SURFACE_KINDS = {"spline_table": {"spline_table": _PATH, "closed": False},
-                  "preset": {"preset": _REQUIRED, "params": {}}}
+# section -> kind -> (keys, build): {key: default} of the keys the kind
+# takes besides "kind", and build(values, mesh) of their values (a surface
+# gets mesh None); the section's default kind first, a surface's kind the
+# key naming its curve.  A key with a number (boolean) default takes only a
+# number (boolean), a path key only a string
+_SURFACE_KINDS = {
+    "spline_table": ({"spline_table": _PATH, "closed": False},
+                     lambda v, mesh: surface(spline_curve(
+                         *_read_table(v["spline_table"], ["t", "x", "z"]).T,
+                         closed=v["closed"]))),
+    "preset": ({"preset": _REQUIRED, "params": {}},
+               lambda v, mesh: surface(v["preset"], **v["params"])),
+}
 _PROFILE = {"vector": None, "table": _OPTIONAL_PATH}
 _KIND_KEYS = {
     "base_surface": _SURFACE_KINDS, "target_surface": _SURFACE_KINDS,
-    "potential": {"quartic": {"lam": 1.0}, "quadratic": {"kappa": 1.0},
-                  "easy_normal": {"kappa": -1.0},
-                  "table": {"table": _PATH}},
-    "aniso_field": {"surface_normal": {}, "constant_e3": {},
-                    "symmetric_profile": _PROFILE,
-                    "antisymmetric_profile": _PROFILE},
-    "weight": {"zero": {}, "constant": {"lam": 1.0}, "margin": {"margin": 1.5},
-               "t_profile": {"table": _PATH}},
-    "boundary": {"free": {}, "dirichlet": {"bottom": None, "top": None,
-                                           "variant": "symmetric"}},
+    "potential": {
+        "quartic": ({"lam": 1.0}, lambda v, mesh: quartic_potential(v["lam"])),
+        "quadratic": ({"kappa": 1.0},
+                      lambda v, mesh: quadratic_potential(v["kappa"])),
+        "easy_normal": ({"kappa": -1.0},
+                        lambda v, mesh: easy_normal_potential(v["kappa"])),
+        "table": ({"table": _PATH}, lambda v, mesh: table_potential(
+            *_read_table(v["table"], ["s", "g"]).T)),
+    },
+    "aniso_field": {
+        "surface_normal": ({}, lambda v, mesh: aniso_surface_normal(mesh)),
+        "constant_e3": ({}, lambda v, mesh: aniso_constant_e3(mesh)),
+        "symmetric_profile": (_PROFILE, lambda v, mesh: _profile_aniso(
+            v, mesh, "symmetric")),
+        "antisymmetric_profile": (_PROFILE, lambda v, mesh: _profile_aniso(
+            v, mesh, "antisymmetric")),
+    },
+    "weight": {
+        "zero": ({}, lambda v, mesh: weight_zero(mesh)),
+        "constant": ({"lam": 1.0},
+                     lambda v, mesh: weight_constant(mesh, v["lam"])),
+        "margin": ({"margin": 1.5},
+                   lambda v, mesh: weight_margin_profile(mesh, v["margin"])),
+        "t_profile": ({"table": _PATH}, lambda v, mesh: weight_t_profile(
+            mesh, _interp_table(v["table"], ["t", "omega"], mesh)[:, 0])),
+    },
+    "boundary": {
+        "free": ({}, lambda v, mesh: None),
+        "dirichlet": ({"bottom": None, "top": None, "variant": "symmetric"},
+                      lambda v, mesh: _dirichlet(v, mesh)),
+    },
 }
 
 # largest grid size along either axis
@@ -191,10 +221,10 @@ def _check_keys(section, allowed, where):
 
 
 def _section(section, where):
-    """(kind, values) of the kind section at `where` (config.<name>): its
-    kind and every key of that kind (_KIND_KEYS), given or defaulted; or a
-    ConfigError naming an unknown kind, a key the kind does not take, a
-    missing required key or a value of the wrong type."""
+    """(build, values) of the kind section at `where` (config.<name>): its
+    kind's constructor and every key of that kind (_KIND_KEYS), given or
+    defaulted; or a ConfigError naming an unknown kind, a key the kind does
+    not take, a missing required key or a value of the wrong type."""
     kinds = _KIND_KEYS[where.removeprefix("config.")]
     if not isinstance(section, dict):
         raise ConfigError(f"{where}: expected an object")
@@ -206,7 +236,7 @@ def _section(section, where):
         kind, extra = section.get("kind", next(iter(kinds))), ("kind",)
         if not isinstance(kind, str) or kind not in kinds:
             raise ConfigError(f"{where}.kind: unknown kind {kind!r}")
-    keys = kinds[kind]
+    keys, build = kinds[kind]
     for key in section:
         if key not in keys and key not in extra:
             raise ConfigError(f"{where}.{key}: not a key of kind {kind!r}")
@@ -225,9 +255,22 @@ def _section(section, where):
             raise ConfigError(f"{where}.{key}: expected a boolean, "
                               f"got {value!r}")
         values[key] = value
-    if keys is _PROFILE and sum(v is not None for v in values.values()) != 1:
-        raise ConfigError(f"{where}: needs 'vector' or 'table', not both")
-    return kind, values
+    return build, values
+
+
+def _build(cfg, name, mesh=None):
+    """What the kind section `name` of cfg builds (a left-out surface is the
+    sphere), or ConfigError: a builder's own names its key, and any other
+    ValueError, TypeError or OverflowError of the build config.<name>."""
+    where = f"config.{name}"
+    default = {"preset": "sphere"} if name.endswith("_surface") else {}
+    build, values = _section(cfg.get(name, default), where)
+    try:
+        return build(values, mesh)
+    except (ValueError, TypeError, OverflowError) as exc:  # GeometryError too
+        if isinstance(exc, ConfigError):
+            raise
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def load_config(path):
@@ -340,22 +383,25 @@ def _read_table(path, columns):
     try:
         table = ioutil.read_csv(path, columns)
     except (OSError, ValueError) as exc:
-        raise ConfigError(f"table {path}: {exc}") from exc
+        raise ValueError(f"table {path}: {exc}") from exc
     if not len(table):
-        raise ConfigError(f"table {path} is empty")
+        raise ValueError(f"table {path} is empty")
     return table
 
 
-def _build_surface(section, where):
-    kind, values = _section(section, where)
-    try:
-        if kind == "spline_table":
-            tab = _read_table(values["spline_table"], ["t", "x", "z"])
-            return surface(spline_curve(tab[:, 0], tab[:, 1], tab[:, 2],
-                                        closed=values["closed"]))
-        return surface(values["preset"], **values["params"])
-    except (ValueError, TypeError) as exc:      # GeometryError included
-        raise ConfigError(f"{where}: {exc}") from exc
+def _interp_table(path, columns, mesh):
+    """The table's columns after the first, (n_t, len(columns) - 1),
+    interpolated at mesh.t from its first column (t), or ValueError naming
+    the first data row whose t does not increase."""
+    table = _read_table(path, columns)
+    t = table[:, 0]
+    down = np.flatnonzero(t[1:] <= t[:-1])
+    if down.size:
+        now, last = t[down[0] + 1].item(), t[down[0]].item()
+        raise ValueError(f"table {path}: data row {down[0] + 2}: t {now!r} "
+                         f"does not increase on {last!r}")
+    return np.stack([np.interp(mesh.t, t, table[:, c])
+                     for c in range(1, len(columns))], axis=-1)
 
 
 def _integer(n, where, low=0, high=None):
@@ -424,58 +470,17 @@ def _variant(value, where):
     return value
 
 
-def _build_anisotropy_potential(section):
-    kind, values = _section(section, "config.potential")
-    try:
-        if kind == "quartic":
-            return quartic_potential(values["lam"])
-        if kind == "quadratic":
-            return quadratic_potential(values["kappa"])
-        if kind == "easy_normal":
-            return easy_normal_potential(values["kappa"])
-        tab = _read_table(values["table"], ["s", "g"])
-        return table_potential(tab[:, 0], tab[:, 1])
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"config.potential: {exc}") from exc
-
-
-def _build_aniso(section, mesh):
-    kind, values = _section(section, "config.aniso_field")
-    if kind == "surface_normal":
-        return aniso_surface_normal(mesh)
-    if kind == "constant_e3":
-        return aniso_constant_e3(mesh)
+def _profile_aniso(values, mesh, variant):
+    if (values["vector"] is None) == (values["table"] is None):
+        raise ValueError("needs 'vector' or 'table', not both")
     if values["table"] is None:
         prof = _vector(values["vector"], "config.aniso_field.vector")
     else:
-        try:
-            tab = _read_table(values["table"], ["t", "ax", "ay", "az"])
-        except ConfigError as exc:
-            raise ConfigError(f"config.aniso_field: {exc}") from exc
-        prof = np.stack([np.interp(mesh.t, tab[:, 0], tab[:, c])
-                         for c in (1, 2, 3)], axis=-1)
-    return aniso_profile(mesh, prof, kind.split("_")[0])
+        prof = _interp_table(values["table"], ["t", "ax", "ay", "az"], mesh)
+    return aniso_profile(mesh, prof, variant)
 
 
-def _build_weight(section, mesh):
-    kind, values = _section(section, "config.weight")
-    try:
-        if kind == "zero":
-            return weight_zero(mesh)
-        if kind == "constant":
-            return weight_constant(mesh, values["lam"])
-        if kind == "margin":
-            return weight_margin_profile(mesh, values["margin"])
-        tab = _read_table(values["table"], ["t", "omega"])
-        return weight_t_profile(mesh, np.interp(mesh.t, tab[:, 0], tab[:, 1]))
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise ConfigError(f"config.weight: {exc}") from exc
-
-
-def _build_boundary(section, mesh):
-    kind, values = _section(section, "config.boundary")
-    if kind == "free":
-        return None
+def _dirichlet(values, mesh):
     variant = _variant(values["variant"], "config.boundary.variant")
     sides = dict.fromkeys(("bottom", "top"))
     for side in sides:
@@ -529,17 +534,13 @@ def build_run(cfg, seed_override=None, grid_override=None):
     value that overflows on the way raises no floating-point warning:
     _check_built names its section."""
     n_phi, n_t = _grid(cfg.get("grid", {}), grid_override, "config.grid")
-    base, target = (_build_surface(cfg.get(name, {"preset": "sphere"}),
-                                   f"config.{name}")
-                    for name in ("base_surface", "target_surface"))
+    base, target = _build(cfg, "base_surface"), _build(cfg, "target_surface")
     try:
         mesh = build_mesh(base, n_phi, n_t)
     except GeometryError as exc:        # the grid passed _grid: the curve
         raise ConfigError(f"config.base_surface: {exc}") from exc
-    pot = _build_anisotropy_potential(cfg.get("potential", {}))
-    an = _build_aniso(cfg.get("aniso_field", {}), mesh)
-    w = _build_weight(cfg.get("weight", {}), mesh)
-    bc = _build_boundary(cfg.get("boundary", {}), mesh)
+    pot, an, w, bc = (_build(cfg, name, mesh) for name in
+                      ("potential", "aniso_field", "weight", "boundary"))
     try:
         params = make_params(mesh, target, pot, an, w, bc)
     except ValueError as exc:

@@ -3,7 +3,10 @@
 2D solver: projected descent on target-valued fields along a Sobolev (H^1)
 direction: the tangent-projected gradient is preconditioned with the
 discrete Dirichlet operator plus mass (energy.SobolevPreconditioner) and
-tangent-projected again, so iteration counts do not grow with the grid.
+tangent-projected again, so at one grad_tol iteration counts do not grow
+with the grid.  That was measured with the sup|g| stop test below, which
+loosens as the grid refines (each entry carries its node's area, so one
+grad_tol is about 16x looser at 128^2 than at 32^2).
 Limited-memory BFGS on top of that preconditioner takes up the soft modes
 it leaves (unit trial steps), with Armijo backtracking (monotone) and
 closest-point retraction after every step, which returns the tangent
@@ -112,8 +115,16 @@ class SolveConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # a negative max_iters is never met and a non-finite grad_tol
+        # stops every descent at once, or never
         if self.grad_tol <= 0:
             raise ValueError("grad_tol must be positive")
+        if not np.isfinite(self.grad_tol):
+            raise ValueError(f"grad_tol must be finite, got {self.grad_tol!r}")
+        for key in ("max_iters", "restarts"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be non-negative, "
+                                 f"got {getattr(self, key)!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from axisym.geometry import (
     tangent_project_points,
     target_normal,
 )
-from axisym.runconfig import _build_surface
+from axisym.runconfig import _build
 
 
 def test_rotate_quarter_turn():
@@ -284,7 +284,8 @@ def test_spline_named_like_a_preset_projects_generically(tmp_path, name):
     table.write_text("t,x,z\n" + "".join(
         "%.17g,%.17g,%.17g\n" % row
         for row in zip(t, np.sin(t), 1.5 * np.cos(t))), encoding="utf-8")
-    named = _build_surface({"spline_table": str(table)}, "config.target_surface")
+    named = _build({"target_surface": {"spline_table": str(table)}},
+                   "target_surface")
     plain = surface(spline_curve(t, np.sin(t), 1.5 * np.cos(t)))
     assert named.closest is None
     v = np.random.default_rng(4).normal(size=(200, 3)) * 1.5
