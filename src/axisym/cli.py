@@ -20,35 +20,11 @@ Exit codes: 0 ok/converged (of a solve: its winning restart met the
 gradient tolerance; report.json's stop_reasons gives every restart), 1
 failed certificate, 2 not converged (the winning restart did not meet the
 tolerance), singular system, or a solve whose energy overflows ("solve
-non-finite", nothing written), 3 input error (including a config file that
-is not UTF-8, a key that its section or the section's kind does not take,
-an unknown kind, a missing required key, a profile anisotropy with both or
-neither of vector and table, a table that is missing or empty, a weight or
-anisotropy table whose t column does not strictly increase, a table or
-field CSV that ioutil.read_csv refuses (text that is not UTF-8, a missing
-column, a short row, a cell that is not a finite number, or a line that
-the csv module refuses; the message names the line, the column, or the
-data row and cell), a path (a table, outputs, prior_2d, input_field)
-that is not a string, grids outside [8, 4096] or with odd n_phi, annulus
---n-t (--n-phi) outside
-[3 (4), 4096], NaN or Infinity in a config or an annulus flag, an annulus
-ring vector whose squared norm overflows, a config number beyond the range
-of a double such as 1e400, a finite one that overflows once built such as
-a margin of 1e160 (named by its section), a base surface whose size over-
-or underflows its H^1 operator such as a cylinder height of 1e-300 or
-1e160 (named as config.base_surface), a number given as "5" or true,
-a "closed" that is not a boolean, solver max_iters, restarts or seed (or
---seed) that are not non-negative integers, suite seeds, chain_fields or
-pw_fields that are not, a suite solver seed (the suite's seeds come only
-from suite.seeds or --seed), unknown suite instance names, kinked
-potential tables where a gradient is needed, prior_2d or input_field CSVs
-that are not a field on the grid and target (a node off the grid, listed
-twice or left out, or a value farther than fields.CONSTRAINT_TOL from the
-target on a row that the boundary does not pin), and a prior_2d
-report.json without a finite number at best_energy.total;
-reduce checks prior_2d before it solves or writes
-anything, and verify refuses a config's instance sections as minimize
-does).  Restarts run one after another in one thread.
+non-finite", nothing written), 3 input error: any input error exits 3
+and names the config key, flag, file line or cell, never with a
+traceback (README.md lists the cases).  reduce checks prior_2d before it
+solves or writes anything, and verify refuses a config's instance
+sections as minimize does.  Restarts run one after another in one thread.
 """
 
 from __future__ import annotations

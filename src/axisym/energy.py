@@ -289,7 +289,8 @@ def make_params(mesh, target, potential, aniso, weight, boundary=None):
     The potential is checked for nonnegativity on the realized alignment
     range |m . a| <= max|gamma_T| max|a|.  Dirichlet rows may take any
     values: the 2D solve pins them as they are, and the 1D reduction
-    checks that its variant's sweep meets them.
+    checks that its variant's sweep meets them.  mesh is not read; the
+    parameter stays because perfbench/tests calls make_params(mesh, ...).
     """
     boundary = boundary or BoundaryCondition()
     ts = np.linspace(*target.interval, 2048)
@@ -401,7 +402,9 @@ def penalty_energy(field, params):
 def penalty_energy_raw(field, params):
     """The raw double integral omega^2 |<m_perp>|^2 over the surface; equals
     the reduced form exactly under the rectangle rule.  No solve uses it:
-    the tests check penalty_energy against it."""
+    it is the tests' oracle for penalty_energy, a sum over every node with
+    the 2D quadrature weights that does not go through penalty_energy's
+    reduced t-only form or its W2 = 2 pi omega^2."""
     mesh = field.mesh
     mean = circular_average_perp(field)
     dens = params.weight.node_values ** 2 * np.sum(mean ** 2, axis=-1)[None, :]
@@ -446,7 +449,10 @@ def riemannian_gradient(field, params):
 
     The solvers project through their retraction instead; the tests use
     this as the gradient of a direct _descend run and check it against
-    finite differences.
+    finite differences.  It is the one caller of
+    geometry.tangent_project_points, through the module binding
+    energy.tangent_project_points that perfbench/tests asserts the
+    benchmark's tracing wraps.
     """
     g = euclidean_gradient(field, params)
     return tangent_project_points(field.target, field.values, g)

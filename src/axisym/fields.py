@@ -150,8 +150,9 @@ def build_from_triple(mesh, alpha_perp, beta_perp, eta):
     """Assemble alpha_perp cos(phi) + beta_perp sin(phi) + eta e3 on the grid.
 
     The inverse of mode_decompose on its retained modes; the result is not
-    projected to any target.  No solve uses it: the tests build exact
-    first-harmonic fields with it.
+    projected to any target.  No solve uses it: it is the tests' oracle
+    for mode_decompose, a closed-form cos/sin sum that shares no code with
+    mode_decompose's rfft.
     """
     cphi = np.cos(mesh.phi)[:, None]
     sphi = np.sin(mesh.phi)[:, None]
@@ -359,10 +360,3 @@ def profile_to_csv(profile, path_or_buf, header_comment=None):
     ioutil.write_csv(path_or_buf, ["t_index", "t", "gx", "gy", "gz"],
                      [np.arange(len(profile.t_nodes)), profile.t_nodes,
                       *profile.values.T], header_comment)
-
-
-def profile_from_csv(path_or_buf, variant):
-    """Read back a profile written by profile_to_csv (the `reduce`
-    command's profile_<variant>.csv)."""
-    rows = ioutil.read_csv(path_or_buf, ["t", "gx", "gy", "gz"])
-    return ProfileField(rows[:, 0], rows[:, 1:], variant)

@@ -332,10 +332,10 @@ def _flat_ring(r0, r1):
                            closest=lambda r, zeta: np.clip(r, r0, r1))
 
 
-def surface(preset_or_curve, role=None, **kw):
-    """The surface of a preset or a curve, that is its generating curve:
-    surface(curve) is the curve itself, and a preset name with its keyword
-    parameters builds one:
+def surface(name, role=None, **kw):
+    """The generating curve of a preset surface, built from its name and
+    keyword parameters (a user curve is a GeneratingCurve already, and is
+    passed as one wherever a surface is taken):
 
     sphere           x = sin t, z = cos t on [0, pi] (unit sphere)
     cylinder         x = radius, z = t on [0, height]
@@ -348,12 +348,9 @@ def surface(preset_or_curve, role=None, **kw):
     other keyword, or a value that is not a number, is a GeometryError.
     Every preset but the ellipsoid band carries the closed form of its
     closest-point parameter (GeneratingCurve.closest).  role ('base' or
-    'target') is accepted and changes nothing (the acceptance tests and
-    the benchmark pass it).
+    'target') changes nothing; it is kept because tests/test_acceptance.py
+    passes it by keyword and perfbench/tests positionally.
     """
-    if isinstance(preset_or_curve, GeneratingCurve):
-        return preset_or_curve
-    name = preset_or_curve
     if name not in _PRESET_PARAMS:
         raise GeometryError(f"unknown curve preset {name!r}")
     for key, value in sorted(kw.items()):
@@ -575,7 +572,9 @@ def surface_normal(mesh):
 
     With gamma = (x, 0, z) the cross product evaluates to
     A(phi)^T (x dz, 0, -x dx), so nu = A(phi)^T (dz, 0, -dx)/h2 and the
-    normal is axially symmetric by construction.
+    normal is axially symmetric by construction.  The solves read the
+    normal through aniso_surface_normal; this node array is for the demos
+    and tests/test_acceptance.py, whose gate imports it.
     """
     if np.any(mesh.sqrtg < 1e-12):
         raise DegenerateTangentError("|tau_phi x tau_t| below 1e-12 at a node")
@@ -742,18 +741,11 @@ def tangent_project_points(target, pts, w, params=None):
     """Project vectors w onto the tangent planes of T at the points pts.
 
     The solvers' retraction builds one tangent frame per iterate and
-    projects through it instead; this one-call form is
-    energy.riemannian_gradient's, and the benchmark's tracing wraps it
-    under that binding.
+    projects through it instead; this one-call form is kept for
+    energy.riemannian_gradient alone, because perfbench/tests asserts
+    that the benchmark's tracing wraps it as energy.tangent_project_points.
     """
     return project_to_frame(tangent_frame(target, pts, params), w)
-
-
-def target_normal(target, pts, params=None):
-    """Unit normal of the target surface at points of T (no solve uses it;
-    the tests check tangent frames and projections against it)."""
-    u1, u2 = tangent_frame(target, pts, params)
-    return np.cross(u1, u2)
 
 
 # ---------------------------------------------------------------------------

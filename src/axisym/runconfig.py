@@ -68,9 +68,9 @@ _OPTIONAL_PATH = object()       # that of a file path that may be left out
 # number (boolean), a path key only a string
 _SURFACE_KINDS = {
     "spline_table": ({"spline_table": _PATH, "closed": False},
-                     lambda v, mesh: surface(spline_curve(
+                     lambda v, mesh: spline_curve(
                          *_read_table(v["spline_table"], ["t", "x", "z"]).T,
-                         closed=v["closed"]))),
+                         closed=v["closed"])),
     "preset": ({"preset": _REQUIRED, "params": {}},
                lambda v, mesh: surface(v["preset"], **v["params"])),
 }

@@ -566,7 +566,8 @@ def minimize_2d(mesh, target, params, config=SolveConfig(), keep_fields=False):
     ones, and is None when no ladder ran.  A NotConverged state
     (converged=False) is reported when the winning restart did not meet
     the gradient tolerance; it is not an exception.  keep_fields retains
-    every restart's final field in the report.
+    every restart's final field in the report; no command sets it, and it
+    stays for tests/test_acceptance.py, whose gate passes it.
     """
     level, to_field = _field_level(mesh, target, params)
     coarse = [build_mesh(mesh.surface, *shape)
@@ -591,8 +592,9 @@ def minimize_2d(mesh, target, params, config=SolveConfig(), keep_fields=False):
 # ---------------------------------------------------------------------------
 
 def profile_energy(mesh, target, params, profile):
-    """Reduced functional value: the 2D energy of the swept profile (the
-    acceptance tests' check of the reported 1D energy)."""
+    """Reduced functional value: the 2D energy of the swept profile.  No
+    command calls it; tests/test_acceptance.py checks the reported 1D
+    energy against it, and demos/04_profile_reduction.py prints it."""
     return total_energy(build_from_profile(mesh, profile, target), params)
 
 

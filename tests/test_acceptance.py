@@ -264,7 +264,8 @@ def test_criterion_10_determinism(tmp_path):
     digests = []
     for run, threads in (("a", "1"), ("b", "1"), ("c", "4")):
         out = tmp_path / run
-        env = dict(os.environ, AXISYM_THREADS=threads)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
         proc = subprocess.run(
             [sys.executable, "-m", "axisym.cli", "minimize", "--config",
              str(cfg_path), "--out", str(out)],
@@ -273,4 +274,4 @@ def test_criterion_10_determinism(tmp_path):
         digests.append(tuple((out / a).read_bytes() for a in artifacts))
     ok = digests[0] == digests[1] == digests[2]
     report(10, ok, "byte-identical CSV/JSON artifacts across two runs and "
-                   "thread counts {1, 4}")
+                   "BLAS/OpenMP thread counts {1, 4}")

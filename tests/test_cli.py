@@ -895,18 +895,19 @@ def _fresh_python(args, cwd):
 
 _NO_SCIPY_RUNS_SCRIPT = """
 import sys
-from pathlib import Path
 sys.modules["scipy"] = None          # any scipy import now fails
 from axisym.cli import main
 
-work = Path(sys.argv[1])
 for argv, codes in (
         (["minimize", "--config", "run.json", "--out", "min"], (0,)),
+        (["minimize", "--config", "rows72.json", "--out", "min72"], (0, 2)),
+        (["reduce", "--config", "rows72.json", "--out", "red72"], (0, 2)),
         (["verify", "--config", "verify.json", "--out", "verify"], (0,)),
         (["annulus", "--n-t", "16", "--n-phi", "8", "--out", "ann"], (0,)),
         (["minimize", "--config", "spline.json", "--out", "spline"], (0, 2)),
         (["reduce", "--config", "spline.json", "--out", "spline_red"], (0, 2)),
-        (["minimize", "--config", "loop.json", "--out", "loop"], (0, 2))):
+        (["minimize", "--config", "loop.json", "--out", "loop"], (0, 2)),
+        (["minimize", "--config", "ladder.json", "--out", "ladder"], (0, 2))):
     rc = main(argv)
     assert rc in codes, (argv, rc)
 """
@@ -914,12 +915,21 @@ for argv, codes in (
 
 def test_no_run_loads_scipy(tmp_path):
     # a fresh interpreter with scipy blocked runs minimize, verify and
-    # annulus on presets, and minimize and reduce on spline tables (an open
-    # target, a closed one) with a table potential; the splines agree with
-    # scipy's CubicSpline, which the tests alone use, to rounding
+    # annulus on presets, minimize and reduce on a preset sphere at 72
+    # meridian rows, minimize and reduce on spline tables (an open target,
+    # a closed one) with a table potential, and a 32 x 32 minimize on the
+    # closed one whose random restart descends on 16 x 16 first; the
+    # splines agree with scipy's CubicSpline, which the tests alone use, to
+    # rounding
     from scipy.interpolate import CubicSpline
 
     write_config(tmp_path / "run.json")
+    write_config(tmp_path / "rows72.json", base_surface={"preset": "sphere"},
+                 grid={"n_phi": 16, "n_t": 72},
+                 potential={"kind": "quartic", "lam": 5.0},
+                 aniso_field={"kind": "surface_normal"},
+                 weight={"kind": "margin", "margin": 1.5},
+                 solver={"restarts": 0, "max_iters": 60, "seed": 0})
     (tmp_path / "verify.json").write_text(json.dumps({
         "schema": "axisym-run/1", "suite": {
             "instances": ["cylinder2_quadratic_const1"],
@@ -947,10 +957,22 @@ def test_no_run_loads_scipy(tmp_path):
                                  "closed": True},
                  potential=table, solver={"restarts": 0, "max_iters": 100,
                                           "seed": 0})
-    proc = _fresh_python(["-c", _NO_SCIPY_RUNS_SCRIPT, str(tmp_path)], tmp_path)
+    write_config(tmp_path / "ladder.json", grid={"n_phi": 32, "n_t": 32},
+                 target_surface={"spline_table": str(tmp_path / "loop.csv"),
+                                 "closed": True},
+                 solver={"restarts": 1, "max_iters": 200, "seed": 0})
+    proc = _fresh_python(["-c", _NO_SCIPY_RUNS_SCRIPT], tmp_path)
     assert proc.returncode == 0, proc.stderr
     for name in ("min", "spline", "loop"):
         assert (tmp_path / name / "field.csv").stat().st_size > 0, name
+    for name in ("min72/field.csv", "min72/report.json",
+                 "red72/profile_symmetric.csv",
+                 "red72/profile_antisymmetric.csv",
+                 "red72/reduce_report.json"):
+        assert (tmp_path / name).exists(), name
+    coarse = ioutil.read_json(tmp_path / "ladder" / "report.json")[
+        "coarse_iterations"]
+    assert coarse[0][0][:2] == [16, 16] and coarse[1:] == [[], []], coarse
 
     _, open_target, params, _ = build_run(ioutil.read_json(
         tmp_path / "spline.json"))
@@ -991,34 +1013,6 @@ def test_two_row_table_potential_runs_without_warnings(tmp_path):
                          tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
-
-
-_NO_SCIPY_SCRIPT = """
-import sys
-sys.modules["scipy"] = None          # any scipy import now fails
-from axisym.cli import main
-for command in ("minimize", "reduce"):
-    rc = main([command, "--config", "run.json", "--out", command])
-    assert rc in (0, 2), (command, rc)
-"""
-
-
-def test_preset_solves_need_no_scipy_above_64_rows(tmp_path):
-    # minimize and reduce on a preset sphere at 72 meridian rows: the H^1
-    # solves of both run in numpy, with scipy blocked from loading
-    write_config(tmp_path / "run.json", base_surface={"preset": "sphere"},
-                 grid={"n_phi": 16, "n_t": 72},
-                 potential={"kind": "quartic", "lam": 5.0},
-                 aniso_field={"kind": "surface_normal"},
-                 weight={"kind": "margin", "margin": 1.5},
-                 solver={"restarts": 0, "max_iters": 60, "seed": 0})
-    proc = _fresh_python(["-c", _NO_SCIPY_SCRIPT], tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    for name in ("minimize/field.csv", "minimize/report.json",
-                 "reduce/profile_symmetric.csv",
-                 "reduce/profile_antisymmetric.csv",
-                 "reduce/reduce_report.json"):
-        assert (tmp_path / name).exists(), name
 
 
 def test_module_entry_point_has_no_runpy_warning():
@@ -1139,9 +1133,9 @@ def test_reduce_honours_dirichlet_rows(tmp_path):
     assert comparison["relative_gap"] < 1e-9
     assert abs(comparison["energy_1d"] - 4 * np.pi) < 1e-6
     for variant in ("symmetric", "antisymmetric"):
-        profile = fields.profile_from_csv(
-            tmp_path / "red" / f"profile_{variant}.csv", variant)
-        assert profile.values[-1].tolist() == [0.0, 0.0, 1.0]
+        values = ioutil.read_csv(tmp_path / "red" / f"profile_{variant}.csv",
+                                 ["gx", "gy", "gz"])
+        assert values[-1].tolist() == [0.0, 0.0, 1.0]
 
 
 def test_reduce_skips_variant_that_misses_the_ring(tmp_path):
@@ -1153,9 +1147,9 @@ def test_reduce_skips_variant_that_misses_the_ring(tmp_path):
     assert report["comparison"]["best_variant"] == "symmetric"
     assert report["comparison"]["relative_gap"] < 1e-9
     assert not (tmp_path / "red" / "profile_antisymmetric.csv").exists()
-    profile = fields.profile_from_csv(
-        tmp_path / "red" / "profile_symmetric.csv", "symmetric")
-    assert profile.values[-1].tolist() == [1.0, 0.0, 0.0]
+    values = ioutil.read_csv(tmp_path / "red" / "profile_symmetric.csv",
+                             ["gx", "gy", "gz"])
+    assert values[-1].tolist() == [1.0, 0.0, 0.0]
 
 
 @pytest.fixture(scope="module")

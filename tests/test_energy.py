@@ -664,7 +664,7 @@ def _spline_curves(draw):
     dz = draw(st.lists(st.floats(0.15, 1.0), min_size=n, max_size=n))
     try:
         curve = spline_curve(np.linspace(0.0, 1.0, n), x, np.cumsum(dz))
-        build_mesh(surface(curve), 12, 8)
+        build_mesh(curve, 12, 8)
     except GeometryError:
         assume(False)
     return curve
@@ -677,19 +677,18 @@ def _spline_curves(draw):
        blend=st.sampled_from([1e-3, 0.1, 1.0]))
 def test_chain_inequalities_on_spline_curves(base, target, margin, kappa,
                                              normal, seed, blend):
-    mesh = build_mesh(surface(base), 12, 8)
-    tgt = surface(target)
+    mesh = build_mesh(base, 12, 8)
     aniso = aniso_surface_normal(mesh) if normal else aniso_constant_e3(mesh)
-    params = make_params(mesh, tgt, quadratic_potential(kappa), aniso,
+    params = make_params(mesh, target, quadratic_potential(kappa), aniso,
                          weight_margin_profile(mesh, margin))
     assert hypothesis_margin(mesh, params.weight).strict
     # random fields on a spline target, so every node goes through the
     # generic closest-point projection; blend < 1 pulls each toward the
     # sweep of its first row, where the chain is nearly tight
-    for f in corpus(mesh, tgt, n=3, seed0=seed):
+    for f in corpus(mesh, target, n=3, seed0=seed):
         swept = symmetrize(f, 0, "symmetric").values
-        f = DiscreteField(mesh, tgt, project_points(
-            tgt, swept + blend * (f.values - swept))[0])
+        f = DiscreteField(mesh, target, project_points(
+            target, swept + blend * (f.values - swept))[0])
         ct = chain_terms(f, params)
         slack = 1e-9 * (1 + abs(ct.energy_m.total))
         u = symmetrize(f, ct.phi_star, "symmetric")

@@ -26,7 +26,6 @@ from axisym.geometry import (
     surface_normal,
     sweep,
     tangent_project_points,
-    target_normal,
 )
 from axisym.runconfig import _build
 
@@ -184,7 +183,7 @@ def test_mesh_validation_errors():
 
     interior = GeneratingCurve((-1.0, 1.0), kink)
     with pytest.raises(AxisError):
-        build_mesh(surface(interior), 8, 8)
+        build_mesh(interior, 8, 8)
 
 
 def test_curve_dipping_below_axis_between_coarse_samples_refused():
@@ -262,8 +261,7 @@ def test_project_torus_example():
 def test_project_generic_matches_analytic_on_sphere():
     # run the scan+bisection path on a spline replica of the sphere curve
     t = np.linspace(0, np.pi, 801)
-    spl = spline_curve(t, np.sin(t), np.cos(t))
-    tgt = surface(spl)
+    tgt = spline_curve(t, np.sin(t), np.cos(t))
     sph = surface("sphere")
     rng = np.random.default_rng(2)
     v = rng.normal(size=(200, 3))
@@ -286,7 +284,7 @@ def test_spline_named_like_a_preset_projects_generically(tmp_path, name):
         for row in zip(t, np.sin(t), 1.5 * np.cos(t))), encoding="utf-8")
     named = _build({"target_surface": {"spline_table": str(table)}},
                    "target_surface")
-    plain = surface(spline_curve(t, np.sin(t), 1.5 * np.cos(t)))
+    plain = spline_curve(t, np.sin(t), 1.5 * np.cos(t))
     assert named.closest is None
     v = np.random.default_rng(4).normal(size=(200, 3)) * 1.5
     p_named, s_named = project_points(named, v)
@@ -300,6 +298,9 @@ def test_preset_rejects_unknown_parameter():
         surface("cylinder", radus=2.0)
     with pytest.raises(GeometryError, match="unknown curve preset"):
         surface("cone")
+    # surface builds presets only: a curve is passed on as itself
+    with pytest.raises(GeometryError, match="unknown curve preset"):
+        surface(surface("sphere"))
 
 
 def test_project_idempotent():
@@ -428,7 +429,7 @@ def test_closest_parameter_equals_fixed_iteration_reference():
 def test_closest_parameter_evaluation_count():
     # the spline-target instance: a 16x16 cylinder base, the ellipse target
     mesh = build_mesh(surface("cylinder", radius=2.0), 16, 16)
-    target = surface(_ellipse_spline())
+    target = _ellipse_spline()
     pts = random_field(mesh, target, seed=0).values.reshape(-1, 3)
     sizes = []
 
@@ -478,6 +479,15 @@ def test_spline_jet_equals_the_four_callables(n, closed):
             np.testing.assert_array_equal(value, f(u))
 
 
+def _meridian_normal(target, p, s):
+    """Unit normal of the target at its points p, of parameters s: the
+    curve's normal_profile, rotated to the azimuth of p.  It shares no code
+    with tangent_frame, whose cross product would accept any orthonormal
+    frame."""
+    p = np.asarray(p, dtype=float)
+    return rotate(np.arctan2(p[..., 1], p[..., 0]), target.normal_profile(s))
+
+
 def test_tangent_project_examples():
     sph = surface("sphere")
     assert np.allclose(tangent_project_points(sph, [0, 0, 1.0], [1.0, 2.0, 3.0]),
@@ -485,8 +495,8 @@ def test_tangent_project_examples():
     assert np.max(np.abs(tangent_project_points(sph, [1.0, 0, 0], [5.0, 0, 0]))) < 1e-12
     # removing the normal component leaves 0
     tor = surface("torus_band")
-    p = project_points(tor, [2.7, 0.4, 0.8])[0]
-    nu = target_normal(tor, p)
+    p, s = project_points(tor, [2.7, 0.4, 0.8])
+    nu = _meridian_normal(tor, p, s)
     assert np.max(np.abs(tangent_project_points(tor, p, nu))) < 1e-10
 
 
@@ -498,7 +508,7 @@ def test_tangent_orthogonal_to_normal():
         p, s = project_points(tgt, v)
         w = rng.normal(size=(50, 3))
         tp = tangent_project_points(tgt, p, w)
-        nu = target_normal(tgt, p, s)
+        nu = _meridian_normal(tgt, p, s)
         assert np.max(np.abs(np.sum(tp * nu, axis=-1))) < 1e-10
 
 
@@ -534,7 +544,7 @@ def test_never_flat_runs_match_sample_loop():
             if ts[k - 1] - ts[start] > 1e-6:
                 runs.append((float(ts[start]), float(ts[k - 1])))
             start = None
-    rep = never_flat_check(surface(curve))
+    rep = never_flat_check(curve)
     assert rep.flat_intervals == tuple(runs) and not rep.ok
     assert runs[0][0] == 0.0 and runs[-1][1] == 4.0
     assert not any(a <= 0.5 <= b for a, b in runs)
@@ -543,7 +553,7 @@ def test_never_flat_runs_match_sample_loop():
 def test_spline_curve_roundtrip():
     t = np.linspace(0, 1, 33)
     spl = spline_curve(t, 1 + 0.2 * t, t**2)
-    mesh = build_mesh(surface(spl), 8, 16)
+    mesh = build_mesh(spl, 8, 16)
     assert mesh.area() > 0
 
 

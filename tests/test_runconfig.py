@@ -45,8 +45,8 @@ def _curve_table(tmp_path):
 def _spline(tmp_path, closed):
     path, t = _curve_table(tmp_path)
     return ({"spline_table": path, "closed": closed},
-            lambda mesh: surface(spline_curve(
-                t, 2 + 0.7 * np.cos(t), 0.9 * np.sin(t), closed=closed)))
+            lambda mesh: spline_curve(
+                t, 2 + 0.7 * np.cos(t), 0.9 * np.sin(t), closed=closed))
 
 
 def _potential_table(tmp_path):
