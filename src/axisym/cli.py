@@ -61,12 +61,34 @@ EXIT_CONFIG = 3
 
 
 # ---------------------------------------------------------------------------
-# artifact writers
+# output directory, input files and artifact writers
 # ---------------------------------------------------------------------------
 
 def _provenance(cfg, seed):
-    digest = ioutil.sha256_of({k: v for k, v in cfg.items()})
+    digest = ioutil.sha256_of(cfg)
     return f"config_sha256={digest} seed={seed}", digest
+
+
+def _out_dir(args, cfg, default):
+    """--out, else config.outputs, else default (None: no directory),
+    created; one that cannot be a directory is a ConfigError naming it."""
+    where = "config.outputs" if not args.out and "outputs" in cfg else "--out"
+    out = args.out or cfg.get("outputs", default)
+    if out is None:
+        return None
+    try:
+        Path(out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    return Path(out)
+
+
+def _read(where, read, *args):
+    """read(*args), an input it cannot read a ConfigError naming where."""
+    try:
+        return read(*args)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _write_mode_csv(path, t, dec, comment):
@@ -87,8 +109,7 @@ def cmd_minimize(args):
     cfg = load_config(args.config)
     mesh, target, params, sc = build_run(cfg, args.seed, _parse_grid(args.grid))
     report = minimize_2d(mesh, target, params, sc)
-    out = Path(args.out or cfg.get("outputs", "out"))
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args, cfg, "out")
     comment, digest = _provenance(cfg, sc.seed)
     field_to_csv(report.best_field, out / "field.csv", comment)
     _write_mode_csv(out / "mode.csv", mesh.t, report.mode, comment)
@@ -107,10 +128,7 @@ def _read_prior(prior, mesh, target, boundary):
     finite number at best_energy.total of its report.json, and its
     field.csv on the grid; or ConfigError naming config.prior_2d."""
     where = "config.prior_2d"
-    try:
-        report = ioutil.read_json(Path(prior) / "report.json")
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    report = _read(where, ioutil.read_json, Path(prior) / "report.json")
     try:
         energy = report["best_energy"]["total"]
     except (KeyError, TypeError):
@@ -119,10 +137,8 @@ def _read_prior(prior, mesh, target, boundary):
             or not math.isfinite(energy)):
         raise ConfigError(f"{where}: report.json needs a finite number at "
                           f"best_energy.total, got {energy!r}")
-    try:
-        field = field_from_csv(Path(prior) / "field.csv", mesh, target, boundary)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    field = _read(where, field_from_csv, Path(prior) / "field.csv", mesh,
+                  target, boundary)
     return float(energy), field
 
 
@@ -144,8 +160,7 @@ def cmd_reduce(args):
         except BoundaryVariantError as exc:
             # its swept fields would break the Dirichlet rows: no profile
             payload[f"{variant}_skipped"] = str(exc)
-    out = Path(args.out or cfg.get("outputs", "out"))
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args, cfg, "out")
     for variant, rep in reports.items():
         profile_to_csv(rep.best_profile, out / f"profile_{variant}.csv", comment)
         payload[variant] = rep.to_dict()
@@ -181,8 +196,7 @@ def cmd_verify(args):
     names = suite_cfg["instances"]
     if names is not None and not any(n in SUITE_NAMES for n in names):
         raise ConfigError("config.suite.instances: selects no instance")
-    out = args.out or cfg.get("outputs")
-    certs, summary = run_suite(suite_cfg, out_dir=out)
+    certs, summary = run_suite(suite_cfg, out_dir=_out_dir(args, cfg, None))
     applicable = [c for c in certs if c.applicable]
     print(f"verify: {summary['n_passed']}/{len(applicable)} applicable "
           f"certificates passed ({summary['n_certificates']} total)")
@@ -215,16 +229,8 @@ def cmd_annulus(args):
     outer = _ring_vector(args.outer, "--outer")
     b1 = annulus_boundary_from_vector(args.n_phi, inner)
     b2 = annulus_boundary_from_vector(args.n_phi, outer)
-    try:
-        rep = solve_annulus_example(args.n_t, args.n_phi, args.kappa, b1, b2)
-    except SingularSystemError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_CONVERGED
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    out = Path(args.out or "out")
-    out.mkdir(parents=True, exist_ok=True)
+    rep = solve_annulus_example(args.n_t, args.n_phi, args.kappa, b1, b2)
+    out = _out_dir(args, {}, "out")
     ioutil.write_csv(out / "radial_mean.csv", ["t", "mean_perp_norm"],
                      [rep.t_grid, np.fromiter(map(np.linalg.norm, rep.mean_perp),
                                               float, len(rep.t_grid))])
@@ -238,17 +244,13 @@ def cmd_annulus(args):
 def cmd_symmetrize(args):
     cfg = load_config(args.config)
     mesh, target, params, sc = build_run(cfg, args.seed, _parse_grid(args.grid))
-    src = cfg.get("input_field")
-    if not src:
+    if "input_field" not in cfg:
         raise ConfigError("config.input_field: required for symmetrize")
-    try:
-        field = field_from_csv(src, mesh, target, params.boundary)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"config.input_field: {exc}") from exc
+    field = _read("config.input_field", field_from_csv, cfg["input_field"],
+                  mesh, target, params.boundary)
     variant = cfg.get("variant", params.aniso.variant)   # checked on load
     u, chain = symmetrize_and_certify(field, params, variant)
-    out = Path(args.out or cfg.get("outputs", "out"))
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args, cfg, "out")
     comment, digest = _provenance(cfg, sc.seed)
     field_to_csv(u, out / "symmetrized.csv", comment)
     ioutil.write_json(out / "chain_report.json",
@@ -277,17 +279,15 @@ def build_parser():
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--config", required=False, help="JSON run config")
-        sp.add_argument("--out", help="output directory (overrides config)")
-        sp.add_argument("--seed", type=int, help="seed override")
-        sp.add_argument("--grid", help="grid override, e.g. 64x64")
-
     for name, fn in (("minimize", cmd_minimize), ("reduce", cmd_reduce),
                      ("verify", cmd_verify), ("symmetrize", cmd_symmetrize)):
         sp = sub.add_parser(name)
-        common(sp)
-        sp.set_defaults(func=fn, needs_config=name != "verify")
+        sp.add_argument("--config", required=name != "verify",
+                        help="JSON run config")
+        sp.add_argument("--out", help="output directory (overrides config)")
+        sp.add_argument("--seed", type=int, help="seed override")
+        sp.add_argument("--grid", help="grid override, e.g. 64x64")
+        sp.set_defaults(func=fn)
 
     sp = sub.add_parser("annulus")
     sp.add_argument("--kappa", type=float, default=1.0)
@@ -296,15 +296,15 @@ def build_parser():
     sp.add_argument("--inner", default="1,0,0", help="inner ring vector x,y,z")
     sp.add_argument("--outer", default="0,0,1", help="outer ring vector x,y,z")
     sp.add_argument("--out")
-    sp.set_defaults(func=cmd_annulus, needs_config=False)
+    sp.set_defaults(func=cmd_annulus)
     return p
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    if getattr(args, "needs_config", False) and not args.config:
-        print("error: --config is required", file=sys.stderr)
-        return EXIT_CONFIG
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:    # argparse printed why; --help exits 0
+        return EXIT_CONFIG if exc.code else EXIT_OK
     try:
         return args.func(args)
     except ConfigError as exc:
@@ -316,7 +316,7 @@ def main(argv=None):
     except H1OperatorError as exc:
         print(f"config error: config.base_surface: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except NonFiniteSolveError as exc:
+    except (NonFiniteSolveError, SingularSystemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
 

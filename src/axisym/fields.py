@@ -255,20 +255,20 @@ def resample_phi(values, n):
     trigonometric interpolation.
 
     A finer grid gets the zero-padded rfft, with the old Nyquist mode split
-    between +-k, so every mode prolongs exactly.  A grid whose nodes are
-    among the old ones gets the sub-sample, which is what the interpolant
-    takes there.  Any other coarser grid gets the truncated rfft, the
-    modes k < n/2 as they are and the new Nyquist mode merged from +-k:
-    exact for fields without modes |k| >= n/2.
+    between +-k, so every mode prolongs exactly.  A coarser grid must nest
+    (its nodes among the old ones, as a halving's are) and gets the
+    sub-sample, which is what the interpolant takes there; any other is a
+    ValueError.
     """
     m = values.shape[0]
-    if n <= m and m % n == 0:
+    if n <= m:
+        if m % n:
+            raise ValueError(f"{n} phi nodes do not nest in {m}")
         return values[::m // n].copy()
     coeff = np.fft.rfft(values, axis=0) * (n / m)
-    k = min(m, n) // 2
     out = np.zeros((n // 2 + 1,) + coeff.shape[1:], dtype=complex)
-    out[:k + 1] = coeff[:k + 1]
-    out[k] *= 0.5 if n > m else 2.0
+    out[:m // 2 + 1] = coeff
+    out[m // 2] *= 0.5
     return np.fft.irfft(out, n=n, axis=0)
 
 

@@ -276,14 +276,6 @@ class GeneratingCurve:
         if np.any(np.hypot(dx, dz) <= 1e-12):
             raise RegularityError("curve must be regular: (dx, dz) != 0")
 
-    def point(self, t):
-        t = np.asarray(t, dtype=float)
-        x, z, _, _ = self.jet(t)
-        out = np.zeros(t.shape + (3,))
-        out[..., 0] = x
-        out[..., 2] = z
-        return out
-
     def metric(self, t):
         """(h1, h2): the radius |x| of the circle of latitude and the
         meridian speed |(x', z')|; the area element sqrt(g) is h1 h2."""
@@ -470,7 +462,6 @@ class SurfaceMesh:
     dphi: float
     dt: float
     h1: np.ndarray
-    h2: np.ndarray
     sqrtg: np.ndarray
     quad_weights: np.ndarray
     edge_weights: np.ndarray
@@ -481,10 +472,6 @@ class SurfaceMesh:
 
     def area(self):
         return float(self.quad_weights.sum())
-
-    def nodes(self):
-        """All mesh points xi(phi_i, t_j) as an (n_phi, n_t, 3) array."""
-        return rotate(self.phi[:, None], self.surface.point(self.t)[None])
 
 
 def _golden(f, a, b):
@@ -562,7 +549,7 @@ def build_mesh(surf, n_phi, n_t):
         t_edges = np.append(t_edges, t0)
     h1_edges, h2_edges = surf.metric(t_edges)
     edge_weights = h1_edges * h2_edges / h2_edges ** 2
-    return SurfaceMesh(surf, n_phi, n_t, phi, t, dphi, dt, h1, h2, sqrtg,
+    return SurfaceMesh(surf, n_phi, n_t, phi, t, dphi, dt, h1, sqrtg,
                        weights, edge_weights)
 
 

@@ -454,11 +454,14 @@ def _vector(value, where):
 
 
 def _path(value, where):
-    """value if it is a string, or ConfigError naming `where`: a number
-    given as a path would open a file descriptor (0 reads stdin)."""
+    """value if it is a non-empty string, or ConfigError naming `where`: a
+    number given as a path would open a file descriptor (0 reads stdin),
+    and "" would name the working directory or no file at all."""
     if not isinstance(value, str):
         raise ConfigError(f"{where}: expected a file path (a string), "
                           f"got {value!r}")
+    if not value:
+        raise ConfigError(f"{where}: an empty path names no file")
     return value
 
 
@@ -515,7 +518,7 @@ def _check_built(mesh, params):
     and the params) hold a value that is not finite: a finite config
     number can overflow on the way, as a margin of 1e160 does in W^2."""
     built = {
-        "config.base_surface": (mesh.h1, mesh.h2, mesh.sqrtg,
+        "config.base_surface": (mesh.h1, mesh.sqrtg,
                                 mesh.quad_weights, mesh.edge_weights),
         "config.aniso_field": (params.aniso.node_values,),
         "config.weight": (params.weight.W2, params.weight.node_values),

@@ -1432,3 +1432,100 @@ def test_field_csv_with_pinned_rows_off_the_target_is_read(tmp_path, command,
     assert err.startswith(f"config error: config.{key}: node (0, 1): "
                           f"(mx, my, mz) lies ")
     assert not (tmp_path / "o2").exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["minimize", "--config", "run.json", "--seed", "abc"], "--seed"),
+    (["minimize", "--config", "run.json", "--seed", "1.5"], "--seed"),
+    (["annulus", "--n-t", "x"], "--n-t"),
+    (["annulus", "--kappa", "x"], "--kappa"),
+    (["minimize", "--config", "run.json", "--no-such-flag"], "--no-such-flag"),
+    (["no-such-command"], "no-such-command"),
+    ([], "command"),
+    (["minimize"], "--config"),
+    (["reduce"], "--config"),
+    (["symmetrize"], "--config"),
+], ids=["seed_word", "seed_fraction", "annulus_n_t", "annulus_kappa",
+        "unknown_flag", "unknown_command", "no_command", "minimize_no_config",
+        "reduce_no_config", "symmetrize_no_config"])
+def test_flag_that_argparse_refuses_exits_3(tmp_path, capsys, monkeypatch,
+                                            argv, flag):
+    # argparse's own exit code, 2, is the code of a solve that did not
+    # converge
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path / "run.json")
+    assert main(argv) == 3
+    assert flag in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["run.json"]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["minimize", "--help"]])
+def test_help_exits_0(capsys, argv):
+    assert main(argv) == 0
+    assert "usage: axisym" in capsys.readouterr().out
+
+
+def _out_dir_argv(command, tmp_path, minimize_16x12):
+    """The argv of a cheap run of command on write_config's 16x12 grid."""
+    if command == "annulus":
+        return ["annulus", "--n-t", "8", "--n-phi", "8"]
+    keys = {"input_field": str(minimize_16x12 / "field.csv")} \
+        if command == "symmetrize" else {}
+    write_config(tmp_path / "run.json",
+                 solver={"restarts": 1, "max_iters": 2, "seed": 0}, **keys)
+    return [command, "--config", str(tmp_path / "run.json")]
+
+
+@pytest.mark.parametrize("command, sub", [
+    ("minimize", ""), ("minimize", "sub"), ("reduce", ""), ("verify", ""),
+    ("annulus", ""), ("symmetrize", "")])
+def test_out_that_cannot_be_a_directory_exits_3(tmp_path, capsys,
+                                                minimize_16x12, command, sub):
+    # mkdir's FileExistsError, or NotADirectoryError below a file, is an
+    # input error naming the flag, also after minimize's whole solve
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n", encoding="utf-8")
+    argv = _out_dir_argv(command, tmp_path, minimize_16x12)
+    assert main(argv + ["--out", str(blocker / sub)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --out: ") and err.count("\n") == 1
+    assert blocker.read_text(encoding="utf-8") == "kept\n"
+
+
+def test_outputs_that_cannot_be_a_directory_exits_3(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n", encoding="utf-8")
+    write_config(tmp_path / "run.json", outputs=str(blocker),
+                 solver={"restarts": 1, "max_iters": 2, "seed": 0})
+    assert main(["minimize", "--config", str(tmp_path / "run.json")]) == 3
+    err = capsys.readouterr().err
+    assert (err.startswith("config error: config.outputs: ")
+            and err.count("\n") == 1)
+    assert blocker.read_text(encoding="utf-8") == "kept\n"
+
+
+@pytest.mark.parametrize("command, overrides, where", [
+    ("minimize", {"outputs": ""}, "config.outputs"),
+    ("reduce", {"prior_2d": ""}, "config.prior_2d"),
+    ("symmetrize", {"input_field": ""}, "config.input_field"),
+    ("minimize", {"potential": {"kind": "table", "table": ""}},
+     "config.potential.table"),
+    ("minimize", {"weight": {"kind": "t_profile", "table": ""}},
+     "config.weight.table"),
+    ("minimize", {"aniso_field": {"kind": "symmetric_profile", "table": ""}},
+     "config.aniso_field.table"),
+    ("minimize", {"target_surface": {"spline_table": ""}},
+     "config.target_surface.spline_table"),
+], ids=["outputs", "prior_2d", "input_field", "potential", "weight",
+        "aniso_field", "spline_table"])
+def test_empty_path_exits_3(tmp_path, capsys, monkeypatch, command, overrides,
+                            where):
+    # "" would write the artifacts into the working directory (outputs) or
+    # run reduce without its comparison (prior_2d)
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path / "run.json",
+                 solver={"restarts": 1, "max_iters": 2, "seed": 0}, **overrides)
+    assert main([command, "--config", "run.json"]) == 3
+    assert capsys.readouterr().err == (f"config error: {where}: an empty path "
+                                       f"names no file\n")
+    assert os.listdir(tmp_path) == ["run.json"]

@@ -291,8 +291,7 @@ def _phi_modes(n, coeffs):
 @pytest.mark.parametrize("n_coarse, n_fine", [(8, 32), (16, 32), (16, 64)])
 def test_resample_phi_exact_for_resolved_modes(n_coarse, n_fine):
     # modes |k| < n_coarse / 2 prolong exactly; restriction onto nested
-    # nodes is the sub-sample, and so is the truncated rfft of such a field
-    # onto nodes that do not nest
+    # nodes is the sub-sample, and onto nodes that do not nest is refused
     coeffs = np.random.default_rng(n_coarse).normal(size=(2, n_coarse // 2, 3))
     v_c = _phi_modes(n_coarse, coeffs)
     fine = resample_phi(v_c, n_fine)
@@ -300,8 +299,8 @@ def test_resample_phi_exact_for_resolved_modes(n_coarse, n_fine):
     assert np.array_equal(resample_phi(fine, n_coarse),
                           fine[::n_fine // n_coarse])
     assert np.max(np.abs(resample_phi(fine, n_coarse) - v_c)) < 1e-13
-    assert np.max(np.abs(resample_phi(_phi_modes(24, coeffs), n_coarse)
-                         - v_c)) < 1e-13
+    with pytest.raises(ValueError, match="do not nest"):
+        resample_phi(_phi_modes(24, coeffs), 16)
     # the Nyquist mode cos(n phi / 2) prolongs as the cosine
     nyq = np.zeros((2, n_coarse // 2 + 1, 3))
     nyq[0, -1] = 1.0

@@ -210,7 +210,8 @@ def test_mesh_nodes_avoid_axis():
 def test_surface_normal_sphere_radial():
     mesh = build_mesh(surface("sphere"), 16, 24)
     nu = surface_normal(mesh)
-    pts = mesh.nodes()
+    x, z, _, _ = mesh.surface.jet(mesh.t)
+    pts = rotate(mesh.phi[:, None], np.stack([x, 0 * x, z], axis=-1)[None])
     radial = pts / np.linalg.norm(pts, axis=-1, keepdims=True)
     dots = np.abs(np.sum(nu * radial, axis=-1))
     assert np.all(np.abs(dots - 1) < 1e-12)
