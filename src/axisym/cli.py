@@ -69,18 +69,30 @@ def _provenance(cfg, seed):
     return f"config_sha256={digest} seed={seed}", digest
 
 
-def _out_dir(args, cfg, default):
-    """--out, else config.outputs, else default (None: no directory),
-    created; one that cannot be a directory is a ConfigError naming it."""
-    where = "config.outputs" if not args.out and "outputs" in cfg else "--out"
-    out = args.out or cfg.get("outputs", default)
+def _out_dir(args, cfg, default, create=True):
+    """--out, else config.outputs, else default (None: no directory), as a
+    Path, created unless create is false.  An empty path, or one that
+    cannot be a directory (an existing file, or a path below one), is a
+    ConfigError naming it.  The solving commands call it with create=False
+    before they solve and create the directory after, so a bad location
+    costs no solve and a failed solve writes nothing."""
+    where = "config.outputs" if args.out is None and "outputs" in cfg \
+        else "--out"
+    out = cfg.get("outputs", default) if args.out is None else args.out
     if out is None:
         return None
+    if not out:
+        raise ConfigError(f"{where}: an empty path names no directory")
+    out = Path(out)
     try:
-        Path(out).mkdir(parents=True, exist_ok=True)
+        existing = next((p for p in (out, *out.parents) if p.exists()), None)
+        if existing is not None and not existing.is_dir():
+            raise NotADirectoryError(f"{existing} exists and is not a directory")
+        if create:
+            out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-    return Path(out)
+    return out
 
 
 def _read(where, read, *args):
@@ -108,6 +120,7 @@ def _write_mode_csv(path, t, dec, comment):
 def cmd_minimize(args):
     cfg = load_config(args.config)
     mesh, target, params, sc = build_run(cfg, args.seed, _parse_grid(args.grid))
+    _out_dir(args, cfg, "out", create=False)
     report = minimize_2d(mesh, target, params, sc)
     out = _out_dir(args, cfg, "out")
     comment, digest = _provenance(cfg, sc.seed)
@@ -145,6 +158,7 @@ def _read_prior(prior, mesh, target, boundary):
 def cmd_reduce(args):
     cfg = load_config(args.config)
     mesh, target, params, sc = build_run(cfg, args.seed, _parse_grid(args.grid))
+    _out_dir(args, cfg, "out", create=False)
     prior = cfg.get("prior_2d")
     if prior:
         e2d, prior_field = _read_prior(prior, mesh, target, params.boundary)
@@ -227,6 +241,7 @@ def cmd_annulus(args):
     annulus_grid(args.n_t, args.n_phi)
     inner = _ring_vector(args.inner, "--inner")
     outer = _ring_vector(args.outer, "--outer")
+    _out_dir(args, {}, "out", create=False)
     b1 = annulus_boundary_from_vector(args.n_phi, inner)
     b2 = annulus_boundary_from_vector(args.n_phi, outer)
     rep = solve_annulus_example(args.n_t, args.n_phi, args.kappa, b1, b2)
@@ -249,6 +264,7 @@ def cmd_symmetrize(args):
     field = _read("config.input_field", field_from_csv, cfg["input_field"],
                   mesh, target, params.boundary)
     variant = cfg.get("variant", params.aniso.variant)   # checked on load
+    _out_dir(args, cfg, "out", create=False)
     u, chain = symmetrize_and_certify(field, params, variant)
     out = _out_dir(args, cfg, "out")
     comment, digest = _provenance(cfg, sc.seed)

@@ -25,6 +25,12 @@ near-critical there (no pole special-casing).  The differences and their
 transpose are array slices along the t axis (t_diff, t_diff_transpose);
 no matrix is assembled.
 
+Field values are (..., n_phi, n_t, 3): phi on axis -3, t on axis -2 and
+the component on axis -1, after any leading stack axes.  The energy
+terms, the slice functional and the chain terms reduce over the last
+three axes and return one value per stacked field, the same bits as the
+field alone gives; one field's values stay Python floats.
+
 All reductions are fixed-order numpy sums, so reruns are bit-identical.
 Everything here runs in numpy, the H^1 preconditioner and the table
 potential's cubic spline included (geometry.tridiagonal_solve and
@@ -40,7 +46,7 @@ import numpy as np
 
 from .geometry import (cubic_spline, dot3, sweep, tangent_project_points,
                        tridiagonal_solve)
-from .fields import circular_average_perp
+from .fields import circular_average_perp, per_field
 
 SQRT_2PI = float(np.sqrt(2 * np.pi))
 
@@ -311,12 +317,13 @@ def _phi_multiplier(n_phi):
 
 
 def lphi(values):
-    """Spectral operator with symbol k^2 along phi (axis 0), acting on real
-    arrays; self-adjoint and PSD for the rectangle-rule inner product."""
-    n = values.shape[0]
-    coeff = np.fft.rfft(values, axis=0)
-    coeff *= _phi_multiplier(n).reshape((-1,) + (1,) * (values.ndim - 1))
-    return np.fft.irfft(coeff, n=n, axis=0)
+    """Spectral operator with symbol k^2 along phi (axis -3 of (..., n_phi,
+    n_t, k)), acting on real arrays; self-adjoint and PSD for the
+    rectangle-rule inner product."""
+    n = values.shape[-3]
+    coeff = np.fft.rfft(values, axis=-3)
+    coeff *= _phi_multiplier(n)[:, None, None]
+    return np.fft.irfft(coeff, n=n, axis=-3)
 
 
 def t_diff(values, mesh):
@@ -360,14 +367,14 @@ class EnergyBreakdown:
 
 
 def _phi_quad_rows(values, mesh):
-    """Row-wise quadratic form sum_i v . (Lphi v) (shape (n_t,))."""
-    return np.sum(values * lphi(values), axis=(0, 2))
+    """Row-wise quadratic form sum_i v . (Lphi v) (shape (..., n_t))."""
+    return np.sum(values * lphi(values), axis=(-3, -1))
 
 
 def _t_energy_per_slice(field_values, mesh):
-    """Flux-form t-derivative energy attributed per meridian: (n_phi,)."""
+    """Flux-form t-derivative energy attributed per meridian: (..., n_phi)."""
     diffs = t_diff((1.0 / mesh.dt) * field_values, mesh)
-    return mesh.dt * np.sum(mesh.edge_weights * dot3(diffs, diffs), axis=1)
+    return mesh.dt * np.sum(mesh.edge_weights * dot3(diffs, diffs), axis=-1)
 
 
 def dirichlet_energy(field, perp_only=False):
@@ -379,24 +386,25 @@ def dirichlet_energy(field, perp_only=False):
     mesh = field.mesh
     vals = field.values[..., :2] if perp_only else field.values
     qphi = _phi_quad_rows(vals, mesh)
-    e_phi = mesh.dphi * mesh.dt * float(np.sum(mesh.sqrtg * qphi / mesh.h1 ** 2))
-    e_t = mesh.dphi * float(np.sum(_t_energy_per_slice(field.values, mesh)))
-    return e_phi + e_t
+    e_phi = mesh.dphi * mesh.dt * np.sum(mesh.sqrtg * qphi / mesh.h1 ** 2,
+                                         axis=-1)
+    e_t = mesh.dphi * np.sum(_t_energy_per_slice(field.values, mesh), axis=-1)
+    return per_field(e_phi + e_t)
 
 
 def anisotropy_energy(field, params):
     mesh = field.mesh
     dots = dot3(field.values, params.aniso.node_values)
-    return float(mesh.dphi * mesh.dt
-                 * np.sum(mesh.sqrtg * params.potential.g(dots).sum(axis=0)))
+    return per_field(mesh.dphi * mesh.dt * np.sum(
+        mesh.sqrtg * params.potential.g(dots).sum(axis=-2), axis=-1))
 
 
 def penalty_energy(field, params):
     """Reduced t-only form: int W^2(t) |<m_perp>(t)|^2 sqrt(g) dt."""
     mesh = field.mesh
     mean = circular_average_perp(field)
-    return float(mesh.dt * np.sum(params.weight.W2 * mesh.sqrtg
-                                  * np.sum(mean ** 2, axis=-1)))
+    return per_field(mesh.dt * np.sum(params.weight.W2 * mesh.sqrtg
+                                      * np.sum(mean ** 2, axis=-1), axis=-1))
 
 
 def penalty_energy_raw(field, params):
@@ -440,7 +448,7 @@ def euclidean_gradient(field, params):
 
     mean = circular_average_perp(field)
     coef = (2 * mesh.dt / mesh.n_phi) * (params.weight.W2 * mesh.sqrtg)
-    grad[..., :2] += coef[None, :, None] * mean[None, :, :]
+    grad[..., :2] += coef[:, None] * mean[..., None, :, :]
     return grad
 
 
@@ -625,7 +633,7 @@ def phi_slice_energy(field, params):
     gterm = params.potential.g(
         np.sum(field.values * params.aniso.node_values, axis=-1))
     dens = perp2 / mesh.h1 ** 2 + gterm
-    return (mesh.dt * np.sum(dens * mesh.sqrtg[None, :], axis=1)
+    return (mesh.dt * np.sum(dens * mesh.sqrtg, axis=-1)
             + _t_energy_per_slice(field.values, mesh))
 
 
@@ -640,7 +648,8 @@ class ChainTerms:
     h1 W >= sqrt(2 pi), each step is nonnegative for every sampled field.
     energy_m is total_energy(m), whose terms eq2 reuses;
     slice_energies holds the slice functional per phi node and phi_star
-    the angle of the node minimizing it.
+    the angle of the node minimizing it.  Of a stack of fields, each entry
+    holds one value per field.
     """
 
     eq1: float
@@ -653,11 +662,12 @@ class ChainTerms:
 def chain_terms(field, params):
     mesh = field.mesh
     phi_e = phi_slice_energy(field, params)
-    eq1 = float(mesh.dphi * np.sum(phi_e))
+    eq1 = per_field(mesh.dphi * np.sum(phi_e, axis=-1))
     # ties (within rounding of the minimum) break toward the smallest node
     # index, so exactly symmetric fields report phi* = 0
-    lo = float(np.min(phi_e))
-    phi_star = float(mesh.phi[np.argmax(phi_e <= lo + 1e-12 * (1 + abs(lo)))])
+    lo = np.min(phi_e, axis=-1, keepdims=True)
+    phi_star = per_field(mesh.phi[np.argmax(phi_e <= lo + 1e-12 * (1 + abs(lo)),
+                                            axis=-1)])
     energy_m = total_energy(field, params)
     eq2 = (dirichlet_energy(field, perp_only=True) + energy_m.penalty
            + energy_m.anisotropy)

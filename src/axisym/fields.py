@@ -11,6 +11,12 @@ which the rectangle rule is an exact inner product (Parseval holds to
 rounding).  Mode k = +-1 of the horizontal part and mode k = 0 of the
 vertical part play a special role: rotation-equivariant (and
 contravariant) fields live exactly there.
+
+Field values are (..., n_phi, n_t, 3): phi on axis -3, t on axis -2 and
+the component on axis -1, after any leading stack axes.  A stack holds
+one field per leading index, and circular_average_perp, mode_decompose,
+symmetrize and random_field work on a stack as on each of its fields,
+bit for bit; one field's scalars stay Python floats (per_field).
 """
 
 from __future__ import annotations
@@ -34,26 +40,27 @@ CONSTRAINT_TOL = 1e-8
 
 @dataclass(frozen=True)
 class DiscreteField:
-    """Target-valued field sampled on the (phi, t) grid: values[n_phi, n_t, 3]."""
+    """Target-valued field sampled on the (phi, t) grid: values[n_phi, n_t, 3],
+    or a stack of such fields, values[..., n_phi, n_t, 3]."""
 
     mesh: SurfaceMesh
     target: GeneratingCurve
     values: np.ndarray
 
     def __post_init__(self):
-        n_phi, n_t = self.mesh.shape
-        if self.values.shape != (n_phi, n_t, 3):
-            raise ValueError("field values must have shape (n_phi, n_t, 3)")
+        if self.values.shape[-3:] != self.mesh.shape + (3,):
+            raise ValueError("field values must have shape (..., n_phi, n_t, 3)")
 
     def perp(self):
-        """Horizontal (e1, e2) components, shape (n_phi, n_t, 2)."""
+        """Horizontal (e1, e2) components, shape (..., n_phi, n_t, 2)."""
         return self.values[..., :2]
 
     def with_values(self, values):
         return DiscreteField(self.mesh, self.target, values)
 
     def target_gaps(self):
-        """Distance of each node value from the target surface, (n_phi, n_t)."""
+        """Distance of each node value from the target surface, (..., n_phi,
+        n_t)."""
         proj, _ = project_points(self.target, self.values)
         return np.linalg.norm(proj - self.values, axis=-1)
 
@@ -80,7 +87,8 @@ class ProfileField:
 
 @dataclass(frozen=True)
 class ModeDecomposition:
-    """First-harmonic structure of a field along phi.
+    """First-harmonic structure of a field along phi (of a stack: every
+    entry gains the stack's leading axes).
 
     mean_perp[j]   circular mean of the horizontal part on row j
     alpha_perp[j]  cos(phi) coefficient of the horizontal part
@@ -88,7 +96,7 @@ class ModeDecomposition:
     eta[j]         circular mean of the vertical component
     residual_energy  quadrature-weighted L2 mass of everything else
     coeff          the one-sided DFT rfft(values) / n_phi along phi, all
-                   modes k = 0..n_phi/2: (n_phi/2 + 1, n_t, 3)
+                   modes k = 0..n_phi/2: (..., n_phi/2 + 1, n_t, 3)
     mass           parseval_weights(n_phi) |coeff|^2 per mode, row and
                    component: 2 pi mass.sum(axis=0) is the integral of
                    |m|^2 dphi on each row, component by component
@@ -103,9 +111,15 @@ class ModeDecomposition:
     mass: np.ndarray
 
 
+def per_field(x):
+    """x, one value per stacked field, as a Python scalar for one field."""
+    x = np.asarray(x)
+    return x.item() if x.ndim == 0 else x
+
+
 def circular_average_perp(field):
-    """Row-wise mean over phi of the horizontal components: (n_t, 2)."""
-    return field.perp().mean(axis=0)
+    """Row-wise mean over phi of the horizontal components: (..., n_t, 2)."""
+    return field.perp().mean(axis=-3)
 
 
 def parseval_weights(n):
@@ -131,17 +145,17 @@ def mode_decompose(field):
     if mesh.n_phi < 8:
         raise ValueError("mode_decompose needs n_phi >= 8")
     n = mesh.n_phi
-    coeff = np.fft.rfft(field.values, axis=0) / n        # (n//2+1, n_t, 3)
-    mean_perp = coeff[0, :, :2].real
-    alpha_perp = 2 * coeff[1, :, :2].real
-    beta_perp = -2 * coeff[1, :, :2].imag
-    eta = coeff[0, :, 2].real
+    coeff = np.fft.rfft(field.values, axis=-3) / n       # (..., n//2+1, n_t, 3)
+    mean_perp = coeff[..., 0, :, :2].real
+    alpha_perp = 2 * coeff[..., 1, :, :2].real
+    beta_perp = -2 * coeff[..., 1, :, :2].imag
+    eta = coeff[..., 0, :, 2].real
 
     mass = parseval_weights(n)[:, None, None] * np.abs(coeff) ** 2
-    resid_perp = mass[2:, :, :2].sum(axis=(0, 2))
-    resid_vert = mass[1:, :, 2].sum(axis=0)
-    residual = 2 * np.pi * float(
-        np.sum((resid_perp + resid_vert) * mesh.sqrtg * mesh.dt))
+    resid_perp = mass[..., 2:, :, :2].sum(axis=(-3, -1))
+    resid_vert = mass[..., 1:, :, 2].sum(axis=-2)
+    residual = 2 * np.pi * per_field(
+        np.sum((resid_perp + resid_vert) * mesh.sqrtg * mesh.dt, axis=-1))
     return ModeDecomposition(mean_perp, alpha_perp, beta_perp, eta, residual,
                              coeff, mass)
 
@@ -192,17 +206,20 @@ def symmetrize(field, phi_star, variant):
     symmetric:      u(phi, t) = A(phi)^T A(phi*)  m(phi*, t)
     antisymmetric:  u(phi, t) = A(phi)  A(phi*)^T m(phi*, t)
 
-    phi_star must be a mesh node.  The output lies exactly on the target
-    (rotations preserve it) and reproduces the input when the input already
-    obeys the rotation law.
+    phi_star must be a mesh node; a stack of fields takes one phi_star per
+    field.  The output lies exactly on the target (rotations preserve it)
+    and reproduces the input when the input already obeys the rotation law.
     """
     mesh = field.mesh
-    idx = int(np.argmin(np.abs(mesh.phi - float(phi_star) % (2 * np.pi))))
-    if abs(mesh.phi[idx] - float(phi_star) % (2 * np.pi)) > 1e-9:
+    phi_star = np.asarray(phi_star, dtype=float) % (2 * np.pi)
+    idx = np.argmin(np.abs(mesh.phi - phi_star[..., None]), axis=-1)
+    if np.any(np.abs(mesh.phi[idx] - phi_star) > 1e-9):
         raise ValueError("phi_star must coincide with a mesh phi node")
-    # the sweep by -phi* is the inverse of the sweep by phi*
-    seed = sweep(-mesh.phi[idx], field.values[idx], variant)     # (n_t, 3)
-    return field.with_values(sweep(mesh.phi[:, None], seed[None], variant))
+    # the slice at phi*, (..., 1, n_t, 3), swept by -phi*: the inverse of
+    # the sweep by phi*
+    row = np.take_along_axis(field.values, idx[..., None, None, None], axis=-3)
+    seed = sweep(-mesh.phi[idx][..., None, None], row, variant)
+    return field.with_values(sweep(mesh.phi[:, None], seed, variant))
 
 
 def build_from_profile(mesh, profile, target):
@@ -215,28 +232,39 @@ def build_from_profile(mesh, profile, target):
 
 
 def random_field(mesh, target, seed):
-    """Deterministic band-limited random field projected to the target.
+    """Deterministic band-limited random field projected to the target; a
+    sequence (any array) of seeds gives the stack of their fields, with
+    the seeds' shape as its leading axes.
 
     Draws Fourier modes |k| <= 3 in phi with low-order polynomial
     t-envelopes, then projects every node to the target.  Projection may
     reintroduce high phi modes; that is acceptable for test corpora.
+    Each seed's generator draws 84 normals, 4 envelope coefficients for
+    each of the 21 (mode, component, cos/sin) terms in that order: the
+    k = 0 cosines of the three components, then per k = 1..3 and
+    component the cosine and the sine.  The envelopes are one stacked
+    matmul of (1, 4) rows, which gives each row's product bit for bit as
+    the row alone would.
     """
-    rng = np.random.default_rng(seed)
+    seeds = np.ravel(seed)
     n_phi, n_t = mesh.shape
     tt = (mesh.t - mesh.t[0]) / (mesh.t[-1] - mesh.t[0] + 1e-300)
     tpows = np.stack([tt ** p for p in range(4)])          # (4, n_t)
-    vals = np.zeros((n_phi, n_t, 3))
+    z = np.stack([np.random.default_rng(s).normal(size=84) for s in seeds])
+    # the 21 envelopes in draw order, each (S, 1, n_t)
+    rows = iter(np.moveaxis(np.matmul(z.reshape(-1, 21, 1, 4), tpows), 1, 0))
+    vals = np.zeros((len(seeds), n_phi, n_t, 3))
     for k in range(4):
         ck = np.cos(k * mesh.phi)[:, None]
         sk = np.sin(k * mesh.phi)[:, None]
         for c in range(3):
-            a = rng.normal(size=4) @ tpows                 # (n_t,)
-            b = rng.normal(size=4) @ tpows if k > 0 else 0.0
-            vals[..., c] += ck * a[None, :] + (sk * b[None, :] if k > 0 else 0.0)
+            a = next(rows)
+            b = next(rows) if k > 0 else 0.0
+            vals[..., c] += ck * a + (sk * b if k > 0 else 0.0)
     # bias away from the axis so sphere projections are well defined
     vals[..., 0] += 0.1
     proj, _ = project_points(target, vals)
-    return DiscreteField(mesh, target, proj)
+    return DiscreteField(mesh, target, proj.reshape(np.shape(seed) + proj.shape[1:]))
 
 
 # ---------------------------------------------------------------------------

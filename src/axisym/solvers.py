@@ -69,6 +69,7 @@ from .fields import (
     circular_average_perp,
     line_symmetry_classify,
     mode_decompose,
+    per_field,
     random_field,
     resample,
     resample_phi,
@@ -659,7 +660,8 @@ def minimize_1d_profile(mesh, target, params, variant, config=SolveConfig()):
 
 @dataclass(frozen=True)
 class ChainReport:
-    """Audit of E(u) <= eq1 <= eq2 <= E(m) for one field."""
+    """Audit of E(u) <= eq1 <= eq2 <= E(m) for one field; of a stack, the
+    figures, residuals and certified hold one value per field."""
 
     phi_star: float
     energy_m: EnergyBreakdown
@@ -688,9 +690,10 @@ class ChainReport:
 def symmetrize_and_certify(field, params, variant):
     """Symmetrize at the best slice and audit the energy inequality chain.
 
-    Returns (u, ChainReport).  When the hypothesis h1 W >= sqrt(2 pi) fails,
-    the chain may legitimately break; the report then flags
-    hypothesis_violation rather than raising.
+    Returns (u, ChainReport); a stack of fields gives the stack of their
+    u and one report whose figures hold one value per field.  When the
+    hypothesis h1 W >= sqrt(2 pi) fails, the chain may legitimately break;
+    the report then flags hypothesis_violation rather than raising.
     """
     margin = hypothesis_margin(field.mesh, params.weight)
     ct = chain_terms(field, params)
@@ -705,9 +708,10 @@ def symmetrize_and_certify(field, params, variant):
         "total_gap": e_m - bd_u.total,
     }
     violated = margin.state in ("zero", "below")
-    certified = all(v >= -slack for v in residuals.values())
+    certified = np.all([v >= -slack for v in residuals.values()], axis=0)
     return u, ChainReport(ct.phi_star, ct.energy_m, bd_u, ct.eq1, ct.eq2,
-                          residuals, margin, bool(violated), bool(certified))
+                          residuals, margin, bool(violated),
+                          per_field(certified))
 
 
 # ---------------------------------------------------------------------------

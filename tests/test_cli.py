@@ -1478,18 +1478,31 @@ def _out_dir_argv(command, tmp_path, minimize_16x12):
 
 @pytest.mark.parametrize("command, sub", [
     ("minimize", ""), ("minimize", "sub"), ("reduce", ""), ("verify", ""),
-    ("annulus", ""), ("symmetrize", "")])
-def test_out_that_cannot_be_a_directory_exits_3(tmp_path, capsys,
+    ("annulus", ""), ("symmetrize", "")] + [
+    pytest.param(command, None, id=f"{command}-empty_out")
+    for command in ("minimize", "reduce", "verify", "annulus", "symmetrize")])
+def test_out_that_cannot_be_a_directory_exits_3(tmp_path, capsys, monkeypatch,
                                                 minimize_16x12, command, sub):
-    # mkdir's FileExistsError, or NotADirectoryError below a file, is an
-    # input error naming the flag, also after minimize's whole solve
+    # an existing file, a path below one, or "" (sub None) is an input
+    # error naming the flag, refused before anything is solved: "" would
+    # otherwise fall back to config.outputs or out/ in the working directory
     blocker = tmp_path / "file"
     blocker.write_text("kept\n", encoding="utf-8")
     argv = _out_dir_argv(command, tmp_path, minimize_16x12)
-    assert main(argv + ["--out", str(blocker / sub)]) == 3
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the output location was checked")
+
+    for name in ("minimize_2d", "minimize_1d_profile", "symmetrize_and_certify",
+                 "solve_annulus_example", "run_suite"):
+        monkeypatch.setattr(f"axisym.cli.{name}", no_solve)
+    monkeypatch.chdir(tmp_path)
+    before = sorted(os.listdir(tmp_path))
+    assert main(argv + ["--out", "" if sub is None else str(blocker / sub)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("config error: --out: ") and err.count("\n") == 1
     assert blocker.read_text(encoding="utf-8") == "kept\n"
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 def test_outputs_that_cannot_be_a_directory_exits_3(tmp_path, capsys):

@@ -194,7 +194,11 @@ def _reject_constant(token):
 
 
 @pytest.mark.parametrize("seeds, n_fields", [([0], 0), ([], 3)])
-def test_empty_corpus_certificates_inapplicable(seeds, n_fields):
+def test_empty_corpus_certificates_inapplicable(monkeypatch, seeds, n_fields):
+    def never(*args, **kwargs):
+        raise AssertionError("a field was drawn for an empty corpus")
+
+    monkeypatch.setattr(verify, "random_field", never)
     desc = instance("sphere_quartic_margin", 16, 12)
     certs = [verify_chain(desc, seeds, n_fields),
              verify_pw(desc, seeds, n_fields)]
@@ -206,6 +210,7 @@ def test_empty_corpus_certificates_inapplicable(seeds, n_fields):
         text = ioutil.dumps(cert.to_dict(), indent=2)
         json.loads(text, parse_constant=_reject_constant)
     assert certs[0].residuals["fields_checked"] == 0.0
+    assert all("empty corpus" in cert.note for cert in certs[:2])
 
 
 def test_annulus_only_suite_without_seeds():
