@@ -343,7 +343,7 @@ def surface(name, role=None, **kw):
     'target') changes nothing; it is kept because tests/test_acceptance.py
     passes it by keyword and perfbench/tests positionally.
     """
-    if name not in _PRESET_PARAMS:
+    if not isinstance(name, str) or name not in _PRESET_PARAMS:
         raise GeometryError(f"unknown curve preset {name!r}")
     for key, value in sorted(kw.items()):
         if key not in _PRESET_PARAMS[name]:
@@ -724,7 +724,7 @@ def project_to_frame(frame, w):
     return dot3(w, u1)[..., None] * u1 + dot3(w, u2)[..., None] * u2
 
 
-def tangent_project_points(target, pts, w, params=None):
+def tangent_project_points(target, pts, w):
     """Project vectors w onto the tangent planes of T at the points pts.
 
     The solvers' retraction builds one tangent frame per iterate and
@@ -732,7 +732,7 @@ def tangent_project_points(target, pts, w, params=None):
     energy.riemannian_gradient alone, because perfbench/tests asserts
     that the benchmark's tracing wraps it as energy.tangent_project_points.
     """
-    return project_to_frame(tangent_frame(target, pts, params), w)
+    return project_to_frame(tangent_frame(target, pts), w)
 
 
 # ---------------------------------------------------------------------------

@@ -64,8 +64,8 @@ _OPTIONAL_PATH = object()       # that of a file path that may be left out
 # section -> kind -> (keys, build): {key: default} of the keys the kind
 # takes besides "kind", and build(values, mesh) of their values (a surface
 # gets mesh None); the section's default kind first, a surface's kind the
-# key naming its curve.  A key with a number (boolean) default takes only a
-# number (boolean), a path key only a string
+# key naming its curve.  A key with a number (boolean, object) default takes
+# only a number (boolean, object), a path key only a string
 _SURFACE_KINDS = {
     "spline_table": ({"spline_table": _PATH, "closed": False},
                      lambda v, mesh: spline_curve(
@@ -194,6 +194,10 @@ DEFAULT_INSTANCES = {
 # every name a suite's "instances" filter can select
 SUITE_NAMES = tuple(DEFAULT_INSTANCES) + ("annulus_pde",)
 
+# the corpora's seed stride and largest size (verify_chain, verify_pw): no
+# two corpus seeds of a suite coincide, as 77 and CORPUS_STRIDE are coprime
+CORPUS_STRIDE = 10_000
+
 DEFAULT_SUITE_CONFIG = {
     "grid": {"n_phi": 32, "n_t": 24},
     # grad_tol well below 1e-6 keeps solver noise out of the 1e-6
@@ -254,6 +258,9 @@ def _section(section, where):
         elif isinstance(default, bool) and not isinstance(value, bool):
             raise ConfigError(f"{where}.{key}: expected a boolean, "
                               f"got {value!r}")
+        elif isinstance(default, dict) and not isinstance(value, dict):
+            raise ConfigError(f"{where}.{key}: expected an object, "
+                              f"got {value!r}")
         values[key] = value
     return build, values
 
@@ -305,10 +312,10 @@ def suite_config(section=None, seed_override=None, grid_override=None):
     replace the default; the solver section takes no seed (the seeds set
     it).  seed_override (the --seed flag) replaces the seeds
     and grid_override (the --grid flag's (n_phi, n_t)) the grid.  A bad key
-    or value is a ConfigError naming it.  A suite that checks nothing
-    passes: empty seeds, or an instance list that names no registered
-    instance (run_suite then runs nothing, and the command line refuses
-    it); a list that names some is refused for any unknown name.
+    or value is a ConfigError naming it, and so is a suite that checks
+    nothing (no seed, or an empty instance filter), an instance filter
+    with an unregistered name, and a corpus of more than CORPUS_STRIDE
+    fields, whose seeds would reach those of the next suite seed.
     """
     where = "config.suite"
     section = {} if section is None else section
@@ -338,20 +345,24 @@ def suite_config(section=None, seed_override=None, grid_override=None):
     if not isinstance(cfg["seeds"], list):
         raise ConfigError(f"{where}.seeds: expected a list of seeds, "
                           f"got {cfg['seeds']!r}")
+    if not cfg["seeds"]:
+        raise ConfigError(f"{where}.seeds: needs at least one seed")
     for seed in cfg["seeds"]:
         _integer(seed, f"{where}.seeds")
     for key in ("chain_fields", "pw_fields"):
-        _integer(cfg[key], f"{where}.{key}")
+        _integer(cfg[key], f"{where}.{key}", 0, CORPUS_STRIDE)
     names = cfg["instances"]
     if names is not None:
         if not (isinstance(names, list)
                 and all(isinstance(n, str) for n in names)):
             raise ConfigError(f"{where}.instances: expected a list of "
                               f"instance names, got {names!r}")
-        unknown = [n for n in names if n not in SUITE_NAMES]
-        if unknown and len(unknown) < len(names):
-            raise ConfigError(f"{where}.instances: unknown instance "
-                              f"{unknown[0]!r}")
+        if not names:
+            raise ConfigError(f"{where}.instances: selects no instance")
+        for name in names:
+            if name not in SUITE_NAMES:
+                raise ConfigError(f"{where}.instances: unknown instance "
+                                  f"{name!r}")
     return cfg
 
 

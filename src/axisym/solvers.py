@@ -431,7 +431,7 @@ def _level(mesh, target, boundary, value_fn, egrad_fn, profile=False):
 
 
 def _solve_restarts(level, target, params, inits, to_field, config,
-                    ladder=(), ladder_inits=()):
+                    ladder=(), ladder_inits=(), keep_fields=False):
     """Descend from every init and report the best end.
 
     inits are fields (n_phi, n_t, 3) or profiles (n_t, 3) on level.mesh.
@@ -443,11 +443,11 @@ def _solve_restarts(level, target, params, inits, to_field, config,
     its pinned rows.  Each end x on level.mesh is ranked by total_energy
     of its 2D field to_field(x): the lowest wins, ties going to the lowest
     index; an end whose energy is not finite is a NonFiniteSolveError.
-    The report carries every restart's field, energy, iterations and stop
-    reason on level.mesh, and the winner's diagnostics; with a ladder it
-    also carries every restart's [n_phi, n_t, iterations] per coarse
-    level ([] for the others).  Returns (the winner's point, its
-    SolveReport).
+    The report carries every restart's energy, iterations and stop reason
+    on level.mesh (its field too with keep_fields) and the winner's
+    diagnostics; with a ladder it also carries every restart's [n_phi,
+    n_t, iterations] per coarse level ([] for the others).  Returns (the
+    winner's point, its SolveReport).
     """
     def descend(x0, lv):
         return _descend(x0, lv.value_fn, lv.egrad_fn, lv.retract, lv.solve,
@@ -483,7 +483,7 @@ def _solve_restarts(level, target, params, inits, to_field, config,
         margin=hypothesis_margin(level.mesh, params.weight),
         diagnostics=diagnostics,
         restart_energies=[e.total for e in energies],
-        restart_fields=fields,
+        restart_fields=fields if keep_fields else None,
         seed=config.seed,
         coarse_iterations=[c for _, c in starts] if ladder else None,
     )
@@ -581,11 +581,8 @@ def minimize_2d(mesh, target, params, config=SolveConfig(), keep_fields=False):
     prof = _normal_profile(mesh, target)
     inits = [build_from_profile(mesh, ProfileField(mesh.t, prof, variant),
                                 target).values for variant in VARIANTS]
-    _, report = _solve_restarts(level, target, params, inits, to_field,
-                                config, ladder, randoms)
-    if not keep_fields:
-        report.restart_fields = None
-    return report
+    return _solve_restarts(level, target, params, inits, to_field, config,
+                           ladder, randoms, keep_fields)[1]
 
 
 # ---------------------------------------------------------------------------

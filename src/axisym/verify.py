@@ -39,8 +39,8 @@ from . import ioutil
 from .energy import hypothesis_margin
 from .fields import mode_decompose, random_field, symmetry_defect
 from .geometry import never_flat_check
-from .runconfig import (DEFAULT_INSTANCES, RUN_SCHEMA, build_run,
-                        suite_config)
+from .runconfig import (CORPUS_STRIDE, DEFAULT_INSTANCES, RUN_SCHEMA,
+                        SUITE_NAMES, build_run, suite_config)
 from .solvers import (
     CHAIN_SLACK,
     annulus_boundary_from_vector,
@@ -247,7 +247,7 @@ def verify_chain(desc, seeds, n_fields):
                                   {}, tolerances, "inapplicable: margin not strict")
     worst = dict.fromkeys(("slice_vs_mean", "poincare_wirtinger",
                            "vertical_mode", "total_gap"), np.inf)
-    corpus = [seed * 10_000 + k for seed in seeds for k in range(n_fields)]
+    corpus = [s * CORPUS_STRIDE + k for s in seeds for k in range(n_fields)]
     for stack in _stacks(mesh, corpus):
         rep = symmetrize_and_certify(random_field(mesh, target, stack), params,
                                      params.aniso.variant)[1]
@@ -294,7 +294,8 @@ def verify_pw(desc, seeds, n_fields):
     """
     mesh, target, params, _ = build_run(desc["config"])
     tolerances = {"pw_slack": DEFAULT_TOLERANCES["pw_slack"]}
-    corpus = [seed * 10_000 + 77 * k for seed in seeds for k in range(n_fields)]
+    corpus = [s * CORPUS_STRIDE + 77 * k
+              for s in seeds for k in range(n_fields)]
     stacks = [_pw_stack(mesh, target, stack) for stack in _stacks(mesh, corpus)]
     if not stacks:
         return TheoremCertificate("pw_inequality", desc, False, True,
@@ -340,17 +341,16 @@ def run_suite(config=None, out_dir=None):
     """Run the registered instance matrix and emit certificates.
 
     config is merged over runconfig.DEFAULT_SUITE_CONFIG and checked by
-    runconfig.suite_config (a bad value raises its ConfigError).  Returns
-    (certificates, summary); summary["all_pass"] needs at least one
-    certificate and no failed applicable one.  With out_dir set, writes
-    one JSON file per instance (its certificate list) plus summary.json.
-    The run is deterministic under fixed seeds: certificates carry no
-    timestamps and reruns are byte-identical.
+    runconfig.suite_config (a ConfigError for a bad value or a suite that
+    checks nothing).  Returns (certificates, summary); summary["all_pass"]
+    needs at least one certificate and no failed applicable one.  With
+    out_dir set, writes one JSON file per instance (its certificate list)
+    plus summary.json.  The run is deterministic under fixed seeds:
+    certificates carry no timestamps and reruns are byte-identical.
     """
     cfg = suite_config(config)
     grid = (cfg["grid"]["n_phi"], cfg["grid"]["n_t"])
-    names = cfg["instances"]
-    selected = [n for n in DEFAULT_INSTANCES if names is None or n in names]
+    names = cfg["instances"] or SUITE_NAMES     # None selects every one
 
     per_instance = {}
     certs = []
@@ -359,7 +359,7 @@ def run_suite(config=None, out_dir=None):
         per_instance.setdefault(key, []).append(cert)
         certs.append(cert)
 
-    for name in selected:
+    for name in [n for n in DEFAULT_INSTANCES if n in names]:
         for seed in cfg["seeds"]:
             desc = instance(name, *grid, cfg["solver"], seed)
             mesh, target, params, sc = build_run(desc["config"])
@@ -370,15 +370,14 @@ def run_suite(config=None, out_dir=None):
             emit(key, verify_main1(main0, report, target))
             emit(key, verify_main3(desc, report, target))
 
-    first_seed = cfg["seeds"][0] if cfg["seeds"] else 0
+    first_seed = cfg["seeds"][0]
     for kind, check, pool, n_fields in (
             ("chain", verify_chain, CHAIN_INSTANCES, cfg["chain_fields"]),
             ("pw", verify_pw, PW_INSTANCES, cfg["pw_fields"])):
-        for name in pool:
-            if names is None or name in names:
-                desc = instance(name, *grid, cfg["solver"], first_seed)
-                emit(f"{kind}_{name}", check(desc, cfg["seeds"], n_fields))
-    if names is None or "annulus_pde" in (names or []):
+        for name in [n for n in pool if n in names]:
+            desc = instance(name, *grid, cfg["solver"], first_seed)
+            emit(f"{kind}_{name}", check(desc, cfg["seeds"], n_fields))
+    if "annulus_pde" in names:
         ann = cfg["annulus"]
         emit("annulus_pde", verify_annulus(ann["kappas"], ann["n_t"],
                                            ann["n_phi"], first_seed))
@@ -413,9 +412,6 @@ def _theorem_counts(certs):
     for c in certs:
         d = counts.setdefault(c.theorem, {"applicable": 0, "passed": 0,
                                           "inapplicable": 0})
-        if c.applicable:
-            d["applicable"] += 1
-            d["passed"] += int(c.passed)
-        else:
-            d["inapplicable"] += 1
+        d["applicable" if c.applicable else "inapplicable"] += 1
+        d["passed"] += int(c.applicable and c.passed)
     return counts

@@ -109,14 +109,21 @@ def test_bad_grid_rejected(tmp_path, capsys):
     assert "n_phi" in err
 
 
-@pytest.mark.parametrize("params, message", [
-    ({"radus": 2.0}, "no parameter 'radus'"),
-    ({"radius": "2"}, "'radius' must be a number"),
-])
-def test_bad_preset_parameter_exits_3(tmp_path, capsys, params, message):
-    # a misspelt parameter must not fall back to its default
+@pytest.mark.parametrize("surface, message", [
+    ({"preset": "cylinder", "params": {"radus": 2.0}}, "no parameter 'radus'"),
+    ({"preset": "cylinder", "params": {"radius": "2"}},
+     "'radius' must be a number"),
+    ({"preset": "cylinder", "params": 5}, "params: expected an object"),
+    ({"preset": "cylinder", "params": None}, "params: expected an object"),
+    ({"preset": "cylinder", "params": [1]}, "params: expected an object"),
+    ({"preset": ["sphere"]}, "unknown curve preset ['sphere']"),
+], ids=["misspelt_parameter", "string_parameter", "params_number",
+        "params_null", "params_list", "preset_list"])
+def test_bad_preset_parameter_exits_3(tmp_path, capsys, surface, message):
+    # a misspelt parameter must not fall back to its default, and a value
+    # of the wrong type is refused before it reaches the preset
     cfg_path = tmp_path / "run.json"
-    write_config(cfg_path, base_surface={"preset": "cylinder", "params": params})
+    write_config(cfg_path, base_surface=surface)
     assert main(["minimize", "--config", str(cfg_path),
                  "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
@@ -518,8 +525,9 @@ def test_verify_empty_seeds_exits_3(tmp_path, capsys):
     assert "config.suite.seeds" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("instances", [[], ["no_such_instance"]])
+@pytest.mark.parametrize("instances", [[]])
 def test_verify_selecting_no_instance_exits_3(tmp_path, capsys, instances):
+    # an unknown name is refused as such (test_verify_bad_suite_values_exit_3)
     cfg_path = tmp_path / "verify.json"
     cfg_path.write_text(json.dumps({"schema": "axisym-run/1",
                                     "suite": {"instances": instances}}),
@@ -1073,10 +1081,15 @@ def test_solver_integers_refused_exit_3(tmp_path, capsys, command, section,
     ({"instances": ["annulus_pde", 5]}, "instances"),
     ({"instances": ["annulus_pde", "sphere_quartic_margn"]}, "instances"),
     ({"solver": {"seed": 5}}, "solver"),
+    # past CORPUS_STRIDE fields a corpus would reuse the next seed's seeds
+    ({"chain_fields": 10_001}, "chain_fields"),
+    ({"pw_fields": 10_001}, "pw_fields"),
+    ({"instances": ["no_such_instance"]}, "instances"),
 ], ids=["seed_string", "seed_float", "seed_negative", "seeds_not_list",
         "seed_bool", "chain_fields_string", "chain_fields_negative",
         "pw_fields_float", "instance_number", "instance_misspelt",
-        "solver_seed"])
+        "solver_seed", "chain_fields_too_many", "pw_fields_too_many",
+        "instance_unknown"])
 def test_verify_bad_suite_values_exit_3(tmp_path, capsys, suite, key):
     cfg_path = tmp_path / "verify.json"
     cfg_path.write_text(json.dumps({"schema": "axisym-run/1",

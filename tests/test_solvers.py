@@ -500,6 +500,17 @@ def test_minimize_1d_variant_mismatch_warning():
     assert rep.diagnostics["variant_mismatch_warning"]
 
 
+def test_solves_keep_restart_fields_only_when_asked():
+    # a report holds every restart's swept 2D field only for keep_fields
+    mesh, tgt, params = make_instance(n_phi=16, n_t=12)
+    cfg = SolveConfig(restarts=1, seed=0, max_iters=200)
+    assert minimize_1d_profile(mesh, tgt, params, "symmetric",
+                               cfg).restart_fields is None
+    assert minimize_2d(mesh, tgt, params, cfg).restart_fields is None
+    kept = minimize_2d(mesh, tgt, params, cfg, keep_fields=True)
+    assert len(kept.restart_fields) == len(kept.restart_energies) == 3
+
+
 def test_profile_restart_iterations_insensitive_to_rounding(monkeypatch):
     # the antisymmetric structured restart of the 64x64 sphere reduction:
     # plain-gradient BB needed 111-269 iterations under 1e-15 relative

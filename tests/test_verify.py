@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from axisym import ioutil, verify
-from axisym.runconfig import build_run, load_config
+from axisym.runconfig import ConfigError, build_run, load_config
 from axisym.solvers import SolveConfig, minimize_2d, symmetrize_and_certify
 from conftest import count_calls
 from axisym.verify import (
@@ -102,10 +102,10 @@ def test_one_symmetrization_per_solved_instance(monkeypatch):
 
 
 def test_empty_matrix():
-    # a suite that checks nothing must not pass
-    certs, summary = run_suite({"instances": []})
-    assert certs == [] and not summary["all_pass"]
-    assert summary["n_certificates"] == 0
+    # a suite that checks nothing is refused before anything runs
+    with pytest.raises(ConfigError, match="config.suite.instances: selects "
+                                          "no instance"):
+        run_suite({"instances": []})
 
 
 def test_planted_failure_fails_suite(monkeypatch):
@@ -214,11 +214,11 @@ def test_empty_corpus_certificates_inapplicable(monkeypatch, seeds, n_fields):
 
 
 def test_annulus_only_suite_without_seeds():
-    # the annulus certificate takes the suite's first seed, 0 when none
-    certs, summary = run_suite({"seeds": [], "instances": ["annulus_pde"]})
-    assert [c.theorem for c in certs] == ["annulus_null_average"]
-    assert certs[0].applicable and summary["all_pass"]
-    assert certs[0].instance["seed"] == 0
+    # the annulus certificate takes the suite's first seed: with none the
+    # suite is refused, not run at seed 0
+    with pytest.raises(ConfigError, match="config.suite.seeds: needs at "
+                                          "least one seed"):
+        run_suite({"seeds": [], "instances": ["annulus_pde"]})
 
 
 def test_default_suite_all_pass(tmp_path):
