@@ -213,7 +213,7 @@ def weight_margin_profile(mesh, margin):
 @dataclass(frozen=True)
 class MarginReport:
     """min/sup of h1(t) W(t) over mesh nodes, and the hypothesis state they
-    give."""
+    give; holds is the one test of the margin hypothesis h1 W >= sqrt(2 pi)."""
 
     min_h1w: float
     sup_h1w: float
@@ -235,6 +235,10 @@ class MarginReport:
         if self.strict:
             return "strict"
         return "borderline" if self.borderline else "below"
+
+    @property
+    def holds(self):
+        return self.state in ("strict", "borderline")
 
 
 def hypothesis_margin(mesh, weight):
@@ -311,9 +315,9 @@ def make_params(mesh, target, potential, aniso, weight, boundary=None):
 # discrete derivative operators
 # ---------------------------------------------------------------------------
 
-def _phi_multiplier(n_phi):
-    k = np.arange(n_phi // 2 + 1, dtype=float)
-    return k ** 2
+def phi_symbol(n_phi):
+    """k^2 for k = 0..n_phi/2: the symbol of -d^2/dphi^2 on rfft modes."""
+    return np.arange(n_phi // 2 + 1, dtype=float) ** 2
 
 
 def lphi(values):
@@ -322,7 +326,7 @@ def lphi(values):
     rectangle-rule inner product."""
     n = values.shape[-3]
     coeff = np.fft.rfft(values, axis=-3)
-    coeff *= _phi_multiplier(n)[:, None, None]
+    coeff *= phi_symbol(n)[:, None, None]
     return np.fft.irfft(coeff, n=n, axis=-3)
 
 
@@ -583,7 +587,7 @@ class SobolevPreconditioner:
         stiff = np.zeros(n_t)
         stiff[:-1] += w
         stiff[1:] += w
-        k2 = np.arange(n_modes, dtype=float)[:, None] ** 2
+        k2 = phi_symbol(mesh.n_phi)[:n_modes, None]
         off = np.broadcast_to(-2 * scale * w, (n_modes, n_t - 1)).copy()
         diag = scale * (2 * stiff + mesh.sqrtg
                         + 2 * k2 * mesh.sqrtg / mesh.h1 ** 2)

@@ -62,8 +62,9 @@ def rotate_inverse(phi, v):
 
 def dot3(a, b):
     """Dot products of 3-vectors along the last axis,
-    a0 b0 + a1 b1 + a2 b2: the same value, bit for bit, as
-    np.sum(a * b, axis=-1) without an axis reduction."""
+    a0 b0 + a1 b1 + a2 b2: the same value as np.sum(a * b, axis=-1)
+    without an axis reduction, but the sign of a zero sum may differ
+    (three products of -0.0 give -0.0 here, +0.0 from np.sum)."""
     return (a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
             + a[..., 2] * b[..., 2])
 

@@ -194,9 +194,17 @@ DEFAULT_INSTANCES = {
 # every name a suite's "instances" filter can select
 SUITE_NAMES = tuple(DEFAULT_INSTANCES) + ("annulus_pde",)
 
-# the corpora's seed stride and largest size (verify_chain, verify_pw): no
-# two corpus seeds of a suite coincide, as 77 and CORPUS_STRIDE are coprime
+# the corpora's seed stride and largest size (corpus_seeds): a step coprime
+# to it gives distinct suite seeds distinct corpora of up to that many fields
 CORPUS_STRIDE = 10_000
+
+
+def corpus_seeds(seeds, n_fields, step):
+    """The corpus seeds s CORPUS_STRIDE + step k, k < n_fields, of suite
+    seeds s: step 1 for the chain corpus, 77 for the Poincare-Wirtinger."""
+    return [s * CORPUS_STRIDE + step * k
+            for s in seeds for k in range(n_fields)]
+
 
 DEFAULT_SUITE_CONFIG = {
     "grid": {"n_phi": 32, "n_t": 24},
@@ -314,8 +322,9 @@ def suite_config(section=None, seed_override=None, grid_override=None):
     and grid_override (the --grid flag's (n_phi, n_t)) the grid.  A bad key
     or value is a ConfigError naming it, and so is a suite that checks
     nothing (no seed, or an empty instance filter), an instance filter
-    with an unregistered name, and a corpus of more than CORPUS_STRIDE
-    fields, whose seeds would reach those of the next suite seed.
+    with an unregistered name, a seed listed twice, and a corpus of more
+    than CORPUS_STRIDE fields: either would repeat a corpus seed
+    (corpus_seeds).
     """
     where = "config.suite"
     section = {} if section is None else section
@@ -347,8 +356,11 @@ def suite_config(section=None, seed_override=None, grid_override=None):
                           f"got {cfg['seeds']!r}")
     if not cfg["seeds"]:
         raise ConfigError(f"{where}.seeds: needs at least one seed")
+    seen = set()
     for seed in cfg["seeds"]:
-        _integer(seed, f"{where}.seeds")
+        if _integer(seed, f"{where}.seeds") in seen:
+            raise ConfigError(f"{where}.seeds: seed {seed} is listed twice")
+        seen.add(seed)
     for key in ("chain_fields", "pw_fields"):
         _integer(cfg[key], f"{where}.{key}", 0, CORPUS_STRIDE)
     names = cfg["instances"]

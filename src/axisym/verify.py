@@ -5,14 +5,14 @@ Each certificate records one conditional claim checked on one instance:
     main0_form            best found field has the first-harmonic form
                           (horizontal k = +-1, vertical k = 0) and an
                           equal-energy rotation-(contra)variant companion,
-                          under the strict margin h1 W > sqrt(2 pi)
+                          under the margin hypothesis (MarginReport.holds)
     main1_line_symmetry   adds per-row line-symmetry labels and the
                           orthogonality relations |alpha| = |beta|,
                           alpha . beta = 0, under never-flat targets
     main3_null_average    with no penalty term: if the found minimizer is
                           axially null-average it must have the form above
     chain_monotonicity    the symmetrization inequality chain on a corpus
-                          of random fields
+                          of random fields (runconfig.corpus_seeds)
     pw_inequality         the discrete Poincare-Wirtinger inequality per
                           row, equality exactly on first harmonics
     annulus_null_average  the ring averages of the annulus boundary-value
@@ -22,7 +22,8 @@ Instances are axisym-run/1 configs (runconfig.DEFAULT_INSTANCES, built
 with runconfig.build_run), and each certificate records its instance as
 {"name", "config"}, so `axisym minimize --config` reruns it.
 Hypothesis gating happens before conclusions: an instance that fails a
-hypothesis yields an *inapplicable* certificate, never a failed one.
+hypothesis yields an *inapplicable* certificate (_inapplicable), never a
+failed one.
 Certificates carry no timestamps and serialize deterministically, so a
 rerun with the same seeds is byte-identical.
 """
@@ -36,11 +37,11 @@ from pathlib import Path
 import numpy as np
 
 from . import ioutil
-from .energy import hypothesis_margin
+from .energy import hypothesis_margin, phi_symbol
 from .fields import mode_decompose, random_field, symmetry_defect
 from .geometry import never_flat_check
-from .runconfig import (CORPUS_STRIDE, DEFAULT_INSTANCES, RUN_SCHEMA,
-                        SUITE_NAMES, build_run, suite_config)
+from .runconfig import (DEFAULT_INSTANCES, RUN_SCHEMA, SUITE_NAMES,
+                        build_run, corpus_seeds, suite_config)
 from .solvers import (
     CHAIN_SLACK,
     annulus_boundary_from_vector,
@@ -85,6 +86,13 @@ class TheoremCertificate:
             "tolerances": {k: float(v) for k, v in self.tolerances.items()},
             "note": self.note,
         }
+
+
+def _inapplicable(theorem, instance, tolerances, note, residuals=None):
+    """The certificate of a claim whose hypothesis fails: inapplicable, so
+    it passes and no pass or fail count of the summary holds it."""
+    return TheoremCertificate(theorem, instance, False, True,
+                              residuals or {}, tolerances, note)
 
 
 # ---------------------------------------------------------------------------
@@ -146,15 +154,13 @@ def _line_symmetry_check(diag):
 
 
 def verify_main0(instance_desc, report, params):
-    """First-harmonic form of the best found field under the strict margin."""
-    state = report.margin.state
+    """First-harmonic form of the best found field under the margin."""
     diag = report.diagnostics
     tolerances = {k: DEFAULT_TOLERANCES[k] for k in
                   ("form_residual", "null_average", "defect", "energy_gap")}
-    if state in ("zero", "below"):
-        return TheoremCertificate(
-            "main0_form", instance_desc, False, True, {},
-            tolerances, f"inapplicable: margin {state}")
+    if not report.margin.holds:
+        return _inapplicable("main0_form", instance_desc, tolerances,
+                             f"inapplicable: margin {report.margin.state}")
     u, chain = symmetrize_and_certify(report.best_field, params,
                                       params.aniso.variant)
     residuals, ok = _form_check(diag)
@@ -165,7 +171,7 @@ def verify_main0(instance_desc, report, params):
     ok = (ok and residuals["companion_energy_gap"] <= tolerances["energy_gap"]
           and residuals["companion_defect"] <= tolerances["defect"])
     note = ""
-    if state == "strict":
+    if report.margin.strict:
         residuals["null_average"] = (diag["null_average_norm"]
                                      / max(diag["field_scale"], 1e-9))
         ok = ok and residuals["null_average"] <= tolerances["null_average"]
@@ -181,14 +187,13 @@ def verify_main1(main0, report, target):
     main0 is verify_main0's certificate of the same report; this one
     extends its residuals and passes only where it passed.
     """
-    state = report.margin.state
+    strict = report.margin.strict
     tolerances = {k: DEFAULT_TOLERANCES[k]
                   for k in ("form_residual", "orthogonality")}
-    if state != "strict" or not never_flat_check(target).ok:
-        why = "margin not strict" if state != "strict" else "target has flat bands"
-        return TheoremCertificate("main1_line_symmetry", main0.instance,
-                                  False, True, {}, tolerances,
-                                  f"inapplicable: {why}")
+    if not strict or not never_flat_check(target).ok:
+        why = "target has flat bands" if strict else "margin not strict"
+        return _inapplicable("main1_line_symmetry", main0.instance,
+                             tolerances, f"inapplicable: {why}")
     residuals, ok = _line_symmetry_check(report.diagnostics)
     return TheoremCertificate("main1_line_symmetry", main0.instance, True,
                               bool(main0.passed and ok),
@@ -205,17 +210,15 @@ def verify_main3(instance_desc, report, target):
     tolerances = {k: DEFAULT_TOLERANCES[k] for k in
                   ("null_average_strict", "form_residual", "orthogonality")}
     if report.margin.state != "zero":
-        return TheoremCertificate("main3_null_average", instance_desc,
-                                  False, True, {}, tolerances,
-                                  "inapplicable: instance has a penalty term")
+        return _inapplicable("main3_null_average", instance_desc, tolerances,
+                             "inapplicable: instance has a penalty term")
     diag = report.diagnostics
     residuals = {"null_average": diag["null_average_norm"]
                  / max(diag["field_scale"], 1e-9)}
     if residuals["null_average"] > tolerances["null_average_strict"]:
-        return TheoremCertificate("main3_null_average", instance_desc,
-                                  False, True, residuals, tolerances,
-                                  "hypothesis unmet: found minimizer is not "
-                                  "axially null-average")
+        return _inapplicable("main3_null_average", instance_desc, tolerances,
+                             "hypothesis unmet: found minimizer is not "
+                             "axially null-average", residuals)
     form, ok = _form_check(diag)
     residuals.update(form)
     note = ""
@@ -240,14 +243,13 @@ def verify_chain(desc, seeds, n_fields):
     """Symmetrization chain on a seeded random-field corpus of one instance
     (desc as made by instance())."""
     mesh, target, params, _ = build_run(desc["config"])
-    margin = hypothesis_margin(mesh, params.weight)
     tolerances = {"chain_slack": DEFAULT_TOLERANCES["chain_slack"]}
-    if not margin.strict:
-        return TheoremCertificate("chain_monotonicity", desc, False, True,
-                                  {}, tolerances, "inapplicable: margin not strict")
+    if not hypothesis_margin(mesh, params.weight).strict:
+        return _inapplicable("chain_monotonicity", desc, tolerances,
+                             "inapplicable: margin not strict")
     worst = dict.fromkeys(("slice_vs_mean", "poincare_wirtinger",
                            "vertical_mode", "total_gap"), np.inf)
-    corpus = [s * CORPUS_STRIDE + k for s in seeds for k in range(n_fields)]
+    corpus = corpus_seeds(seeds, n_fields, 1)
     for stack in _stacks(mesh, corpus):
         rep = symmetrize_and_certify(random_field(mesh, target, stack), params,
                                      params.aniso.variant)[1]
@@ -256,9 +258,9 @@ def verify_chain(desc, seeds, n_fields):
             worst[key] = min(worst[key],
                              float(np.min(rep.residuals[key] / scale)))
     if not corpus:
-        return TheoremCertificate("chain_monotonicity", desc, False, True,
-                                  {"fields_checked": 0.0}, tolerances,
-                                  "inapplicable: empty corpus, no field checked")
+        return _inapplicable("chain_monotonicity", desc, tolerances,
+                             "inapplicable: empty corpus, no field checked",
+                             {"fields_checked": 0.0})
     residuals = {f"min_{k}": v for k, v in worst.items()}
     residuals["fields_checked"] = float(len(corpus))
     ok = all(v >= -tolerances["chain_slack"] for v in worst.values())
@@ -270,7 +272,7 @@ def _pw_stack(mesh, target, seeds):
     """(largest relative violation, equality detector mismatches, rows) of
     the Poincare-Wirtinger check on the random fields of seeds, one stack:
     its mode decomposition is freed before the next stack is drawn."""
-    k2 = np.arange(mesh.n_phi // 2 + 1, dtype=float)[:, None, None] ** 2
+    k2 = phi_symbol(mesh.n_phi)[:, None, None]
     dec = mode_decompose(random_field(mesh, target, seeds))
     mass = dec.mass[..., :2]                      # (fields, modes, n_t, 2)
     lhs = 2 * np.pi * np.sum(mass[:, 1:], axis=(-3, -1))
@@ -294,13 +296,12 @@ def verify_pw(desc, seeds, n_fields):
     """
     mesh, target, params, _ = build_run(desc["config"])
     tolerances = {"pw_slack": DEFAULT_TOLERANCES["pw_slack"]}
-    corpus = [s * CORPUS_STRIDE + 77 * k
-              for s in seeds for k in range(n_fields)]
+    corpus = corpus_seeds(seeds, n_fields, 77)
     stacks = [_pw_stack(mesh, target, stack) for stack in _stacks(mesh, corpus)]
     if not stacks:
-        return TheoremCertificate("pw_inequality", desc, False, True,
-                                  {"rows_checked": 0.0}, tolerances,
-                                  "inapplicable: empty corpus, no row checked")
+        return _inapplicable("pw_inequality", desc, tolerances,
+                             "inapplicable: empty corpus, no row checked",
+                             {"rows_checked": 0.0})
     worst_violation = max(v for v, _, _ in stacks)
     mismatches = sum(m for _, m, _ in stacks)
     rows = sum(r for _, _, r in stacks)
@@ -325,9 +326,8 @@ def verify_annulus(kappas, n_t, n_phi, seed):
             "grid": [int(n_phi), int(n_t)], "seed": int(seed)}
     tolerances = {"annulus_mean": DEFAULT_TOLERANCES["annulus_mean"]}
     if not kappas:
-        return TheoremCertificate("annulus_null_average", desc, False, True,
-                                  {}, tolerances,
-                                  "inapplicable: no kappa, nothing solved")
+        return _inapplicable("annulus_null_average", desc, tolerances,
+                             "inapplicable: no kappa, nothing solved")
     return TheoremCertificate("annulus_null_average", desc, True,
                               bool(worst <= tolerances["annulus_mean"]),
                               {"max_mean_perp": worst}, tolerances)

@@ -1075,6 +1075,8 @@ def test_solver_integers_refused_exit_3(tmp_path, capsys, command, section,
     ({"seeds": [-1]}, "seeds"),
     ({"seeds": 3}, "seeds"),
     ({"seeds": [True]}, "seeds"),
+    # a repeated seed would solve its instances twice and repeat its corpus
+    ({"seeds": [0, 0]}, "seeds"),
     ({"chain_fields": "a"}, "chain_fields"),
     ({"chain_fields": -1}, "chain_fields"),
     ({"pw_fields": 2.5}, "pw_fields"),
@@ -1086,8 +1088,9 @@ def test_solver_integers_refused_exit_3(tmp_path, capsys, command, section,
     ({"pw_fields": 10_001}, "pw_fields"),
     ({"instances": ["no_such_instance"]}, "instances"),
 ], ids=["seed_string", "seed_float", "seed_negative", "seeds_not_list",
-        "seed_bool", "chain_fields_string", "chain_fields_negative",
-        "pw_fields_float", "instance_number", "instance_misspelt",
+        "seed_bool", "seed_repeated", "chain_fields_string",
+        "chain_fields_negative", "pw_fields_float", "instance_number",
+        "instance_misspelt",
         "solver_seed", "chain_fields_too_many", "pw_fields_too_many",
         "instance_unknown"])
 def test_verify_bad_suite_values_exit_3(tmp_path, capsys, suite, key):

@@ -19,10 +19,12 @@ from axisym.energy import (
     easy_normal_potential,
     euclidean_gradient,
     hypothesis_margin,
+    lphi,
     make_params,
     penalty_energy,
     penalty_energy_raw,
     phi_slice_energy,
+    phi_symbol,
     quadratic_potential,
     quartic_potential,
     riemannian_gradient,
@@ -418,6 +420,21 @@ def test_profile_functional_gradient_central_differences(name, variant):
             fd = (reduced.value(gamma + step) - reduced.value(gamma - step)) / (2 * h)
             worst = max(worst, abs(fd - grad[j, c]))
     assert worst <= 1e-6 * max(1.0, float(np.max(np.abs(grad))))
+
+
+# ---------------------------------------------------------------------------
+# phi-derivative symbol
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [8, 12, 32])
+def test_phi_symbol_is_k_squared_and_lphi_applies_it(n):
+    # the rfft modes of n nodes are k = 0..n/2 (the last the Nyquist mode),
+    # and lphi is -d^2/dphi^2 on each: cos(k phi) -> k^2 cos(k phi)
+    k = np.arange(n // 2 + 1)
+    assert np.array_equal(phi_symbol(n), k.astype(float) ** 2)
+    phi = 2 * np.pi * np.arange(n) / n
+    waves = np.cos(np.outer(phi, k))[:, None, :]    # (n_phi, 1, modes)
+    assert np.allclose(lphi(waves), k ** 2 * waves, rtol=0, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------

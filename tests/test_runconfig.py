@@ -22,7 +22,8 @@ from axisym.energy import (
     weight_zero,
 )
 from axisym.geometry import spline_curve, surface
-from axisym.runconfig import (_KIND_KEYS, RUN_SCHEMA, ConfigError, build_run,
+from axisym.runconfig import (_KIND_KEYS, CORPUS_STRIDE, RUN_SCHEMA,
+                              ConfigError, build_run, corpus_seeds,
                               suite_config)
 from axisym.solvers import SolveConfig
 
@@ -192,3 +193,18 @@ def test_solve_config_refuses_values_that_break_the_stop_test(key, value):
                    "solver": {key: value}})
     with pytest.raises(ConfigError, match=f"^config.suite.solver: {key}"):
         suite_config({"solver": {key: value}})
+
+
+@pytest.mark.parametrize("step", [1, 77])
+def test_corpus_seeds_distinct_up_to_the_stride(step):
+    # distinct suite seeds give distinct corpus seeds up to CORPUS_STRIDE
+    # fields each (suite_config's bound, as steps 1 and 77 are coprime to
+    # it); one field more and field CORPUS_STRIDE of suite seed 0 is
+    # field 0 of suite seed `step`
+    seeds = [0, 1, 77]
+    full = corpus_seeds(seeds, CORPUS_STRIDE, step)
+    assert len(full) == len(set(full)) == 3 * CORPUS_STRIDE
+    n = CORPUS_STRIDE + 1
+    over = corpus_seeds(seeds, n, step)
+    assert len(over) - len(set(over)) == 1
+    assert over[CORPUS_STRIDE] == over[seeds.index(step) * n]
