@@ -12,7 +12,7 @@ import numpy as np
 
 from axisym.energy import (
     aniso_surface_normal, chain_terms, hypothesis_margin, make_params,
-    phi_slice_energy, quartic_potential, total_energy, weight_margin_profile,
+    quartic_potential, total_energy, weight_margin_profile,
 )
 from axisym.fields import random_field
 from axisym.geometry import build_mesh, surface
@@ -34,8 +34,8 @@ print(f"\nrandom field:  dirichlet={bd.dirichlet:.4f}  "
       f"anisotropy={bd.anisotropy:.4f}  penalty={bd.penalty:.4f}  "
       f"total={bd.total:.4f}")
 
-phi_e = phi_slice_energy(m, params)
-phi_star = chain_terms(m, params).phi_star
+ct = chain_terms(m, params)
+phi_e, phi_star = ct.slice_energies, ct.phi_star
 print(f"slice functional: min={phi_e.min():.4f} at phi*={phi_star:.4f}, "
       f"mean={phi_e.mean():.4f}")
 

@@ -27,9 +27,9 @@ no matrix is assembled.
 
 Field values are (..., n_phi, n_t, 3): phi on axis -3, t on axis -2 and
 the component on axis -1, after any leading stack axes.  The energy
-terms, the slice functional and the chain terms reduce over the last
-three axes and return one value per stacked field, the same bits as the
-field alone gives; one field's values stay Python floats.
+terms and the chain terms reduce over the last three axes and return one
+value per stacked field, the same bits as the field alone gives; one
+field's values stay Python floats.
 
 All reductions are fixed-order numpy sums, so reruns are bit-identical.
 Everything here runs in numpy, the H^1 preconditioner and the table
@@ -370,37 +370,39 @@ class EnergyBreakdown:
                 "penalty": self.penalty, "total": self.total}
 
 
-def _phi_quad_rows(values, mesh):
-    """Row-wise quadratic form sum_i v . (Lphi v) (shape (..., n_t))."""
-    return np.sum(values * lphi(values), axis=(-3, -1))
-
-
 def _t_energy_per_slice(field_values, mesh):
     """Flux-form t-derivative energy attributed per meridian: (..., n_phi)."""
     diffs = t_diff((1.0 / mesh.dt) * field_values, mesh)
     return mesh.dt * np.sum(mesh.edge_weights * dot3(diffs, diffs), axis=-1)
 
 
-def dirichlet_energy(field, perp_only=False):
-    """Quadrature of |d_phi m|^2/h1^2 + |d_t m|^2/h2^2 over the surface.
+def _alignment_g(field, params):
+    """g(m . a) at every node: (..., n_phi, n_t)."""
+    return params.potential.g(dot3(field.values, params.aniso.node_values))
 
-    With perp_only=True the phi-term uses only the horizontal components
-    (the middle bound of the symmetrization inequality chain).
-    """
-    mesh = field.mesh
-    vals = field.values[..., :2] if perp_only else field.values
-    qphi = _phi_quad_rows(vals, mesh)
-    e_phi = mesh.dphi * mesh.dt * np.sum(mesh.sqrtg * qphi / mesh.h1 ** 2,
+
+def _dirichlet(values, lphi_values, t_slices, mesh):
+    """Dirichlet energy from the phi-term of values, given their lphi, and
+    the per-meridian t-energies t_slices."""
+    rows = np.sum(values * lphi_values, axis=(-3, -1))
+    e_phi = mesh.dphi * mesh.dt * np.sum(mesh.sqrtg * rows / mesh.h1 ** 2,
                                          axis=-1)
-    e_t = mesh.dphi * np.sum(_t_energy_per_slice(field.values, mesh), axis=-1)
-    return per_field(e_phi + e_t)
+    return per_field(e_phi + mesh.dphi * np.sum(t_slices, axis=-1))
+
+
+def _anisotropy(g_values, mesh):
+    return per_field(mesh.dphi * mesh.dt * np.sum(
+        mesh.sqrtg * g_values.sum(axis=-2), axis=-1))
+
+
+def dirichlet_energy(field):
+    """Quadrature of |d_phi m|^2/h1^2 + |d_t m|^2/h2^2 over the surface."""
+    m, mesh = field.values, field.mesh
+    return _dirichlet(m, lphi(m), _t_energy_per_slice(m, mesh), mesh)
 
 
 def anisotropy_energy(field, params):
-    mesh = field.mesh
-    dots = dot3(field.values, params.aniso.node_values)
-    return per_field(mesh.dphi * mesh.dt * np.sum(
-        mesh.sqrtg * params.potential.g(dots).sum(axis=-2), axis=-1))
+    return _anisotropy(_alignment_g(field, params), field.mesh)
 
 
 def penalty_energy(field, params):
@@ -423,11 +425,18 @@ def penalty_energy_raw(field, params):
     return float(np.sum(mesh.quad_weights * dens))
 
 
-def total_energy(field, params):
-    d = dirichlet_energy(field)
-    a = anisotropy_energy(field, params)
+def _breakdown(field, params, lphi_values, t_slices, g_values):
+    """E(m) from the passes over m that its terms read."""
+    d = _dirichlet(field.values, lphi_values, t_slices, field.mesh)
+    a = _anisotropy(g_values, field.mesh)
     p = penalty_energy(field, params)
     return EnergyBreakdown(d, a, p, d + a + p)
+
+
+def total_energy(field, params):
+    m = field.values
+    return _breakdown(field, params, lphi(m), _t_energy_per_slice(m, field.mesh),
+                      _alignment_g(field, params))
 
 
 # ---------------------------------------------------------------------------
@@ -617,29 +626,8 @@ class SobolevPreconditioner:
 
 
 # ---------------------------------------------------------------------------
-# slice functional and symmetrization chain terms
+# symmetrization chain terms
 # ---------------------------------------------------------------------------
-
-def phi_slice_energy(field, params):
-    """Slice functional: for each phi node,
-
-        Phi_E(phi) = int_t [ |m_perp|^2/h1^2 + |d_t m|^2/h2^2
-                              + g(m . a) ] sqrt(g) dt.
-
-    Note the |m_perp|^2 (not |d_phi m|^2) in the first term; the
-    symmetrization argument depends on exactly this form, because the
-    phi-derivative of a rotation-swept slice has squared norm |m_perp|^2.
-    The t and anisotropy terms use the same quadrature as total_energy, so
-    replicating the minimizing slice reproduces its slice value exactly.
-    """
-    mesh = field.mesh
-    perp2 = np.sum(field.values[..., :2] ** 2, axis=-1)
-    gterm = params.potential.g(
-        np.sum(field.values * params.aniso.node_values, axis=-1))
-    dens = perp2 / mesh.h1 ** 2 + gterm
-    return (mesh.dt * np.sum(dens * mesh.sqrtg, axis=-1)
-            + _t_energy_per_slice(field.values, mesh))
-
 
 @dataclass(frozen=True)
 class ChainTerms:
@@ -647,13 +635,18 @@ class ChainTerms:
 
         E(u) <= eq1 <= eq2 <= E(m).
 
-    eq1 integrates the slice functional over phi; eq2 replaces |m_perp|^2
-    by |d_phi m_perp|^2 and adds the penalty.  Under the hypothesis
-    h1 W >= sqrt(2 pi), each step is nonnegative for every sampled field.
-    energy_m is total_energy(m), whose terms eq2 reuses;
-    slice_energies holds the slice functional per phi node and phi_star
-    the angle of the node minimizing it.  Of a stack of fields, each entry
-    holds one value per field.
+    slice_energies holds, per phi node, the slice functional
+
+        Phi_E(phi) = int_t [ |m_perp|^2/h1^2 + |d_t m|^2/h2^2
+                              + g(m . a) ] sqrt(g) dt,
+
+    with |m_perp|^2, the squared phi-derivative of a rotation-swept slice,
+    in place of |d_phi m|^2; phi_star is the angle of its minimizing node.
+    eq1 integrates it over phi; eq2 replaces |m_perp|^2 by
+    |d_phi m_perp|^2 and adds the penalty; energy_m is total_energy(m),
+    whose terms eq2 reuses.  Under the hypothesis h1 W >= sqrt(2 pi), each
+    step is nonnegative for every sampled field.  Of a stack of fields,
+    each entry holds one value per field.
     """
 
     eq1: float
@@ -664,15 +657,21 @@ class ChainTerms:
 
 
 def chain_terms(field, params):
-    mesh = field.mesh
-    phi_e = phi_slice_energy(field, params)
+    """The chain terms from one lphi(m), t-energy pass and g(m . a): eq2's
+    phi-term reads the horizontal components of E(m)'s lphi(m)."""
+    mesh, m = field.mesh, field.values
+    lm, t_slices = lphi(m), _t_energy_per_slice(m, mesh)
+    g_values = _alignment_g(field, params)
+    energy_m = _breakdown(field, params, lm, t_slices, g_values)
+    eq2 = (_dirichlet(m[..., :2], lm[..., :2], t_slices, mesh)
+           + energy_m.penalty + energy_m.anisotropy)
+    perp2 = np.sum(m[..., :2] ** 2, axis=-1)
+    phi_e = (mesh.dt * np.sum((perp2 / mesh.h1 ** 2 + g_values) * mesh.sqrtg,
+                              axis=-1) + t_slices)
     eq1 = per_field(mesh.dphi * np.sum(phi_e, axis=-1))
     # ties (within rounding of the minimum) break toward the smallest node
     # index, so exactly symmetric fields report phi* = 0
     lo = np.min(phi_e, axis=-1, keepdims=True)
     phi_star = per_field(mesh.phi[np.argmax(phi_e <= lo + 1e-12 * (1 + abs(lo)),
                                             axis=-1)])
-    energy_m = total_energy(field, params)
-    eq2 = (dirichlet_energy(field, perp_only=True) + energy_m.penalty
-           + energy_m.anisotropy)
     return ChainTerms(eq1, eq2, energy_m, phi_e, phi_star)

@@ -23,7 +23,6 @@ from axisym.energy import (
     make_params,
     penalty_energy,
     penalty_energy_raw,
-    phi_slice_energy,
     phi_symbol,
     quadratic_potential,
     quartic_potential,
@@ -548,7 +547,7 @@ def test_phi_slice_constant_for_symmetric_field(sphere_instance):
     mesh, tgt, params = sphere_instance
     prof = np.stack([np.sin(mesh.t), np.zeros_like(mesh.t), np.cos(mesh.t)], -1)
     f = build_from_profile(mesh, ProfileField(mesh.t, prof, "symmetric"), tgt)
-    phi_e = phi_slice_energy(f, params)
+    phi_e = chain_terms(f, params).slice_energies
     assert np.max(phi_e) - np.min(phi_e) < 1e-10 * (1 + np.max(phi_e))
 
 
@@ -558,13 +557,13 @@ def test_phi_slice_zero_for_e3_on_cylinder():
     params = make_params(mesh, tgt, quadratic_potential(0.0),
                          aniso_constant_e3(mesh), weight_zero(mesh))
     f = constant_field(mesh, tgt, [0, 0, 1.0])
-    assert np.max(np.abs(phi_slice_energy(f, params))) < 1e-18
+    assert np.max(np.abs(chain_terms(f, params).slice_energies)) < 1e-18
 
 
 def test_phi_slice_sum_consistency():
     mesh, tgt, params = make_instance(n_phi=16, n_t=12, weight=("margin", 1.2))
     f = random_field(mesh, tgt, seed=14)
-    total = mesh.dphi * np.sum(phi_slice_energy(f, params))
+    total = mesh.dphi * np.sum(chain_terms(f, params).slice_energies)
     # independent direct double sum with explicit loops
     surf = mesh.surface
     t0 = surf.interval[0]
@@ -600,10 +599,11 @@ def test_argmin_phi_slice():
     k = 11
     vals[k] = [0.0, 0.0, 1.0]
     planted = DiscreteField(mesh0, tgt0, vals)
-    phi_e = phi_slice_energy(planted, params0)
+    ct = chain_terms(planted, params0)
+    phi_e = ct.slice_energies
     # brute-force comparison of all slices
     assert int(np.argmin(phi_e)) == k
-    assert chain_terms(planted, params0).phi_star == pytest.approx(mesh0.phi[k])
+    assert ct.phi_star == pytest.approx(mesh0.phi[k])
     assert phi_e.min() <= phi_e.mean() + 1e-15
 
 
@@ -660,10 +660,12 @@ def test_chain_inequalities_on_corpus(inst_kw):
                         for v in (near, shifted)]:
             ct = chain_terms(g, params)
             assert ct.energy_m == total_energy(g, params)
-            assert np.array_equal(ct.slice_energies, phi_slice_energy(g, params))
             slack = 1e-9 * (1 + abs(ct.energy_m.total))
             u = symmetrize(g, ct.phi_star, variant)
             e_u = total_energy(u, params).total
+            # replicating the minimizing slice reproduces its slice value
+            assert abs(e_u - 2 * np.pi * np.min(ct.slice_energies)) <= \
+                1e-10 * (1 + abs(ct.energy_m.total))
             assert ct.eq1 - e_u >= -slack
             assert ct.eq2 - ct.eq1 >= -slack
             assert ct.energy_m.total - ct.eq2 >= -slack
@@ -726,6 +728,41 @@ def test_chain_equalities_for_symmetric_input(sphere_instance):
     tol = 1e-10 * (1 + abs(ct.energy_m.total))
     assert abs(ct.eq1 - e_u) < tol
     assert abs(ct.energy_m.total - ct.eq2) < tol
+
+
+@pytest.mark.parametrize("name", [
+    "sphere_quartic_margin", "cylinder2_quadratic_const1",
+    "annulus_quartic_const", "cylinder1_borderline", "sphere_easy_normal_free",
+])
+def test_chain_steps_are_discrete_identities(name):
+    """The two inner steps of the chain are exact sums over the phi modes.
+    With mass_k the Parseval mass of mode k and w = 2 pi dt sqrt(g)/h1^2
+    per row,
+
+        E(m) - eq2 = sum_k k^2 mass_k(m_3) w,
+        eq2 - eq1 = sum_{k>=2} (k^2 - 1) mass_k(m_perp) w
+                    + sum_j (W^2 - 2 pi/h1^2) |<m_perp>|^2 sqrt(g) dt,
+
+    evaluated here from an rfft of its own."""
+    mesh, tgt, params, _ = build_run(instance(name, 32, 24)["config"])
+    f = random_field(mesh, tgt, [40, 41, 42, 43])
+    ct = chain_terms(f, params)
+    n = mesh.n_phi
+    coeff = np.fft.rfft(f.values, axis=-3) / n
+    pw = np.full(n // 2 + 1, 2.0)
+    pw[0] = 1.0
+    pw[-1] = 1.0
+    mass = pw[:, None, None] * np.abs(coeff) ** 2        # (field, k, row, comp)
+    k2 = (np.arange(n // 2 + 1, dtype=float) ** 2)[:, None]
+    w = 2 * np.pi * mesh.dt * mesh.sqrtg / mesh.h1 ** 2
+    vertical = np.sum(k2 * mass[..., 2] * w, axis=(-2, -1))
+    perp = mass[..., :2].sum(axis=-1)
+    horizontal = np.sum(((k2 - 1) * perp)[:, 2:] * w, axis=(-2, -1))
+    ring = np.sum((params.weight.W2 - 2 * np.pi / mesh.h1 ** 2) * perp[:, 0]
+                  * mesh.sqrtg * mesh.dt, axis=-1)
+    tol = 1e-12 * (1 + np.abs(ct.energy_m.total))
+    assert np.all(np.abs(ct.energy_m.total - ct.eq2 - vertical) <= tol)
+    assert np.all(np.abs(ct.eq2 - ct.eq1 - horizontal - ring) <= tol)
 
 
 def row_pw_terms(field):

@@ -203,7 +203,9 @@ def test_empty_corpus_certificates_inapplicable(monkeypatch, seeds, n_fields):
     certs = [verify_chain(desc, seeds, n_fields),
              verify_pw(desc, seeds, n_fields)]
     if not seeds:
-        certs.append(verify_annulus([], 32, 16, seed=0))
+        # no kappa is refused before any draw
+        with pytest.raises(ValueError, match="at least one kappa"):
+            verify_annulus([], 32, 16, seed=0)
     for cert in certs:
         assert not cert.applicable, cert.theorem
         assert "inapplicable" in cert.note
