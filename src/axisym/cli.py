@@ -12,10 +12,11 @@ Subcommands:
 
 Configs are strict JSON ("axisym-run/1").  axisym.runconfig loads and
 builds them (load_config, build_run, ConfigError and RUN_SCHEMA are
-re-exported here).  Each verify certificate names its instance as
-{"name", "config"}: the run config it was built from, which `minimize
---config` reruns.  All artifacts are deterministic (sorted keys, 17
-significant digits, LF endings) and carry the config hash and seed.
+re-exported here).  Each verify certificate file states its instance
+once, as {"name", "config"}: `minimize --config` reruns the config
+(`verify --config` for annulus_pde).  All artifacts are deterministic
+(sorted keys, 17 significant digits, LF endings) and carry the config
+hash and seed.
 Exit codes: 0 ok/converged (of a solve: its winning restart met the
 gradient tolerance; report.json's stop_reasons gives every restart), 1
 failed certificate, 2 not converged (the winning restart did not meet the

@@ -6,9 +6,10 @@ Each certificate records one conditional claim checked on one instance:
                           (horizontal k = +-1, vertical k = 0) and an
                           equal-energy rotation-(contra)variant companion,
                           under the margin hypothesis (MarginReport.holds)
-    main1_line_symmetry   adds per-row line-symmetry labels and the
+    main1_line_symmetry   the per-row line-symmetry labels and the
                           orthogonality relations |alpha| = |beta|,
-                          alpha . beta = 0, under never-flat targets
+                          alpha . beta = 0, under never-flat targets; it
+                          passes only where main0_form passed
     main3_null_average    with no penalty term: if the found minimizer is
                           axially null-average it must have the form above
     chain_monotonicity    the symmetrization inequality chain on a corpus
@@ -19,11 +20,12 @@ Each certificate records one conditional claim checked on one instance:
                           problem vanish for symmetric ring data
 
 Instances are axisym-run/1 configs (runconfig.DEFAULT_INSTANCES, built
-with runconfig.build_run), and each certificate records its instance as
-{"name", "config"}, so `axisym minimize --config` reruns it.
+with runconfig.build_run).  Each axisym-cert/2 file states its instance
+once as {"name", "config"}, a config that `axisym minimize --config`
+reruns (`axisym verify --config` for annulus_pde, a one-instance suite).
 Hypothesis gating happens before conclusions: an instance that fails a
 hypothesis yields an *inapplicable* certificate (_inapplicable), never a
-failed one.
+failed one, and its verdict is None ("pass": null): nothing was checked.
 Certificates carry no timestamps and serialize deterministically, so a
 rerun with the same seeds is byte-identical.
 """
@@ -62,7 +64,7 @@ DEFAULT_TOLERANCES = {
     "annulus_mean": 1e-8,
 }
 
-CERT_SCHEMA = "axisym-cert/1"
+CERT_SCHEMA = "axisym-cert/2"
 
 
 @dataclass(frozen=True)
@@ -70,18 +72,16 @@ class TheoremCertificate:
     theorem: str
     instance: dict
     applicable: bool
-    passed: bool
+    passed: bool | None             # None: inapplicable, nothing checked
     residuals: dict
     tolerances: dict
     note: str = ""
 
     def to_dict(self):
         return {
-            "schema": CERT_SCHEMA,
             "theorem": self.theorem,
-            "instance": dict(self.instance),
             "applicable": bool(self.applicable),
-            "pass": bool(self.passed),
+            "pass": self.passed,
             "residuals": {k: float(v) for k, v in self.residuals.items()},
             "tolerances": {k: float(v) for k, v in self.tolerances.items()},
             "note": self.note,
@@ -90,8 +90,8 @@ class TheoremCertificate:
 
 def _inapplicable(theorem, instance, tolerances, note, residuals=None):
     """The certificate of a claim whose hypothesis fails: inapplicable, so
-    it passes and no pass or fail count of the summary holds it."""
-    return TheoremCertificate(theorem, instance, False, True,
+    it has no verdict and no pass or fail count of the summary holds it."""
+    return TheoremCertificate(theorem, instance, False, None,
                               residuals or {}, tolerances, note)
 
 
@@ -140,6 +140,11 @@ def _form_check(diag):
                           for v in residuals.values())
 
 
+def _null_average(diag):
+    """The largest ring mean of the found field, relative to its scale."""
+    return diag["null_average_norm"] / max(diag["field_scale"], 1e-9)
+
+
 def _line_symmetry_check(diag):
     """(residuals, ok) of line symmetry: the orthogonality relations
     |alpha| = |beta| and alpha . beta = 0, and no row of neither kind."""
@@ -172,8 +177,7 @@ def verify_main0(instance_desc, report, params):
           and residuals["companion_defect"] <= tolerances["defect"])
     note = ""
     if report.margin.strict:
-        residuals["null_average"] = (diag["null_average_norm"]
-                                     / max(diag["field_scale"], 1e-9))
+        residuals["null_average"] = _null_average(diag)
         ok = ok and residuals["null_average"] <= tolerances["null_average"]
     else:
         note = "borderline margin: ring-mean term retained in the form"
@@ -182,22 +186,21 @@ def verify_main0(instance_desc, report, params):
 
 
 def verify_main1(main0, report, target):
-    """Adds line-symmetry labels and orthogonality under never-flat targets.
+    """Line-symmetry labels and orthogonality under never-flat targets.
 
     main0 is verify_main0's certificate of the same report; this one
-    extends its residuals and passes only where it passed.
+    carries only its own residuals and passes only where main0 passed.
     """
     strict = report.margin.strict
-    tolerances = {k: DEFAULT_TOLERANCES[k]
-                  for k in ("form_residual", "orthogonality")}
+    tolerances = {"orthogonality": DEFAULT_TOLERANCES["orthogonality"]}
     if not strict or not never_flat_check(target).ok:
         why = "target has flat bands" if strict else "margin not strict"
         return _inapplicable("main1_line_symmetry", main0.instance,
                              tolerances, f"inapplicable: {why}")
     residuals, ok = _line_symmetry_check(report.diagnostics)
     return TheoremCertificate("main1_line_symmetry", main0.instance, True,
-                              bool(main0.passed and ok),
-                              dict(main0.residuals, **residuals), tolerances)
+                              bool(main0.passed and ok), residuals, tolerances,
+                              "" if main0.passed else "main0_form failed")
 
 
 def verify_main3(instance_desc, report, target):
@@ -213,8 +216,7 @@ def verify_main3(instance_desc, report, target):
         return _inapplicable("main3_null_average", instance_desc, tolerances,
                              "inapplicable: instance has a penalty term")
     diag = report.diagnostics
-    residuals = {"null_average": diag["null_average_norm"]
-                 / max(diag["field_scale"], 1e-9)}
+    residuals = {"null_average": _null_average(diag)}
     if residuals["null_average"] > tolerances["null_average_strict"]:
         return _inapplicable("main3_null_average", instance_desc, tolerances,
                              "hypothesis unmet: found minimizer is not "
@@ -250,6 +252,7 @@ def verify_chain(desc, seeds, n_fields):
     worst = dict.fromkeys(("slice_vs_mean", "poincare_wirtinger",
                            "vertical_mode", "total_gap"), np.inf)
     corpus = corpus_seeds(seeds, n_fields, 1)
+    ok = True
     for stack in _stacks(mesh, corpus):
         rep = symmetrize_and_certify(random_field(mesh, target, stack), params,
                                      params.aniso.variant)[1]
@@ -257,14 +260,14 @@ def verify_chain(desc, seeds, n_fields):
         for key in worst:
             worst[key] = min(worst[key],
                              float(np.min(rep.residuals[key] / scale)))
+        ok = ok and bool(np.all(rep.certified))
     if not corpus:
         return _inapplicable("chain_monotonicity", desc, tolerances,
                              "inapplicable: empty corpus, no field checked",
                              {"fields_checked": 0.0})
     residuals = {f"min_{k}": v for k, v in worst.items()}
     residuals["fields_checked"] = float(len(corpus))
-    ok = all(v >= -tolerances["chain_slack"] for v in worst.values())
-    return TheoremCertificate("chain_monotonicity", desc, True, bool(ok),
+    return TheoremCertificate("chain_monotonicity", desc, True, ok,
                               residuals, tolerances)
 
 
@@ -302,13 +305,11 @@ def verify_pw(desc, seeds, n_fields):
         return _inapplicable("pw_inequality", desc, tolerances,
                              "inapplicable: empty corpus, no row checked",
                              {"rows_checked": 0.0})
-    worst_violation = max(v for v, _, _ in stacks)
-    mismatches = sum(m for _, m, _ in stacks)
-    rows = sum(r for _, _, r in stacks)
-    residuals = {"max_violation": worst_violation,
-                 "equality_detector_mismatches": float(mismatches),
-                 "rows_checked": float(rows)}
-    ok = worst_violation <= tolerances["pw_slack"] and mismatches == 0
+    violations, mismatches, rows = zip(*stacks)
+    residuals = {"max_violation": max(violations),
+                 "equality_detector_mismatches": float(sum(mismatches)),
+                 "rows_checked": float(sum(rows))}
+    ok = max(violations) <= tolerances["pw_slack"] and sum(mismatches) == 0
     return TheoremCertificate("pw_inequality", desc, True, bool(ok),
                               residuals, tolerances)
 
@@ -324,8 +325,11 @@ def verify_annulus(kappas, n_t, n_phi, seed):
         b2 = annulus_boundary_from_vector(n_phi, rng.normal(size=3))
         rep = solve_annulus_example(n_t, n_phi, kappa, b1, b2)
         worst = max(worst, rep.max_mean_perp)
-    desc = {"name": "annulus_pde", "kappas": [float(k) for k in kappas],
-            "grid": [int(n_phi), int(n_t)], "seed": int(seed)}
+    annulus = {"kappas": [float(k) for k in kappas], "n_t": int(n_t),
+               "n_phi": int(n_phi)}
+    desc = {"name": "annulus_pde", "config": {"schema": RUN_SCHEMA, "suite": {
+        "instances": ["annulus_pde"], "seeds": [int(seed)],
+        "annulus": annulus}}}
     tolerances = {"annulus_mean": DEFAULT_TOLERANCES["annulus_mean"]}
     return TheoremCertificate("annulus_null_average", desc, True,
                               bool(worst <= tolerances["annulus_mean"]),
@@ -343,31 +347,24 @@ def run_suite(config=None, out_dir=None):
     runconfig.suite_config (a ConfigError for a bad value or a suite that
     checks nothing).  Returns (certificates, summary); summary["all_pass"]
     needs at least one certificate and no failed applicable one.  With
-    out_dir set, writes one JSON file per instance (its certificate list)
-    plus summary.json.  The run is deterministic under fixed seeds:
-    certificates carry no timestamps and reruns are byte-identical.
+    out_dir set, writes one JSON file per instance (the instance and its
+    certificates) plus summary.json.  The run is deterministic under fixed
+    seeds: certificates carry no timestamps and reruns are byte-identical.
     """
     cfg = suite_config(config)
     grid = (cfg["grid"]["n_phi"], cfg["grid"]["n_t"])
     names = cfg["instances"] or SUITE_NAMES     # None selects every one
 
-    per_instance = {}
-    certs = []
-
-    def emit(key, cert):
-        per_instance.setdefault(key, []).append(cert)
-        certs.append(cert)
-
+    groups = {}                 # file key -> its instance's certificates
     for name in [n for n in DEFAULT_INSTANCES if n in names]:
         for seed in cfg["seeds"]:
             desc = instance(name, *grid, cfg["solver"], seed)
             mesh, target, params, sc = build_run(desc["config"])
             report = minimize_2d(mesh, target, params, sc)
-            key = f"{name}_s{seed}"
             main0 = verify_main0(desc, report, params)
-            emit(key, main0)
-            emit(key, verify_main1(main0, report, target))
-            emit(key, verify_main3(desc, report, target))
+            groups[f"{name}_s{seed}"] = [
+                main0, verify_main1(main0, report, target),
+                verify_main3(desc, report, target)]
 
     first_seed = cfg["seeds"][0]
     for kind, check, pool, n_fields in (
@@ -375,12 +372,13 @@ def run_suite(config=None, out_dir=None):
             ("pw", verify_pw, PW_INSTANCES, cfg["pw_fields"])):
         for name in [n for n in pool if n in names]:
             desc = instance(name, *grid, cfg["solver"], first_seed)
-            emit(f"{kind}_{name}", check(desc, cfg["seeds"], n_fields))
+            groups[f"{kind}_{name}"] = [check(desc, cfg["seeds"], n_fields)]
     if "annulus_pde" in names:
         ann = cfg["annulus"]
-        emit("annulus_pde", verify_annulus(ann["kappas"], ann["n_t"],
-                                           ann["n_phi"], first_seed))
+        groups["annulus_pde"] = [verify_annulus(ann["kappas"], ann["n_t"],
+                                                ann["n_phi"], first_seed)]
 
+    certs = [c for group in groups.values() for c in group]
     applicable = [c for c in certs if c.applicable]
     summary = {
         "schema": CERT_SCHEMA,
@@ -398,9 +396,10 @@ def run_suite(config=None, out_dir=None):
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        for key, group in sorted(per_instance.items()):
+        for key, group in sorted(groups.items()):
             ioutil.write_json(out / f"cert_{key}.json", {
                 "schema": CERT_SCHEMA, "instance_key": key,
+                "instance": group[0].instance,
                 "certificates": [c.to_dict() for c in group]})
         ioutil.write_json(out / "summary.json", summary)
     return certs, summary

@@ -241,14 +241,18 @@ def test_verify_inapplicable_only_suite(tmp_path):
 
 
 def test_certificate_instance_reruns_with_minimize(tmp_path):
-    # a certificate's instance carries the run config it was built from,
-    # which `axisym minimize --config` accepts as it stands
+    # a certificate file's instance carries the run config it was built
+    # from, which `axisym minimize --config` accepts as it stands
     from axisym.verify import run_suite
     certs, _ = run_suite({"instances": ["cylinder2_dirichlet_top"],
                           "grid": {"n_phi": 16, "n_t": 12},
-                          "solver": {"restarts": 0, "max_iters": 300}})
-    desc = certs[0].to_dict()["instance"]
+                          "solver": {"restarts": 0, "max_iters": 300}},
+                         out_dir=tmp_path / "certs")
+    desc = ioutil.read_json(tmp_path / "certs"
+                            / "cert_cylinder2_dirichlet_top_s0.json")[
+        "instance"]
     assert desc["name"] == "cylinder2_dirichlet_top"
+    assert desc == certs[0].instance
     cfg_path = tmp_path / "instance.json"
     cfg_path.write_text(ioutil.dumps(desc["config"]), encoding="utf-8")
     out = tmp_path / "out"
@@ -449,10 +453,9 @@ def test_verify_partial_suite_sections_merge_over_defaults(tmp_path):
         encoding="utf-8")
     out = tmp_path / "annulus"
     assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 0
-    cert, = ioutil.loads((out / "cert_annulus_pde.json").read_text())[
-        "certificates"]
-    assert cert["instance"]["grid"] == [32, 16]
-    assert cert["instance"]["kappas"] == [0.0, 0.5, 1.0, 5.0]
+    desc = ioutil.read_json(out / "cert_annulus_pde.json")["instance"]
+    assert desc["config"]["suite"]["annulus"] == {
+        "kappas": [0.0, 0.5, 1.0, 5.0], "n_t": 16, "n_phi": 32}
 
     cfg_path.write_text(json.dumps({"schema": "axisym-run/1", "suite": {
         "instances": ["cylinder2_quadratic_const1"], "grid": {"n_t": 12},
@@ -460,11 +463,33 @@ def test_verify_partial_suite_sections_merge_over_defaults(tmp_path):
         encoding="utf-8")
     out = tmp_path / "cylinder"
     assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 0
-    cert = ioutil.loads((out / "cert_cylinder2_quadratic_const1_s0.json")
-                        .read_text())["certificates"][0]
-    assert cert["instance"]["config"]["grid"] == {"n_phi": 32, "n_t": 12}
-    assert cert["instance"]["config"]["solver"] == {
+    desc = ioutil.read_json(out / "cert_cylinder2_quadratic_const1_s0.json")[
+        "instance"]
+    assert desc["config"]["grid"] == {"n_phi": 32, "n_t": 12}
+    assert desc["config"]["solver"] == {
         "restarts": 0, "max_iters": 4000, "grad_tol": 1e-9, "seed": 0}
+
+
+def test_annulus_certificate_instance_reruns_with_verify(tmp_path):
+    # the annulus_pde file's instance config is a one-instance suite that
+    # `axisym verify --config` reruns to the same certificate file
+    cfg_path = tmp_path / "verify.json"
+    cfg_path.write_text(json.dumps({"schema": "axisym-run/1", "suite": {
+        "instances": ["annulus_pde"], "seeds": [3],
+        "annulus": {"kappas": [0.5, 2], "n_t": 12, "n_phi": 8}}}),
+        encoding="utf-8")
+    first = tmp_path / "first"
+    assert main(["verify", "--config", str(cfg_path),
+                 "--out", str(first)]) == 0
+    desc = ioutil.read_json(first / "cert_annulus_pde.json")["instance"]
+    assert desc["name"] == "annulus_pde"
+    rerun_path = tmp_path / "instance.json"
+    rerun_path.write_text(ioutil.dumps(desc["config"]), encoding="utf-8")
+    again = tmp_path / "again"
+    assert main(["verify", "--config", str(rerun_path),
+                 "--out", str(again)]) == 0
+    assert ((again / "cert_annulus_pde.json").read_bytes()
+            == (first / "cert_annulus_pde.json").read_bytes())
 
 
 @pytest.mark.parametrize("section, key", [

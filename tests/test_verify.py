@@ -1,11 +1,13 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from axisym import ioutil, verify
 from axisym.runconfig import ConfigError, build_run, load_config
-from axisym.solvers import SolveConfig, minimize_2d, symmetrize_and_certify
+from axisym.solvers import (CHAIN_SLACK, SolveConfig, minimize_2d,
+                            symmetrize_and_certify)
 from conftest import count_calls
 from axisym.verify import (
     DEFAULT_INSTANCES,
@@ -47,7 +49,7 @@ def test_subset_suite_passes(subset_run):
     # the line-symmetry claim, not failed
     flat = [c for c in certs if c.instance.get("name") == "disk_target_flat"
             and c.theorem == "main1_line_symmetry"]
-    assert flat and not flat[0].applicable and flat[0].passed
+    assert flat and not flat[0].applicable and flat[0].passed is None
 
 
 def test_borderline_marked_not_failed(subset_run):
@@ -64,13 +66,43 @@ def test_certificates_written_with_schema(subset_run):
     files = sorted(out.glob("cert_*.json"))
     assert files
     payload = ioutil.loads(files[0].read_text())
-    assert payload["schema"] == "axisym-cert/1"
+    assert payload["schema"] == "axisym-cert/2"
     for cert in payload["certificates"]:
-        assert cert["schema"] == "axisym-cert/1"
-        assert set(cert) >= {"theorem", "instance", "pass", "residuals",
-                             "tolerances", "applicable"}
+        assert set(cert) == {"theorem", "applicable", "pass", "residuals",
+                             "tolerances", "note"}
     summary = ioutil.loads((out / "summary.json").read_text())
-    assert summary["all_pass"]
+    assert summary["all_pass"] and summary["schema"] == "axisym-cert/2"
+
+
+def test_certificate_files_state_each_fact_once(subset_run):
+    # each file states its schema and instance once, no entry repeats them,
+    # an unchecked claim has no verdict and main1 repeats no main0 residual
+    _, _, out = subset_run
+    files = sorted(out.glob("cert_*.json"))
+    assert len(files) == 4 + 2 + 2         # solved, chain, pw
+    seen = set()
+    for path in files:
+        payload = ioutil.loads(path.read_text())
+        assert set(payload) == {"schema", "instance_key", "instance",
+                                "certificates"}
+        assert set(payload["instance"]) == {"name", "config"}
+        assert path.name == f"cert_{payload['instance_key']}.json"
+        by_theorem = {}
+        for cert in payload["certificates"]:
+            assert "schema" not in cert and "instance" not in cert
+            if cert["applicable"]:
+                assert isinstance(cert["pass"], bool), path.name
+            else:
+                assert cert["pass"] is None, path.name
+            by_theorem[cert["theorem"]] = cert
+            seen.add((cert["theorem"], cert["applicable"]))
+        if "main1_line_symmetry" in by_theorem:
+            main0 = by_theorem["main0_form"]
+            main1 = by_theorem["main1_line_symmetry"]
+            assert not set(main1["residuals"]) & set(main0["residuals"])
+            assert set(main1["tolerances"]) == {"orthogonality"}
+    assert {("main1_line_symmetry", True),
+            ("main1_line_symmetry", False)} <= seen
 
 
 def test_suite_reruns_byte_identical(tmp_path):
@@ -123,8 +155,9 @@ def test_main0_inapplicable_without_weight():
     rep = minimize_2d(mesh, tgt, params,
                       SolveConfig(restarts=0, max_iters=400, seed=0))
     cert = verify_main0(desc, rep, params)
-    assert not cert.applicable and cert.passed
+    assert not cert.applicable and cert.passed is None
     assert "margin" in cert.note
+    assert cert.to_dict()["pass"] is None
 
 
 def test_main3_pass_on_sphere_free():
@@ -148,7 +181,7 @@ def test_main3_pass_on_sphere_free():
     diag = rep.diagnostics
     assert diag["null_average_norm"] / diag["field_scale"] > 1e-4
     cert = verify_main3(desc, rep, tgt)
-    assert not cert.applicable and cert.passed
+    assert not cert.applicable and cert.passed is None
     assert "hypothesis unmet" in cert.note
 
 
@@ -168,13 +201,33 @@ def test_main1_applicable_on_torus_band():
     main0 = verify_main0(desc, rep, params)
     cert = verify_main1(main0, rep, tgt)
     assert cert.applicable and cert.instance == desc
-    assert set(cert.residuals) >= set(main0.residuals)
+    # main1 carries only its own residuals and passes only where main0 did
+    assert set(cert.residuals) == {"orthogonality_norm", "orthogonality_dot",
+                                   "neither_rows"}
+    assert set(cert.tolerances) == {"orthogonality"}
+    failed = verify_main1(replace(main0, passed=False), rep, tgt)
+    assert failed.applicable and failed.passed is False
+    assert failed.note == "main0_form failed"
 
 
 def test_chain_certificate():
     cert = verify_chain(instance("sphere_quartic_margin", 16, 12), [0], 5)
     assert cert.applicable and cert.passed
     assert cert.residuals["fields_checked"] == 5.0
+
+
+def test_chain_certificate_fails_on_an_uncertified_field(monkeypatch):
+    # the verdict is the chain reports' own: one field that is not
+    # certified fails the certificate, whatever the reported minima
+    def uncertified(*args):
+        u, rep = symmetrize_and_certify(*args)
+        return u, replace(rep, certified=np.zeros_like(rep.certified))
+
+    monkeypatch.setattr(verify, "symmetrize_and_certify", uncertified)
+    cert = verify_chain(instance("sphere_quartic_margin", 16, 12), [0], 2)
+    assert cert.applicable and cert.passed is False
+    assert all(cert.residuals[f"min_{k}"] >= -CHAIN_SLACK for k in (
+        "slice_vs_mean", "poincare_wirtinger", "vertical_mode", "total_gap"))
 
 
 def test_pw_certificate():
