@@ -4,7 +4,8 @@ Subcommands:
     minimize    2D energy minimization; writes field/mode CSVs + JSON reports
     reduce      1D profile minimization (both variants, Dirichlet rows
                 pinned; a variant whose sweep cannot meet the ring data is
-                skipped and named in the report) + optional 2D comparison
+                skipped and named in the report) + optional comparison with
+                the 2D field <prior_2d>/field.csv, scored under this config
     verify      certificate suite; exit 1 on any failed applicable
                 certificate
     annulus     the linear annulus boundary-value problem (flag-driven)
@@ -39,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ioutil
-from .energy import H1OperatorError, NonDifferentiableError
+from .energy import H1OperatorError, NonDifferentiableError, total_energy
 from .geometry import VARIANTS
 from .fields import field_from_csv, field_to_csv, grid_to_csv, profile_to_csv
 from .runconfig import (RUN_SCHEMA, ConfigError, annulus_grid, build_run,
@@ -138,32 +139,15 @@ def cmd_minimize(args):
     return EXIT_OK if report.converged else EXIT_NOT_CONVERGED
 
 
-def _read_prior(prior, mesh, target, boundary):
-    """(best energy, best field) of the 2D run in the directory prior: a
-    finite number at best_energy.total of its report.json, and its
-    field.csv on the grid; or ConfigError naming config.prior_2d."""
-    where = "config.prior_2d"
-    report = _read(where, ioutil.read_json, Path(prior) / "report.json")
-    try:
-        energy = report["best_energy"]["total"]
-    except (KeyError, TypeError):
-        energy = None
-    if (isinstance(energy, bool) or not isinstance(energy, (int, float))
-            or not math.isfinite(energy)):
-        raise ConfigError(f"{where}: report.json needs a finite number at "
-                          f"best_energy.total, got {energy!r}")
-    field = _read(where, field_from_csv, Path(prior) / "field.csv", mesh,
-                  target, boundary)
-    return float(energy), field
-
-
 def cmd_reduce(args):
     cfg = load_config(args.config)
     mesh, target, params, sc = build_run(cfg, args.seed, _parse_grid(args.grid))
     _out_dir(args, cfg, "out", create=False)
     prior = cfg.get("prior_2d")
     if prior:
-        e2d, prior_field = _read_prior(prior, mesh, target, params.boundary)
+        prior_field = _read("config.prior_2d", field_from_csv,
+                            Path(prior) / "field.csv", mesh, target,
+                            params.boundary)
     comment, digest = _provenance(cfg, sc.seed)
     payload = {"config_sha256": digest, "seed": sc.seed}
     converged = True
@@ -187,6 +171,7 @@ def cmd_reduce(args):
     if prior:
         best_variant = min(reports, key=lambda v: reports[v].best_energy.total)
         rep = reports[best_variant]
+        e2d = total_energy(prior_field, params).total
         gap = abs(rep.best_energy.total - e2d) / max(abs(e2d), 1e-30)
         diff = rep.best_field.values - prior_field.values
         l2 = float(np.sqrt(np.sum(mesh.quad_weights * np.sum(diff ** 2, -1))))
@@ -206,13 +191,12 @@ def cmd_verify(args):
     # the config's instance sections are checked as minimize checks them
     build_run(cfg, args.seed, grid)
     suite_cfg = suite_config(cfg.get("suite"), args.seed, grid)
-    certs, summary = run_suite(suite_cfg, out_dir=_out_dir(args, cfg, None))
-    applicable = [c for c in certs if c.applicable]
-    print(f"verify: {summary['n_passed']}/{len(applicable)} applicable "
+    _, summary = run_suite(suite_cfg, out_dir=_out_dir(args, cfg, None))
+    print(f"verify: {summary['n_passed']}/{summary['n_applicable']} applicable "
           f"certificates passed ({summary['n_certificates']} total)")
-    for c in applicable:
-        if not c.passed:
-            print(f"  FAILED {c.theorem} on {c.instance.get('name', '?')}")
+    for entry in summary["failed"]:
+        theorem, _, name = entry.partition(":")
+        print(f"  FAILED {theorem} on {name}")
     return EXIT_OK if summary["all_pass"] else EXIT_CERT_FAILED
 
 

@@ -142,8 +142,6 @@ def mode_decompose(field):
     k != 0).
     """
     mesh = field.mesh
-    if mesh.n_phi < 8:
-        raise ValueError("mode_decompose needs n_phi >= 8")
     n = mesh.n_phi
     coeff = np.fft.rfft(field.values, axis=-3) / n       # (..., n//2+1, n_t, 3)
     mean_perp = coeff[..., 0, :, :2].real

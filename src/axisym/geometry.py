@@ -518,8 +518,8 @@ def build_mesh(surf, n_phi, n_t):
     a perpendicular meeting (dz = 0) at an end where x vanishes.  A target
     needs neither.
     """
-    if n_phi < 4 or n_phi % 2 != 0:
-        raise ValueError("n_phi must be an even integer >= 4")
+    if n_phi < 8 or n_phi % 2 != 0:
+        raise ValueError("n_phi must be an even integer >= 8")
     if n_t < 2:
         raise ValueError("n_t must be >= 2")
     t0, t1 = surf.interval

@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from axisym import fields, ioutil, verify
 from axisym.cli import main
+from axisym.energy import total_energy
 from axisym.runconfig import build_run
-from axisym.solvers import minimize_1d_profile
 from conftest import count_calls
 
 
@@ -173,6 +173,18 @@ def test_reduce_with_and_without_prior(tmp_path):
     assert main(["reduce", "--config", str(cfg_path), "--out", str(out2)]) == 0
     rep = ioutil.loads((out2 / "reduce_report.json").read_text())
     assert rep["comparison"]["relative_gap"] <= 0.02
+    # E_2D is the prior field's energy: the minimize run's own total
+    full = out2d.rename(tmp_path / "mini_full")
+    breakdown = ioutil.read_json(full / "breakdown.json")
+    assert rep["comparison"]["energy_2d"] == breakdown["total"]
+
+    # a prior directory needs only its field.csv
+    out2d.mkdir()
+    (out2d / "field.csv").write_bytes((full / "field.csv").read_bytes())
+    out3 = tmp_path / "red3"
+    assert main(["reduce", "--config", str(cfg_path), "--out", str(out3)]) == 0
+    assert ((out3 / "reduce_report.json").read_bytes()
+            == (out2 / "reduce_report.json").read_bytes())
 
 
 def test_stop_reasons_reported_per_restart(tmp_path):
@@ -208,7 +220,7 @@ def test_reduce_variant_mismatch_warning(tmp_path):
     assert "symmetric_warning" in rep
 
 
-def test_verify_subset_and_planted_failure(tmp_path, monkeypatch):
+def test_verify_subset_and_planted_failure(tmp_path, capsys, monkeypatch):
     cfg_path = tmp_path / "verify.json"
     cfg = {"schema": "axisym-run/1",
            "suite": {"instances": ["cylinder2_quadratic_const1"],
@@ -219,6 +231,7 @@ def test_verify_subset_and_planted_failure(tmp_path, monkeypatch):
     out = tmp_path / "certs"
     assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 0
     assert (out / "summary.json").exists()
+    assert "FAILED" not in capsys.readouterr().out
 
     # a tolerance no residual meets: the annulus certificate really fails
     monkeypatch.setitem(verify.DEFAULT_TOLERANCES, "annulus_mean", -1.0)
@@ -228,6 +241,9 @@ def test_verify_subset_and_planted_failure(tmp_path, monkeypatch):
     assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 1
     summary = ioutil.loads((out / "summary.json").read_text())
     assert summary["n_failed"] == 1 and not summary["all_pass"]
+    lines = capsys.readouterr().out.splitlines()
+    assert "verify: 0/1 applicable certificates passed (1 total)" in lines
+    assert "  FAILED annulus_null_average on annulus_pde" in lines
 
 
 def test_verify_inapplicable_only_suite(tmp_path):
@@ -1221,27 +1237,26 @@ def test_field_csv_from_another_grid_exits_3(tmp_path, capsys, minimize_16x12,
     assert f"config error: config.{key}: " in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("report", [{}, [1, 2],
-                                    {"best_energy": {"total": "x"}}],
-                         ids=["empty", "list", "string_total"])
-def test_malformed_prior_report_exits_3_before_solving(tmp_path, capsys,
-                                                        minimize_16x12,
-                                                        report, monkeypatch):
-    # the prior is read before any solve, so nothing is written
-    prior = tmp_path / "prior"
-    prior.mkdir()
-    (prior / "field.csv").write_bytes((minimize_16x12 / "field.csv")
-                                      .read_bytes())
-    (prior / "report.json").write_text(json.dumps(report), encoding="utf-8")
-    write_config(tmp_path / "run.json", prior_2d=str(prior))
-    calls = count_calls(monkeypatch, minimize_1d_profile)
+def test_reduce_scores_prior_under_its_own_config(tmp_path):
+    # without the ring-mean penalty the 2D minimum is a constant horizontal
+    # field (E ~ 0); reduced under lam = 1, E_2D is that field's energy
+    # under the reducing config, penalty included, not the prior's total
+    write_config(tmp_path / "zero.json", weight={"kind": "zero"},
+                 solver={"restarts": 1, "max_iters": 300, "seed": 0})
+    assert main(["minimize", "--config", str(tmp_path / "zero.json"),
+                 "--out", str(tmp_path / "min")]) == 0
+    cfg = write_config(tmp_path / "run.json", prior_2d=str(tmp_path / "min"),
+                       solver={"restarts": 0, "max_iters": 200, "seed": 0})
     assert main(["reduce", "--config", str(tmp_path / "run.json"),
-                 "--out", str(tmp_path / "o")]) == 3
-    err = capsys.readouterr().err
-    assert "config error: config.prior_2d: " in err
-    assert "best_energy.total" in err
-    assert not (tmp_path / "o").exists()
-    assert not calls
+                 "--out", str(tmp_path / "red")]) == 0
+    comparison = ioutil.read_json(tmp_path / "red" / "reduce_report.json")[
+        "comparison"]
+    mesh, target, params, _ = build_run(cfg)
+    prior = fields.field_from_csv(tmp_path / "min" / "field.csv", mesh,
+                                  target, params.boundary)
+    assert comparison["energy_2d"] == total_energy(prior, params).total
+    assert ioutil.read_json(tmp_path / "min" / "breakdown.json")["total"] < 1e-9
+    assert comparison["energy_2d"] > 1
 
 
 def _mutated_field_csv(source, dest, mutation):
@@ -1280,8 +1295,6 @@ def test_reduce_bad_prior_field_cell_exits_3(tmp_path, capsys, minimize_16x12,
                                              mutation, message):
     prior = tmp_path / "prior"
     prior.mkdir()
-    (prior / "report.json").write_bytes((minimize_16x12 / "report.json")
-                                        .read_bytes())
     _mutated_field_csv(minimize_16x12 / "field.csv", prior / "field.csv",
                        mutation)
     write_config(tmp_path / "run.json", prior_2d=str(prior))
@@ -1332,10 +1345,8 @@ def _csv_input(work, name, minimize_16x12):
     else:
         command, prior = "reduce", work / "prior"
         prior.mkdir()
-        for artifact in ("field.csv", "report.json"):
-            (prior / artifact).write_bytes((minimize_16x12 / artifact)
-                                           .read_bytes())
         csv_path, keys = prior / "field.csv", {name: str(prior)}
+        csv_path.write_bytes((minimize_16x12 / "field.csv").read_bytes())
     cfg_path = work / "run.json"
     write_config(cfg_path, solver={"restarts": 1, "max_iters": 2, "seed": 0},
                  **keys)

@@ -164,6 +164,10 @@ def test_mesh_validation_errors():
         build_mesh(surface("sphere"), 7, 16)
     with pytest.raises(ValueError):
         build_mesh(surface("sphere"), 5, 16)
+    # refused when built, not by mode_decompose at the end of a solve
+    for n_phi in (4, 6):
+        with pytest.raises(ValueError, match=">= 8"):
+            build_mesh(surface("sphere"), n_phi, 16)
     with pytest.raises(ValueError):
         build_mesh(surface("sphere"), 16, 1)
     # x < 0 somewhere
