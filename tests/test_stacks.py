@@ -143,7 +143,7 @@ def _pw_oracle(desc, seeds, n_fields):
     """verify_pw's residuals from one field at a time."""
     mesh, target, _, _ = build_run(desc["config"])
     k2 = np.arange(mesh.n_phi // 2 + 1, dtype=float)[:, None, None] ** 2
-    worst, mismatches, rows = -np.inf, 0, 0
+    worst = -np.inf
     for seed in seeds:
         for k in range(n_fields):
             dec = mode_decompose(
@@ -153,14 +153,7 @@ def _pw_oracle(desc, seeds, n_fields):
             rhs = 2 * np.pi * np.sum(k2 * mass, axis=(0, 2))
             scale = 1 + rhs
             worst = max(worst, float(np.max((lhs - rhs) / scale)))
-            tight = (rhs - lhs) <= 1e-9 * scale
-            pure = np.sum(mass[2:], axis=(0, 2)) <= 1e-9 * (
-                1 + np.sum(np.abs(dec.coeff[..., :2]) ** 2, axis=(0, 2)))
-            mismatches += int(np.sum(tight != pure))
-            rows += lhs.size
-    return {"max_violation": worst,
-            "equality_detector_mismatches": float(mismatches),
-            "rows_checked": float(rows)}
+    return {"max_violation": worst}
 
 
 # 16 x 12 fields have 576 doubles: the module's bound stacks 14 of them, so

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from axisym import ioutil, verify
+from axisym.energy import total_energy
+from axisym.fields import random_field
 from axisym.runconfig import ConfigError, build_run, load_config
-from axisym.solvers import (CHAIN_SLACK, SolveConfig, minimize_2d,
-                            symmetrize_and_certify)
+from axisym.solvers import (CHAIN_SLACK, SolveConfig, field_diagnostics,
+                            minimize_2d, symmetrize_and_certify)
 from conftest import count_calls
 from axisym.verify import (
     DEFAULT_INSTANCES,
@@ -210,6 +212,35 @@ def test_main1_applicable_on_torus_band():
     assert failed.note == "main0_form failed"
 
 
+def test_main0_and_main1_fail_on_a_planted_random_field():
+    # every residual main0 and main1 keep can fail: a random field put in
+    # place of the winner exceeds each tolerance (residuals near 0.1-0.8)
+    desc, mesh, tgt, params = build("cylinder2_quadratic_const1", 16, 12)
+    rep = minimize_2d(mesh, tgt, params, SolveConfig(restarts=0, seed=0))
+    planted = random_field(mesh, tgt, 7)
+    energy = total_energy(planted, params)
+    mode, diagnostics = field_diagnostics(planted, energy)
+    rep = replace(rep, best_field=planted, best_energy=energy, mode=mode,
+                  diagnostics=diagnostics)
+    main0 = verify_main0(desc, rep, params)
+    assert main0.applicable and main0.passed is False
+    assert set(main0.residuals) == {"form_residual", "vertical_mode_residual",
+                                    "companion_energy_gap", "null_average"}
+    tol = main0.tolerances
+    for key, limit in (("form_residual", tol["form_residual"]),
+                       ("vertical_mode_residual", tol["form_residual"]),
+                       ("companion_energy_gap", tol["energy_gap"]),
+                       ("null_average", tol["null_average"])):
+        assert main0.residuals[key] > limit, key
+    # main1 fails on its own residuals, not only through main0's verdict
+    main1 = verify_main1(replace(main0, passed=True), rep, tgt)
+    assert main1.applicable and main1.passed is False and main1.note == ""
+    limit = main1.tolerances["orthogonality"]
+    assert main1.residuals["orthogonality_norm"] > limit
+    assert main1.residuals["orthogonality_dot"] > limit
+    assert main1.residuals["neither_rows"] > 0
+
+
 def test_chain_certificate():
     cert = verify_chain(instance("sphere_quartic_margin", 16, 12), [0], 5)
     assert cert.applicable and cert.passed
@@ -233,7 +264,7 @@ def test_chain_certificate_fails_on_an_uncertified_field(monkeypatch):
 def test_pw_certificate():
     cert = verify_pw(instance("sphere_quartic_margin", 16, 12), [0], 4)
     assert cert.applicable and cert.passed
-    assert cert.residuals["equality_detector_mismatches"] == 0.0
+    assert set(cert.residuals) == {"max_violation"}
 
 
 def test_annulus_certificate():
@@ -265,6 +296,7 @@ def test_empty_corpus_certificates_inapplicable(monkeypatch, seeds, n_fields):
         text = ioutil.dumps(cert.to_dict(), indent=2)
         json.loads(text, parse_constant=_reject_constant)
     assert certs[0].residuals["fields_checked"] == 0.0
+    assert certs[1].residuals == {}
     assert all("empty corpus" in cert.note for cert in certs[:2])
 
 
@@ -287,6 +319,9 @@ def test_default_suite_all_pass(tmp_path):
     assert summary["n_applicable"] >= 20
     assert elapsed <= 600
     assert (tmp_path / "summary.json").exists()
+    # every tolerance is some certificate's, inapplicable ones included
+    assert set(verify.DEFAULT_TOLERANCES) == {
+        k for c in certs for k in c.tolerances}
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
